@@ -12,7 +12,6 @@ martingale polytope; a witness exists exactly when t* > 0.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,33 +77,36 @@ def scan_nodes(
     tree: ScenarioTree,
     mask: SupportMask,
     mode: lp.Mode = lp.EXACT,
-    threads: int = 1,
 ) -> list[NodeNaReport]:
     """node_na at every relevant non-leaf node, level by level."""
-    ids = mask.relevant_nonleaf(tree)
-    if threads > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda n: node_na(tree, mask, n, mode), ids))
-    return [node_na(tree, mask, n, mode) for n in ids]
+    return [node_na(tree, mask, n, mode) for n in mask.relevant_nonleaf(tree)]
 
 
 def global_na(
     tree: ScenarioTree,
     mask: SupportMask,
     mode: lp.Mode = lp.EXACT,
-    threads: int = 1,
 ) -> ArbitrageFound | None:
     """Stocks-only market NA; None means Pass.
 
     On failure the certificate is the lift of the first failing relevant
     node (lowest level, document order): hold y there, zero elsewhere.
     """
-    for report in scan_nodes(tree, mask, mode, threads):
+    return lift_first_failure(tree, mask, scan_nodes(tree, mask, mode), mode)
+
+
+def lift_first_failure(
+    tree: ScenarioTree,
+    mask: SupportMask,
+    reports: list[NodeNaReport],
+    mode: lp.Mode = lp.EXACT,
+) -> ArbitrageFound | None:
+    """The global_na verdict from a scan_nodes result."""
+    for report in reports:
         if report.passed:
             continue
         y = report.certificate
         strategy = Strategy(F(0), (), {report.node: y})
-        relevant = set(mask.relevant_leaves)
         witnesses = []
         for leaf in mask.relevant_leaves:
             w = wealth(tree, strategy, (), leaf)
@@ -288,22 +290,32 @@ def find_dominating_mm(
             return find_dominating_mm(tree, mask, options, p, lp.EXACT)
         if out.value < 0:
             return None
-    weights = {
-        leaf: out.primal[index[leaf]]
-        for leaf in leaves
-        if (out.primal[index[leaf]] > 0 if mode.exact else out.primal[index[leaf]] > mode.tolerance)
-    }
-    if not mode.exact:
-        weights = {leaf: F(w).limit_denominator(10**12) for leaf, w in weights.items()}
-        total = sum(weights.values())
-        weights = {leaf: w / total for leaf, w in weights.items()}
-    q = PathMeasure(weights)
+    q = lp_measure({leaf: out.primal[index[leaf]] for leaf in leaves}, mode)
     witness = FtapWitness(q, p)
     if mode.exact:
         problems = verify_witness(tree, mask, options, witness)
         if problems:
             raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
+
+
+_GRID = 10**12
+
+
+def lp_measure(values: dict[str, Fraction | float], mode: lp.Mode) -> PathMeasure:
+    """The path measure of LP leaf weights: positive ones in exact mode;
+    in float mode those above the tolerance, rescaled to sum 1 and rounded
+    once to multiples of 1/10**12, the largest weight taking the remainder
+    so the total is exactly 1."""
+    if mode.exact:
+        return PathMeasure({leaf: w for leaf, w in values.items() if w > 0})
+    kept = {leaf: w for leaf, w in values.items() if w > mode.tolerance}
+    total = sum(kept.values())
+    ticks = {leaf: round(w / total * _GRID) for leaf, w in kept.items()}
+    if ticks:
+        top = max(ticks, key=ticks.__getitem__)
+        ticks[top] += _GRID - sum(ticks.values())
+    return PathMeasure({leaf: F(t, _GRID) for leaf, t in ticks.items() if t})
 
 
 def verify_witness(

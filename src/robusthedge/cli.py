@@ -18,7 +18,13 @@ import time
 from fractions import Fraction
 
 from . import lp
-from .arbitrage import find_dominating_mm, global_na, scan_nodes, semistatic_na, verify_witness
+from .arbitrage import (
+    find_dominating_mm,
+    lift_first_failure,
+    scan_nodes,
+    semistatic_na,
+    verify_witness,
+)
 from .decompose import (
     AdaptedProcess,
     NotSupermartingale,
@@ -105,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--json", action="store_true")
         p.add_argument("--dump-lp", dest="dump_lp", metavar="FILE")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--seed", type=int, default=0,
                        help="seed randomized self-checks (decompose)")
         if name == "mm":
@@ -215,8 +220,9 @@ def _cmd_validate(args, model, mask, mode, report) -> tuple[int, dict]:
 
 def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
     tree = model.tree
+    reports = scan_nodes(tree, mask, mode)
     rows = []
-    for node_report in scan_nodes(tree, mask, mode, args.threads):
+    for node_report in reports:
         rows.append(
             {
                 "node": node_report.node,
@@ -226,7 +232,7 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
                 else [_rat(v) for v in node_report.certificate],
             }
         )
-    stocks = global_na(tree, mask, mode, args.threads)
+    stocks = lift_first_failure(tree, mask, reports, mode)
     verdict = {"stocks": "Pass" if stocks is None else "Fail"}
     if stocks is not None:
         _check_arbitrage_strategy(model, stocks, mask, mode, with_options=False)

@@ -1,14 +1,17 @@
-"""Self-contained LP kernel: dense two-phase simplex over exact rationals.
+"""Self-contained LP kernel: two-phase Bland simplex on sparse rows.
 
-Every optimization in the engine goes through `solve`. The exact mode pivots
-on `fractions.Fraction` and returns certificates that re-verify exactly:
-an Optimal outcome carries a dual vector satisfying complementary slackness,
-an Infeasible outcome carries a Farkas certificate (constraint and bound
-multipliers that aggregate to 0 >= positive), and an Unbounded outcome
-carries a feasible base point plus an improving ray. Bland's rule guarantees
-termination and, together with fixed variable/constraint ordering, makes
-outcomes deterministic. Float mode runs the same pivoting with tolerance
-comparisons; callers retry in exact mode on NumericalBreakdown.
+Every optimization in the engine goes through `solve`. Exact mode pivots
+fraction-free: each tableau row holds integer numerators over one integer
+denominator (Bareiss), and every value it returns is an exact `Fraction`.
+Its outcomes carry certificates that re-verify exactly: an Optimal outcome
+carries a dual vector satisfying complementary slackness, an Infeasible
+outcome carries a Farkas certificate (constraint and bound multipliers that
+aggregate to 0 >= positive), and an Unbounded outcome carries a feasible
+base point plus an improving ray. Bland's rule guarantees termination and,
+together with fixed variable/constraint ordering, makes outcomes
+deterministic. Float mode runs the same pivoting with tolerance comparisons
+and raises NumericalBreakdown when it loses accuracy; nothing retries it
+here, the caller decides (the CLI asks for a rerun with --exact).
 
 Dual sign conventions (what `verify_optimal` checks):
   minimize: y_i >= 0 on ">=" rows, y_i <= 0 on "<=" rows, free on "=";
@@ -21,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 _MAX_PIVOTS = 200_000
 
 
 class NumericalBreakdown(Exception):
-    """Float-mode pivoting lost too much accuracy; retry in exact mode."""
+    """Float-mode pivoting lost too much accuracy; exact mode cannot."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,9 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
         with open(_dump_path, "a", encoding="utf-8") as handle:
             handle.write(lp_to_text(lp))
             handle.write("\n")
-    return _Simplex(lp, mode).run()
+    if mode.exact:
+        return _ExactSimplex(lp).run()
+    return _FloatSimplex(lp, mode.tolerance).run()
 
 
 # --------------------------------------------------------------------------
@@ -168,24 +174,19 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
 
 
 class _Simplex:
-    """Two-phase tableau simplex on sparse dict rows.
+    """Two-phase Bland simplex on sparse dict rows: standard form, the two
+    phases and the assembly of outcomes. Subclasses own the arithmetic.
 
     Standard form: minimize over x~ >= 0 with equality rows; general bounds
     become shifts (finite lower), reflections (finite upper only) or split
-    pairs (free), plus one internal row per two-sided variable.
+    pairs (free), plus one internal row per two-sided variable. Each row
+    starts with an identity column of its own (its +1 slack or an
+    artificial), so the tableau is always B^-1 A for the current basis B.
     """
 
-    def __init__(self, lp: LinearProgram, mode: Mode):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.mode = mode
-        self.eps = 0 if mode.exact else mode.tolerance
-        self.drop = 0 if mode.exact else 1e-13
-        self._zero = Fraction(0) if mode.exact else 0.0
-        self._one = Fraction(1) if mode.exact else 1.0
         self._standardize()
-
-    def _num(self, x: Fraction):
-        return x if self.mode.exact else float(x)
 
     def _standardize(self) -> None:
         lp = self.lp
@@ -209,7 +210,8 @@ class _Simplex:
                 ncols += 2
         self.nstruct = ncols
 
-        # objective in min form over structural columns
+        # objective in min form over structural columns; each variable owns
+        # its columns, so no column collects two contributions
         sense = -1 if lp.maximize else 1
         cost: dict[int, Fraction] = {}
         for j, entry in enumerate(self.var_map):
@@ -217,12 +219,12 @@ class _Simplex:
             if cj == 0:
                 continue
             if entry[0] == "shift":
-                cost[entry[1]] = cost.get(entry[1], Fraction(0)) + cj
+                cost[entry[1]] = cj
             elif entry[0] == "flip":
-                cost[entry[1]] = cost.get(entry[1], Fraction(0)) - cj
+                cost[entry[1]] = -cj
             else:
-                cost[entry[1]] = cost.get(entry[1], Fraction(0)) + cj
-                cost[entry[2]] = cost.get(entry[2], Fraction(0)) - cj
+                cost[entry[1]] = cj
+                cost[entry[2]] = -cj
 
         rows: list[dict[int, Fraction]] = []
         rhs: list[Fraction] = []
@@ -235,16 +237,14 @@ class _Simplex:
                 if a == 0:
                     continue
                 entry = self.var_map[j]
-                if entry[0] == "shift":
-                    row[entry[1]] = row.get(entry[1], Fraction(0)) + a
+                if entry[0] == "free":
+                    row[entry[1]] = a
+                    row[entry[2]] = -a
+                    continue
+                row[entry[1]] = a if entry[0] == "shift" else -a
+                if entry[2]:
                     b -= a * entry[2]
-                elif entry[0] == "flip":
-                    row[entry[1]] = row.get(entry[1], Fraction(0)) - a
-                    b -= a * entry[2]
-                else:
-                    row[entry[1]] = row.get(entry[1], Fraction(0)) + a
-                    row[entry[2]] = row.get(entry[2], Fraction(0)) - a
-            rows.append({k: v for k, v in row.items() if v != 0})
+            rows.append(row)
             rhs.append(b)
             rels.append(con.relation)
             self.row_origin.append(("user", i))
@@ -286,93 +286,12 @@ class _Simplex:
                 col += 1
         self.ncols = col
         self.artificials = {c for c in self.art_col if c is not None}
-
-        # pristine copy for dual extraction at the end
-        self.A0 = [dict(row) for row in rows]
-
-        if self.mode.exact:
-            self.tab = [dict(row) for row in rows]
-            self.rhs = list(rhs)
-            self.cost = cost
-        else:
-            self.tab = [
-                {k: float(v) for k, v in row.items()} for row in rows
-            ]
-            self.rhs = [float(v) for v in rhs]
-            self.cost = {k: float(v) for k, v in cost.items()}
+        self.identity = list(basis)  # each row's own unit column
         self.basis = basis
         self.m = m
+        self._load(rows, rhs, cost)
 
-    # -- pivoting ----------------------------------------------------------
-
-    def _pivot(self, r: int, col: int, z: dict) -> None:
-        row = self.tab[r]
-        piv = row[col]
-        if piv != 1:
-            for k in list(row):
-                row[k] /= piv
-            self.rhs[r] /= piv
-            row[col] = self._one
-        items = list(row.items())
-        rr = self.rhs[r]
-        for i in range(self.m):
-            if i == r:
-                continue
-            other = self.tab[i]
-            f = other.get(col)
-            if f is None or self._is_zero(f):
-                other.pop(col, None)
-                continue
-            for k, v in items:
-                nv = other.get(k, self._zero) - f * v
-                if self._is_zero(nv):
-                    other.pop(k, None)
-                else:
-                    other[k] = nv
-            other.pop(col, None)
-            nb = self.rhs[i] - f * rr
-            self.rhs[i] = self._zero if self._is_zero(nb) else nb
-        f = z.get(col)
-        if f is not None and not self._is_zero(f):
-            for k, v in items:
-                nv = z.get(k, self._zero) - f * v
-                if self._is_zero(nv):
-                    z.pop(k, None)
-                else:
-                    z[k] = nv
-        z.pop(col, None)
-        self.basis[r] = col
-
-    def _is_zero(self, x) -> bool:
-        if self.mode.exact:
-            return x == 0
-        return abs(x) <= self.drop
-
-    def _enter(self, z: dict, barred: set[int]) -> int | None:
-        for col in range(self.ncols):
-            if col in barred:
-                continue
-            zv = z.get(col)
-            if zv is not None and zv < -self.eps:
-                return col
-        return None
-
-    def _leave(self, col: int) -> int | None:
-        best_row = None
-        best_ratio = None
-        for r in range(self.m):
-            d = self.tab[r].get(col)
-            if d is None or d <= self.eps:
-                continue
-            ratio = self.rhs[r] / d
-            if best_ratio is None or ratio < best_ratio or (
-                ratio == best_ratio and self.basis[r] < self.basis[best_row]
-            ):
-                best_ratio = ratio
-                best_row = r
-        return best_row
-
-    def _run_phase(self, z: dict, barred: set[int]) -> int | None:
+    def _run_phase(self, z, barred: set[int]) -> int | None:
         """Bland loop; returns the entering column on unboundedness."""
         for _ in range(_MAX_PIVOTS):
             col = self._enter(z, barred)
@@ -382,31 +301,9 @@ class _Simplex:
             if r is None:
                 return col
             self._pivot(r, col, z)
-        if self.mode.exact:
-            raise RuntimeError("pivot limit exceeded in exact mode (bug)")
-        raise NumericalBreakdown("pivot limit exceeded")
-
-    def _z_row(self, cost: dict) -> dict:
-        z = dict(cost)
-        for r in range(self.m):
-            cb = cost.get(self.basis[r])
-            if cb is None or self._is_zero(cb):
-                continue
-            for k, v in self.tab[r].items():
-                nv = z.get(k, self._zero) - cb * v
-                if self._is_zero(nv):
-                    z.pop(k, None)
-                else:
-                    z[k] = nv
-        return z
+        raise self._pivot_limit()
 
     # -- solution assembly --------------------------------------------------
-
-    def _std_values(self) -> dict[int, Fraction]:
-        vals: dict[int, Fraction] = {}
-        for r in range(self.m):
-            vals[self.basis[r]] = self.rhs[r]
-        return vals
 
     def _to_user_point(self, std: dict) -> list:
         out = []
@@ -434,73 +331,38 @@ class _Simplex:
                 )
         return out
 
-    def _basis_duals(self, cost: dict) -> list:
-        """Solve y'B = c_B against the pristine matrix (dead rows get 0)."""
-        m = self.m
-        mat = [[self._num(Fraction(0))] * m for _ in range(m)]
-        vec = []
-        for e in range(m):
-            var = self.basis[e]
-            for r in range(m):
-                a = self.A0[r].get(var)
-                if a is not None:
-                    mat[e][r] = self._num(a)
-            cv = cost.get(var)
-            vec.append(cv if cv is not None else self._zero)
-        return _solve_square(mat, vec, self.mode)
-
     # -- main ---------------------------------------------------------------
 
     def run(self) -> LpOutcome:
         # phase 1
         c1 = {c: self._one for c in self.artificials}
         z1 = self._z_row(c1)
-        unb = self._run_phase(z1, set())
-        if unb is not None:
+        if self._run_phase(z1, set()) is not None:
             raise RuntimeError("phase 1 cannot be unbounded (bug)")
-        infeas = self._zero
-        for r in range(self.m):
-            if self.basis[r] in self.artificials:
-                infeas += self.rhs[r]
-        feas_tol = 0 if self.mode.exact else self.mode.tolerance
-        if infeas > feas_tol:
-            return self._extract_infeasible(c1)
+        if self._phase1_infeasible():
+            return self._extract_infeasible(self._duals(z1, c1))
 
         # drive basic artificials out on any nonzero structural/slack entry
         for r in range(self.m):
-            if self.basis[r] not in self.artificials:
-                continue
-            target = None
-            for col in range(self.ncols):
-                if col in self.artificials:
-                    continue
-                v = self.tab[r].get(col)
-                if v is not None and not self._is_zero(v):
-                    target = col
-                    break
-            if target is not None:
-                self._pivot(r, target, z1)
-            # else: redundant row; its artificial stays basic at zero
+            if self.basis[r] in self.artificials:
+                target = self._drive_target(r)
+                if target is not None:
+                    self._pivot(r, target, z1)
+                # else: redundant row; its artificial stays basic at zero
 
         # phase 2
         z2 = self._z_row(self.cost)
         unb = self._run_phase(z2, self.artificials)
         if unb is not None:
-            direction: dict[int, Fraction] = {unb: self._one}
-            for r in range(self.m):
-                d = self.tab[r].get(unb)
-                if d is not None and not self._is_zero(d):
-                    direction[self.basis[r]] = -d
-            ray = self._to_user_ray(direction)
-            base = self._to_user_point(self._std_values())
+            ray = self._to_user_ray(self._ray(unb))
+            base = self._to_user_point(self._basic_values())
             return Unbounded(tuple(ray), tuple(base))
 
-        primal = self._to_user_point(self._std_values())
+        primal = self._to_user_point(self._basic_values())
         value = sum(
-            (self._num(c) * x for c, x in zip(self.lp.objective, primal)),
-            self._zero,
+            (c * x for c, x in zip(self.lp.objective, primal)), self._zero
         )
-        y = self._basis_duals(self.cost)
+        y = self._duals(z2, self.cost)
         sense = -1 if self.lp.maximize else 1
         dual = [self._zero] * len(self.lp.constraints)
         for r in range(self.m):
@@ -509,25 +371,13 @@ class _Simplex:
                 continue
             yr = -y[r] if self.flipped[r] else y[r]
             dual[idx] = sense * yr
-        if not self.mode.exact:
-            self._float_sanity(primal)
+        self._check_primal(primal)
         return Optimal(value, tuple(primal), tuple(dual))
 
-    def _float_sanity(self, primal: list) -> None:
-        scale = 1.0 + max((abs(float(x)) for x in primal), default=0.0)
-        tol = max(self.mode.tolerance, 1e-9) * 1e3 * scale
-        for con in self.lp.constraints:
-            lhs = sum(float(a) * float(x) for a, x in zip(con.coeffs, primal))
-            gap = lhs - float(con.rhs)
-            if con.relation == "<=" and gap > tol:
-                raise NumericalBreakdown("primal feasibility lost")
-            if con.relation == ">=" and gap < -tol:
-                raise NumericalBreakdown("primal feasibility lost")
-            if con.relation == "=" and abs(gap) > tol:
-                raise NumericalBreakdown("primal feasibility lost")
+    def _check_primal(self, primal: list) -> None:
+        """Hook for arithmetic that can lose feasibility; exact cannot."""
 
-    def _extract_infeasible(self, c1: dict) -> Infeasible:
-        y = self._basis_duals(c1)
+    def _extract_infeasible(self, y: list) -> Infeasible:
         n = self.lp.n
         srow = [self._zero] * len(self.lp.constraints)
         mrow: dict[int, object] = {}  # var index -> upper-row multiplier
@@ -546,7 +396,7 @@ class _Simplex:
             for i, con in enumerate(self.lp.constraints):
                 a = con.coeffs[j]
                 if a != 0:
-                    g += srow[i] * self._num(a)
+                    g += srow[i] * a
             if lo is not None:
                 mj = mrow.get(j, self._zero)
                 upper_mult[j] = -mj if up is not None else self._zero
@@ -558,8 +408,311 @@ class _Simplex:
         )
 
 
-def _solve_square(mat: list[list], vec: list, mode: Mode) -> list:
-    """Gaussian elimination with partial pivoting; exact over Fractions."""
+def _primitive(row: dict[int, int], rhs: int, den: int) -> tuple[dict[int, int], int, int]:
+    """Divide an integer row, its rhs and its denominator by their gcd."""
+    g = gcd(den, rhs, *row.values())
+    if g == 1:
+        return row, rhs, den
+    return {k: v // g for k, v in row.items()}, rhs // g, den // g
+
+
+def _combine(s: int, row: dict[int, int], t: int, items) -> dict[int, int]:
+    """s * row - t * (the row whose nonzero entries are `items`), sparse."""
+    new = {k: v * s for k, v in row.items()} if s != 1 else dict(row)
+    for k, v in items:
+        nv = new.get(k, 0) - t * v
+        if nv:
+            new[k] = nv
+        else:
+            del new[k]
+    return new
+
+
+class _ExactSimplex(_Simplex):
+    """Fraction-free exact pivoting (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 1968).
+
+    Row r stands for tab[r] / den[r] and rhs[r] / den[r]: integer
+    numerators over one positive integer denominator, divided by their gcd
+    after every update, so no gcd runs per entry. The reduced-cost row z is
+    [numerators, denominator] in the same form. Every decision reads a sign
+    or compares ratios by cross-multiplication, so the pivots are the ones
+    Bland's rule takes on the rational tableau, and every value returned is
+    the same Fraction. Duals and Farkas multipliers come from the final z
+    row at each row's identity column j: y_r = c_j - z_j, the unique
+    solution of y'B = c_B.
+    """
+
+    _zero = Fraction(0)
+    _one = Fraction(1)
+
+    def _load(self, rows, rhs, cost) -> None:
+        self.tab: list[dict[int, int]] = []
+        self.rhs: list[int] = []
+        self.den: list[int] = []
+        for row, b in zip(rows, rhs):
+            den = lcm(b.denominator, *(v.denominator for v in row.values()))
+            nums = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+            nums, num_b, den = _primitive(nums, b.numerator * (den // b.denominator), den)
+            self.tab.append(nums)
+            self.rhs.append(num_b)
+            self.den.append(den)
+        self.cost = cost
+
+    def _pivot(self, r: int, col: int, z: list) -> None:
+        row, b = self.tab[r], self.rhs[r]
+        p = row[col]
+        if p < 0:
+            row = {k: -v for k, v in row.items()}
+            b, p = -b, -p
+        # the pivot row divided by its pivot entry is row / p
+        row, b, p = _primitive(row, b, p)
+        self.tab[r], self.rhs[r], self.den[r] = row, b, p
+        items = list(row.items())
+        for i in range(self.m):
+            if i == r:
+                continue
+            other = self.tab[i]
+            f = other.get(col)
+            if f is None:
+                continue
+            # other/d - (f/d)(row/p) = (p*other - f*row) / (d*p)
+            self.tab[i], self.rhs[i], self.den[i] = _primitive(
+                _combine(p, other, f, items),
+                self.rhs[i] * p - f * b,
+                self.den[i] * p,
+            )
+        zrow, zden = z
+        f = zrow.get(col)
+        if f is not None:
+            z[0], _, z[1] = _primitive(_combine(p, zrow, f, items), 0, zden * p)
+        self.basis[r] = col
+
+    def _enter(self, z: list, barred: set[int]) -> int | None:
+        return min(
+            (col for col, v in z[0].items() if v < 0 and col not in barred),
+            default=None,
+        )
+
+    def _leave(self, col: int) -> int | None:
+        best_row = None
+        for r in range(self.m):
+            a = self.tab[r].get(col)
+            if a is None or a <= 0:
+                continue
+            if best_row is None:
+                best_row, best_b, best_a = r, self.rhs[r], a
+                continue
+            # rhs/a against best_b/best_a; the row denominators cancel
+            lhs, rhs = self.rhs[r] * best_a, best_b * a
+            if lhs < rhs or (lhs == rhs and self.basis[r] < self.basis[best_row]):
+                best_row, best_b, best_a = r, self.rhs[r], a
+        return best_row
+
+    def _z_row(self, cost: dict) -> list:
+        den = lcm(*(v.denominator for v in cost.values()))
+        z = {k: v.numerator * (den // v.denominator) for k, v in cost.items()}
+        for r in range(self.m):
+            cb = cost.get(self.basis[r])
+            if cb is None:
+                continue
+            # z/den - cb * tab/d = (s*z - t*tab) / (s*den), s = cb.den*d
+            s = cb.denominator * self.den[r]
+            t = cb.numerator * den
+            z, _, den = _primitive(_combine(s, z, t, self.tab[r].items()), 0, den * s)
+        return [z, den]
+
+    def _phase1_infeasible(self) -> bool:
+        return any(
+            self.rhs[r] > 0
+            for r in range(self.m)
+            if self.basis[r] in self.artificials
+        )
+
+    def _drive_target(self, r: int) -> int | None:
+        return min(
+            (col for col in self.tab[r] if col not in self.artificials), default=None
+        )
+
+    def _basic_values(self) -> dict:
+        return {
+            self.basis[r]: Fraction(self.rhs[r], self.den[r]) for r in range(self.m)
+        }
+
+    def _ray(self, col: int) -> dict:
+        direction = {col: self._one}
+        for r in range(self.m):
+            a = self.tab[r].get(col)
+            if a is not None:
+                direction[self.basis[r]] = Fraction(-a, self.den[r])
+        return direction
+
+    def _duals(self, z: list, cost: dict) -> list:
+        zrow, zden = z
+        return [cost.get(j, 0) - Fraction(zrow.get(j, 0), zden) for j in self.identity]
+
+    def _pivot_limit(self) -> Exception:
+        return RuntimeError("pivot limit exceeded in exact mode (bug)")
+
+
+class _FloatSimplex(_Simplex):
+    """The same pivots in floats: entries below 1e-13 are dropped, signs are
+    read against the tolerance, and duals come from a partial-pivoting
+    solve of y'B = c_B against the original matrix."""
+
+    _zero = 0.0
+    _one = 1.0
+    drop = 1e-13
+
+    def __init__(self, lp: LinearProgram, tolerance: float):
+        self.eps = tolerance
+        super().__init__(lp)
+
+    def _load(self, rows, rhs, cost) -> None:
+        self.A0 = rows  # pristine copy for dual extraction at the end
+        self.tab = [{k: float(v) for k, v in row.items()} for row in rows]
+        self.rhs = [float(v) for v in rhs]
+        self.cost = {k: float(v) for k, v in cost.items()}
+
+    def _pivot(self, r: int, col: int, z: dict) -> None:
+        row = self.tab[r]
+        piv = row[col]
+        if piv != 1:
+            for k in list(row):
+                row[k] /= piv
+            self.rhs[r] /= piv
+            row[col] = 1.0
+        items = list(row.items())
+        rr = self.rhs[r]
+        for i in range(self.m):
+            if i == r:
+                continue
+            other = self.tab[i]
+            f = other.get(col)
+            if f is None or self._is_zero(f):
+                other.pop(col, None)
+                continue
+            for k, v in items:
+                nv = other.get(k, 0.0) - f * v
+                if self._is_zero(nv):
+                    other.pop(k, None)
+                else:
+                    other[k] = nv
+            other.pop(col, None)
+            nb = self.rhs[i] - f * rr
+            self.rhs[i] = 0.0 if self._is_zero(nb) else nb
+        f = z.get(col)
+        if f is not None and not self._is_zero(f):
+            for k, v in items:
+                nv = z.get(k, 0.0) - f * v
+                if self._is_zero(nv):
+                    z.pop(k, None)
+                else:
+                    z[k] = nv
+        z.pop(col, None)
+        self.basis[r] = col
+
+    def _is_zero(self, x: float) -> bool:
+        return abs(x) <= self.drop
+
+    def _enter(self, z: dict, barred: set[int]) -> int | None:
+        for col in range(self.ncols):
+            if col in barred:
+                continue
+            zv = z.get(col)
+            if zv is not None and zv < -self.eps:
+                return col
+        return None
+
+    def _leave(self, col: int) -> int | None:
+        best_row = None
+        best_ratio = None
+        for r in range(self.m):
+            d = self.tab[r].get(col)
+            if d is None or d <= self.eps:
+                continue
+            ratio = self.rhs[r] / d
+            if best_ratio is None or ratio < best_ratio or (
+                ratio == best_ratio and self.basis[r] < self.basis[best_row]
+            ):
+                best_ratio = ratio
+                best_row = r
+        return best_row
+
+    def _z_row(self, cost: dict) -> dict:
+        z = dict(cost)
+        for r in range(self.m):
+            cb = cost.get(self.basis[r])
+            if cb is None or self._is_zero(cb):
+                continue
+            for k, v in self.tab[r].items():
+                nv = z.get(k, 0.0) - cb * v
+                if self._is_zero(nv):
+                    z.pop(k, None)
+                else:
+                    z[k] = nv
+        return z
+
+    def _phase1_infeasible(self) -> bool:
+        infeas = 0.0
+        for r in range(self.m):
+            if self.basis[r] in self.artificials:
+                infeas += self.rhs[r]
+        return infeas > self.eps
+
+    def _drive_target(self, r: int) -> int | None:
+        for col in range(self.ncols):
+            if col in self.artificials:
+                continue
+            v = self.tab[r].get(col)
+            if v is not None and not self._is_zero(v):
+                return col
+        return None
+
+    def _basic_values(self) -> dict:
+        return {self.basis[r]: self.rhs[r] for r in range(self.m)}
+
+    def _ray(self, col: int) -> dict:
+        direction = {col: 1.0}
+        for r in range(self.m):
+            d = self.tab[r].get(col)
+            if d is not None and not self._is_zero(d):
+                direction[self.basis[r]] = -d
+        return direction
+
+    def _duals(self, z: dict, cost: dict) -> list:
+        """Solve y'B = c_B against the pristine matrix (dead rows get 0)."""
+        m = self.m
+        mat = [[0.0] * m for _ in range(m)]
+        vec = []
+        for e in range(m):
+            var = self.basis[e]
+            for r in range(m):
+                a = self.A0[r].get(var)
+                if a is not None:
+                    mat[e][r] = float(a)
+            vec.append(cost.get(var, 0.0))
+        return _solve_square(mat, vec)
+
+    def _check_primal(self, primal: list) -> None:
+        scale = 1.0 + max((abs(float(x)) for x in primal), default=0.0)
+        tol = max(self.eps, 1e-9) * 1e3 * scale
+        for con in self.lp.constraints:
+            lhs = sum(float(a) * float(x) for a, x in zip(con.coeffs, primal))
+            gap = lhs - float(con.rhs)
+            if con.relation == "<=" and gap > tol:
+                raise NumericalBreakdown("primal feasibility lost")
+            if con.relation == ">=" and gap < -tol:
+                raise NumericalBreakdown("primal feasibility lost")
+            if con.relation == "=" and abs(gap) > tol:
+                raise NumericalBreakdown("primal feasibility lost")
+
+    def _pivot_limit(self) -> Exception:
+        return NumericalBreakdown("pivot limit exceeded")
+
+
+def _solve_square(mat: list[list[float]], vec: list[float]) -> list[float]:
+    """Gaussian elimination with partial pivoting in floats."""
     m = len(vec)
     a = [list(row) + [vec[i]] for i, row in enumerate(mat)]
     for col in range(m):
@@ -569,18 +722,11 @@ def _solve_square(mat: list[list], vec: list, mode: Mode) -> list:
             v = a[r][col]
             if v == 0:
                 continue
-            mag = abs(v) if not mode.exact else 1
-            if pivot_row is None or (not mode.exact and mag > best):
+            if pivot_row is None or abs(v) > best:
                 pivot_row = r
-                best = mag
-                if mode.exact:
-                    break
-        if pivot_row is None or (not mode.exact and abs(a[pivot_row][col]) < 1e-12):
-            raise (
-                RuntimeError("singular basis (bug)")
-                if mode.exact
-                else NumericalBreakdown("singular basis in dual extraction")
-            )
+                best = abs(v)
+        if pivot_row is None or abs(a[pivot_row][col]) < 1e-12:
+            raise NumericalBreakdown("singular basis in dual extraction")
         a[col], a[pivot_row] = a[pivot_row], a[col]
         piv = a[col][col]
         for r in range(m):

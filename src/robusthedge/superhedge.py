@@ -18,6 +18,7 @@ from .arbitrage import (
     ArbitrageFound,
     _HedgeLayout,
     global_na,
+    lp_measure,
     martingale_rows,
     semistatic_na,
 )
@@ -246,18 +247,7 @@ def _primal_superhedge(tree, mask, claim, options, mode):
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
     strategy = layout.strategy(x, out.primal[1:])
-    weights = {}
-    for li, leaf in enumerate(mask.relevant_leaves):
-        q = out.dual[li]
-        if mode.exact:
-            if q > 0:
-                weights[leaf] = q
-        elif q > mode.tolerance:
-            weights[leaf] = F(q).limit_denominator(10**12)
-    if not mode.exact:
-        total = sum(weights.values())
-        weights = {k: v / total for k, v in weights.items()}
-    dual = PathMeasure(weights)
+    dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
     if mode.exact:
         dual.validate()
     return x, strategy, dual
@@ -288,16 +278,7 @@ def dual_price(
         _require_stock_na(tree, mask, mode)
         raise _no_consistent_measure(tree, mask, options, mode)
     assert isinstance(out, lp.Optimal)
-    weights = {
-        leaf: out.primal[index[leaf]]
-        for leaf in leaves
-        if (out.primal[index[leaf]] > 0 if mode.exact else out.primal[index[leaf]] > mode.tolerance)
-    }
-    if not mode.exact:
-        weights = {k: F(v).limit_denominator(10**12) for k, v in weights.items()}
-        total = sum(weights.values())
-        weights = {k: v / total for k, v in weights.items()}
-    return out.value, PathMeasure(weights)
+    return out.value, lp_measure(dict(zip(leaves, out.primal)), mode)
 
 
 def price_interval(
@@ -330,10 +311,21 @@ def check_replicable(
     lower = -lower_neg
     same = lower == upper if mode.exact else abs(float(upper) - float(lower)) <= mode.tolerance
     if same:
-        if mode.exact:
-            for leaf in mask.relevant_leaves:
-                if wealth(tree, strategy, options, leaf) != claim(leaf):
-                    raise RuntimeError("replication is not exact (bug)")
+        if mode.exact and any(
+            wealth(tree, strategy, options, leaf) != claim(leaf)
+            for leaf in mask.relevant_leaves
+        ):
+            # Both bounds are attained at one price, so the superhedge minus
+            # the subhedge is a semistatic arbitrage: the consistent
+            # martingale measures miss some relevant leaf.
+            found = semistatic_na(tree, mask, options, mode)
+            if found is None:
+                raise RuntimeError("replication is not exact (bug)")
+            raise ArbitrageDetected(
+                "option quotes admit arbitrage (no consistent martingale "
+                "measure charges every relevant leaf)",
+                found,
+            )
         return Replicable(upper, strategy)
     return NotReplicable(q_low, q_high, PriceInterval(lower, upper))
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from robusthedge import lp
 from robusthedge.arbitrage import (
     find_dominating_mm,
     global_na,
@@ -160,6 +161,44 @@ def test_find_dominating_example_b_uniform(example_b):
     assert witness is not None
     assert verify_witness(example_b.tree, mask, (), witness) == []
     assert all(witness.q(leaf) > 0 for leaf in ("8", "10", "13"))
+
+
+def _trinomial_with_call(horizon=4, steps=(-1, 0, 2)):
+    """3**horizon leaves, uniform generators, one call struck at 10."""
+    nodes = []
+
+    def grow(node_id, level, parent, price):
+        node = {"id": node_id, "level": level, "parent": parent, "price": [str(price)]}
+        nodes.append(node)
+        if level < horizon:
+            kids = [f"{node_id}{k}" for k in range(len(steps))]
+            node["generators"] = [{kid: "1/3" for kid in kids}]
+            for kid, step in zip(kids, steps):
+                grow(kid, level + 1, node_id, price + step)
+
+    grow("r", 0, None, 10)
+    payoff = {n["id"]: str(max(int(n["price"][0]) - 10, 0)) for n in nodes if n["level"] == horizon}
+    doc = {
+        "horizon": horizon,
+        "nodes": nodes,
+        "options": [{"name": "call", "quote": "1", "payoff": payoff}],
+    }
+    return load_model(json.dumps(doc))
+
+
+def test_float_witness_weights_are_short_and_sum_to_one():
+    model = _trinomial_with_call()
+    tree = model.tree
+    mask = compute_support(tree)
+    assert len(mask.relevant_leaves) == 81
+    p = reference_measure(tree)
+    exact = find_dominating_mm(tree, mask, model.options, p)
+    approx = find_dominating_mm(tree, mask, model.options, p, lp.float_mode(1e-9))
+    assert exact is not None and approx is not None
+    weights = approx.q.weights
+    assert all(w.denominator <= 10**12 for w in weights.values())
+    assert sum(weights.values()) == 1
+    assert set(approx.q.support()) == set(exact.q.support())
 
 
 def test_find_dominating_with_option_pins_measure(example_b):

@@ -6,6 +6,8 @@ import pytest
 
 from robusthedge.cli import main
 
+from conftest import DATA
+
 BROKEN = """{
   "horizon": 1,
   "nodes": [
@@ -156,6 +158,18 @@ def test_replicate_and_complete(b_path, tmp_path, capsys):
     assert "incomplete" in capsys.readouterr().out
     assert main(["complete", "--model", b_path]) == 0
     assert capsys.readouterr().out.strip() == "complete"
+
+
+def test_replicate_and_complete_deny_when_no_measure_has_full_support(capsys):
+    # quotes pin the only consistent martingale measure to leaf 10, so the
+    # two prices of f coincide although f is not replicated on 8, 12, 13
+    path = str(DATA / "no_full_support.json")
+    assert main(["na", "--model", path]) == 2
+    assert "semistatic NA (with options): Fail" in capsys.readouterr().out
+    for argv in (["replicate", "--claim", "f"], ["complete"]):
+        assert main([*argv, "--model", path]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("denied: option quotes admit arbitrage"), out
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -1,0 +1,231 @@
+"""Golden outcomes of the exact LP kernel, and a certificate property.
+
+`data/lp_golden.json` holds a seeded corpus of small LPs of five kinds
+(random, degenerate with redundant rows, infeasible, unbounded, free and
+two-sided bounds) together with the outcome the exact kernel returned when
+the file was recorded: the outcome kind and every value, primal, dual,
+Farkas and ray entry as "p/q". The kernel must reproduce each outcome
+exactly; Bland's rule fixes the pivot sequence, so any change in the
+arithmetic that changes an answer or a certificate shows here.
+
+Re-record (only from a kernel whose answers are trusted) with
+`PYTHONPATH=src python tests/test_lp_golden.py`.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robusthedge.lp import (
+    Infeasible,
+    Optimal,
+    Unbounded,
+    linear_program,
+    solve,
+    verify,
+)
+
+F = Fraction
+GOLDEN = Path(__file__).parent / "data" / "lp_golden.json"
+KINDS = ("random", "degenerate", "infeasible", "unbounded", "bounds")
+CORPUS_SEED = 20261018
+PER_KIND = 40
+
+
+def _coef(rng, span=5):
+    return F(rng.randint(-span, span), rng.randint(1, 4))
+
+
+def _bounds(rng, n, free_share):
+    lower, upper = [], []
+    for _ in range(n):
+        u = rng.random()
+        if u < free_share:
+            lower.append(None)
+            upper.append(None)
+        elif u < free_share + 0.25:
+            lo = _coef(rng)
+            lower.append(lo)
+            upper.append(lo + abs(_coef(rng)) + rng.randint(0, 2))
+        elif u < free_share + 0.4:
+            lower.append(None)
+            upper.append(_coef(rng))
+        else:
+            lower.append(F(0))
+            upper.append(None)
+    return lower, upper
+
+
+def _inside(rng, lo, up):
+    if lo is None and up is None:
+        return _coef(rng)
+    if lo is None:
+        return up - abs(_coef(rng))
+    if up is None:
+        return lo + abs(_coef(rng))
+    return lo + (up - lo) * F(rng.randint(0, 4), 4)
+
+
+def build_lp(rng, kind):
+    """One LP of `kind`; infeasible and unbounded kinds are so by
+    construction, the degenerate kind has x = 0 feasible, many zero
+    right-hand sides and rows repeated up to a rational factor."""
+    n = rng.randint(1, 8)
+    m = rng.randint(1, 8)
+    maximize = rng.random() < 0.5
+    objective = [_coef(rng) for _ in range(n)]
+    rows = []
+    if kind == "degenerate":
+        base = [
+            ([_coef(rng) for _ in range(n)], rng.choice(["<=", "=", ">="]), F(0))
+            for _ in range(max(1, m // 2))
+        ]
+        for coeffs, rel, rhs in base:
+            rows.append((coeffs, rel, rhs))
+            factor = F(rng.choice([1, 2, 3, -1, -2]), rng.randint(1, 3))
+            flipped = {"<=": ">=", ">=": "<=", "=": "="}[rel] if factor < 0 else rel
+            rows.append(([factor * a for a in coeffs], flipped, factor * rhs))
+        for _ in range(m - len(base)):
+            rows.append(([_coef(rng) for _ in range(n)], "<=", abs(_coef(rng))))
+        if rng.random() < 0.6:
+            rows.append(([F(1)] * n, "<=", F(rng.randint(1, n))))
+        rng.shuffle(rows)
+        return linear_program(objective, maximize=maximize, constraints=rows)
+    if kind == "unbounded":
+        # x_0 >= 0 appears with coefficients <= 0 in "<=" rows that x = 0
+        # satisfies, and the objective improves along x_0
+        for _ in range(m):
+            coeffs = [_coef(rng) for _ in range(n)]
+            coeffs[0] = -abs(coeffs[0])
+            rows.append((coeffs, "<=", abs(_coef(rng))))
+        gain = abs(_coef(rng)) + 1
+        objective[0] = gain if maximize else -gain
+        upper = [None] + [abs(_coef(rng)) + 1 if rng.random() < 0.3 else None for _ in range(n - 1)]
+        return linear_program(objective, maximize=maximize, constraints=rows, upper=upper)
+    if kind == "bounds":
+        lower, upper = _bounds(rng, n, 0.35)
+    else:
+        lower, upper = [F(0)] * n, [None] * n
+    # rows hold at a point inside the bounds, so most LPs are feasible
+    point = [_inside(rng, lo, up) for lo, up in zip(lower, upper)]
+    for _ in range(m):
+        coeffs = [_coef(rng) for _ in range(n)]
+        level = sum(a * x for a, x in zip(coeffs, point))
+        rel = rng.choice(["<=", "=", ">="])
+        slack = abs(_coef(rng)) if rng.random() < 0.7 else F(0)
+        rows.append((coeffs, rel, level + slack if rel == "<=" else level - slack if rel == ">=" else level))
+    if rng.random() < 0.6:
+        rows.append(([F(rng.randint(0, 2)) for _ in range(n)], "<=", F(rng.randint(n, 3 * n))))
+    if kind == "infeasible":
+        coeffs = [_coef(rng) for _ in range(n)]
+        coeffs[rng.randrange(n)] = F(rng.choice([-3, -1, 1, 2]))
+        rhs = _coef(rng)
+        factor = F(rng.randint(1, 3), rng.randint(1, 3))
+        rows.insert(rng.randrange(len(rows) + 1), (coeffs, "<=", rhs))
+        rows.insert(
+            rng.randrange(len(rows) + 1),
+            ([factor * a for a in coeffs], ">=", factor * (rhs + F(1, rng.randint(1, 4)))),
+        )
+    return linear_program(
+        objective, maximize=maximize, constraints=rows, lower=lower, upper=upper
+    )
+
+
+def _rat(x):
+    return None if x is None else str(x)
+
+
+def lp_json(prog):
+    return {
+        "objective": [_rat(c) for c in prog.objective],
+        "maximize": prog.maximize,
+        "constraints": [
+            [[_rat(a) for a in con.coeffs], con.relation, _rat(con.rhs)]
+            for con in prog.constraints
+        ],
+        "lower": [_rat(b) for b in prog.lower],
+        "upper": [_rat(b) for b in prog.upper],
+    }
+
+
+def lp_from_json(doc):
+    return linear_program(
+        [F(c) for c in doc["objective"]],
+        maximize=doc["maximize"],
+        constraints=[([F(a) for a in coeffs], rel, F(rhs)) for coeffs, rel, rhs in doc["constraints"]],
+        lower=[None if b is None else F(b) for b in doc["lower"]],
+        upper=[None if b is None else F(b) for b in doc["upper"]],
+    )
+
+
+def outcome_json(out):
+    if isinstance(out, Optimal):
+        return {
+            "kind": "Optimal",
+            "value": _rat(out.value),
+            "primal": [_rat(v) for v in out.primal],
+            "dual": [_rat(v) for v in out.dual],
+        }
+    if isinstance(out, Infeasible):
+        cert = out.certificate
+        return {
+            "kind": "Infeasible",
+            "rows": [_rat(v) for v in cert.rows],
+            "lower": [_rat(v) for v in cert.lower],
+            "upper": [_rat(v) for v in cert.upper],
+        }
+    return {
+        "kind": "Unbounded",
+        "ray": [_rat(v) for v in out.ray],
+        "base": [_rat(v) for v in out.base],
+    }
+
+
+def corpus():
+    rng = random.Random(CORPUS_SEED)
+    return [(kind, build_lp(rng, kind)) for kind in KINDS for _ in range(PER_KIND)]
+
+
+def record(path=GOLDEN):
+    entries = []
+    for kind, prog in corpus():
+        out = solve(prog)
+        if verify(prog, out):
+            raise RuntimeError(f"refusing to record an unverified {kind} outcome")
+        entries.append({"kind": kind, "lp": lp_json(prog), "outcome": outcome_json(out)})
+    lines = ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries)
+    path.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
+    return entries
+
+
+def test_golden_outcomes_identical():
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(entries) == len(KINDS) * PER_KIND
+    assert {e["outcome"]["kind"] for e in entries} == {"Optimal", "Infeasible", "Unbounded"}
+    for k, entry in enumerate(entries):
+        prog = lp_from_json(entry["lp"])
+        assert outcome_json(solve(prog)) == entry["outcome"], (k, entry["kind"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(KINDS))
+def test_generated_certificates_verify(rng, kind):
+    prog = build_lp(rng, kind)
+    out = solve(prog)
+    assert verify(prog, out) == []
+    if kind == "infeasible":
+        assert isinstance(out, Infeasible)
+    if kind == "unbounded":
+        assert isinstance(out, Unbounded)
+
+
+if __name__ == "__main__":
+    written = record()
+    print(f"recorded {len(written)} outcomes to {GOLDEN}", file=sys.stderr)

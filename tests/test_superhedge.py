@@ -29,7 +29,7 @@ from robusthedge.superhedge import (
     superhedge_semistatic,
 )
 
-from conftest import constant_stock_model, grid_market_model, random_instance, random_claim
+from conftest import DATA, constant_stock_model, grid_market_model, random_instance, random_claim
 
 F = Fraction
 
@@ -247,6 +247,23 @@ def test_check_complete(example_b):
     mask = compute_support(example_b.tree)
     assert not check_complete(example_b.tree, mask, ())
     assert check_complete(example_b.tree, mask, example_b.options)
+
+
+def test_replicable_denies_when_no_measure_has_full_support():
+    model = load_model((DATA / "no_full_support.json").read_text())
+    tree, options = model.tree, model.options
+    mask = compute_support(tree)
+    interval = price_interval(tree, mask, model.claims["f"], options)
+    assert interval.kind == POINT and interval.lower == 2
+    with pytest.raises(ArbitrageDetected) as denied:
+        check_replicable(tree, mask, model.claims["f"], options)
+    found = denied.value.found
+    assert found is not None and found.witness_leaves
+    for leaf in mask.relevant_leaves:
+        gain = wealth(tree, found.strategy, options, leaf)
+        assert gain >= 0 and (gain > 0) == (leaf in found.witness_leaves)
+    with pytest.raises(ArbitrageDetected):
+        check_complete(tree, mask, options)
 
 
 def test_lagrange_check(example_b):
