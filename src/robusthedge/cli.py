@@ -10,8 +10,10 @@ is byte-identical across runs except for the wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -92,8 +94,27 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors; 2 is kept for denials."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robusthedge",
         description="Robust pricing and hedging on finite scenario trees.",
     )
@@ -108,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--float", dest="float_mode", action="store_true")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--json", action="store_true")
         p.add_argument("--dump-lp", dest="dump_lp", metavar="FILE")
         p.add_argument("--seed", type=int, default=0,
@@ -141,10 +162,6 @@ def _load(args) -> tuple[Model, str]:
 
 def _rat(x) -> str:
     return str(x) if isinstance(x, Fraction) else repr(x)
-
-
-def _show(x) -> str:
-    return format_with_decimal(x)
 
 
 def _strategy_json(model: Model, strategy) -> dict:
@@ -191,7 +208,13 @@ def _dispatch(args) -> tuple[int, dict]:
         "mode": {"kind": "exact"} if mode.exact else {"kind": "float", "tolerance": mode.tolerance},
     }
     handler = globals()[f"_cmd_{args.command}"]
-    return handler(args, model, mask, mode, report)
+    try:
+        return handler(args, model, mask, mode, report)
+    except ArbitrageDetected as exc:
+        report["denied"] = str(exc)
+        if not args.json:
+            print(f"denied: {exc}")
+        return 2, report
 
 
 def _cmd_validate(args, model, mask, mode, report) -> tuple[int, dict]:
@@ -303,7 +326,7 @@ def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
     report["witness"] = _measure_json(witness.q)
     if not args.json:
         for leaf, w in sorted(witness.q.weights.items()):
-            print(f"{leaf}: {_show(w)}")
+            print(f"{leaf}: {format_with_decimal(w)}")
     return 0, report
 
 
@@ -331,21 +354,15 @@ def _price_both_ways(args, model, mask, mode):
 
 
 def _cmd_price(args, model, mask, mode, report) -> tuple[int, dict]:
-    try:
-        method, _, price, _ = _price_both_ways(args, model, mask, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    method, _, price, _ = _price_both_ways(args, model, mask, mode)
     report.update({"claim": args.claim, "method": method, "price": _rat(price)})
     if not args.json:
-        print(_show(price))
+        print(format_with_decimal(price))
     return 0, report
 
 
 def _cmd_hedge(args, model, mask, mode, report) -> tuple[int, dict]:
-    try:
-        method, _, price, strategy = _price_both_ways(args, model, mask, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    method, _, price, strategy = _price_both_ways(args, model, mask, mode)
     report.update(
         {
             "claim": args.claim,
@@ -361,10 +378,7 @@ def _cmd_hedge(args, model, mask, mode, report) -> tuple[int, dict]:
 
 def _cmd_interval(args, model, mask, mode, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
-    try:
-        interval = price_interval(model.tree, mask, claim, model.options, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    interval = price_interval(model.tree, mask, claim, model.options, mode)
     report.update(
         {
             "claim": args.claim,
@@ -375,18 +389,18 @@ def _cmd_interval(args, model, mask, mode, report) -> tuple[int, dict]:
     )
     if not args.json:
         if interval.kind == "Point":
-            print(f"point {_show(interval.lower)}")
+            print(f"point {format_with_decimal(interval.lower)}")
         else:
-            print(f"open interval ({_show(interval.lower)}, {_show(interval.upper)})")
+            print(
+                f"open interval ({format_with_decimal(interval.lower)}, "
+                f"{format_with_decimal(interval.upper)})"
+            )
     return 0, report
 
 
 def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
-    try:
-        result = check_replicable(model.tree, mask, claim, model.options, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    result = check_replicable(model.tree, mask, claim, model.options, mode)
     if isinstance(result, Replicable):
         _check_strategy_superhedges(model, result.strategy, claim, mask, mode)
         report.update(
@@ -398,7 +412,7 @@ def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
             }
         )
         if not args.json:
-            print(f"replicable at {_show(result.price)}")
+            print(f"replicable at {format_with_decimal(result.price)}")
     else:
         report.update(
             {
@@ -412,17 +426,15 @@ def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
         )
         if not args.json:
             print(
-                f"not replicable: prices fill ({_show(result.interval.lower)}, "
-                f"{_show(result.interval.upper)})"
+                "not replicable: prices fill "
+                f"({format_with_decimal(result.interval.lower)}, "
+                f"{format_with_decimal(result.interval.upper)})"
             )
     return 0, report
 
 
 def _cmd_complete(args, model, mask, mode, report) -> tuple[int, dict]:
-    try:
-        complete = check_complete(model.tree, mask, model.options, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    complete = check_complete(model.tree, mask, model.options, mode)
     report["complete"] = complete
     if not args.json:
         print("complete" if complete else "incomplete")
@@ -438,15 +450,14 @@ def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
     process = AdaptedProcess(values)
     try:
         decomposition = optional_decomposition(model.tree, mask, process, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
     except NotSupermartingale as exc:
         report.update(
             {"process": args.process, "supermartingale": False,
              "node": exc.node, "gap": _rat(exc.gap)}
         )
         if not args.json:
-            print(f"not a supermartingale: node {exc.node!r} gap {_show(exc.gap)}")
+            print(f"not a supermartingale: node {exc.node!r} "
+                  f"gap {format_with_decimal(exc.gap)}")
         return 2, report
     if mode.exact and verify_decomposition(model.tree, mask, process, decomposition):
         raise RuntimeError("refusing to print an unverified certificate")
@@ -479,21 +490,15 @@ def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
     if args.bound is None:
         raise ValueError("--bound B is required for prove")
     bound = F(args.bound)
-    try:
-        result = prove_inequality(model.tree, mask, claim, bound, mode)
-    except ArbitrageDetected as exc:
-        return _deny(args, report, str(exc))
+    result = prove_inequality(model.tree, mask, claim, bound, mode)
     report["claim"] = args.claim
     report["bound"] = _rat(bound)
     if isinstance(result, Proved):
-        if mode.exact:
-            for leaf in mask.relevant_leaves:
-                if wealth(model.tree, result.strategy, (), leaf) < claim(leaf):
-                    raise RuntimeError("refusing to print an unverified certificate")
+        _check_strategy_superhedges(model, result.strategy, claim, mask, mode)
         report["proved"] = True
         report["strategy"] = _strategy_json(model, result.strategy)
         if not args.json:
-            print(f"proved: claim <= {_show(bound)} pathwise")
+            print(f"proved: claim <= {format_with_decimal(bound)} pathwise")
         return 0, report
     assert isinstance(result, Refuted)
     report["proved"] = False
@@ -501,16 +506,9 @@ def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
     report["expectation"] = _rat(result.expectation)
     if not args.json:
         print(
-            f"refuted: expectation {_show(result.expectation)} exceeds "
-            f"{_show(bound)} under a martingale measure"
+            f"refuted: expectation {format_with_decimal(result.expectation)} "
+            f"exceeds {format_with_decimal(bound)} under a martingale measure"
         )
-    return 2, report
-
-
-def _deny(args, report, message) -> tuple[int, dict]:
-    report["denied"] = message
-    if not args.json:
-        print(f"denied: {message}")
     return 2, report
 
 

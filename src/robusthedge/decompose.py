@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
+from .arbitrage import _dot
 from .model import ScenarioTree, Strategy
 from .polar import SupportMask
 from .superhedge import _require_stock_na, node_price
@@ -72,15 +73,25 @@ def check_supermartingale(
     relevant non-leaf node; otherwise the first violation (top level first,
     document order) with its exact positive gap."""
     _require_stock_na(tree, mask, mode)
+    found = _one_step_hedges(tree, mask, process, mode)
+    return found if isinstance(found, Violation) else None
+
+
+def _one_step_hedges(tree, mask, process, mode):
+    """The one-step hedge at every relevant non-leaf node, or the first
+    violation of the dynamic programming inequality; the stocks must
+    already pass NA."""
     process.validate(mask)
+    hedges: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
             child_values = {c: process(c) for c in mask.node_support[node_id]}
-            value, _ = node_price(tree, mask, node_id, child_values, mode)
+            value, hedge = node_price(tree, mask, node_id, child_values, mode)
             gap = value - process(node_id)
             if (gap > 0) if mode.exact else (float(gap) > mode.tolerance):
                 return Violation(node_id, gap)
-    return None
+            hedges[node_id] = hedge
+    return hedges
 
 
 def optional_decomposition(
@@ -91,22 +102,16 @@ def optional_decomposition(
 ) -> Decomposition:
     """Split a universal supermartingale as V_0 + H.S - K with K
     nondecreasing along relevant paths and K_0 = 0."""
-    violation = check_supermartingale(tree, mask, process, mode)
-    if violation is not None:
-        raise NotSupermartingale(violation.node, violation.gap)
-    hedges: dict[str, tuple[Fraction, ...]] = {}
-    for level in range(tree.horizon):
-        for node_id in mask.relevant_nodes[level]:
-            child_values = {c: process(c) for c in mask.node_support[node_id]}
-            _, hedge = node_price(tree, mask, node_id, child_values, mode)
-            hedges[node_id] = hedge
+    _require_stock_na(tree, mask, mode)
+    hedges = _one_step_hedges(tree, mask, process, mode)
+    if isinstance(hedges, Violation):
+        raise NotSupermartingale(hedges.node, hedges.gap)
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
             hedge = hedges[node_id]
             for child in mask.node_support[node_id]:
-                step = tree.increment(node_id, child)
-                gain = sum((hedge[i] * step[i] for i in range(tree.dimension)), F(0))
+                gain = _dot(hedge, tree.increment(node_id, child))
                 increment = process(node_id) + gain - process(child)
                 if mode.exact and increment < 0:
                     raise RuntimeError("negative consumption increment (bug)")
@@ -169,10 +174,7 @@ def verify_decomposition(
             hedge = strategy.position(node_id, tree.dimension)
             for child in mask.node_support[node_id]:
                 step = tree.increment(node_id, child)
-                gain = sum(
-                    (hedge[i] * step[i] for i in range(tree.dimension)), F(0)
-                )
-                gains[child] = gains[node_id] + gain
+                gains[child] = gains[node_id] + _dot(hedge, step)
                 if k[child] < k[node_id]:
                     bad.append(f"K decreases on edge {node_id!r}->{child!r}")
     for level in mask.relevant_nodes:

@@ -59,17 +59,14 @@ class Measure:
 
     weights: dict[str, Fraction]
 
-    def validate(self, tol: float = 0.0) -> None:
+    def validate(self) -> None:
         total = Fraction(0)
         for child, w in self.weights.items():
             if w < 0:
                 raise ValueError(f"negative weight {w} on {child!r}")
             total += w
-        if tol == 0.0:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > tol:
-            raise ValueError(f"weights sum to {float(total)}, outside tolerance {tol}")
+        if total != 1:
+            raise ValueError(f"weights sum to {total}, not 1")
 
     def __call__(self, child: str) -> Fraction:
         return self.weights.get(child, Fraction(0))
@@ -119,9 +116,6 @@ class ScenarioTree:
     @property
     def leaves(self) -> tuple[str, ...]:
         return self.levels[self.horizon]
-
-    def node(self, node_id: str) -> Node:
-        return self.nodes[node_id]
 
     def increment(self, parent: str, child: str) -> tuple[Fraction, ...]:
         """Price increment S(child) - S(parent)."""

@@ -21,15 +21,7 @@ class SupportMask:
     relevant_leaves: tuple[str, ...]
 
     def is_relevant(self, node_id: str) -> bool:
-        return node_id in self._relevant_set
-
-    @property
-    def _relevant_set(self) -> frozenset[str]:
-        cached = getattr(self, "_relevant_cache", None)
-        if cached is None:
-            cached = frozenset(n for level in self.relevant_nodes for n in level)
-            object.__setattr__(self, "_relevant_cache", cached)
-        return cached
+        return any(node_id in level for level in self.relevant_nodes)
 
     def relevant_nonleaf(self, tree: ScenarioTree) -> list[str]:
         """Relevant non-leaf nodes, level by level, document order."""

@@ -16,6 +16,7 @@ from fractions import Fraction
 from . import lp
 from .arbitrage import (
     ArbitrageFound,
+    _dot,
     _HedgeLayout,
     global_na,
     lp_measure,
@@ -137,10 +138,6 @@ def node_price(
     return out.value, hedge
 
 
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), F(0))
-
-
 def _require_stock_na(tree, mask, mode):
     found = global_na(tree, mask, mode)
     if found is not None:
@@ -152,13 +149,12 @@ def _require_stock_na(tree, mask, mode):
 
 def _no_consistent_measure(tree, mask, options, mode):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
-    hinting at each option whose quote leaves its stocks-only price range."""
+    hinting at each option whose quote leaves its stocks-only price range.
+    The stocks must already pass NA."""
     hints = []
     for opt in options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
-        upper, _, _ = superhedge_semistatic(tree, mask, raw, (), mode)
-        negated = Claim({leaf: -v for leaf, v in raw.values.items()})
-        lower_neg, _, _ = superhedge_semistatic(tree, mask, negated, (), mode)
+        (upper, _, _), (lower_neg, _, _) = _both_sides(tree, mask, raw, (), mode)
         lower = -lower_neg
         if opt.quote < lower or opt.quote > upper:
             hints.append(
@@ -220,15 +216,11 @@ def superhedge_semistatic(
     """
     options = tuple(options)
     _require_stock_na(tree, mask, mode)
-    price, strategy, dual = _primal_superhedge(tree, mask, claim, options, mode)
-    if mode.exact:
-        for leaf in mask.relevant_leaves:
-            if wealth(tree, strategy, options, leaf) < claim(leaf):
-                raise RuntimeError("semistatic superhedge certificate failed (bug)")
-    return price, strategy, dual
+    return _primal_superhedge(tree, mask, claim, options, mode)
 
 
 def _primal_superhedge(tree, mask, claim, options, mode):
+    """superhedge_semistatic once the stocks are known to pass NA."""
     layout = _HedgeLayout(tree, mask, options)
     nvar = 1 + layout.width  # x first, then h and the node blocks
     objective = [F(1)] + [F(0)] * layout.width
@@ -250,7 +242,20 @@ def _primal_superhedge(tree, mask, claim, options, mode):
     dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
     if mode.exact:
         dual.validate()
+        for leaf in mask.relevant_leaves:
+            if wealth(tree, strategy, options, leaf) < claim(leaf):
+                raise RuntimeError("semistatic superhedge certificate failed (bug)")
     return x, strategy, dual
+
+
+def _both_sides(tree, mask, claim, options, mode):
+    """The superhedges of the claim and of its negation, upper side first;
+    the stocks must already pass NA."""
+    negated = Claim({leaf: -v for leaf, v in claim.values.items()})
+    return (
+        _primal_superhedge(tree, mask, claim, options, mode),
+        _primal_superhedge(tree, mask, negated, options, mode),
+    )
 
 
 def dual_price(
@@ -289,9 +294,8 @@ def price_interval(
     mode: lp.Mode = lp.EXACT,
 ) -> PriceInterval:
     """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
-    upper, _, _ = superhedge_semistatic(tree, mask, claim, options, mode)
-    negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    lower_neg, _, _ = superhedge_semistatic(tree, mask, negated, options, mode)
+    _require_stock_na(tree, mask, mode)
+    (upper, _, _), (lower_neg, _, _) = _both_sides(tree, mask, claim, options, mode)
     return PriceInterval(-lower_neg, upper)
 
 
@@ -305,9 +309,15 @@ def check_replicable(
     """Second FTAP for one claim: replicable iff the two superhedging prices
     coincide; otherwise two martingale measures separate the expectations."""
     options = tuple(options)
-    upper, strategy, q_high = superhedge_semistatic(tree, mask, claim, options, mode)
-    negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    lower_neg, _, q_low = superhedge_semistatic(tree, mask, negated, options, mode)
+    _require_stock_na(tree, mask, mode)
+    return _replicable(tree, mask, claim, options, mode)
+
+
+def _replicable(tree, mask, claim, options, mode):
+    """check_replicable once the stocks are known to pass NA."""
+    (upper, strategy, q_high), (lower_neg, _, q_low) = _both_sides(
+        tree, mask, claim, options, mode
+    )
     lower = -lower_neg
     same = lower == upper if mode.exact else abs(float(upper) - float(lower)) <= mode.tolerance
     if same:
@@ -344,7 +354,7 @@ def check_complete(
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}
         )
-        if isinstance(check_replicable(tree, mask, indicator, options, mode), NotReplicable):
+        if isinstance(_replicable(tree, mask, indicator, options, mode), NotReplicable):
             return False
     return True
 

@@ -31,6 +31,19 @@ def example_b_text() -> str:
     return (DATA / "example_b.json").read_text()
 
 
+def count_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Patch module.name to record the positional arguments of each call."""
+    calls: list[tuple] = []
+    inner = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def constant_stock_model(n_leaves: int = 4, price: int = 5) -> Model:
     """One period, constant price, full ambiguity (all Dirac generators)."""
     leaves = [f"w{k}" for k in range(n_leaves)]

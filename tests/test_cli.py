@@ -210,9 +210,23 @@ def test_arbitrage_denied_exit_2(tmp_path, capsys):
     path = tmp_path / "allpos.json"
     bad = json.loads(ALL_POSITIVE)
     bad["claims"] = {"f": {"a": "1", "b": "0"}}
+    bad["processes"] = {"v": {"r": "1", "a": "1", "b": "0"}}
     path.write_text(json.dumps(bad))
-    assert main(["price", "--model", str(path), "--claim", "f"]) == 2
-    assert "denied" in capsys.readouterr().out
+    message = "market admits arbitrage at node 'r'"
+    for command, extra in [
+        ("price", ["--claim", "f"]),
+        ("hedge", ["--claim", "f"]),
+        ("interval", ["--claim", "f"]),
+        ("replicate", ["--claim", "f"]),
+        ("complete", []),
+        ("prove", ["--claim", "f", "--bound", "1"]),
+        ("decompose", ["--process", "v"]),
+    ]:
+        argv = [command, "--model", str(path), *extra]
+        assert main(argv) == 2, command
+        assert capsys.readouterr().out == f"denied: {message}\n"
+        assert main(argv + ["--json"]) == 2, command
+        assert json.loads(capsys.readouterr().out)["denied"] == message
 
 
 def test_env_mode_override(b_path, capsys, monkeypatch):
@@ -239,3 +253,24 @@ def test_missing_claim_is_usage_error(b_path, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "--model", "/nonexistent/x.json"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["price", "--claim", "call"], ["validate", "--model", "m.json", "--nope"], []],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_is_usage_error(b_path, capsys, tol):
+    with pytest.raises(SystemExit) as exited:
+        main(["price", "--model", b_path, "--claim", "call", "--float", "--tol", tol])
+    assert exited.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err and repr(tol) in captured.err

@@ -18,7 +18,13 @@ from robusthedge.oracle import InstanceTooLarge, enumerate_vertices
 from robusthedge.polar import compute_support, node_mass
 from robusthedge.superhedge import ArbitrageDetected, superhedge_dynamic
 
-from conftest import constant_stock_model, grid_market_model, random_instance, random_claim
+from conftest import (
+    constant_stock_model,
+    count_calls,
+    grid_market_model,
+    random_claim,
+    random_instance,
+)
 
 F = Fraction
 
@@ -244,3 +250,17 @@ def test_equivalence_decomposition_exists_iff_supermartingale():
             failed += 1
             with pytest.raises(NotSupermartingale):
                 optional_decomposition(tree, mask, process)
+
+
+def test_decomposition_solves_each_one_step_lp_once(monkeypatch):
+    import robusthedge.decompose as dec
+
+    model = grid_market_model()
+    tree = model.tree
+    mask = compute_support(tree)
+    claim = random_claim(random.Random(7), model)
+    process, _, _ = _surface_process(tree, mask, claim)
+    calls = count_calls(monkeypatch, dec, "node_price")
+    decomposition = optional_decomposition(tree, mask, process)
+    assert [args[2] for args in calls] == mask.relevant_nonleaf(tree)
+    assert verify_decomposition(tree, mask, process, decomposition) == []

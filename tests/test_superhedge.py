@@ -29,7 +29,14 @@ from robusthedge.superhedge import (
     superhedge_semistatic,
 )
 
-from conftest import DATA, constant_stock_model, grid_market_model, random_instance, random_claim
+from conftest import (
+    DATA,
+    constant_stock_model,
+    count_calls,
+    grid_market_model,
+    random_claim,
+    random_instance,
+)
 
 F = Fraction
 
@@ -426,3 +433,29 @@ def test_pi_properties_spot_check():
             (),
         )
         assert dominated <= pf
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["superhedge_semistatic", "price_interval", "check_replicable", "check_complete"],
+)
+def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
+    import robusthedge.superhedge as sh
+
+    tree, options = example_b.tree, example_b.options
+    mask = compute_support(tree)
+
+    def run(opts):
+        if entry == "check_complete":
+            return sh.check_complete(tree, mask, opts)
+        return getattr(sh, entry)(tree, mask, example_b.claims["digital"], opts)
+
+    scans = count_calls(monkeypatch, sh, "global_na")
+    run(options)
+    assert len(scans) == 1
+
+    # the denial hints reuse the verdict instead of scanning per option
+    scans.clear()
+    with pytest.raises(ArbitrageDetected, match="interval"):
+        run((type(options[0])("call", F(2), options[0].payoff),))
+    assert len(scans) == 1
