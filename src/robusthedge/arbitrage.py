@@ -133,17 +133,17 @@ def semistatic_na(
     the optimum is 0. With no options this agrees with global_na.
     """
     options = tuple(options)
-    layout = _HedgeLayout(tree, mask, options)
-    nw = len(mask.relevant_leaves)
-    nvar = layout.width + nw
-    objective = [F(0)] * layout.width + [F(1)] * nw
+    columns = _wealth_columns(tree, mask, options)
+    nw = len(columns)
+    width = len(columns[0]) - 1  # h and the node blocks; no initial capital
+    objective = [F(0)] * width + [F(1)] * nw
     constraints = []
-    for li, leaf in enumerate(mask.relevant_leaves):
-        coeffs = layout.wealth_row(leaf, nvar)
-        coeffs[layout.width + li] = F(-1)
-        constraints.append((coeffs, ">=", F(0)))
-    lower: list[Fraction | None] = [None] * layout.width + [F(0)] * nw
-    upper: list[Fraction | None] = [None] * layout.width + [F(1)] * nw
+    for li, column in enumerate(columns):
+        gains = [F(0)] * nw
+        gains[li] = F(-1)
+        constraints.append((column[1:] + gains, ">=", F(0)))
+    lower: list[Fraction | None] = [None] * width + [F(0)] * nw
+    upper: list[Fraction | None] = [None] * width + [F(1)] * nw
     prog = lp.linear_program(
         objective, maximize=True, constraints=constraints, lower=lower, upper=upper
     )
@@ -152,7 +152,7 @@ def semistatic_na(
     gain_tol = 0 if mode.exact else mode.tolerance
     if out.value <= gain_tol:
         return None
-    strategy = layout.strategy(F(0), out.primal)
+    strategy = _hedge_strategy(tree, mask, len(options), (F(0),) + out.primal)
     witnesses = []
     for leaf in mask.relevant_leaves:
         w = wealth(tree, strategy, options, leaf)
@@ -163,83 +163,64 @@ def semistatic_na(
     return ArbitrageFound(strategy, tuple(witnesses))
 
 
-class _HedgeLayout:
-    """Shared variable layout for wealth-linear LPs: option positions h
-    first, then one d-block per relevant non-leaf node."""
-
-    def __init__(self, tree: ScenarioTree, mask: SupportMask, options):
-        self.tree = tree
-        self.mask = mask
-        self.options = tuple(options)
-        self.nodes = mask.relevant_nonleaf(tree)
-        self.node_offset = {
-            n: len(self.options) + k * tree.dimension for k, n in enumerate(self.nodes)
-        }
-        self.width = len(self.options) + len(self.nodes) * tree.dimension
-
-    def wealth_row(self, leaf: str, nvar: int) -> list[Fraction]:
-        """Coefficients of wealth(H, h) at a leaf, over nvar variables."""
-        tree = self.tree
-        coeffs = [F(0)] * nvar
-        for k, opt in enumerate(self.options):
-            coeffs[k] = opt.normalized(leaf)
-        path = tree.path(leaf)
-        for parent, child in zip(path, path[1:]):
-            off = self.node_offset.get(parent)
-            if off is None:
-                continue  # polar ancestors hold the zero position
-            step = tree.increment(parent, child)
-            for i in range(tree.dimension):
-                coeffs[off + i] += step[i]
-        return coeffs
-
-    def strategy(self, initial: Fraction, primal) -> Strategy:
-        d = self.tree.dimension
-        static = tuple(primal[k] for k in range(len(self.options)))
-        dynamic = {}
-        for n in self.nodes:
-            off = self.node_offset[n]
-            vec = tuple(primal[off + i] for i in range(d))
-            if any(v != 0 for v in vec):
-                dynamic[n] = vec
-        return Strategy(initial, static, dynamic)
-
-
 def martingale_rows(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...],
-) -> list[tuple[dict[str, Fraction], str]]:
+) -> list[tuple[list[Fraction], Fraction, str]]:
     """Equality rows of the option-constrained martingale polytope over the
     relevant leaves: normalization, one row per relevant node and price
     coordinate (unconditional form), one row per option.
 
-    Returns (leaf -> coefficient, label) pairs; every rhs is 0 except the
-    normalization row whose rhs is 1 (kept first, label "mass").
+    Returns (row, rhs, label) triples, each row dense over
+    mask.relevant_leaves; every rhs is 0 except the normalization row's,
+    which is 1 (kept first, label "mass"). Read by columns, the rows give
+    terminal wealth: column k holds the coefficients of the initial
+    capital, the node positions and the option positions at leaf k.
     """
-    rows: list[tuple[dict[str, Fraction], str]] = []
-    rows.append(({leaf: F(1) for leaf in mask.relevant_leaves}, "mass"))
-    paths = {leaf: tree.path(leaf) for leaf in mask.relevant_leaves}
-    for node_id in mask.relevant_nonleaf(tree):
-        level = tree.nodes[node_id].level
-        for i in range(tree.dimension):
-            row: dict[str, Fraction] = {}
-            for leaf in mask.relevant_leaves:
-                path = paths[leaf]
-                if len(path) > level and path[level] == node_id:
-                    child = path[level + 1]
-                    coeff = tree.increment(node_id, child)[i]
-                    if coeff != 0:
-                        row[leaf] = coeff
-            rows.append((row, f"martingale:{node_id}:{i}"))
-    for opt in options:
-        row = {}
-        for leaf in mask.relevant_leaves:
-            v = opt.normalized(leaf)
-            if v != 0:
-                row[leaf] = v
-        rows.append((row, f"option:{opt.name}"))
-    return rows
+    leaves = mask.relevant_leaves
+    nodes = mask.relevant_nonleaf(tree)
+    d = tree.dimension
+    first = {n: 1 + k * d for k, n in enumerate(nodes)}
+    rows = [[F(1)] * len(leaves)]
+    rows += [[F(0)] * len(leaves) for _ in range(len(nodes) * d)]
+    rows += [[opt.normalized(leaf) for leaf in leaves] for opt in options]
+    for k, leaf in enumerate(leaves):
+        path = tree.path(leaf)
+        for parent, child in zip(path, path[1:]):
+            # every ancestor of a relevant leaf is relevant
+            step = tree.increment(parent, child)
+            for i in range(d):
+                rows[first[parent] + i][k] = step[i]
+    labels = ["mass"]
+    labels += [f"martingale:{n}:{i}" for n in nodes for i in range(d)]
+    labels += [f"option:{opt.name}" for opt in options]
+    rhs = [F(1)] + [F(0)] * (len(rows) - 1)
+    return list(zip(rows, rhs, labels))
+
+
+def _wealth_columns(tree, mask, options) -> list[list[Fraction]]:
+    """Per relevant leaf, the coefficients of terminal wealth in the hedge
+    variables: initial capital, option positions, then one d-block per
+    relevant non-leaf node (the martingale_rows columns, option rows
+    moved up behind the mass row)."""
+    rows, _, _ = zip(*martingale_rows(tree, mask, options))
+    cut = len(rows) - len(options)
+    rows = rows[:1] + rows[cut:] + rows[1:cut]
+    return [list(column) for column in zip(*rows)]
+
+
+def _hedge_strategy(tree, mask, n_options: int, point) -> Strategy:
+    """The Strategy of a point laid out like a _wealth_columns column;
+    entries past the node blocks are ignored."""
+    d = tree.dimension
+    blocks = point[1 + n_options:]
+    dynamic = {}
+    for k, n in enumerate(mask.relevant_nonleaf(tree)):
+        vec = tuple(blocks[k * d:(k + 1) * d])
+        if any(v != 0 for v in vec):
+            dynamic[n] = vec
+    return Strategy(point[0], tuple(point[1:1 + n_options]), dynamic)
 
 
 def find_dominating_mm(
@@ -253,31 +234,13 @@ def find_dominating_mm(
     p (q >= t p with t > 0, so q charges every leaf p charges); None when no
     such measure exists."""
     options = tuple(options)
-    for leaf, w in p.weights.items():
-        if w > 0 and leaf not in set(mask.relevant_leaves):
-            raise ValueError(f"reference measure charges polar leaf {leaf!r}")
     leaves = mask.relevant_leaves
-    index = {leaf: k for k, leaf in enumerate(leaves)}
-    n = len(leaves)
-    nvar = n + 1  # q per relevant leaf, then t
-    objective = [F(0)] * n + [F(1)]
-    constraints = []
-    for row, label in martingale_rows(tree, mask, options):
-        coeffs = [F(0)] * nvar
-        for leaf, a in row.items():
-            coeffs[index[leaf]] = a
-        rhs = F(1) if label == "mass" else F(0)
-        constraints.append((coeffs, "=", rhs))
-    for leaf in leaves:
-        coeffs = [F(0)] * nvar
-        coeffs[index[leaf]] = F(1)
-        coeffs[n] = -p(leaf)
-        constraints.append((coeffs, ">=", F(0)))
-    lower: list[Fraction | None] = [F(0)] * n + [None]
-    prog = lp.linear_program(
-        objective, maximize=True, constraints=constraints, lower=lower
-    )
-    out = lp.solve(prog, mode)
+    relevant = set(leaves)
+    for leaf, w in p.weights.items():
+        if w > 0 and leaf not in relevant:
+            raise ValueError(f"reference measure charges polar leaf {leaf!r}")
+    rows, rhs, _ = zip(*martingale_rows(tree, mask, options))
+    out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves], mode)
     if isinstance(out, lp.Infeasible):
         return None
     assert isinstance(out, lp.Optimal)
@@ -290,7 +253,7 @@ def find_dominating_mm(
             return find_dominating_mm(tree, mask, options, p, lp.EXACT)
         if out.value < 0:
             return None
-    q = lp_measure({leaf: out.primal[index[leaf]] for leaf in leaves}, mode)
+    q = lp_measure(dict(zip(leaves, out.primal)), mode)
     witness = FtapWitness(q, p)
     if mode.exact:
         problems = verify_witness(tree, mask, options, witness)
@@ -327,7 +290,8 @@ def verify_witness(
     """Exact recheck of every FtapWitness invariant; empty list = sound."""
     bad: list[str] = []
     q = witness.q
-    relevant = set(mask.relevant_leaves)
+    leaves = mask.relevant_leaves
+    relevant = set(leaves)
     total = F(0)
     for leaf, w in q.weights.items():
         if leaf not in relevant:
@@ -337,10 +301,9 @@ def verify_witness(
         total += w
     if total != 1:
         bad.append(f"total mass {total} != 1")
-    for row, label in martingale_rows(tree, mask, tuple(options)):
-        if label == "mass":
-            continue
-        acc = sum((q(leaf) * a for leaf, a in row.items()), F(0))
+    # the mass row is the total checked above
+    for row, _, label in martingale_rows(tree, mask, tuple(options))[1:]:
+        acc = sum((q(leaf) * a for leaf, a in zip(leaves, row)), F(0))
         if acc != 0:
             bad.append(f"row {label} violated by {acc}")
     for leaf, w in witness.dominated.weights.items():

@@ -40,7 +40,6 @@ from .polar import compute_support, reference_measure
 from .rational import format_with_decimal
 from .superhedge import (
     ArbitrageDetected,
-    LagrangeGap,
     Proved,
     Refuted,
     Replicable,
@@ -79,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InstanceTooLarge, EmptyPolytope, LagrangeGap, OSError, ValueError) as exc:
+    except (InstanceTooLarge, EmptyPolytope, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except lp.NumericalBreakdown as exc:
@@ -143,12 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _mode_of(args) -> lp.Mode:
-    if args.float_mode:
-        return lp.float_mode(args.tol)
-    if args.exact:
-        return lp.EXACT
-    env = os.environ.get("ROBUSTHEDGE_MODE", "exact").strip().lower()
-    if env == "float":
+    raw = os.environ.get("ROBUSTHEDGE_MODE", "")
+    env = raw.strip().lower()
+    if env not in ("", "exact", "float"):
+        raise ValueError(f"ROBUSTHEDGE_MODE must be 'exact' or 'float', got {raw!r}")
+    if args.float_mode or (env == "float" and not args.exact):
         return lp.float_mode(args.tol)
     return lp.EXACT
 

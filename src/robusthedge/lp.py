@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 _MAX_PIVOTS = 200_000
 
@@ -37,6 +37,12 @@ class NumericalBreakdown(Exception):
 class Mode:
     exact: bool
     tolerance: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not isfinite(self.tolerance) or self.tolerance < 0:
+            raise ValueError(
+                f"tolerance must be a finite number >= 0, got {self.tolerance!r}"
+            )
 
 
 EXACT = Mode(exact=True, tolerance=0.0)
@@ -305,30 +311,20 @@ class _Simplex:
 
     # -- solution assembly --------------------------------------------------
 
-    def _to_user_point(self, std: dict) -> list:
-        out = []
-        for j, entry in enumerate(self.var_map):
-            if entry[0] == "shift":
-                out.append(entry[2] + std.get(entry[1], self._zero))
-            elif entry[0] == "flip":
-                out.append(entry[2] - std.get(entry[1], self._zero))
-            else:
-                out.append(
-                    std.get(entry[1], self._zero) - std.get(entry[2], self._zero)
-                )
-        return out
-
-    def _to_user_ray(self, std: dict) -> list:
+    def _to_user(self, std: dict, ray: bool = False) -> list:
+        """User variables of a standard-form point, or of a direction when
+        `ray` is set (no shifts by the finite bounds)."""
         out = []
         for entry in self.var_map:
-            if entry[0] == "shift":
-                out.append(std.get(entry[1], self._zero))
-            elif entry[0] == "flip":
-                out.append(-std.get(entry[1], self._zero))
+            v = std.get(entry[1], self._zero)
+            if entry[0] == "free":
+                out.append(v - std.get(entry[2], self._zero))
+            elif ray:
+                out.append(v if entry[0] == "shift" else -v)
+            elif entry[0] == "shift":
+                out.append(entry[2] + v)
             else:
-                out.append(
-                    std.get(entry[1], self._zero) - std.get(entry[2], self._zero)
-                )
+                out.append(entry[2] - v)
         return out
 
     # -- main ---------------------------------------------------------------
@@ -354,11 +350,11 @@ class _Simplex:
         z2 = self._z_row(self.cost)
         unb = self._run_phase(z2, self.artificials)
         if unb is not None:
-            ray = self._to_user_ray(self._ray(unb))
-            base = self._to_user_point(self._basic_values())
+            ray = self._to_user(self._ray(unb), ray=True)
+            base = self._to_user(self._basic_values())
             return Unbounded(tuple(ray), tuple(base))
 
-        primal = self._to_user_point(self._basic_values())
+        primal = self._to_user(self._basic_values())
         value = sum(
             (c * x for c, x in zip(self.lp.objective, primal)), self._zero
         )
@@ -900,6 +896,25 @@ def verify(lp: LinearProgram, out: LpOutcome, mode: Mode = EXACT) -> list[str]:
 # --------------------------------------------------------------------------
 
 
+def max_min_weight(rows, rhs, weights, mode: Mode = EXACT) -> LpOutcome:
+    """Solve max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k]:
+    the largest uniform domination factor of the given weights that the
+    equality system admits. The variables are q, then t (free)."""
+    k = len(weights)
+    constraints = [(list(row) + [Fraction(0)], "=", b) for row, b in zip(rows, rhs)]
+    for v in range(k):
+        coeffs = [Fraction(0)] * (k + 1)
+        coeffs[v] = Fraction(1)
+        coeffs[k] = -weights[v]
+        constraints.append((coeffs, ">=", Fraction(0)))
+    lower: list[Fraction | None] = [Fraction(0)] * k + [None]
+    objective = [Fraction(0)] * k + [Fraction(1)]
+    return solve(
+        linear_program(objective, maximize=True, constraints=constraints, lower=lower),
+        mode,
+    )
+
+
 @dataclass(frozen=True)
 class RelativeInteriorResult:
     inside: bool
@@ -921,24 +936,9 @@ def zero_in_relative_interior(
     if not vectors:
         raise ValueError("need at least one vector")
     d = len(vectors[0])
-    k = len(vectors)
-    nvar = k + 1  # weights q_0..q_{k-1}, then t
-    objective = [Fraction(0)] * k + [Fraction(1)]
-    constraints = []
-    for i in range(d):
-        coeffs = [vectors[v][i] for v in range(k)] + [Fraction(0)]
-        constraints.append((coeffs, "=", Fraction(0)))
-    constraints.append(([Fraction(1)] * k + [Fraction(0)], "=", Fraction(1)))
-    for v in range(k):
-        coeffs = [Fraction(0)] * nvar
-        coeffs[v] = Fraction(1)
-        coeffs[k] = Fraction(-1)
-        constraints.append((coeffs, ">=", Fraction(0)))
-    lower: list[Fraction | None] = [Fraction(0)] * k + [None]
-    lp_obj = linear_program(
-        objective, maximize=True, constraints=constraints, lower=lower
-    )
-    out = solve(lp_obj, mode)
+    rows = [[v[i] for v in vectors] for i in range(d)] + [[Fraction(1)] * len(vectors)]
+    rhs = [Fraction(0)] * d + [Fraction(1)]
+    out = max_min_weight(rows, rhs, [Fraction(1)] * len(vectors), mode)
     if isinstance(out, Infeasible):
         y = tuple(-out.certificate.rows[i] for i in range(d))
         return RelativeInteriorResult(False, None, y)

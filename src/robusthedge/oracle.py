@@ -53,16 +53,7 @@ def enumerate_vertices(
         raise InstanceTooLarge(
             f"{len(leaves)} relevant leaves exceed the cap of {cap}"
         )
-    index = {leaf: k for k, leaf in enumerate(leaves)}
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for row, label in martingale_rows(tree, mask, tuple(options)):
-        dense = [F(0)] * len(leaves)
-        for leaf, a in row.items():
-            dense[index[leaf]] = a
-        rows.append((tuple(dense), F(1) if label == "mass" else F(0)))
-
-    matrix = [list(r) for r, _ in rows]
-    rhs = [b for _, b in rows]
+    matrix, rhs, _ = zip(*martingale_rows(tree, mask, tuple(options)))
     rank = _rank([list(r) for r in matrix])
 
     seen: set[tuple[Fraction, ...]] = set()
@@ -90,7 +81,7 @@ def enumerate_vertices(
     )
     return MartingalePolytope(
         ambient=leaves,
-        equalities=tuple((tuple(r), b) for r, b in rows),
+        equalities=tuple((tuple(r), b) for r, b in zip(matrix, rhs)),
         vertices=vertices,
     )
 

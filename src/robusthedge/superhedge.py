@@ -17,7 +17,8 @@ from . import lp
 from .arbitrage import (
     ArbitrageFound,
     _dot,
-    _HedgeLayout,
+    _hedge_strategy,
+    _wealth_columns,
     global_na,
     lp_measure,
     martingale_rows,
@@ -221,14 +222,13 @@ def superhedge_semistatic(
 
 def _primal_superhedge(tree, mask, claim, options, mode):
     """superhedge_semistatic once the stocks are known to pass NA."""
-    layout = _HedgeLayout(tree, mask, options)
-    nvar = 1 + layout.width  # x first, then h and the node blocks
-    objective = [F(1)] + [F(0)] * layout.width
-    constraints = []
-    for leaf in mask.relevant_leaves:
-        coeffs = [F(1)] + layout.wealth_row(leaf, layout.width)
-        constraints.append((coeffs, ">=", claim(leaf)))
-    lower = [None] * nvar
+    columns = _wealth_columns(tree, mask, options)
+    objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
+    constraints = [
+        (column, ">=", claim(leaf))
+        for column, leaf in zip(columns, mask.relevant_leaves)
+    ]
+    lower = [None] * len(objective)
     prog = lp.linear_program(
         objective, maximize=False, constraints=constraints, lower=lower
     )
@@ -238,7 +238,7 @@ def _primal_superhedge(tree, mask, claim, options, mode):
         raise _no_consistent_measure(tree, mask, options, mode)
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
-    strategy = layout.strategy(x, out.primal[1:])
+    strategy = _hedge_strategy(tree, mask, len(options), out.primal)
     dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
     if mode.exact:
         dual.validate()
@@ -269,14 +269,10 @@ def dual_price(
     option-constrained martingale polytope."""
     options = tuple(options)
     leaves = mask.relevant_leaves
-    index = {leaf: k for k, leaf in enumerate(leaves)}
     objective = [claim(leaf) for leaf in leaves]
-    constraints = []
-    for row, label in martingale_rows(tree, mask, options):
-        coeffs = [F(0)] * len(leaves)
-        for leaf, a in row.items():
-            coeffs[index[leaf]] = a
-        constraints.append((coeffs, "=", F(1) if label == "mass" else F(0)))
+    constraints = [
+        (row, "=", rhs) for row, rhs, _ in martingale_rows(tree, mask, options)
+    ]
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):

@@ -8,13 +8,16 @@ import pytest
 
 from robusthedge import lp
 from robusthedge.arbitrage import (
+    _hedge_strategy,
+    _wealth_columns,
     find_dominating_mm,
     global_na,
+    martingale_rows,
     node_na,
     semistatic_na,
     verify_witness,
 )
-from robusthedge.model import PathMeasure, load_model, wealth
+from robusthedge.model import PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
 
 from conftest import constant_stock_model, random_instance
@@ -307,3 +310,47 @@ def test_martingale_transform_has_zero_mean():
         assert mean == 0
         tested += 1
     assert tested >= 20
+
+
+def _check_rows_give_wealth(model, rng):
+    """A seeded position vector over the rows (initial capital on the mass
+    row, node positions on the martingale rows, option positions on the
+    option rows) times each column is the terminal wealth at that leaf."""
+    tree = model.tree
+    mask = compute_support(tree)
+    rows = martingale_rows(tree, mask, model.options)
+    position = [F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in rows]
+    initial, static, dynamic = F(0), [], {}
+    for (row, _, label), v in zip(rows, position):
+        assert len(row) == len(mask.relevant_leaves)
+        if label == "mass":
+            initial = v
+        elif label.startswith("martingale:"):
+            node, i = label[len("martingale:"):].rsplit(":", 1)
+            dynamic.setdefault(node, [F(0)] * tree.dimension)[int(i)] = v
+        else:
+            static.append(v)  # option rows follow model.options
+    strategy = Strategy(initial, tuple(static), {n: tuple(h) for n, h in dynamic.items()})
+    columns = _wealth_columns(tree, mask, model.options)
+    point = [initial, *static, *(v for h in dynamic.values() for v in h)]
+    same = _hedge_strategy(tree, mask, len(model.options), point)
+    for k, leaf in enumerate(mask.relevant_leaves):
+        want = wealth(tree, strategy, model.options, leaf)
+        assert sum((row[k] * v for (row, _, _), v in zip(rows, position)), F(0)) == want
+        assert sum((a * v for a, v in zip(columns[k], point)), F(0)) == want
+        assert wealth(tree, same, model.options, leaf) == want
+
+
+def test_martingale_rows_transpose_to_wealth(example_b):
+    """The one builder of the martingale system against the path-walking
+    wealth, on polar subtrees and with options."""
+    rng = random.Random(2718)
+    assert example_b.options
+    _check_rows_give_wealth(example_b, rng)
+    with_polar = 0
+    for _ in range(60):
+        model = random_instance(rng)
+        mask = compute_support(model.tree)
+        with_polar += len(mask.relevant_leaves) < len(model.tree.leaves)
+        _check_rows_give_wealth(model, rng)
+    assert with_polar >= 10

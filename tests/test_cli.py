@@ -237,6 +237,14 @@ def test_env_mode_override(b_path, capsys, monkeypatch):
     assert abs(float(report["price"]) - 1.2) < 1e-6
 
 
+def test_unknown_env_mode_is_usage_error(b_path, capsys, monkeypatch):
+    monkeypatch.setenv("ROBUSTHEDGE_MODE", "flaot")
+    assert main(["price", "--model", b_path, "--claim", "call", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ROBUSTHEDGE_MODE" in captured.err and "'flaot'" in captured.err
+
+
 def test_dump_lp_flag(b_path, tmp_path, capsys):
     dump = tmp_path / "lps.txt"
     assert main(["price", "--model", b_path, "--claim", "call",

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from robusthedge import lp
 from robusthedge.lp import (
     Infeasible,
@@ -226,3 +228,11 @@ def test_dump_lp(tmp_path):
     text = path.read_text()
     assert "max 1" in text
     assert "1 <= 1" in text
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_bad_float_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        float_mode(tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        lp.Mode(exact=False, tolerance=tol)
