@@ -37,7 +37,7 @@ from .decompose import (
 from .model import Model, ModelError, load_model, wealth
 from .oracle import EmptyPolytope, InstanceTooLarge, enumerate_vertices
 from .polar import compute_support, reference_measure
-from .rational import format_with_decimal
+from .rational import RationalParseError, format_with_decimal, to_rational
 from .superhedge import (
     ArbitrageDetected,
     Proved,
@@ -487,7 +487,10 @@ def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
     if args.bound is None:
         raise ValueError("--bound B is required for prove")
-    bound = F(args.bound)
+    try:
+        bound = to_rational(args.bound)
+    except RationalParseError as exc:
+        raise ValueError(f"--bound: {exc}") from exc
     result = prove_inequality(model.tree, mask, claim, bound, mode)
     report["claim"] = args.claim
     report["bound"] = _rat(bound)

@@ -1,8 +1,9 @@
-"""Self-contained LP kernel: two-phase Bland simplex on sparse rows.
+"""Self-contained LP kernel: two-phase Bland simplex.
 
 Every optimization in the engine goes through `solve`. Exact mode pivots
-fraction-free: each tableau row holds integer numerators over one integer
-denominator (Bareiss), and every value it returns is an exact `Fraction`.
+fraction-free on sparse rows: each tableau row holds integer numerators over
+one integer denominator (Bareiss), and every value it returns is an exact
+`Fraction`. Float mode pivots on dense rows of floats.
 Its outcomes carry certificates that re-verify exactly: an Optimal outcome
 carries a dual vector satisfying complementary slackness, an Infeasible
 outcome carries a Farkas certificate (constraint and bound multipliers that
@@ -10,8 +11,10 @@ aggregate to 0 >= positive), and an Unbounded outcome carries a feasible
 base point plus an improving ray. Bland's rule guarantees termination and,
 together with fixed variable/constraint ordering, makes outcomes
 deterministic. Float mode runs the same pivoting with tolerance comparisons
-and raises NumericalBreakdown when it loses accuracy; nothing retries it
-here, the caller decides (the CLI asks for a rerun with --exact).
+and raises NumericalBreakdown when it loses accuracy (a lost primal
+feasibility, the pivot limit, a singular basis at the duals, or an
+improving ray in phase 1); nothing retries it here, the caller decides
+(the CLI asks for a rerun with --exact).
 
 Dual sign conventions (what `verify_optimal` checks):
   minimize: y_i >= 0 on ">=" rows, y_i <= 0 on "<=" rows, free on "=";
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isfinite, lcm
 
 _MAX_PIVOTS = 200_000
@@ -180,8 +184,8 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
 
 
 class _Simplex:
-    """Two-phase Bland simplex on sparse dict rows: standard form, the two
-    phases and the assembly of outcomes. Subclasses own the arithmetic.
+    """Two-phase Bland simplex: standard form, the two phases and the
+    assembly of outcomes. Subclasses own the rows and the arithmetic.
 
     Standard form: minimize over x~ >= 0 with equality rows; general bounds
     become shifts (finite lower), reflections (finite upper only) or split
@@ -334,7 +338,7 @@ class _Simplex:
         c1 = {c: self._one for c in self.artificials}
         z1 = self._z_row(c1)
         if self._run_phase(z1, set()) is not None:
-            raise RuntimeError("phase 1 cannot be unbounded (bug)")
+            raise self._phase1_unbounded()
         if self._phase1_infeasible():
             return self._extract_infeasible(self._duals(z1, c1))
 
@@ -550,11 +554,21 @@ class _ExactSimplex(_Simplex):
     def _pivot_limit(self) -> Exception:
         return RuntimeError("pivot limit exceeded in exact mode (bug)")
 
+    def _phase1_unbounded(self) -> Exception:
+        return RuntimeError("phase 1 cannot be unbounded (bug)")
+
 
 class _FloatSimplex(_Simplex):
-    """The same pivots in floats: entries below 1e-13 are dropped, signs are
-    read against the tolerance, and duals come from a partial-pivoting
-    solve of y'B = c_B against the original matrix."""
+    """The same pivots in floats, on dense rows: each tableau row and the
+    reduced-cost row is a list of `ncols` floats. An update sets an entry
+    of magnitude 1e-13 or less to 0.0, signs are read against the
+    tolerance, and duals come from a partial-pivoting solve of y'B = c_B
+    against the original matrix.
+
+    A pivot collects the nonzero columns of the pivot row once and updates
+    only those entries, and only in rows with a nonzero in the entering
+    column; the drop applies only to the entries an update computes, so a
+    small entry that no update touches keeps its value."""
 
     _zero = 0.0
     _one = 1.0
@@ -565,67 +579,65 @@ class _FloatSimplex(_Simplex):
         super().__init__(lp)
 
     def _load(self, rows, rhs, cost) -> None:
-        self.A0 = rows  # pristine copy for dual extraction at the end
-        self.tab = [{k: float(v) for k, v in row.items()} for row in rows]
+        self.tab = []
+        for row in rows:
+            dense = [0.0] * self.ncols
+            for k, v in row.items():
+                dense[k] = float(v)
+            self.tab.append(dense)
+        self.A0 = [list(row) for row in self.tab]  # pristine, for the duals
         self.rhs = [float(v) for v in rhs]
         self.cost = {k: float(v) for k, v in cost.items()}
 
-    def _pivot(self, r: int, col: int, z: dict) -> None:
+    def _pivot(self, r: int, col: int, z: list) -> None:
+        drop = self.drop
+        low = -drop
+        rhs = self.rhs
         row = self.tab[r]
+        nonzero = list(compress(range(self.ncols), row))
         piv = row[col]
         if piv != 1:
-            for k in list(row):
+            for k in nonzero:
                 row[k] /= piv
-            self.rhs[r] /= piv
+            rhs[r] /= piv
             row[col] = 1.0
-        items = list(row.items())
-        rr = self.rhs[r]
-        for i in range(self.m):
-            if i == r:
+        # the entering column itself ends at 0.0 in every other row
+        items = [(k, row[k]) for k in nonzero if k != col]
+        rr = rhs[r]
+        for i, other in enumerate(self.tab):
+            f = other[col]
+            if not f or i == r:
                 continue
-            other = self.tab[i]
-            f = other.get(col)
-            if f is None or self._is_zero(f):
-                other.pop(col, None)
+            other[col] = 0.0
+            if low <= f <= drop:
                 continue
             for k, v in items:
-                nv = other.get(k, 0.0) - f * v
-                if self._is_zero(nv):
-                    other.pop(k, None)
-                else:
-                    other[k] = nv
-            other.pop(col, None)
-            nb = self.rhs[i] - f * rr
-            self.rhs[i] = 0.0 if self._is_zero(nb) else nb
-        f = z.get(col)
-        if f is not None and not self._is_zero(f):
+                nv = other[k] - f * v
+                other[k] = 0.0 if low <= nv <= drop else nv
+            nb = rhs[i] - f * rr
+            rhs[i] = 0.0 if low <= nb <= drop else nb
+        f = z[col]
+        z[col] = 0.0
+        if not low <= f <= drop:
             for k, v in items:
-                nv = z.get(k, 0.0) - f * v
-                if self._is_zero(nv):
-                    z.pop(k, None)
-                else:
-                    z[k] = nv
-        z.pop(col, None)
+                nv = z[k] - f * v
+                z[k] = 0.0 if low <= nv <= drop else nv
         self.basis[r] = col
 
-    def _is_zero(self, x: float) -> bool:
-        return abs(x) <= self.drop
-
-    def _enter(self, z: dict, barred: set[int]) -> int | None:
-        for col in range(self.ncols):
-            if col in barred:
-                continue
-            zv = z.get(col)
-            if zv is not None and zv < -self.eps:
+    def _enter(self, z: list, barred: set[int]) -> int | None:
+        bound = -self.eps
+        for col, zv in enumerate(z):
+            if zv < bound and col not in barred:
                 return col
         return None
 
     def _leave(self, col: int) -> int | None:
         best_row = None
         best_ratio = None
-        for r in range(self.m):
-            d = self.tab[r].get(col)
-            if d is None or d <= self.eps:
+        eps = self.eps
+        for r, row in enumerate(self.tab):
+            d = row[col]
+            if d <= eps:
                 continue
             ratio = self.rhs[r] / d
             if best_ratio is None or ratio < best_ratio or (
@@ -635,18 +647,19 @@ class _FloatSimplex(_Simplex):
                 best_row = r
         return best_row
 
-    def _z_row(self, cost: dict) -> dict:
-        z = dict(cost)
-        for r in range(self.m):
+    def _z_row(self, cost: dict) -> list:
+        drop = self.drop
+        low = -drop
+        z = [0.0] * self.ncols
+        for k, v in cost.items():
+            z[k] = v
+        for r, row in enumerate(self.tab):
             cb = cost.get(self.basis[r])
-            if cb is None or self._is_zero(cb):
+            if cb is None or low <= cb <= drop:
                 continue
-            for k, v in self.tab[r].items():
-                nv = z.get(k, 0.0) - cb * v
-                if self._is_zero(nv):
-                    z.pop(k, None)
-                else:
-                    z[k] = nv
+            for k in compress(range(self.ncols), row):
+                nv = z[k] - cb * row[k]
+                z[k] = 0.0 if low <= nv <= drop else nv
         return z
 
     def _phase1_infeasible(self) -> bool:
@@ -657,11 +670,9 @@ class _FloatSimplex(_Simplex):
         return infeas > self.eps
 
     def _drive_target(self, r: int) -> int | None:
-        for col in range(self.ncols):
-            if col in self.artificials:
-                continue
-            v = self.tab[r].get(col)
-            if v is not None and not self._is_zero(v):
+        drop = self.drop
+        for col, v in enumerate(self.tab[r]):
+            if not -drop <= v <= drop and col not in self.artificials:
                 return col
         return None
 
@@ -669,32 +680,24 @@ class _FloatSimplex(_Simplex):
         return {self.basis[r]: self.rhs[r] for r in range(self.m)}
 
     def _ray(self, col: int) -> dict:
+        drop = self.drop
         direction = {col: 1.0}
-        for r in range(self.m):
-            d = self.tab[r].get(col)
-            if d is not None and not self._is_zero(d):
+        for r, row in enumerate(self.tab):
+            d = row[col]
+            if not -drop <= d <= drop:
                 direction[self.basis[r]] = -d
         return direction
 
-    def _duals(self, z: dict, cost: dict) -> list:
+    def _duals(self, z: list, cost: dict) -> list:
         """Solve y'B = c_B against the pristine matrix (dead rows get 0)."""
-        m = self.m
-        mat = [[0.0] * m for _ in range(m)]
-        vec = []
-        for e in range(m):
-            var = self.basis[e]
-            for r in range(m):
-                a = self.A0[r].get(var)
-                if a is not None:
-                    mat[e][r] = float(a)
-            vec.append(cost.get(var, 0.0))
-        return _solve_square(mat, vec)
+        mat = [[row[var] for row in self.A0] for var in self.basis]
+        return _solve_square(mat, [cost.get(var, 0.0) for var in self.basis])
 
     def _check_primal(self, primal: list) -> None:
         scale = 1.0 + max((abs(float(x)) for x in primal), default=0.0)
         tol = max(self.eps, 1e-9) * 1e3 * scale
         for con in self.lp.constraints:
-            lhs = sum(float(a) * float(x) for a, x in zip(con.coeffs, primal))
+            lhs = sum(float(a) * float(x) for a, x in zip(con.coeffs, primal) if a)
             gap = lhs - float(con.rhs)
             if con.relation == "<=" and gap > tol:
                 raise NumericalBreakdown("primal feasibility lost")
@@ -706,9 +709,14 @@ class _FloatSimplex(_Simplex):
     def _pivot_limit(self) -> Exception:
         return NumericalBreakdown("pivot limit exceeded")
 
+    def _phase1_unbounded(self) -> Exception:
+        # phase 1 is bounded below by 0, so only lost accuracy finds a ray
+        return NumericalBreakdown("phase 1 ran unbounded")
+
 
 def _solve_square(mat: list[list[float]], vec: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting in floats."""
+    """Gaussian elimination with partial pivoting in floats; each step
+    updates only the nonzero entries of its pivot row."""
     m = len(vec)
     a = [list(row) + [vec[i]] for i, row in enumerate(mat)]
     for col in range(m):
@@ -724,16 +732,16 @@ def _solve_square(mat: list[list[float]], vec: list[float]) -> list[float]:
         if pivot_row is None or abs(a[pivot_row][col]) < 1e-12:
             raise NumericalBreakdown("singular basis in dual extraction")
         a[col], a[pivot_row] = a[pivot_row], a[col]
-        piv = a[col][col]
-        for r in range(m):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f == 0:
+        prow = a[col]
+        piv = prow[col]
+        items = [(k, prow[k]) for k in range(col, m + 1) if prow[k]]
+        for r, row in enumerate(a):
+            f = row[col]
+            if f == 0 or r == col:
                 continue
             ratio = f / piv
-            for k in range(col, m + 1):
-                a[r][k] -= ratio * a[col][k]
+            for k, v in items:
+                row[k] -= ratio * v
     return [a[i][m] / a[i][i] for i in range(m)]
 
 

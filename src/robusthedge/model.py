@@ -14,7 +14,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import RationalParseError, format_rational, to_rational
+from .rational import (
+    RationalParseError,
+    format_rational,
+    json_float,
+    json_int,
+    to_rational,
+)
 
 
 class ModelError(Exception):
@@ -227,7 +233,12 @@ def load_model(text: str) -> Model:
     never through binary floats.
     """
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_constant=_reject_constant)
+        doc = json.loads(
+            text,
+            parse_float=json_float,
+            parse_int=json_int,
+            parse_constant=_reject_constant,
+        )
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -3,22 +3,77 @@
 Accepted inputs: "p/q" strings, decimal strings, plain integers, and
 `Fraction` itself. Decimal inputs convert exactly (scaled integers), never
 through binary floats.
+
+A number may have at most MAX_DIGITS digits, its exponent counted in (see
+`over_cap`). The size is read off the text before any integer is built, so
+"1e100000000" fails at once, and every accepted value prints within
+Python's default limit of 4300 digits on int-to-str conversion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+MAX_DIGITS = 4000
+_LIMIT = 10**MAX_DIGITS
+
 
 class RationalParseError(ValueError):
     """Raised when a value cannot be read as an exact rational."""
+
+
+class Oversize:
+    """A JSON number over the size cap, kept as text until the loader can
+    name the field it sits in."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"<numeral of {len(self.text)} characters>"
+
+
+def over_cap(text: str) -> bool:
+    """Whether a numeral may denote a rational with more than MAX_DIGITS
+    digits in its numerator or its denominator. Read off the text: "p/q"
+    counts the longer of p and q; a decimal counts its digits, at least one
+    before the point, plus the size of its exponent. The "p/q" that
+    save_model writes for an accepted value is therefore accepted too."""
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return False
+    text = text.strip().lstrip("+-").replace("_", "")
+    if "/" in text:
+        return max(len(part) for part in text.split("/")) > MAX_DIGITS
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    size = max(1, len(whole)) + len(fraction)
+    exponent = exponent.lstrip("+-").lstrip("0")
+    if not exponent.isdecimal():
+        return size > MAX_DIGITS  # no exponent, or not a numeral at all
+    return len(exponent) > len(str(MAX_DIGITS)) or size + int(exponent) > MAX_DIGITS
+
+
+def json_float(text: str) -> Fraction | Oversize:
+    """`parse_float` hook: the exact value, or Oversize over the cap."""
+    return Oversize(text) if over_cap(text) else Fraction(text)
+
+
+def json_int(text: str) -> int | Oversize:
+    """`parse_int` hook: the integer, or Oversize over the cap."""
+    return Oversize(text) if len(text.lstrip("-")) > MAX_DIGITS else int(text)
+
+
+def _too_large() -> RationalParseError:
+    return RationalParseError(
+        f"number has more than {MAX_DIGITS} digits (its exponent counted in)"
+    )
 
 
 def to_rational(value: object) -> Fraction:
     """Convert a JSON scalar to an exact Fraction.
 
     Floats are rejected: the model loader parses JSON numbers with
-    ``parse_float=Fraction`` so a genuine ``float`` here means the caller
+    ``parse_float=json_float`` so a genuine ``float`` here means the caller
     bypassed exact parsing.
     """
     if isinstance(value, Fraction):
@@ -26,12 +81,18 @@ def to_rational(value: object) -> Fraction:
     if isinstance(value, bool):
         raise RationalParseError(f"expected a rational, got boolean {value!r}")
     if isinstance(value, int):
+        if abs(value) >= _LIMIT:
+            raise _too_large()
         return Fraction(value)
     if isinstance(value, str):
+        if over_cap(value):
+            raise _too_large()
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, Oversize):
+        raise _too_large()
     if isinstance(value, float):
         raise RationalParseError(
             f"refusing inexact float {value!r}; parse the document with exact numbers"

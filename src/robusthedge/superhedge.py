@@ -153,9 +153,12 @@ def _no_consistent_measure(tree, mask, options, mode):
     hinting at each option whose quote leaves its stocks-only price range.
     The stocks must already pass NA."""
     hints = []
+    columns = _wealth_columns(tree, mask, ())
     for opt in options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
-        (upper, _, _), (lower_neg, _, _) = _both_sides(tree, mask, raw, (), mode)
+        (upper, _, _), (lower_neg, _, _) = _both_sides(
+            tree, mask, raw, (), mode, columns
+        )
         lower = -lower_neg
         if opt.quote < lower or opt.quote > upper:
             hints.append(
@@ -217,12 +220,13 @@ def superhedge_semistatic(
     """
     options = tuple(options)
     _require_stock_na(tree, mask, mode)
-    return _primal_superhedge(tree, mask, claim, options, mode)
-
-
-def _primal_superhedge(tree, mask, claim, options, mode):
-    """superhedge_semistatic once the stocks are known to pass NA."""
     columns = _wealth_columns(tree, mask, options)
+    return _primal_superhedge(tree, mask, claim, options, mode, columns)
+
+
+def _primal_superhedge(tree, mask, claim, options, mode, columns):
+    """superhedge_semistatic once the stocks are known to pass NA, on the
+    `_wealth_columns` of the options."""
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
         (column, ">=", claim(leaf))
@@ -248,13 +252,14 @@ def _primal_superhedge(tree, mask, claim, options, mode):
     return x, strategy, dual
 
 
-def _both_sides(tree, mask, claim, options, mode):
-    """The superhedges of the claim and of its negation, upper side first;
-    the stocks must already pass NA."""
+def _both_sides(tree, mask, claim, options, mode, columns):
+    """The superhedges of the claim and of its negation, upper side first,
+    on the `_wealth_columns` of the options; the stocks must already pass
+    NA."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
     return (
-        _primal_superhedge(tree, mask, claim, options, mode),
-        _primal_superhedge(tree, mask, negated, options, mode),
+        _primal_superhedge(tree, mask, claim, options, mode, columns),
+        _primal_superhedge(tree, mask, negated, options, mode, columns),
     )
 
 
@@ -291,7 +296,10 @@ def price_interval(
 ) -> PriceInterval:
     """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
     _require_stock_na(tree, mask, mode)
-    (upper, _, _), (lower_neg, _, _) = _both_sides(tree, mask, claim, options, mode)
+    columns = _wealth_columns(tree, mask, options)
+    (upper, _, _), (lower_neg, _, _) = _both_sides(
+        tree, mask, claim, options, mode, columns
+    )
     return PriceInterval(-lower_neg, upper)
 
 
@@ -306,13 +314,15 @@ def check_replicable(
     coincide; otherwise two martingale measures separate the expectations."""
     options = tuple(options)
     _require_stock_na(tree, mask, mode)
-    return _replicable(tree, mask, claim, options, mode)
+    columns = _wealth_columns(tree, mask, options)
+    return _replicable(tree, mask, claim, options, mode, columns)
 
 
-def _replicable(tree, mask, claim, options, mode):
-    """check_replicable once the stocks are known to pass NA."""
+def _replicable(tree, mask, claim, options, mode, columns):
+    """check_replicable once the stocks are known to pass NA, on the
+    `_wealth_columns` of the options."""
     (upper, strategy, q_high), (lower_neg, _, q_low) = _both_sides(
-        tree, mask, claim, options, mode
+        tree, mask, claim, options, mode, columns
     )
     lower = -lower_neg
     same = lower == upper if mode.exact else abs(float(upper) - float(lower)) <= mode.tolerance
@@ -346,11 +356,13 @@ def check_complete(
     martingale polytope is a single point)."""
     options = tuple(options)
     _require_stock_na(tree, mask, mode)
+    columns = _wealth_columns(tree, mask, options)
     for leaf in mask.relevant_leaves:
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}
         )
-        if isinstance(_replicable(tree, mask, indicator, options, mode), NotReplicable):
+        result = _replicable(tree, mask, indicator, options, mode, columns)
+        if isinstance(result, NotReplicable):
             return False
     return True
 

@@ -44,6 +44,27 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
     return calls
 
 
+# where example_b holds a claim value, a price and a quote, and how the
+# loader names each of them
+NUMBER_FIELDS = {
+    "claim": (("claims", "digital", "13"), "claim 'digital' at leaf '13'"),
+    "price": (("nodes", 0, "price", 0), "node 'root' price"),
+    "quote": (("options", 0, "quote"), "option 'call' quote"),
+}
+
+
+def example_b_with(field: str, literal: str) -> str:
+    """example_b's text with one field of NUMBER_FIELDS set to `literal`,
+    written into the JSON as it is (a bare number, or a quoted string)."""
+    doc = json.loads((DATA / "example_b.json").read_text())
+    *path, last = NUMBER_FIELDS[field][0]
+    slot = doc
+    for key in path:
+        slot = slot[key]
+    slot[last] = "@@"
+    return json.dumps(doc).replace('"@@"', literal)
+
+
 def constant_stock_model(n_leaves: int = 4, price: int = 5) -> Model:
     """One period, constant price, full ambiguity (all Dirac generators)."""
     leaves = [f"w{k}" for k in range(n_leaves)]

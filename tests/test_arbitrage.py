@@ -20,7 +20,7 @@ from robusthedge.arbitrage import (
 from robusthedge.model import PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
 
-from conftest import constant_stock_model, random_instance
+from conftest import DATA, constant_stock_model, random_instance
 
 F = Fraction
 
@@ -354,3 +354,17 @@ def test_martingale_rows_transpose_to_wealth(example_b):
         with_polar += len(mask.relevant_leaves) < len(model.tree.leaves)
         _check_rows_give_wealth(model, rng)
     assert with_polar >= 10
+
+
+def test_float_phase1_ray_is_a_numerical_breakdown():
+    # phase 1 minimizes a sum of artificials >= 0, so an improving ray there
+    # means float pivoting lost accuracy; exact mode keeps calling it a bug
+    model = load_model((DATA / "float_phase1_ray.json").read_text())
+    mask = compute_support(model.tree)
+    p = reference_measure(model.tree)
+    with pytest.raises(lp.NumericalBreakdown, match="phase 1 ran unbounded"):
+        find_dominating_mm(model.tree, mask, model.options, p, lp.float_mode(1e-9))
+    assert find_dominating_mm(model.tree, mask, model.options, p) is not None
+    prog = lp.linear_program([1], maximize=False, constraints=[([1], ">=", 1)])
+    bug = lp._ExactSimplex(prog)._phase1_unbounded()
+    assert isinstance(bug, RuntimeError) and "(bug)" in str(bug)

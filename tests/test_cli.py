@@ -6,7 +6,7 @@ import pytest
 
 from robusthedge.cli import main
 
-from conftest import DATA
+from conftest import DATA, NUMBER_FIELDS, example_b_with
 
 BROKEN = """{
   "horizon": 1,
@@ -172,6 +172,17 @@ def test_replicate_and_complete_deny_when_no_measure_has_full_support(capsys):
         assert out.startswith("denied: option quotes admit arbitrage"), out
 
 
+def test_float_phase1_ray_asks_for_exact(capsys):
+    # a float-sweep benchmark document on which float pivoting finds an
+    # improving ray in phase 1: a numerical breakdown, not a traceback
+    path = str(DATA / "float_phase1_ray.json")
+    assert main(["mm", "--model", path, "--float", "--tol", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: phase 1 ran unbounded; retry with --exact\n"
+    assert main(["mm", "--model", path, "--exact"]) == 0
+
+
 def test_decompose_command(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(WITH_PROCESS)
@@ -282,3 +293,15 @@ def test_bad_tolerance_is_usage_error(b_path, capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err and repr(tol) in captured.err
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+@pytest.mark.parametrize("literal", ["1e5000", '"1e100000000"'])
+def test_oversize_number_exits_1_naming_the_field(tmp_path, capsys, field, literal):
+    path = tmp_path / "big.json"
+    path.write_text(example_b_with(field, literal))
+    assert main(["price", "--model", str(path), "--claim", "call"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {NUMBER_FIELDS[field][1]}: ")
+    assert "4000 digits" in captured.err

@@ -1,4 +1,5 @@
-"""Golden outcomes of the exact LP kernel, and a certificate property.
+"""Golden outcomes of the exact and float LP kernels, and a certificate
+property.
 
 `data/lp_golden.json` holds a seeded corpus of small LPs of five kinds
 (random, degenerate with redundant rows, infeasible, unbounded, free and
@@ -8,8 +9,19 @@ Farkas and ray entry as "p/q". The kernel must reproduce each outcome
 exactly; Bland's rule fixes the pivot sequence, so any change in the
 arithmetic that changes an answer or a certificate shows here.
 
+`data/lp_golden_float.json` holds the float-mode outcome (tolerance 1e-9)
+of the same 200 LPs, in their order, plus a few LPs of the size the
+float-sweep benchmark workload solves (64-94 rows, taken with `--dump-lp`
+from `price`, `interval` and `mm --float --tol 1e-9` on its documents of
+seeds 0 and 1; one of them breaks down), stored with their outcome. Every
+float is recorded with `float.hex`, so the float kernel must reproduce each
+bit, sign of zero included; a `NumericalBreakdown` is recorded by its
+message.
+
 Re-record (only from a kernel whose answers are trusted) with
-`PYTHONPATH=src python tests/test_lp_golden.py`.
+`PYTHONPATH=src python tests/test_lp_golden.py` (exact) and
+`PYTHONPATH=src python tests/test_lp_golden.py --float` (float; it re-solves
+the LPs already in both files).
 """
 
 from __future__ import annotations
@@ -25,8 +37,10 @@ from hypothesis import strategies as st
 
 from robusthedge.lp import (
     Infeasible,
+    NumericalBreakdown,
     Optimal,
     Unbounded,
+    float_mode,
     linear_program,
     solve,
     verify,
@@ -34,6 +48,8 @@ from robusthedge.lp import (
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "lp_golden.json"
+GOLDEN_FLOAT = Path(__file__).parent / "data" / "lp_golden_float.json"
+FLOAT_TOL = 1e-9
 KINDS = ("random", "degenerate", "infeasible", "unbounded", "bounds")
 CORPUS_SEED = 20261018
 PER_KIND = 40
@@ -165,27 +181,38 @@ def lp_from_json(doc):
     )
 
 
-def outcome_json(out):
+def outcome_json(out, text=_rat):
+    """The outcome with every number rendered by `text`."""
     if isinstance(out, Optimal):
         return {
             "kind": "Optimal",
-            "value": _rat(out.value),
-            "primal": [_rat(v) for v in out.primal],
-            "dual": [_rat(v) for v in out.dual],
+            "value": text(out.value),
+            "primal": [text(v) for v in out.primal],
+            "dual": [text(v) for v in out.dual],
         }
     if isinstance(out, Infeasible):
         cert = out.certificate
         return {
             "kind": "Infeasible",
-            "rows": [_rat(v) for v in cert.rows],
-            "lower": [_rat(v) for v in cert.lower],
-            "upper": [_rat(v) for v in cert.upper],
+            "rows": [text(v) for v in cert.rows],
+            "lower": [text(v) for v in cert.lower],
+            "upper": [text(v) for v in cert.upper],
         }
     return {
         "kind": "Unbounded",
-        "ray": [_rat(v) for v in out.ray],
-        "base": [_rat(v) for v in out.base],
+        "ray": [text(v) for v in out.ray],
+        "base": [text(v) for v in out.base],
     }
+
+
+def float_outcome_json(prog):
+    """The float-mode outcome, each float as `float.hex` (only a float has
+    that method, so a stray Fraction or int fails loudly)."""
+    try:
+        out = solve(prog, float_mode(FLOAT_TOL))
+    except NumericalBreakdown as exc:
+        return {"kind": "NumericalBreakdown", "message": str(exc)}
+    return outcome_json(out, text=lambda v: v.hex())
 
 
 def corpus():
@@ -205,6 +232,29 @@ def record(path=GOLDEN):
     return entries
 
 
+def record_float(sweep=None, path=GOLDEN_FLOAT):
+    """Re-solve the exact golden's LPs and the sweep LPs in float mode.
+    `sweep` is a list of (source, LP); by default the file's own."""
+    if sweep is None:
+        old = json.loads(path.read_text(encoding="utf-8"))["sweep"]
+        sweep = [(e["source"], lp_from_json(e["lp"])) for e in old]
+    corpus_out = [
+        float_outcome_json(lp_from_json(e["lp"]))
+        for e in json.loads(GOLDEN.read_text(encoding="utf-8"))
+    ]
+    sweep_out = [
+        {"source": source, "lp": lp_json(prog), "outcome": float_outcome_json(prog)}
+        for source, prog in sweep
+    ]
+    dump = lambda items: ",\n".join(json.dumps(e, separators=(",", ":")) for e in items)
+    path.write_text(
+        f'{{"tolerance":{FLOAT_TOL!r},\n"corpus":[\n{dump(corpus_out)}\n],\n'
+        f'"sweep":[\n{dump(sweep_out)}\n]}}\n',
+        encoding="utf-8",
+    )
+    return corpus_out + sweep_out
+
+
 def test_golden_outcomes_identical():
     entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(entries) == len(KINDS) * PER_KIND
@@ -212,6 +262,20 @@ def test_golden_outcomes_identical():
     for k, entry in enumerate(entries):
         prog = lp_from_json(entry["lp"])
         assert outcome_json(solve(prog)) == entry["outcome"], (k, entry["kind"])
+
+
+def test_float_golden_outcomes_identical():
+    golden = json.loads(GOLDEN_FLOAT.read_text(encoding="utf-8"))
+    assert golden["tolerance"] == FLOAT_TOL
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden["corpus"]) == len(entries)
+    for k, (entry, want) in enumerate(zip(entries, golden["corpus"])):
+        assert float_outcome_json(lp_from_json(entry["lp"])) == want, (k, entry["kind"])
+    assert len(golden["sweep"]) >= 4
+    for entry in golden["sweep"]:
+        prog = lp_from_json(entry["lp"])
+        assert len(prog.constraints) >= 64
+        assert float_outcome_json(prog) == entry["outcome"], entry["source"]
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,5 +291,8 @@ def test_generated_certificates_verify(rng, kind):
 
 
 if __name__ == "__main__":
-    written = record()
-    print(f"recorded {len(written)} outcomes to {GOLDEN}", file=sys.stderr)
+    if sys.argv[1:] == ["--float"]:
+        written, path = record_float(), GOLDEN_FLOAT
+    else:
+        written, path = record(), GOLDEN
+    print(f"recorded {len(written)} outcomes to {path}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from robusthedge.model import (
 )
 from robusthedge.polar import reference_kernels
 
-from conftest import random_instance
+from conftest import NUMBER_FIELDS, example_b_with, random_instance
 
 F = Fraction
 
@@ -264,3 +265,29 @@ def test_random_models_round_trip():
     for _ in range(20):
         model = random_instance(rng)
         assert load_model(save_model(model)) == model
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+@pytest.mark.parametrize(
+    "literal", ["1e5000", '"1e5000"', "1e100000000", '"1e100000000"', "9" * 5000]
+)
+def test_oversize_number_is_rejected_at_load(field, literal):
+    # checked on the text: 1e100000000 never becomes a 100-million-digit int
+    where = NUMBER_FIELDS[field][1]
+    with pytest.raises(MalformedDocument, match=re.escape(where) + ": .*4000 digits"):
+        load_model(example_b_with(field, literal))
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1e3999", "-1e-3999", '"-.1e-3998"', '"' + "9" * 4000 + "/" + "7" * 4000 + '"'],
+)
+def test_largest_numbers_round_trip(literal):
+    model = load_model(example_b_with("claim", literal))
+    assert load_model(save_model(model)) == model
+
+
+@pytest.mark.parametrize("literal", ['".1e-3999"', '"1/' + "7" * 4001 + '"', "1" + "0" * 4000])
+def test_just_over_the_cap_is_rejected(literal):
+    with pytest.raises(MalformedDocument, match="4000 digits"):
+        load_model(example_b_with("claim", literal))

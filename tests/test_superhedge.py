@@ -459,3 +459,21 @@ def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
     with pytest.raises(ArbitrageDetected, match="interval"):
         run((type(options[0])("call", F(2), options[0].payoff),))
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["superhedge_semistatic", "price_interval", "check_replicable", "check_complete"],
+)
+def test_martingale_system_is_built_once_per_call(example_b, monkeypatch, entry):
+    import robusthedge.arbitrage as arb
+    import robusthedge.superhedge as sh
+
+    tree, options = example_b.tree, example_b.options
+    mask = compute_support(tree)
+    builds = count_calls(monkeypatch, arb, "martingale_rows")
+    if entry == "check_complete":
+        sh.check_complete(tree, mask, options)
+    else:
+        getattr(sh, entry)(tree, mask, example_b.claims["digital"], options)
+    assert len(builds) == 1

@@ -1,0 +1,133 @@
+"""Compare two source trees op by op on one benchmark op cycle.
+
+    python3 tools/same_answers.py BASE_SRC NEW_SRC --workload W [--seed S]
+
+BASE_SRC and NEW_SRC are directories that contain a `robusthedge` package
+(the `src/` folder of two checkouts). For each of them, a fresh Python
+process builds the documents and the full op cycle of workload W from
+`bench/workloads.py` (seed S), writes the documents to a temporary folder,
+and runs every op through `robusthedge.cli.main` in order, with
+`--dump-lp` on. The two runs are then compared op by op on the exit code,
+standard output (a `"wall_time_s"` value is masked), standard error and
+the dumped LP text. The first op that differs is printed and the exit code
+is 1; when no op differs the exit code is 0.
+
+`bench/` is only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import re
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+WALL = re.compile(r'("wall_time_s": )[-+0-9.eE]+')
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def run_cycle(src: str, workload: str, seed: int) -> None:
+    """Worker: run the op cycle against `src`, one JSON line per op."""
+    sys.path[:0] = [src, str(BENCH)]
+    import workloads
+    from robusthedge import cli
+
+    package = Path(sys.modules["robusthedge"].__file__).resolve().parent
+    if package != (Path(src) / "robusthedge").resolve():
+        raise SystemExit(f"robusthedge imported from {package}, not from {src}")
+    plan = workloads.build(workload, seed)
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {}
+        for doc in plan.docs:
+            paths[doc.name] = Path(folder) / f"{doc.name}.json"
+            paths[doc.name].write_text(json.dumps(doc.body, indent=1), encoding="utf-8")
+        dump = Path(folder) / "dump.lp"
+        for index, op in enumerate(plan.ops):
+            argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:],
+                    "--dump-lp", str(dump)]
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+            except SystemExit as exc:
+                code = f"usage exit {exc.code}"
+            except Exception:
+                code = "exception"
+                err.write(traceback.format_exc())
+            lps = dump.read_text(encoding="utf-8").split("\n\n") if dump.exists() else []
+            dump.unlink(missing_ok=True)
+            record = {
+                "op": index,
+                "key": op.key,
+                "code": code,
+                "stdout": WALL.sub(r"\1<masked>", out.getvalue()),
+                "stderr": err.getvalue(),
+                "lps": [_digest(text) for text in lps if text],
+            }
+            print(json.dumps(record), flush=True)
+
+
+def collect(src: str, workload: str, seed: int) -> list[dict]:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", src, "--workload", workload, "--seed", str(seed)],
+        capture_output=True, text=True, check=False,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"run against {src} failed:\n{proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def first_difference(base: list[dict], new: list[dict]) -> str | None:
+    if len(base) != len(new):
+        return f"op counts differ: {len(base)} against {len(new)}"
+    for a, b in zip(base, new):
+        for field in ("code", "stdout", "stderr"):
+            if a[field] != b[field]:
+                return (f"op {a['op']} ({a['key']}): {field} differs\n"
+                        f"--- base\n{a[field]}\n--- new\n{b[field]}")
+        if a["lps"] != b["lps"]:
+            k = next((k for k, (x, y) in enumerate(zip(a["lps"], b["lps"])) if x != y),
+                     min(len(a["lps"]), len(b["lps"])))
+            return (f"op {a['op']} ({a['key']}): LP dump differs from LP {k} "
+                    f"({len(a['lps'])} LPs against {len(b['lps'])})")
+    return None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?")
+    parser.add_argument("new", nargs="?")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        run_cycle(args.worker, args.workload, args.seed)
+        return 0
+    if not args.base or not args.new:
+        parser.error("BASE_SRC and NEW_SRC are required")
+    base = collect(args.base, args.workload, args.seed)
+    new = collect(args.new, args.workload, args.seed)
+    diff = first_difference(base, new)
+    lps = sum(len(r["lps"]) for r in base)
+    if diff is not None:
+        print(diff)
+        return 1
+    print(f"{args.workload} seed {args.seed}: {len(base)} ops, {lps} LPs, no difference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
