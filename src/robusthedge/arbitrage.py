@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .model import PathMeasure, ScenarioTree, StaticOption, Strategy, wealth
+from .model import PathMeasure, ScenarioTree, StaticOption, Strategy, leaf_wealths
 from .polar import SupportMask
 
 F = Fraction
@@ -49,24 +49,49 @@ def node_na(
 ) -> NodeNaReport:
     """Local NA test; on failure the certificate y has y.dS >= 0 on every
     supported child with at least one strict inequality, scaled so the
-    largest absolute entry is 1."""
+    largest absolute entry is 1.
+
+    In exact mode with one stock the test needs no LP: the node passes iff
+    its increments take both signs or all vanish, and otherwise (1,) or
+    (-1,) is the only scaled separator. With two or more stocks, or in
+    float mode, the max-min-weight LP decides. Either way the separator is
+    re-verified exactly in exact mode.
+    """
     node = tree.nodes[node_id]
     if node.is_leaf:
         raise ValueError(f"{node_id!r} is a leaf")
     support = mask.node_support[node_id]
     vectors = [tree.increment(node_id, c) for c in support]
-    status = lp.zero_in_relative_interior(vectors, mode)
-    if status.inside:
-        return NodeNaReport(node_id, True, None)
-    y = status.separator
-    assert y is not None
-    peak = max(abs(v) for v in y)
-    y = tuple(v / peak for v in y)
+    if mode.exact and tree.dimension == 1:
+        y = _one_stock_separator(vectors)
+        if y is None:
+            return NodeNaReport(node_id, True, None)
+    else:
+        status = lp.zero_in_relative_interior(vectors, mode)
+        if status.inside:
+            return NodeNaReport(node_id, True, None)
+        y = status.separator
+        assert y is not None
+        peak = max(abs(v) for v in y)
+        y = tuple(v / peak for v in y)
     if mode.exact:
         products = [_dot(y, v) for v in vectors]
         if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
             raise RuntimeError("separator failed re-verification (bug)")
     return NodeNaReport(node_id, False, y)
+
+
+def _one_stock_separator(
+    increments: list[tuple[Fraction, ...]],
+) -> tuple[Fraction, ...] | None:
+    """Exact local NA for one stock: None when 0 lies in the relative
+    interior of the hull of the increments (they take both signs or all
+    vanish), otherwise the scaled separator, (1,) or (-1,)."""
+    up = any(v[0] > 0 for v in increments)
+    down = any(v[0] < 0 for v in increments)
+    if up == down:
+        return None
+    return (F(1),) if up else (F(-1),)
 
 
 def _dot(a, b):
@@ -108,8 +133,7 @@ def lift_first_failure(
         y = report.certificate
         strategy = Strategy(F(0), (), {report.node: y})
         witnesses = []
-        for leaf in mask.relevant_leaves:
-            w = wealth(tree, strategy, (), leaf)
+        for leaf, w in leaf_wealths(tree, mask, strategy, ()).items():
             if mode.exact and w < 0:
                 raise RuntimeError("arbitrage certificate lost money (bug)")
             if w > 0:
@@ -154,8 +178,7 @@ def semistatic_na(
         return None
     strategy = _hedge_strategy(tree, mask, len(options), (F(0),) + out.primal)
     witnesses = []
-    for leaf in mask.relevant_leaves:
-        w = wealth(tree, strategy, options, leaf)
+    for leaf, w in leaf_wealths(tree, mask, strategy, options).items():
         if mode.exact and w < 0:
             raise RuntimeError("arbitrage strategy lost money (bug)")
         if w > 0:

@@ -34,7 +34,7 @@ from .decompose import (
     optional_decomposition,
     verify_decomposition,
 )
-from .model import Model, ModelError, load_model, wealth
+from .model import Model, ModelError, leaf_wealths, load_model
 from .oracle import EmptyPolytope, InstanceTooLarge, enumerate_vertices
 from .polar import compute_support, reference_measure
 from .rational import RationalParseError, format_with_decimal, to_rational
@@ -191,8 +191,8 @@ def _claim_of(args, model: Model):
 def _check_strategy_superhedges(model, strategy, claim, mask, mode) -> None:
     if not mode.exact:
         return
-    for leaf in mask.relevant_leaves:
-        if wealth(model.tree, strategy, model.options, leaf) < claim(leaf):
+    for leaf, w in leaf_wealths(model.tree, mask, strategy, model.options).items():
+        if w < claim(leaf):
             raise RuntimeError("refusing to print an unverified certificate")
 
 
@@ -289,8 +289,7 @@ def _check_arbitrage_strategy(model, found, mask, mode, with_options) -> None:
     if not mode.exact:
         return
     options = model.options if with_options else ()
-    for leaf in mask.relevant_leaves:
-        value = wealth(model.tree, found.strategy, options, leaf)
+    for leaf, value in leaf_wealths(model.tree, mask, found.strategy, options).items():
         if value < 0 or ((leaf in found.witness_leaves) != (value > 0)):
             raise RuntimeError("refusing to print an unverified certificate")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .rational import (
     RationalParseError,
@@ -21,6 +22,9 @@ from .rational import (
     json_int,
     to_rational,
 )
+
+if TYPE_CHECKING:
+    from .polar import SupportMask
 
 
 class ModelError(Exception):
@@ -480,6 +484,36 @@ def wealth(
         h = strategy.static[k] if k < len(strategy.static) else Fraction(0)
         total += h * opt.normalized(leaf)
     return total
+
+
+def leaf_wealths(
+    tree: ScenarioTree,
+    mask: SupportMask,
+    strategy: Strategy,
+    options: tuple[StaticOption, ...] | list[StaticOption],
+) -> dict[str, Fraction]:
+    """Terminal wealth, as `wealth` computes it, at every relevant leaf in
+    mask.relevant_leaves order: one top-down pass over the relevant tree
+    accumulates x + sum_u H_u . dS_u, then the option term is added."""
+    at = {tree.root: strategy.initial}
+    for level in mask.relevant_nodes[:-1]:
+        for node_id in level:
+            here = at[node_id]
+            position = strategy.dynamic.get(node_id)
+            for child in mask.node_support[node_id]:
+                total = here
+                if position is not None:
+                    # the same additions in the same order as `wealth`
+                    for h, s in zip(position, tree.increment(node_id, child)):
+                        total += h * s
+                at[child] = total
+    out = {}
+    for leaf in mask.relevant_leaves:
+        total = at[leaf]
+        for h, opt in zip(strategy.static, options):
+            total += h * opt.normalized(leaf)
+        out[leaf] = total
+    return out
 
 
 def product_measure(tree: ScenarioTree, kernels: dict[str, Measure]) -> PathMeasure:

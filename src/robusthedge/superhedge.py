@@ -24,7 +24,14 @@ from .arbitrage import (
     martingale_rows,
     semistatic_na,
 )
-from .model import Claim, PathMeasure, ScenarioTree, StaticOption, Strategy, wealth
+from .model import (
+    Claim,
+    PathMeasure,
+    ScenarioTree,
+    StaticOption,
+    Strategy,
+    leaf_wealths,
+)
 from .polar import SupportMask
 
 F = Fraction
@@ -115,28 +122,74 @@ def node_price(
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """One-step superhedging: the largest one-step martingale expectation of
     the child values, with the dual hedge y satisfying
-    value + y.dS_c >= child value on every supported child."""
+    value + y.dS_c >= child value on every supported child.
+
+    In exact mode with one stock the price is the upper concave envelope of
+    the points (dS_c, v_c) at 0, read off the best chord across 0, and the
+    hedge is that chord's slope; see `_one_stock_price` for the cases left
+    to the LP. With two or more stocks, or in float mode, the one-step LP
+    answers. Either way the hedge is re-verified exactly in exact mode.
+    """
     support = mask.node_support[node_id]
-    d = tree.dimension
     increments = [tree.increment(node_id, c) for c in support]
-    k = len(support)
-    objective = [child_values[c] for c in support]
+    values = [child_values[c] for c in support]
+    solved = None
+    if mode.exact and tree.dimension == 1:
+        solved = _one_stock_price(increments, values)
+    if solved is None:
+        solved = _one_step_lp(node_id, increments, values, mode)
+    value, hedge = solved
+    if mode.exact:
+        for inc, v in zip(increments, values):
+            if value + _dot(hedge, inc) - v < 0:
+                raise RuntimeError("one-step hedge failed re-verification (bug)")
+    return value, hedge
+
+
+def _one_stock_price(increments, values):
+    """Exact one-step price and hedge for one stock, or None where the LP
+    must answer.
+
+    The price is the largest chord value (v_i dS_j - v_j dS_i)/(dS_j - dS_i)
+    over pairs with dS_i < 0 < dS_j, and the hedge is that chord's slope.
+    The slope is unique when 0 lies strictly inside one linear piece of the
+    envelope. None when no such pair exists (all increments vanish or have
+    one sign: the LP then prices a zero-increment child or raises
+    LocalArbitrage), or when a zero-increment child reaches the best chord
+    (the optimal hedges may then form an interval, and the LP's pivot rule
+    picks one).
+    """
+    below = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] < 0]
+    above = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] > 0]
+    best = None
+    for di, vi in below:
+        for dj, vj in above:
+            chord = (vi * dj - vj * di) / (dj - di)
+            if best is None or chord > best[0]:
+                best = (chord, di, vi, dj, vj)
+    if best is None:
+        return None
+    price, di, vi, dj, vj = best
+    if any(inc[0] == 0 and v >= price for inc, v in zip(increments, values)):
+        return None
+    return price, ((vj - vi) / (dj - di),)
+
+
+def _one_step_lp(node_id, increments, values, mode):
+    """The one-step superhedging LP: max sum q_c v_c over weights q >= 0
+    with sum q_c = 1 and sum q_c dS_c = 0; the hedge is the dual of the
+    martingale rows."""
+    d = len(increments[0])
     constraints = []
     for i in range(d):
         constraints.append(([inc[i] for inc in increments], "=", F(0)))
-    constraints.append(([F(1)] * k, "=", F(1)))
-    prog = lp.linear_program(objective, maximize=True, constraints=constraints)
+    constraints.append(([F(1)] * len(increments), "=", F(1)))
+    prog = lp.linear_program(values, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
         raise LocalArbitrage(f"no one-step martingale weights at node {node_id!r}")
     assert isinstance(out, lp.Optimal)
-    hedge = tuple(out.dual[i] for i in range(d))
-    if mode.exact:
-        for c, inc in zip(support, increments):
-            gap = out.value + _dot(hedge, inc) - child_values[c]
-            if gap < 0:
-                raise RuntimeError("one-step hedge failed re-verification (bug)")
-    return out.value, hedge
+    return out.value, tuple(out.dual[i] for i in range(d))
 
 
 def _require_stock_na(tree, mask, mode):
@@ -198,8 +251,8 @@ def superhedge_dynamic(
     strategy = Strategy(price, (), dynamic)
     surface = ValueSurface(values, hedges)
     if mode.exact:
-        for leaf in mask.relevant_leaves:
-            if wealth(tree, strategy, (), leaf) < claim(leaf):
+        for leaf, w in leaf_wealths(tree, mask, strategy, ()).items():
+            if w < claim(leaf):
                 raise RuntimeError("dynamic superhedge certificate failed (bug)")
     return price, surface, strategy
 
@@ -246,8 +299,8 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
     dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
     if mode.exact:
         dual.validate()
-        for leaf in mask.relevant_leaves:
-            if wealth(tree, strategy, options, leaf) < claim(leaf):
+        for leaf, w in leaf_wealths(tree, mask, strategy, options).items():
+            if w < claim(leaf):
                 raise RuntimeError("semistatic superhedge certificate failed (bug)")
     return x, strategy, dual
 
@@ -328,8 +381,8 @@ def _replicable(tree, mask, claim, options, mode, columns):
     same = lower == upper if mode.exact else abs(float(upper) - float(lower)) <= mode.tolerance
     if same:
         if mode.exact and any(
-            wealth(tree, strategy, options, leaf) != claim(leaf)
-            for leaf in mask.relevant_leaves
+            w != claim(leaf)
+            for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
         ):
             # Both bounds are attained at one price, so the superhedge minus
             # the subhedge is a semistatic arbitrage: the consistent
@@ -412,8 +465,8 @@ def prove_inequality(
     if below:
         certificate = Strategy(bound, (), strategy.dynamic)
         if mode.exact:
-            for leaf in mask.relevant_leaves:
-                if wealth(tree, certificate, (), leaf) < claim(leaf):
+            for leaf, w in leaf_wealths(tree, mask, certificate, ()).items():
+                if w < claim(leaf):
                     raise RuntimeError("pathwise certificate failed (bug)")
         return Proved(certificate)
     value, q = dual_price(tree, mask, claim, (), mode)

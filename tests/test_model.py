@@ -15,12 +15,13 @@ from robusthedge.model import (
     MissingKernel,
     ProbabilityNotNormalized,
     Strategy,
+    leaf_wealths,
     load_model,
     product_measure,
     save_model,
     wealth,
 )
-from robusthedge.polar import reference_kernels
+from robusthedge.polar import compute_support, reference_kernels
 
 from conftest import NUMBER_FIELDS, example_b_with, random_instance
 
@@ -172,6 +173,32 @@ def test_wealth_dynamic_example_b(example_b):
     strat = Strategy(F(6, 5), (), {"root": (F(3, 5),)})
     values = [wealth(example_b.tree, strat, (), leaf) for leaf in ("8", "10", "13")]
     assert values == [F(0), F(6, 5), F(3)]
+
+
+def test_leaf_wealths_match_wealth_on_random_strategies():
+    """The one-pass wealths equal `wealth` at every relevant leaf, in
+    relevant-leaf order, for exact and float positions alike (the float
+    additions are done in the same order)."""
+    rng = random.Random(11)
+    for _ in range(40):
+        model = random_instance(rng)
+        tree = model.tree
+        mask = compute_support(tree)
+        nodes = [n for level in tree.levels[:-1] for n in level]
+        position = (lambda: F(rng.randint(-4, 4), rng.randint(1, 3)),
+                    lambda: rng.uniform(-4, 4))[rng.randrange(2)]
+        dynamic = {
+            n: tuple(position() for _ in range(tree.dimension))
+            for n in nodes
+            if rng.random() < 0.7
+        }
+        # fewer static positions than options is allowed: the rest hold 0
+        static = tuple(position() for _ in range(rng.randint(0, len(model.options))))
+        strategy = Strategy(F(rng.randint(-3, 3)), static, dynamic)
+        got = leaf_wealths(tree, mask, strategy, model.options)
+        assert list(got) == list(mask.relevant_leaves)
+        for leaf, value in got.items():
+            assert value == wealth(tree, strategy, model.options, leaf)
 
 
 def test_product_measure_one_period(example_b):

@@ -1,0 +1,196 @@
+"""Exact one-stock closed forms of the one-period problems.
+
+With one stock, `node_na` and `node_price` answer in exact mode without an
+LP. These tests compare them with the LPs they replace, called directly on
+generated one-step sets, and pin the number of LPs each route solves.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import robusthedge.lp as lp
+import robusthedge.superhedge as sh
+from robusthedge.arbitrage import _one_stock_separator, global_na, node_na
+from robusthedge.model import Claim, load_model
+from robusthedge.polar import compute_support
+
+from conftest import count_calls
+
+F = Fraction
+
+ROOT_PRICE = 10
+
+
+def one_step_model(increments):
+    """One period, one stock, a Dirac generator on every child, so every
+    child is supported and child k moves the price by increments[k]."""
+    kids = [f"c{k}" for k in range(len(increments))]
+    nodes = [
+        {
+            "id": "root",
+            "level": 0,
+            "parent": None,
+            "price": [str(ROOT_PRICE)],
+            "generators": [{kid: "1"} for kid in kids],
+        }
+    ]
+    nodes += [
+        {"id": kid, "level": 1, "parent": "root", "price": [str(ROOT_PRICE + inc)]}
+        for kid, inc in zip(kids, increments)
+    ]
+    return load_model(json.dumps({"horizon": 1, "nodes": nodes})).tree, kids
+
+
+def lp_separator(increments):
+    """The scaled separator of the max-min-weight LP, None when 0 is in the
+    relative interior of the hull."""
+    status = lp.zero_in_relative_interior([(F(v),) for v in increments])
+    if status.inside:
+        return None
+    peak = max(abs(v) for v in status.separator)
+    return tuple(v / peak for v in status.separator)
+
+
+def lp_price(increments, values):
+    try:
+        return sh._one_step_lp("root", [(F(v),) for v in increments], values, lp.EXACT)
+    except sh.LocalArbitrage:
+        return "LocalArbitrage"
+
+
+def closed_form_price(tree, mask, kids, values):
+    try:
+        return sh.node_price(tree, mask, "root", dict(zip(kids, values)))
+    except sh.LocalArbitrage:
+        return "LocalArbitrage"
+
+
+def assert_matches_lp(increments, values):
+    """The closed forms (and their LP fallbacks) give the LP's verdict,
+    separator, price and hedge."""
+    tree, kids = one_step_model(increments)
+    mask = compute_support(tree)
+    report = node_na(tree, mask, "root")
+    expected = lp_separator(increments)
+    assert report.passed == (expected is None)
+    assert report.certificate == expected
+    assert _one_stock_separator([(F(v),) for v in increments]) == expected
+    assert closed_form_price(tree, mask, kids, values) == lp_price(increments, values)
+
+
+steps = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+one_step_sets = st.lists(st.tuples(steps, steps), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=one_step_sets)
+def test_closed_forms_match_lp_on_generated_sets(points):
+    increments = [inc for inc, _ in points]
+    values = [v for _, v in points]
+    assert_matches_lp(increments, values)
+
+
+CASES = {
+    "single child, zero increment": ([0], [F(5)]),
+    "single child, up move": ([2], [F(5)]),
+    "all increments zero": ([0, 0, 0], [F(1), F(4), F(-2)]),
+    "zero child on the envelope": ([-1, 0, 1], [F(0), F(1), F(0)]),
+    "zero child on the best chord": ([-1, 0, 1], [F(0), F(1), F(2)]),
+    "zero child strictly below": ([-1, 0, 1], [F(0), F(1, 2), F(2)]),
+    "repeated increments": ([-1, -1, 2, 2], [F(3), F(1), F(0), F(4)]),
+    "collinear chord endpoints": ([-2, -1, 1, 2], [F(-4), F(-2), F(2), F(4)]),
+    "ties between chords": ([-2, -1, 1, 3], [F(0), F(1), F(1), F(-1)]),
+    "all up moves": ([1, 2, 3], [F(1), F(0), F(2)]),
+    "all down moves": ([-1, -1, -3], [F(1), F(0), F(2)]),
+    "down moves and a zero": ([-1, 0], [F(1), F(0)]),
+}
+
+
+# the cases node_price answers without its LP: a pair across 0 and no
+# zero-increment child reaching the best chord
+CLOSED_FORM_PRICES = {
+    "zero child strictly below",
+    "repeated increments",
+    "collinear chord endpoints",
+    "ties between chords",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_closed_forms_match_lp_on_explicit_sets(name):
+    increments, values = CASES[name]
+    assert_matches_lp(increments, values)
+    out = sh._one_stock_price([(F(v),) for v in increments], values)
+    assert (out is not None) == (name in CLOSED_FORM_PRICES)
+
+
+def test_one_signed_sets_fail_na_and_price_raises():
+    for increments, separator in (([1, 2], (F(1),)), ([-1, -3, -1], (F(-1),))):
+        tree, kids = one_step_model(increments)
+        mask = compute_support(tree)
+        report = node_na(tree, mask, "root")
+        assert not report.passed and report.certificate == separator
+        with pytest.raises(sh.LocalArbitrage):
+            sh.node_price(tree, mask, "root", {kid: F(0) for kid in kids})
+
+
+def trinomial_model(moves):
+    """Two-period non-recombining tree with one child per move at every
+    node; `moves` are the price increments, one vector each. Dirac
+    generators make every child supported."""
+    dim = len(moves[0])
+    start = [10] * dim
+    nodes = [{"id": "r", "level": 0, "parent": None, "price": [str(p) for p in start]}]
+    frontier = [("r", start, nodes[0])]
+    for level in (1, 2):
+        grown = []
+        for parent, price, entry in frontier:
+            kids = []
+            for k, move in enumerate(moves):
+                kid = f"{parent}{k}"
+                kid_price = [p + m for p, m in zip(price, move)]
+                kid_entry = {
+                    "id": kid,
+                    "level": level,
+                    "parent": parent,
+                    "price": [str(p) for p in kid_price],
+                }
+                nodes.append(kid_entry)
+                kids.append(kid)
+                grown.append((kid, kid_price, kid_entry))
+            entry["generators"] = [{kid: "1"} for kid in kids]
+        frontier = grown
+    doc = {"horizon": 2, "dimension": dim, "nodes": nodes}
+    return load_model(json.dumps(doc)).tree
+
+
+ONE_STOCK = [(-1,), (1,), (2,)]
+TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "moves, mode, per_node",
+    [
+        (ONE_STOCK, lp.EXACT, 0),
+        (TWO_STOCKS, lp.EXACT, 1),
+        (ONE_STOCK, lp.float_mode(1e-9), 1),
+    ],
+    ids=["one-stock-exact", "two-stocks-exact", "one-stock-float"],
+)
+def test_one_step_lps_per_node(monkeypatch, moves, mode, per_node):
+    tree = trinomial_model(moves)
+    mask = compute_support(tree)
+    nodes = len(mask.relevant_nonleaf(tree))
+    assert nodes == 4
+    claim = Claim({leaf: F(k % 5) for k, leaf in enumerate(tree.leaves)})
+    solves = count_calls(monkeypatch, lp, "solve")
+    assert global_na(tree, mask, mode) is None
+    assert len(solves) == per_node * nodes
+    solves.clear()
+    sh.superhedge_dynamic(tree, mask, claim, mode)
+    # the NA scan and the backward recursion each visit every node once
+    assert len(solves) == 2 * per_node * nodes

@@ -1,6 +1,6 @@
 """Compare two source trees op by op on one benchmark op cycle.
 
-    python3 tools/same_answers.py BASE_SRC NEW_SRC --workload W [--seed S]
+    python3 tools/same_answers.py BASE_SRC NEW_SRC --workload W [--seed S] [--fewer-lps]
 
 BASE_SRC and NEW_SRC are directories that contain a `robusthedge` package
 (the `src/` folder of two checkouts). For each of them, a fresh Python
@@ -11,6 +11,11 @@ and runs every op through `robusthedge.cli.main` in order, with
 standard output (a `"wall_time_s"` value is masked), standard error and
 the dumped LP text. The first op that differs is printed and the exit code
 is 1; when no op differs the exit code is 0.
+
+With `--fewer-lps` the new run may solve fewer LPs: per op, its LP dump
+must be an ordered subsequence of the base run's (LPs may only disappear,
+and each one left is byte-identical), while the exit code, standard output
+and standard error must still match exactly. Both LP totals are printed.
 
 `bench/` is only imported, never changed.
 """
@@ -89,7 +94,12 @@ def collect(src: str, workload: str, seed: int) -> list[dict]:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def first_difference(base: list[dict], new: list[dict]) -> str | None:
+def _is_subsequence(short: list[str], long: list[str]) -> bool:
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
+def first_difference(base: list[dict], new: list[dict], fewer_lps: bool = False) -> str | None:
     if len(base) != len(new):
         return f"op counts differ: {len(base)} against {len(new)}"
     for a, b in zip(base, new):
@@ -97,7 +107,12 @@ def first_difference(base: list[dict], new: list[dict]) -> str | None:
             if a[field] != b[field]:
                 return (f"op {a['op']} ({a['key']}): {field} differs\n"
                         f"--- base\n{a[field]}\n--- new\n{b[field]}")
-        if a["lps"] != b["lps"]:
+        if fewer_lps:
+            if not _is_subsequence(b["lps"], a["lps"]):
+                return (f"op {a['op']} ({a['key']}): new LP dump is not an ordered "
+                        f"subsequence of the base one ({len(a['lps'])} LPs against "
+                        f"{len(b['lps'])})")
+        elif a["lps"] != b["lps"]:
             k = next((k for k, (x, y) in enumerate(zip(a["lps"], b["lps"])) if x != y),
                      min(len(a["lps"]), len(b["lps"])))
             return (f"op {a['op']} ({a['key']}): LP dump differs from LP {k} "
@@ -111,6 +126,8 @@ def main() -> int:
     parser.add_argument("new", nargs="?")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--fewer-lps", action="store_true",
+                        help="let the new run drop LPs; every LP it keeps must match, in order")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
@@ -120,12 +137,17 @@ def main() -> int:
         parser.error("BASE_SRC and NEW_SRC are required")
     base = collect(args.base, args.workload, args.seed)
     new = collect(args.new, args.workload, args.seed)
-    diff = first_difference(base, new)
+    diff = first_difference(base, new, args.fewer_lps)
     lps = sum(len(r["lps"]) for r in base)
     if diff is not None:
         print(diff)
         return 1
-    print(f"{args.workload} seed {args.seed}: {len(base)} ops, {lps} LPs, no difference")
+    if args.fewer_lps:
+        kept = sum(len(r["lps"]) for r in new)
+        print(f"{args.workload} seed {args.seed}: {len(base)} ops, "
+              f"{lps} LPs in base, {kept} in new, no difference")
+    else:
+        print(f"{args.workload} seed {args.seed}: {len(base)} ops, {lps} LPs, no difference")
     return 0
 
 
