@@ -13,7 +13,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -51,20 +50,30 @@ from .superhedge import (
     superhedge_semistatic,
 )
 
-F = Fraction
+# flags read by each subcommand besides --model, --exact/--float, --tol, --json, --dump-lp
+_FLAGS = {
+    "validate": (),
+    "na": (),
+    "mm": ("--dominate", "--enumerate"),
+    "price": ("--claim", "--method"),
+    "hedge": ("--claim", "--method"),
+    "interval": ("--claim",),
+    "replicate": ("--claim",),
+    "complete": (),
+    "decompose": ("--process", "--seed"),
+    "prove": ("--claim", "--bound"),
+}
 
-_COMMANDS = (
-    "validate",
-    "na",
-    "mm",
-    "price",
-    "hedge",
-    "interval",
-    "replicate",
-    "complete",
-    "decompose",
-    "prove",
-)
+_FLAG_SPECS = {
+    "--claim": {"help": "claim name from the document"},
+    "--process": {"help": "adapted process name (decompose)"},
+    "--bound": {"help": "bound to prove (rational)"},
+    "--method": {"choices": ("dp", "lp", "both")},
+    "--seed": {"type": int, "default": 0, "help": "seed randomized self-checks (decompose)"},
+    "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
+    "--enumerate": {"dest": "enumerate_vertices", "action": "store_true",
+                    "help": argparse.SUPPRESS},
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,12 +112,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
+        return lp.float_mode(float(text)).tolerance
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        ) from None
 
 
 @functools.cache
@@ -118,26 +126,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Robust pricing and hedging on finite scenario trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model document (JSON)")
-        p.add_argument("--claim", help="claim name from the document")
-        p.add_argument("--process", help="adapted process name (decompose)")
-        p.add_argument("--bound", help="bound to prove (rational)")
-        p.add_argument("--method", choices=("dp", "lp", "both"), default=None)
         mode = p.add_mutually_exclusive_group()
         mode.add_argument("--exact", action="store_true")
         mode.add_argument("--float", dest="float_mode", action="store_true")
         p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--json", action="store_true")
         p.add_argument("--dump-lp", dest="dump_lp", metavar="FILE")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed randomized self-checks (decompose)")
-        if name == "mm":
-            p.add_argument("--dominate", default="uniform",
-                           help="measure name from the document, or 'uniform'")
-            p.add_argument("--enumerate", dest="enumerate_vertices",
-                           action="store_true", help=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAG_SPECS[flag])
     return parser
 
 
@@ -296,7 +295,7 @@ def _check_arbitrage_strategy(model, found, mask, mode, with_options) -> None:
 
 def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
     tree = model.tree
-    if getattr(args, "enumerate_vertices", False):
+    if args.enumerate_vertices:
         polytope = enumerate_vertices(tree, mask, model.options)
         report["vertices"] = [_measure_json(v) for v in polytope.vertices]
         if not args.json:

@@ -155,9 +155,9 @@ def _one_stock_price(increments, values):
     The slope is unique when 0 lies strictly inside one linear piece of the
     envelope. None when no such pair exists (all increments vanish or have
     one sign: the LP then prices a zero-increment child or raises
-    LocalArbitrage), or when a zero-increment child reaches the best chord
-    (the optimal hedges may then form an interval, and the LP's pivot rule
-    picks one).
+    LocalArbitrage), or when a zero-increment child lies strictly above the
+    best chord (the optimal hedges then form an interval, and the LP's pivot
+    rule picks one); one on the chord leaves its slope the only hedge.
     """
     below = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] < 0]
     above = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] > 0]
@@ -170,7 +170,7 @@ def _one_stock_price(increments, values):
     if best is None:
         return None
     price, di, vi, dj, vj = best
-    if any(inc[0] == 0 and v >= price for inc, v in zip(increments, values)):
+    if any(inc[0] == 0 and v > price for inc, v in zip(increments, values)):
         return None
     return price, ((vj - vi) / (dj - di),)
 

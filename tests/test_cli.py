@@ -1,10 +1,12 @@
 """CLI: exit codes, human and JSON output, determinism, certificates."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from robusthedge.cli import main
+from robusthedge.cli import _build_parser, main
 
 from conftest import DATA, NUMBER_FIELDS, example_b_with
 
@@ -283,6 +285,52 @@ def test_usage_errors_exit_1(capsys, argv):
         main(argv)
     assert exited.value.code == 1
     assert "usage:" in capsys.readouterr().err
+
+
+# the flags each subcommand takes besides --model, --exact/--float, --tol,
+# --json and --dump-lp, and a value for each flag that takes one
+TAKES = {
+    "validate": (),
+    "na": (),
+    "mm": ("--dominate", "--enumerate"),
+    "price": ("--claim", "--method"),
+    "hedge": ("--claim", "--method"),
+    "interval": ("--claim",),
+    "replicate": ("--claim",),
+    "complete": (),
+    "decompose": ("--process", "--seed"),
+    "prove": ("--claim", "--bound"),
+}
+FLAG_VALUES = {
+    "--claim": ["call"], "--method": ["dp"], "--process": ["surface"],
+    "--bound": ["x"], "--seed": ["9"], "--dominate": ["uniform"], "--enumerate": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, flags in TAKES.items() for f in FLAG_VALUES if f not in flags],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(b_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--model", b_path, flag, *FLAG_VALUES[flag]])
+    assert exited.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_every_benchmark_op_parses(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    argvs = set()
+    for name in workloads.WORKLOADS:
+        plan = workloads.build(name, 0)
+        argvs.update(op.args for op in (*plan.ops, plan.warmup))
+    for args in sorted(argvs):
+        argv = [args[0], "--model", "m.json", *args[1:], "--dump-lp", str(tmp_path / "d.lp")]
+        assert _build_parser().parse_args(argv).command == args[0]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

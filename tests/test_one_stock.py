@@ -111,8 +111,9 @@ CASES = {
 
 
 # the cases node_price answers without its LP: a pair across 0 and no
-# zero-increment child reaching the best chord
+# zero-increment child strictly above the best chord
 CLOSED_FORM_PRICES = {
+    "zero child on the best chord",
     "zero child strictly below",
     "repeated increments",
     "collinear chord endpoints",
