@@ -127,20 +127,23 @@ def lift_first_failure(
     mode: lp.Mode = lp.EXACT,
 ) -> ArbitrageFound | None:
     """The global_na verdict from a scan_nodes result."""
-    for report in reports:
-        if report.passed:
-            continue
-        y = report.certificate
-        strategy = Strategy(F(0), (), {report.node: y})
-        witnesses = []
-        for leaf, w in leaf_wealths(tree, mask, strategy, ()).items():
-            if mode.exact and w < 0:
-                raise RuntimeError("arbitrage certificate lost money (bug)")
-            if w > 0:
-                witnesses.append(leaf)
-        assert witnesses, "failing node must produce a nonpolar witness set"
-        return ArbitrageFound(strategy, tuple(witnesses))
-    return None
+    failed = next((r for r in reports if not r.passed), None)
+    if failed is None:
+        return None
+    strategy = Strategy(F(0), (), {failed.node: failed.certificate})
+    found = _checked_arbitrage(tree, mask, strategy, (), mode)
+    assert found.witness_leaves, "failing node must produce a nonpolar witness set"
+    return found
+
+
+def _checked_arbitrage(tree, mask, strategy, options, mode) -> ArbitrageFound:
+    """The arbitrage certificate of a strategy: its witnesses are exactly
+    the relevant leaves where its wealth is positive, and in exact mode its
+    wealth must be nonnegative on every relevant leaf."""
+    wealths = leaf_wealths(tree, mask, strategy, options)
+    if mode.exact and any(w < 0 for w in wealths.values()):
+        raise RuntimeError("arbitrage strategy lost money (bug)")
+    return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
 
 
 def semistatic_na(
@@ -177,13 +180,7 @@ def semistatic_na(
     if out.value <= gain_tol:
         return None
     strategy = _hedge_strategy(tree, mask, len(options), (F(0),) + out.primal)
-    witnesses = []
-    for leaf, w in leaf_wealths(tree, mask, strategy, options).items():
-        if mode.exact and w < 0:
-            raise RuntimeError("arbitrage strategy lost money (bug)")
-        if w > 0:
-            witnesses.append(leaf)
-    return ArbitrageFound(strategy, tuple(witnesses))
+    return _checked_arbitrage(tree, mask, strategy, options, mode)
 
 
 def martingale_rows(
@@ -304,15 +301,17 @@ def lp_measure(values: dict[str, Fraction | float], mode: lp.Mode) -> PathMeasur
     return PathMeasure({leaf: F(t, _GRID) for leaf, t in ticks.items() if t})
 
 
-def verify_witness(
+def verify_measure(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    witness: FtapWitness,
+    q: PathMeasure,
 ) -> list[str]:
-    """Exact recheck of every FtapWitness invariant; empty list = sound."""
+    """Exact recheck that q lies in the option-constrained martingale
+    polytope: nonnegative mass 1 on relevant leaves only, and every
+    martingale and option row of `martingale_rows` satisfied; empty list =
+    sound."""
     bad: list[str] = []
-    q = witness.q
     leaves = mask.relevant_leaves
     relevant = set(leaves)
     total = F(0)
@@ -329,6 +328,19 @@ def verify_witness(
         acc = sum((q(leaf) * a for leaf, a in zip(leaves, row)), F(0))
         if acc != 0:
             bad.append(f"row {label} violated by {acc}")
+    return bad
+
+
+def verify_witness(
+    tree: ScenarioTree,
+    mask: SupportMask,
+    options: tuple[StaticOption, ...] | list[StaticOption],
+    witness: FtapWitness,
+) -> list[str]:
+    """Exact recheck of every FtapWitness invariant: `verify_measure` of q,
+    and q charging every leaf the reference charges; empty list = sound."""
+    q = witness.q
+    bad = verify_measure(tree, mask, options, q)
     for leaf, w in witness.dominated.weights.items():
         if w > 0 and q(leaf) <= 0:
             bad.append(f"does not dominate the reference at {leaf!r}")

@@ -3,8 +3,9 @@
 Exit codes: 0 = success, 1 = input/usage error, 2 = a mathematically
 meaningful denial (arbitrage detected, no dominating measure, refuted bound,
 not a supermartingale) so scripts can branch on market properties. Every
-certificate is re-verified before it is printed. Exact-mode `--json` output
-is byte-identical across runs except for the wall-time field.
+certificate is re-verified once, in exact mode, by the library function that
+returns it; this module only renders it. Exact-mode `--json` output is
+byte-identical across runs except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -13,27 +14,19 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from . import lp
-from .arbitrage import (
-    find_dominating_mm,
-    lift_first_failure,
-    scan_nodes,
-    semistatic_na,
-    verify_witness,
-)
+from .arbitrage import find_dominating_mm, lift_first_failure, scan_nodes, semistatic_na
 from .decompose import (
     AdaptedProcess,
     NotSupermartingale,
     confirm_by_sampling,
     optional_decomposition,
-    verify_decomposition,
 )
-from .model import Model, ModelError, leaf_wealths, load_model
+from .model import Model, ModelError, load_model
 from .oracle import EmptyPolytope, InstanceTooLarge, enumerate_vertices
 from .polar import compute_support, reference_measure
 from .rational import RationalParseError, format_with_decimal, to_rational
@@ -50,13 +43,13 @@ from .superhedge import (
     superhedge_semistatic,
 )
 
-# flags read by each subcommand besides --model, --exact/--float, --tol, --json, --dump-lp
+# flags read by each subcommand besides --model, --float, --tol, --json, --dump-lp
 _FLAGS = {
     "validate": (),
     "na": (),
     "mm": ("--dominate", "--enumerate"),
-    "price": ("--claim", "--method"),
-    "hedge": ("--claim", "--method"),
+    "price": ("--claim",),
+    "hedge": ("--claim",),
     "interval": ("--claim",),
     "replicate": ("--claim",),
     "complete": (),
@@ -68,7 +61,6 @@ _FLAG_SPECS = {
     "--claim": {"help": "claim name from the document"},
     "--process": {"help": "adapted process name (decompose)"},
     "--bound": {"help": "bound to prove (rational)"},
-    "--method": {"choices": ("dp", "lp", "both")},
     "--seed": {"type": int, "default": 0, "help": "seed randomized self-checks (decompose)"},
     "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
     "--enumerate": {"dest": "enumerate_vertices", "action": "store_true",
@@ -79,6 +71,10 @@ _FLAG_SPECS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.tol is not None and not args.float_mode:
+        parser.error("--tol sets the float tolerance; it needs --float")
+    if getattr(args, "seed", 0) and args.float_mode:
+        parser.error("--seed runs an exact self-check; it cannot be used with --float")
     if args.dump_lp:
         lp.set_dump_file(args.dump_lp)
     started = time.perf_counter()
@@ -91,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except lp.NumericalBreakdown as exc:
-        print(f"error: {exc}; retry with --exact", file=sys.stderr)
+        print(f"error: {exc}; retry without --float", file=sys.stderr)
         return 1
     finally:
         if args.dump_lp:
@@ -129,10 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
         p.add_argument("--model", required=True, help="model document (JSON)")
-        mode = p.add_mutually_exclusive_group()
-        mode.add_argument("--exact", action="store_true")
-        mode.add_argument("--float", dest="float_mode", action="store_true")
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
+        p.add_argument("--float", dest="float_mode", action="store_true")
+        p.add_argument("--tol", type=_tolerance, help="float tolerance (default 1e-9)")
         p.add_argument("--json", action="store_true")
         p.add_argument("--dump-lp", dest="dump_lp", metavar="FILE")
         for flag in flags:
@@ -141,13 +135,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _mode_of(args) -> lp.Mode:
-    raw = os.environ.get("ROBUSTHEDGE_MODE", "")
-    env = raw.strip().lower()
-    if env not in ("", "exact", "float"):
-        raise ValueError(f"ROBUSTHEDGE_MODE must be 'exact' or 'float', got {raw!r}")
-    if args.float_mode or (env == "float" and not args.exact):
-        return lp.float_mode(args.tol)
-    return lp.EXACT
+    if not args.float_mode:
+        return lp.EXACT
+    return lp.float_mode(1e-9 if args.tol is None else args.tol)
 
 
 def _load(args) -> tuple[Model, str]:
@@ -185,14 +175,6 @@ def _claim_of(args, model: Model):
     if claim is None:
         raise ValueError(f"claim {args.claim!r} is not in the document")
     return claim
-
-
-def _check_strategy_superhedges(model, strategy, claim, mask, mode) -> None:
-    if not mode.exact:
-        return
-    for leaf, w in leaf_wealths(model.tree, mask, strategy, model.options).items():
-        if w < claim(leaf):
-            raise RuntimeError("refusing to print an unverified certificate")
 
 
 def _dispatch(args) -> tuple[int, dict]:
@@ -255,7 +237,6 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
     stocks = lift_first_failure(tree, mask, reports, mode)
     verdict = {"stocks": "Pass" if stocks is None else "Fail"}
     if stocks is not None:
-        _check_arbitrage_strategy(model, stocks, mask, mode, with_options=False)
         verdict["strategy"] = _strategy_json(model, stocks.strategy)
         verdict["witness_leaves"] = list(stocks.witness_leaves)
     code = 0 if stocks is None else 2
@@ -263,7 +244,6 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
         semi = semistatic_na(tree, mask, model.options, mode)
         verdict["semistatic"] = "Pass" if semi is None else "Fail"
         if semi is not None:
-            _check_arbitrage_strategy(model, semi, mask, mode, with_options=True)
             verdict["semistatic_strategy"] = _strategy_json(model, semi.strategy)
             verdict["semistatic_witness_leaves"] = list(semi.witness_leaves)
             code = 2
@@ -282,15 +262,6 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
         if model.options:
             print(f"semistatic NA (with options): {verdict['semistatic']}")
     return code, report
-
-
-def _check_arbitrage_strategy(model, found, mask, mode, with_options) -> None:
-    if not mode.exact:
-        return
-    options = model.options if with_options else ()
-    for leaf, value in leaf_wealths(model.tree, mask, found.strategy, options).items():
-        if value < 0 or ((leaf in found.witness_leaves) != (value > 0)):
-            raise RuntimeError("refusing to print an unverified certificate")
 
 
 def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
@@ -317,8 +288,6 @@ def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
         if not args.json:
             print("none exists")
         return 2, report
-    if mode.exact and verify_witness(tree, mask, model.options, witness):
-        raise RuntimeError("refusing to print an unverified certificate")
     report["witness"] = _measure_json(witness.q)
     if not args.json:
         for leaf, w in sorted(witness.q.weights.items()):
@@ -326,31 +295,22 @@ def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _price_both_ways(args, model, mask, mode):
-    method = args.method
-    if method is None:
-        method = "dp" if not model.options else "lp"
-    if method in ("dp", "both") and model.options:
-        raise ValueError("--method dp needs a model without options; use lp")
+def _superhedge(args, model, mask, mode):
+    """The route and the superhedging price and strategy of the claim: the
+    global LP when the document quotes options, else the backward
+    recursion."""
     claim = _claim_of(args, model)
-    results = {}
-    if method in ("dp", "both"):
-        price, surface, strategy = superhedge_dynamic(model.tree, mask, claim, mode)
-        results["dp"] = (price, strategy)
-    if method in ("lp", "both"):
-        price, strategy, dual = superhedge_semistatic(
+    if model.options:
+        price, strategy, _ = superhedge_semistatic(
             model.tree, mask, claim, model.options, mode
         )
-        results["lp"] = (price, strategy)
-    if method == "both" and mode.exact and results["dp"][0] != results["lp"][0]:
-        raise RuntimeError("dynamic and global prices disagree (bug)")
-    price, strategy = results[method if method != "both" else "lp"]
-    _check_strategy_superhedges(model, strategy, claim, mask, mode)
-    return method, claim, price, strategy
+        return "lp", price, strategy
+    price, _, strategy = superhedge_dynamic(model.tree, mask, claim, mode)
+    return "dp", price, strategy
 
 
 def _cmd_price(args, model, mask, mode, report) -> tuple[int, dict]:
-    method, _, price, _ = _price_both_ways(args, model, mask, mode)
+    method, price, _ = _superhedge(args, model, mask, mode)
     report.update({"claim": args.claim, "method": method, "price": _rat(price)})
     if not args.json:
         print(format_with_decimal(price))
@@ -358,7 +318,7 @@ def _cmd_price(args, model, mask, mode, report) -> tuple[int, dict]:
 
 
 def _cmd_hedge(args, model, mask, mode, report) -> tuple[int, dict]:
-    method, _, price, strategy = _price_both_ways(args, model, mask, mode)
+    method, price, strategy = _superhedge(args, model, mask, mode)
     report.update(
         {
             "claim": args.claim,
@@ -398,7 +358,6 @@ def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
     result = check_replicable(model.tree, mask, claim, model.options, mode)
     if isinstance(result, Replicable):
-        _check_strategy_superhedges(model, result.strategy, claim, mask, mode)
         report.update(
             {
                 "claim": args.claim,
@@ -455,9 +414,7 @@ def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
             print(f"not a supermartingale: node {exc.node!r} "
                   f"gap {format_with_decimal(exc.gap)}")
         return 2, report
-    if mode.exact and verify_decomposition(model.tree, mask, process, decomposition):
-        raise RuntimeError("refusing to print an unverified certificate")
-    if mode.exact and args.seed:
+    if args.seed:
         # randomized self-check of the supermartingale verdict
         import random as _random
 
@@ -493,7 +450,6 @@ def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
     report["claim"] = args.claim
     report["bound"] = _rat(bound)
     if isinstance(result, Proved):
-        _check_strategy_superhedges(model, result.strategy, claim, mask, mode)
         report["proved"] = True
         report["strategy"] = _strategy_json(model, result.strategy)
         if not args.json:

@@ -101,7 +101,8 @@ def optional_decomposition(
     mode: lp.Mode = lp.EXACT,
 ) -> Decomposition:
     """Split a universal supermartingale as V_0 + H.S - K with K
-    nondecreasing along relevant paths and K_0 = 0."""
+    nondecreasing along relevant paths and K_0 = 0; in exact mode the
+    result passes `verify_decomposition` before it is returned."""
     _require_stock_na(tree, mask, mode)
     hedges = _one_step_hedges(tree, mask, process, mode)
     if isinstance(hedges, Violation):
@@ -113,12 +114,14 @@ def optional_decomposition(
             for child in mask.node_support[node_id]:
                 gain = _dot(hedge, tree.increment(node_id, child))
                 increment = process(node_id) + gain - process(child)
-                if mode.exact and increment < 0:
-                    raise RuntimeError("negative consumption increment (bug)")
                 consumption[child] = consumption[node_id] + increment
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
-    strategy = Strategy(process(tree.root), (), dynamic)
-    return Decomposition(strategy, consumption)
+    decomposition = Decomposition(Strategy(process(tree.root), (), dynamic), consumption)
+    if mode.exact:
+        problems = verify_decomposition(tree, mask, process, decomposition)
+        if problems:
+            raise RuntimeError(f"decomposition failed re-verification (bug): {problems}")
+    return decomposition
 
 
 def confirm_by_sampling(

@@ -14,7 +14,7 @@ deterministic. Float mode runs the same pivoting with tolerance comparisons
 and raises NumericalBreakdown when it loses accuracy (a lost primal
 feasibility, the pivot limit, a singular basis at the duals, or an
 improving ray in phase 1); nothing retries it here, the caller decides
-(the CLI asks for a rerun with --exact).
+(the CLI asks for a rerun in exact mode, without --float).
 
 Dual sign conventions (what `verify_optimal` checks):
   minimize: y_i >= 0 on ">=" rows, y_i <= 0 on "<=" rows, free on "=";

@@ -23,6 +23,7 @@ from .arbitrage import (
     lp_measure,
     martingale_rows,
     semistatic_na,
+    verify_measure,
 )
 from .model import (
     Claim,
@@ -249,12 +250,28 @@ def superhedge_dynamic(
     price = values[tree.root]
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     strategy = Strategy(price, (), dynamic)
-    surface = ValueSurface(values, hedges)
+    _check_superhedge(tree, mask, strategy, (), claim, mode)
+    return price, ValueSurface(values, hedges), strategy
+
+
+def _check_superhedge(tree, mask, strategy, options, claim, mode) -> None:
+    """In exact mode, fail unless the strategy's terminal wealth covers
+    the claim on every relevant leaf."""
+    if mode.exact and any(
+        w < claim(leaf)
+        for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
+    ):
+        raise RuntimeError("superhedging strategy failed re-verification (bug)")
+
+
+def _check_measure(tree, mask, options, q, mode) -> None:
+    """In exact mode, fail unless q passes `verify_measure`."""
     if mode.exact:
-        for leaf, w in leaf_wealths(tree, mask, strategy, ()).items():
-            if w < claim(leaf):
-                raise RuntimeError("dynamic superhedge certificate failed (bug)")
-    return price, surface, strategy
+        problems = verify_measure(tree, mask, options, q)
+        if problems:
+            raise RuntimeError(
+                f"martingale measure failed re-verification (bug): {problems}"
+            )
 
 
 def superhedge_semistatic(
@@ -299,9 +316,7 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
     dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
     if mode.exact:
         dual.validate()
-        for leaf, w in leaf_wealths(tree, mask, strategy, options).items():
-            if w < claim(leaf):
-                raise RuntimeError("semistatic superhedge certificate failed (bug)")
+    _check_superhedge(tree, mask, strategy, options, claim, mode)
     return x, strategy, dual
 
 
@@ -368,7 +383,11 @@ def check_replicable(
     options = tuple(options)
     _require_stock_na(tree, mask, mode)
     columns = _wealth_columns(tree, mask, options)
-    return _replicable(tree, mask, claim, options, mode, columns)
+    result = _replicable(tree, mask, claim, options, mode, columns)
+    if isinstance(result, NotReplicable):
+        _check_measure(tree, mask, options, result.q_low, mode)
+        _check_measure(tree, mask, options, result.q_high, mode)
+    return result
 
 
 def _replicable(tree, mask, claim, options, mode, columns):
@@ -463,13 +482,11 @@ def prove_inequality(
     price, _, strategy = superhedge_dynamic(tree, mask, claim, mode)
     below = price <= bound if mode.exact else float(price) <= float(bound) + mode.tolerance
     if below:
-        certificate = Strategy(bound, (), strategy.dynamic)
-        if mode.exact:
-            for leaf, w in leaf_wealths(tree, mask, certificate, ()).items():
-                if w < claim(leaf):
-                    raise RuntimeError("pathwise certificate failed (bug)")
-        return Proved(certificate)
+        # superhedge_dynamic has checked the hedge from price <= bound, so
+        # the same hedge from the bound superhedges too
+        return Proved(Strategy(bound, (), strategy.dynamic))
     value, q = dual_price(tree, mask, claim, (), mode)
+    _check_measure(tree, mask, (), q, mode)
     if mode.exact:
         expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
         if expectation <= bound:

@@ -1,0 +1,213 @@
+"""Each certificate is re-verified once, by the library function that
+returns it: call counts per CLI op, and one corrupted certificate per check."""
+
+import json
+import sys
+from fractions import Fraction
+
+import pytest
+
+import robusthedge.arbitrage as arb
+import robusthedge.decompose as dec
+import robusthedge.superhedge as sh
+from robusthedge import lp
+from robusthedge.cli import main
+from robusthedge.decompose import AdaptedProcess, optional_decomposition
+from robusthedge.model import leaf_wealths, load_model
+from robusthedge.polar import compute_support, reference_measure
+
+from conftest import count_calls
+
+F = Fraction
+
+ALL_POSITIVE = """{
+  "horizon": 1,
+  "nodes": [
+    {"id": "r", "level": 0, "parent": null, "price": ["1"],
+     "generators": [{"a": "1/2", "b": "1/2"}]},
+    {"id": "a", "level": 1, "parent": "r", "price": ["2"]},
+    {"id": "b", "level": 1, "parent": "r", "price": ["3"]}
+  ]
+}"""
+
+
+def _stocks_only_text(example_b_text: str) -> str:
+    """example_b without its quoted option, with a supermartingale to
+    decompose (the call's superhedging value surface)."""
+    doc = json.loads(example_b_text)
+    del doc["options"]
+    doc["processes"] = {"surface": {"root": "6/5", "8": "0", "10": "0", "13": "3"}}
+    return json.dumps(doc)
+
+
+@pytest.fixture
+def stocks_only(example_b_text):
+    return load_model(_stocks_only_text(example_b_text))
+
+
+def _count_everywhere(monkeypatch, function) -> list[list]:
+    """count_calls on every robusthedge module that binds `function` by
+    name."""
+    name = function.__name__
+    return [
+        count_calls(monkeypatch, module, name)
+        for module in list(sys.modules.values())
+        if module.__name__.startswith("robusthedge")
+        and getattr(module, name, None) is function
+    ]
+
+
+@pytest.mark.parametrize(
+    "document, argv, function, times",
+    [
+        ("example_b", ["price", "--claim", "call"], leaf_wealths, 1),
+        ("example_b", ["hedge", "--claim", "call"], leaf_wealths, 1),
+        ("example_b", ["na"], leaf_wealths, 1),
+        ("stocks_only", ["price", "--claim", "call"], leaf_wealths, 1),
+        ("stocks_only", ["hedge", "--claim", "call"], leaf_wealths, 1),
+        ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], leaf_wealths, 1),
+        ("stocks_only", ["mm"], arb.verify_witness, 1),
+        ("stocks_only", ["decompose", "--process", "surface"], dec.verify_decomposition, 1),
+    ],
+)
+def test_each_exact_op_checks_its_certificate_once(
+    tmp_path, capsys, monkeypatch, example_b_text, document, argv, function, times
+):
+    text = example_b_text if document == "example_b" else _stocks_only_text(example_b_text)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    calls = _count_everywhere(monkeypatch, function)
+    assert main([*argv, "--model", str(path)]) in (0, 2)
+    capsys.readouterr()
+    assert sum(map(len, calls)) == times
+
+
+def _patch_solve(monkeypatch, corrupt) -> list:
+    """Make lp.solve pass each Optimal outcome through `corrupt`; returns the
+    list of solved programs."""
+    solved: list = []
+    inner = lp.solve
+
+    def solve(prog, mode=lp.EXACT):
+        solved.append(prog)
+        out = inner(prog, mode)
+        return corrupt(out) if isinstance(out, lp.Optimal) else out
+
+    monkeypatch.setattr(lp, "solve", solve)
+    return solved
+
+
+def _patch_node_price(monkeypatch, module, corrupt) -> None:
+    inner = module.node_price
+
+    def node_price(tree, mask, node_id, child_values, mode=lp.EXACT):
+        return corrupt(*inner(tree, mask, node_id, child_values, mode))
+
+    monkeypatch.setattr(module, "node_price", node_price)
+
+
+def test_dynamic_superhedge_check(stocks_only, monkeypatch):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    _patch_node_price(monkeypatch, sh, lambda value, hedge: (value - 1, hedge))
+    with pytest.raises(RuntimeError, match="superhedging strategy failed"):
+        sh.superhedge_dynamic(tree, mask, claim)
+    # the prover's pathwise certificate rests on the same check
+    with pytest.raises(RuntimeError, match="superhedging strategy failed"):
+        sh.prove_inequality(tree, mask, claim, F(1))
+
+
+def test_semistatic_superhedge_check(example_b, monkeypatch):
+    tree, claim = example_b.tree, example_b.claims["call"]
+    mask = compute_support(tree)
+    solved = _patch_solve(
+        monkeypatch,
+        lambda out: lp.Optimal(out.value - 1, (out.primal[0] - 1,) + out.primal[1:], out.dual),
+    )
+    with pytest.raises(RuntimeError, match="superhedging strategy failed"):
+        sh.superhedge_semistatic(tree, mask, claim, example_b.options)
+    assert len(solved) == 1
+
+
+def test_node_lift_arbitrage_check(monkeypatch):
+    model = load_model(ALL_POSITIVE)
+    mask = compute_support(model.tree)
+    inner = arb.node_na
+
+    def flipped(tree, mask, node_id, mode=lp.EXACT):
+        report = inner(tree, mask, node_id, mode)
+        return arb.NodeNaReport(node_id, False, tuple(-v for v in report.certificate))
+
+    monkeypatch.setattr(arb, "node_na", flipped)
+    with pytest.raises(RuntimeError, match="arbitrage strategy lost money"):
+        arb.global_na(model.tree, mask)
+
+
+def test_semistatic_arbitrage_check(example_b, monkeypatch):
+    mask = compute_support(example_b.tree)
+    assert arb.semistatic_na(example_b.tree, mask, example_b.options) is not None
+    _patch_solve(
+        monkeypatch,
+        lambda out: lp.Optimal(out.value, tuple(-v for v in out.primal), out.dual),
+    )
+    with pytest.raises(RuntimeError, match="arbitrage strategy lost money"):
+        arb.semistatic_na(example_b.tree, mask, example_b.options)
+
+
+def _all_on_first(values) -> tuple:
+    return (F(1),) + (F(0),) * (len(values) - 1)
+
+
+def test_dominating_measure_check(stocks_only, monkeypatch):
+    tree = stocks_only.tree
+    mask = compute_support(tree)
+    inner = lp.max_min_weight
+
+    def lumped(rows, rhs, weights, mode=lp.EXACT):
+        out = inner(rows, rhs, weights, mode)
+        q = _all_on_first(out.primal[:-1])
+        return lp.Optimal(out.value, q + out.primal[-1:], out.dual)
+
+    monkeypatch.setattr(lp, "max_min_weight", lumped)
+    with pytest.raises(RuntimeError, match="witness failed re-verification"):
+        arb.find_dominating_mm(tree, mask, (), reference_measure(tree))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["q_high", "q_low"])
+def test_separating_measures_check(stocks_only, monkeypatch, side):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    assert isinstance(sh.check_replicable(tree, mask, claim, ()), sh.NotReplicable)
+    # on one side of the interval, a dual that is a probability measure but
+    # not a martingale measure (the upper side is solved first)
+    solved = _patch_solve(
+        monkeypatch,
+        lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
+        if len(solved) == side + 1 else out,
+    )
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.check_replicable(tree, mask, claim, ())
+
+
+def test_refuting_measure_check(stocks_only, monkeypatch):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    assert isinstance(sh.prove_inequality(tree, mask, claim, F(1)), sh.Refuted)
+    # all mass on leaf 13, where the call pays 3 > 1: it beats the bound,
+    # but it is no martingale measure
+    leaves = mask.relevant_leaves
+    top = tuple(F(leaf == "13") for leaf in leaves)
+    _patch_solve(monkeypatch, lambda out: lp.Optimal(F(3), top, out.dual))
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.prove_inequality(tree, mask, claim, F(1))
+
+
+def test_decomposition_check(stocks_only, monkeypatch):
+    tree = stocks_only.tree
+    mask = compute_support(tree)
+    process = AdaptedProcess(stocks_only.processes["surface"])
+    _patch_node_price(
+        monkeypatch, dec, lambda value, hedge: (value, tuple(v + 1 for v in hedge))
+    )
+    with pytest.raises(RuntimeError, match="decomposition failed re-verification"):
+        optional_decomposition(tree, mask, process)

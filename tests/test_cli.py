@@ -59,20 +59,6 @@ def test_price_example_b(b_path, capsys):
     assert capsys.readouterr().out.strip() == "6/5 (=1.2)"
 
 
-def test_price_method_both_without_options(tmp_path, capsys):
-    path = tmp_path / "m.json"
-    path.write_text(WITH_PROCESS)
-    assert main(["price", "--model", str(path), "--claim", "call",
-                 "--method", "both"]) == 0
-    assert capsys.readouterr().out.strip() == "6/5 (=1.2)"
-
-
-def test_price_method_dp_with_options_is_usage_error(b_path, capsys):
-    assert main(["price", "--model", b_path, "--claim", "call",
-                 "--method", "dp"]) == 1
-    assert "without options" in capsys.readouterr().err
-
-
 def test_na_all_positive_exit_2(tmp_path, capsys):
     path = tmp_path / "allpos.json"
     path.write_text(ALL_POSITIVE)
@@ -181,8 +167,8 @@ def test_float_phase1_ray_asks_for_exact(capsys):
     assert main(["mm", "--model", path, "--float", "--tol", "1e-9"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: phase 1 ran unbounded; retry with --exact\n"
-    assert main(["mm", "--model", path, "--exact"]) == 0
+    assert captured.err == "error: phase 1 ran unbounded; retry without --float\n"
+    assert main(["mm", "--model", path]) == 0
 
 
 def test_decompose_command(tmp_path, capsys):
@@ -242,22 +228,6 @@ def test_arbitrage_denied_exit_2(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["denied"] == message
 
 
-def test_env_mode_override(b_path, capsys, monkeypatch):
-    monkeypatch.setenv("ROBUSTHEDGE_MODE", "float")
-    assert main(["price", "--model", b_path, "--claim", "call", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["mode"]["kind"] == "float"
-    assert abs(float(report["price"]) - 1.2) < 1e-6
-
-
-def test_unknown_env_mode_is_usage_error(b_path, capsys, monkeypatch):
-    monkeypatch.setenv("ROBUSTHEDGE_MODE", "flaot")
-    assert main(["price", "--model", b_path, "--claim", "call", "--json"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "ROBUSTHEDGE_MODE" in captured.err and "'flaot'" in captured.err
-
-
 def test_dump_lp_flag(b_path, tmp_path, capsys):
     dump = tmp_path / "lps.txt"
     assert main(["price", "--model", b_path, "--claim", "call",
@@ -287,14 +257,14 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
-# the flags each subcommand takes besides --model, --exact/--float, --tol,
-# --json and --dump-lp, and a value for each flag that takes one
+# the flags each subcommand takes besides --model, --float, --tol, --json
+# and --dump-lp, and a value for each flag that takes one
 TAKES = {
     "validate": (),
     "na": (),
     "mm": ("--dominate", "--enumerate"),
-    "price": ("--claim", "--method"),
-    "hedge": ("--claim", "--method"),
+    "price": ("--claim",),
+    "hedge": ("--claim",),
     "interval": ("--claim",),
     "replicate": ("--claim",),
     "complete": (),
@@ -341,6 +311,40 @@ def test_bad_tolerance_is_usage_error(b_path, capsys, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err and repr(tol) in captured.err
+
+
+def test_float_with_and_without_tolerance(b_path, capsys):
+    for extra in ([], ["--tol", "0"]):
+        argv = ["price", "--model", b_path, "--claim", "call", "--float", "--json"]
+        assert main(argv + extra) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mode"] == {"kind": "float", "tolerance": 0.0 if extra else 1e-9}
+        assert abs(float(report["price"]) - 1.2) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["price", "--claim", "call", "--tol", "0.5"], ("--tol", "--float")),
+        (["decompose", "--process", "surface", "--seed", "9", "--float"],
+         ("--seed", "--float")),
+    ],
+)
+def test_flag_that_needs_the_other_mode_is_usage_error(tmp_path, capsys, argv, flags):
+    path = tmp_path / "m.json"
+    path.write_text(WITH_PROCESS)
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--model", str(path)])
+    assert exited.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(flag in captured.err for flag in flags)
+
+
+def test_environment_does_not_set_the_mode(b_path, capsys, monkeypatch):
+    monkeypatch.setenv("ROBUSTHEDGE_MODE", "float")
+    assert main(["price", "--model", b_path, "--claim", "call"]) == 0
+    assert capsys.readouterr().out == "6/5 (=1.2)\n"
 
 
 @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
