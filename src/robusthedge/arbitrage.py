@@ -41,43 +41,36 @@ class FtapWitness:
     dominated: PathMeasure
 
 
-def node_na(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    node_id: str,
-    mode: lp.Mode = lp.EXACT,
-) -> NodeNaReport:
-    """Local NA test; on failure the certificate y has y.dS >= 0 on every
-    supported child with at least one strict inequality, scaled so the
-    largest absolute entry is 1.
+def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport:
+    """Local NA test, exact in every mode; on failure the certificate y has
+    y.dS >= 0 on every supported child with at least one strict inequality,
+    scaled so the largest absolute entry is 1.
 
-    In exact mode with one stock the test needs no LP: the node passes iff
-    its increments take both signs or all vanish, and otherwise (1,) or
-    (-1,) is the only scaled separator. With two or more stocks, or in
-    float mode, the max-min-weight LP decides. Either way the separator is
-    re-verified exactly in exact mode.
+    With one stock the test needs no LP: the node passes iff its increments
+    take both signs or all vanish, and otherwise (1,) or (-1,) is the only
+    scaled separator. With two or more stocks the exact max-min-weight LP
+    decides. Either way the separator is re-verified.
     """
     node = tree.nodes[node_id]
     if node.is_leaf:
         raise ValueError(f"{node_id!r} is a leaf")
     support = mask.node_support[node_id]
     vectors = [tree.increment(node_id, c) for c in support]
-    if mode.exact and tree.dimension == 1:
+    if tree.dimension == 1:
         y = _one_stock_separator(vectors)
         if y is None:
             return NodeNaReport(node_id, True, None)
     else:
-        status = lp.zero_in_relative_interior(vectors, mode)
+        status = lp.zero_in_relative_interior(vectors)
         if status.inside:
             return NodeNaReport(node_id, True, None)
         y = status.separator
         assert y is not None
         peak = max(abs(v) for v in y)
         y = tuple(v / peak for v in y)
-    if mode.exact:
-        products = [_dot(y, v) for v in vectors]
-        if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
-            raise RuntimeError("separator failed re-verification (bug)")
+    products = [_dot(y, v) for v in vectors]
+    if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
+        raise RuntimeError("separator failed re-verification (bug)")
     return NodeNaReport(node_id, False, y)
 
 
@@ -98,40 +91,29 @@ def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), F(0))
 
 
-def scan_nodes(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    mode: lp.Mode = lp.EXACT,
-) -> list[NodeNaReport]:
+def scan_nodes(tree: ScenarioTree, mask: SupportMask) -> list[NodeNaReport]:
     """node_na at every relevant non-leaf node, level by level."""
-    return [node_na(tree, mask, n, mode) for n in mask.relevant_nonleaf(tree)]
+    return [node_na(tree, mask, n) for n in mask.relevant_nonleaf(tree)]
 
 
-def global_na(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    mode: lp.Mode = lp.EXACT,
-) -> ArbitrageFound | None:
+def global_na(tree: ScenarioTree, mask: SupportMask) -> ArbitrageFound | None:
     """Stocks-only market NA; None means Pass.
 
     On failure the certificate is the lift of the first failing relevant
     node (lowest level, document order): hold y there, zero elsewhere.
     """
-    return lift_first_failure(tree, mask, scan_nodes(tree, mask, mode), mode)
+    return lift_first_failure(tree, mask, scan_nodes(tree, mask))
 
 
 def lift_first_failure(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    reports: list[NodeNaReport],
-    mode: lp.Mode = lp.EXACT,
+    tree: ScenarioTree, mask: SupportMask, reports: list[NodeNaReport]
 ) -> ArbitrageFound | None:
     """The global_na verdict from a scan_nodes result."""
     failed = next((r for r in reports if not r.passed), None)
     if failed is None:
         return None
     strategy = Strategy(F(0), (), {failed.node: failed.certificate})
-    found = _checked_arbitrage(tree, mask, strategy, (), mode)
+    found = _checked_arbitrage(tree, mask, strategy, (), lp.EXACT)
     assert found.witness_leaves, "failing node must produce a nonpolar witness set"
     return found
 
@@ -224,10 +206,17 @@ def _wealth_columns(tree, mask, options) -> list[list[Fraction]]:
     variables: initial capital, option positions, then one d-block per
     relevant non-leaf node (the martingale_rows columns, option rows
     moved up behind the mass row)."""
-    rows, _, _ = zip(*martingale_rows(tree, mask, options))
+    return _wealth_system(tree, mask, options)[1]
+
+
+def _wealth_system(tree, mask, options):
+    """The martingale_rows of the options and their _wealth_columns, from
+    one build of the system."""
+    system = martingale_rows(tree, mask, options)
+    rows = [row for row, _, _ in system]
     cut = len(rows) - len(options)
     rows = rows[:1] + rows[cut:] + rows[1:cut]
-    return [list(column) for column in zip(*rows)]
+    return system, [list(column) for column in zip(*rows)]
 
 
 def _hedge_strategy(tree, mask, n_options: int, point) -> Strategy:
@@ -306,26 +295,30 @@ def verify_measure(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
     q: PathMeasure,
+    rows: list[tuple[list[Fraction], Fraction, str]] | None = None,
 ) -> list[str]:
     """Exact recheck that q lies in the option-constrained martingale
     polytope: nonnegative mass 1 on relevant leaves only, and every
-    martingale and option row of `martingale_rows` satisfied; empty list =
-    sound."""
+    martingale and option row of `rows`, the `martingale_rows` of the
+    options (built here when not given), satisfied; empty list = sound."""
     bad: list[str] = []
-    leaves = mask.relevant_leaves
-    relevant = set(leaves)
+    index = {leaf: k for k, leaf in enumerate(mask.relevant_leaves)}
     total = F(0)
     for leaf, w in q.weights.items():
-        if leaf not in relevant:
+        if leaf not in index:
             bad.append(f"mass on polar leaf {leaf!r}")
         if w < 0:
             bad.append(f"negative mass on {leaf!r}")
         total += w
     if total != 1:
         bad.append(f"total mass {total} != 1")
-    # the mass row is the total checked above
-    for row, _, label in martingale_rows(tree, mask, tuple(options))[1:]:
-        acc = sum((q(leaf) * a for leaf, a in zip(leaves, row)), F(0))
+    # the mass row is the total checked above; each sum runs over the
+    # charged relevant leaves only
+    charged = [(index[leaf], w) for leaf, w in q.weights.items() if leaf in index]
+    if rows is None:
+        rows = martingale_rows(tree, mask, tuple(options))
+    for row, _, label in rows[1:]:
+        acc = sum((w * row[k] for k, w in charged), F(0))
         if acc != 0:
             bad.append(f"row {label} violated by {acc}")
     return bad

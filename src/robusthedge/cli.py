@@ -20,14 +20,8 @@ from fractions import Fraction
 
 from . import lp
 from .arbitrage import find_dominating_mm, lift_first_failure, scan_nodes, semistatic_na
-from .decompose import (
-    AdaptedProcess,
-    NotSupermartingale,
-    confirm_by_sampling,
-    optional_decomposition,
-)
+from .decompose import AdaptedProcess, NotSupermartingale, optional_decomposition
 from .model import Model, ModelError, load_model
-from .oracle import EmptyPolytope, InstanceTooLarge, enumerate_vertices
 from .polar import compute_support, reference_measure
 from .rational import RationalParseError, format_with_decimal, to_rational
 from .superhedge import (
@@ -47,13 +41,13 @@ from .superhedge import (
 _FLAGS = {
     "validate": (),
     "na": (),
-    "mm": ("--dominate", "--enumerate"),
+    "mm": ("--dominate",),
     "price": ("--claim",),
     "hedge": ("--claim",),
     "interval": ("--claim",),
     "replicate": ("--claim",),
     "complete": (),
-    "decompose": ("--process", "--seed"),
+    "decompose": ("--process",),
     "prove": ("--claim", "--bound"),
 }
 
@@ -61,10 +55,7 @@ _FLAG_SPECS = {
     "--claim": {"help": "claim name from the document"},
     "--process": {"help": "adapted process name (decompose)"},
     "--bound": {"help": "bound to prove (rational)"},
-    "--seed": {"type": int, "default": 0, "help": "seed randomized self-checks (decompose)"},
     "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
-    "--enumerate": {"dest": "enumerate_vertices", "action": "store_true",
-                    "help": argparse.SUPPRESS},
 }
 
 
@@ -73,17 +64,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.tol is not None and not args.float_mode:
         parser.error("--tol sets the float tolerance; it needs --float")
-    if getattr(args, "seed", 0) and args.float_mode:
-        parser.error("--seed runs an exact self-check; it cannot be used with --float")
     if args.dump_lp:
         lp.set_dump_file(args.dump_lp)
     started = time.perf_counter()
     try:
         code, report = _dispatch(args)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InstanceTooLarge, EmptyPolytope, OSError, ValueError) as exc:
+    except (ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except lp.NumericalBreakdown as exc:
@@ -222,7 +208,7 @@ def _cmd_validate(args, model, mask, mode, report) -> tuple[int, dict]:
 
 def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
     tree = model.tree
-    reports = scan_nodes(tree, mask, mode)
+    reports = scan_nodes(tree, mask)
     rows = []
     for node_report in reports:
         rows.append(
@@ -234,7 +220,7 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
                 else [_rat(v) for v in node_report.certificate],
             }
         )
-    stocks = lift_first_failure(tree, mask, reports, mode)
+    stocks = lift_first_failure(tree, mask, reports)
     verdict = {"stocks": "Pass" if stocks is None else "Fail"}
     if stocks is not None:
         verdict["strategy"] = _strategy_json(model, stocks.strategy)
@@ -266,14 +252,6 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
 
 def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
     tree = model.tree
-    if args.enumerate_vertices:
-        polytope = enumerate_vertices(tree, mask, model.options)
-        report["vertices"] = [_measure_json(v) for v in polytope.vertices]
-        if not args.json:
-            for v in polytope.vertices:
-                print(" ".join(f"{leaf}:{w}" for leaf, w in sorted(v.weights.items())))
-            print(f"{len(polytope.vertices)} vertex(es)")
-        return 0, report
     name = args.dominate
     if name == "uniform":
         p = reference_measure(tree)
@@ -414,16 +392,6 @@ def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
             print(f"not a supermartingale: node {exc.node!r} "
                   f"gap {format_with_decimal(exc.gap)}")
         return 2, report
-    if args.seed:
-        # randomized self-check of the supermartingale verdict
-        import random as _random
-
-        problems = confirm_by_sampling(
-            model.tree, mask, process, _random.Random(args.seed), samples=100
-        )
-        if problems:
-            raise RuntimeError(f"sampled self-check failed: {problems[0]}")
-        report["sampled_self_check"] = "passed"
     report.update(
         {
             "process": args.process,

@@ -72,7 +72,7 @@ def check_supermartingale(
     """None when the one-step dynamic programming inequality holds at every
     relevant non-leaf node; otherwise the first violation (top level first,
     document order) with its exact positive gap."""
-    _require_stock_na(tree, mask, mode)
+    _require_stock_na(tree, mask)
     found = _one_step_hedges(tree, mask, process, mode)
     return found if isinstance(found, Violation) else None
 
@@ -103,7 +103,7 @@ def optional_decomposition(
     """Split a universal supermartingale as V_0 + H.S - K with K
     nondecreasing along relevant paths and K_0 = 0; in exact mode the
     result passes `verify_decomposition` before it is returned."""
-    _require_stock_na(tree, mask, mode)
+    _require_stock_na(tree, mask)
     hedges = _one_step_hedges(tree, mask, process, mode)
     if isinstance(hedges, Violation):
         raise NotSupermartingale(hedges.node, hedges.gap)

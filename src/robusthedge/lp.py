@@ -931,9 +931,9 @@ class RelativeInteriorResult:
 
 
 def zero_in_relative_interior(
-    vectors: list[tuple[Fraction, ...]], mode: Mode = EXACT
+    vectors: list[tuple[Fraction, ...]],
 ) -> RelativeInteriorResult:
-    """Decide 0 in ri(conv(vectors)) by the max-min-weight LP.
+    """Decide 0 in ri(conv(vectors)) exactly by the max-min-weight LP.
 
     0 lies in the relative interior of the hull of finitely many points iff
     some convex combination with all weights strictly positive vanishes; the
@@ -946,13 +946,12 @@ def zero_in_relative_interior(
     d = len(vectors[0])
     rows = [[v[i] for v in vectors] for i in range(d)] + [[Fraction(1)] * len(vectors)]
     rhs = [Fraction(0)] * d + [Fraction(1)]
-    out = max_min_weight(rows, rhs, [Fraction(1)] * len(vectors), mode)
+    out = max_min_weight(rows, rhs, [Fraction(1)] * len(vectors))
     if isinstance(out, Infeasible):
         y = tuple(-out.certificate.rows[i] for i in range(d))
         return RelativeInteriorResult(False, None, y)
     assert isinstance(out, Optimal)
-    positive = out.value > 0 if mode.exact else float(out.value) > mode.tolerance
-    if positive:
+    if out.value > 0:
         return RelativeInteriorResult(True, out.value, None)
     y = tuple(out.dual[i] for i in range(d))
     return RelativeInteriorResult(False, out.value, y)

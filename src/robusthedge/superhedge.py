@@ -19,6 +19,7 @@ from .arbitrage import (
     _dot,
     _hedge_strategy,
     _wealth_columns,
+    _wealth_system,
     global_na,
     lp_measure,
     martingale_rows,
@@ -193,8 +194,8 @@ def _one_step_lp(node_id, increments, values, mode):
     return out.value, tuple(out.dual[i] for i in range(d))
 
 
-def _require_stock_na(tree, mask, mode):
-    found = global_na(tree, mask, mode)
+def _require_stock_na(tree, mask):
+    found = global_na(tree, mask)
     if found is not None:
         node = next(iter(found.strategy.dynamic))
         raise ArbitrageDetected(
@@ -236,7 +237,7 @@ def superhedge_dynamic(
     """Backward recursion over the relevant tree (stocks only): the composed
     one-step prices; the hedge field assembles into an optimal strategy with
     price + H.S_T >= claim on every relevant leaf."""
-    _require_stock_na(tree, mask, mode)
+    _require_stock_na(tree, mask)
     values: dict[str, Fraction] = {
         leaf: claim(leaf) for leaf in mask.relevant_leaves
     }
@@ -264,10 +265,11 @@ def _check_superhedge(tree, mask, strategy, options, claim, mode) -> None:
         raise RuntimeError("superhedging strategy failed re-verification (bug)")
 
 
-def _check_measure(tree, mask, options, q, mode) -> None:
-    """In exact mode, fail unless q passes `verify_measure`."""
+def _check_measure(tree, mask, options, q, mode, rows) -> None:
+    """In exact mode, fail unless q passes `verify_measure` on `rows`, the
+    `martingale_rows` of the options."""
     if mode.exact:
-        problems = verify_measure(tree, mask, options, q)
+        problems = verify_measure(tree, mask, options, q, rows)
         if problems:
             raise RuntimeError(
                 f"martingale measure failed re-verification (bug): {problems}"
@@ -283,15 +285,18 @@ def superhedge_semistatic(
 ) -> tuple[Fraction, Strategy, PathMeasure]:
     """Global LP route: min x over semistatic strategies superhedging the
     claim on the relevant leaves. Also returns the dual optimizer, a
-    martingale measure attaining the price.
+    martingale measure attaining the price; in exact mode the strategy and
+    the measure are re-verified before they are returned.
 
     Requires the stocks to pass NA and the option quotes to admit at least
     one consistent martingale measure; otherwise ArbitrageDetected.
     """
     options = tuple(options)
-    _require_stock_na(tree, mask, mode)
-    columns = _wealth_columns(tree, mask, options)
-    return _primal_superhedge(tree, mask, claim, options, mode, columns)
+    _require_stock_na(tree, mask)
+    rows, columns = _wealth_system(tree, mask, options)
+    x, strategy, q = _primal_superhedge(tree, mask, claim, options, mode, columns)
+    _check_measure(tree, mask, options, q, mode, rows)
+    return x, strategy, q
 
 
 def _primal_superhedge(tree, mask, claim, options, mode, columns):
@@ -314,8 +319,6 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
     x = out.primal[0]
     strategy = _hedge_strategy(tree, mask, len(options), out.primal)
     dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
-    if mode.exact:
-        dual.validate()
     _check_superhedge(tree, mask, strategy, options, claim, mode)
     return x, strategy, dual
 
@@ -339,20 +342,22 @@ def dual_price(
     mode: lp.Mode = lp.EXACT,
 ) -> tuple[Fraction, PathMeasure]:
     """Direct dual route: maximize the claim expectation over the
-    option-constrained martingale polytope."""
+    option-constrained martingale polytope; in exact mode the optimizing
+    measure passes `verify_measure` before it is returned."""
     options = tuple(options)
     leaves = mask.relevant_leaves
     objective = [claim(leaf) for leaf in leaves]
-    constraints = [
-        (row, "=", rhs) for row, rhs, _ in martingale_rows(tree, mask, options)
-    ]
+    rows = martingale_rows(tree, mask, options)
+    constraints = [(row, "=", rhs) for row, rhs, _ in rows]
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
-        _require_stock_na(tree, mask, mode)
+        _require_stock_na(tree, mask)
         raise _no_consistent_measure(tree, mask, options, mode)
     assert isinstance(out, lp.Optimal)
-    return out.value, lp_measure(dict(zip(leaves, out.primal)), mode)
+    q = lp_measure(dict(zip(leaves, out.primal)), mode)
+    _check_measure(tree, mask, options, q, mode, rows)
+    return out.value, q
 
 
 def price_interval(
@@ -363,7 +368,7 @@ def price_interval(
     mode: lp.Mode = lp.EXACT,
 ) -> PriceInterval:
     """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
-    _require_stock_na(tree, mask, mode)
+    _require_stock_na(tree, mask)
     columns = _wealth_columns(tree, mask, options)
     (upper, _, _), (lower_neg, _, _) = _both_sides(
         tree, mask, claim, options, mode, columns
@@ -381,12 +386,12 @@ def check_replicable(
     """Second FTAP for one claim: replicable iff the two superhedging prices
     coincide; otherwise two martingale measures separate the expectations."""
     options = tuple(options)
-    _require_stock_na(tree, mask, mode)
-    columns = _wealth_columns(tree, mask, options)
+    _require_stock_na(tree, mask)
+    rows, columns = _wealth_system(tree, mask, options)
     result = _replicable(tree, mask, claim, options, mode, columns)
     if isinstance(result, NotReplicable):
-        _check_measure(tree, mask, options, result.q_low, mode)
-        _check_measure(tree, mask, options, result.q_high, mode)
+        _check_measure(tree, mask, options, result.q_low, mode, rows)
+        _check_measure(tree, mask, options, result.q_high, mode, rows)
     return result
 
 
@@ -427,7 +432,7 @@ def check_complete(
     """Complete iff every relevant leaf indicator is replicable (iff the
     martingale polytope is a single point)."""
     options = tuple(options)
-    _require_stock_na(tree, mask, mode)
+    _require_stock_na(tree, mask)
     columns = _wealth_columns(tree, mask, options)
     for leaf in mask.relevant_leaves:
         indicator = Claim(
@@ -486,7 +491,6 @@ def prove_inequality(
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
     value, q = dual_price(tree, mask, claim, (), mode)
-    _check_measure(tree, mask, (), q, mode)
     if mode.exact:
         expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
         if expectation <= bound:

@@ -68,6 +68,8 @@ def _count_everywhere(monkeypatch, function) -> list[list]:
         ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], leaf_wealths, 1),
         ("stocks_only", ["mm"], arb.verify_witness, 1),
         ("stocks_only", ["decompose", "--process", "surface"], dec.verify_decomposition, 1),
+        ("example_b", ["price", "--claim", "call"], arb.verify_measure, 1),
+        ("stocks_only", ["prove", "--claim", "call", "--bound", "1"], arb.verify_measure, 1),
     ],
 )
 def test_each_exact_op_checks_its_certificate_once(
@@ -134,8 +136,8 @@ def test_node_lift_arbitrage_check(monkeypatch):
     mask = compute_support(model.tree)
     inner = arb.node_na
 
-    def flipped(tree, mask, node_id, mode=lp.EXACT):
-        report = inner(tree, mask, node_id, mode)
+    def flipped(tree, mask, node_id):
+        report = inner(tree, mask, node_id)
         return arb.NodeNaReport(node_id, False, tuple(-v for v in report.certificate))
 
     monkeypatch.setattr(arb, "node_na", flipped)
@@ -187,6 +189,27 @@ def test_separating_measures_check(stocks_only, monkeypatch, side):
     )
     with pytest.raises(RuntimeError, match="martingale measure failed"):
         sh.check_replicable(tree, mask, claim, ())
+
+
+def test_semistatic_measure_check(stocks_only, monkeypatch):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    # a dual that is a probability measure but no martingale measure
+    _patch_solve(
+        monkeypatch, lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
+    )
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.superhedge_semistatic(tree, mask, claim, ())
+
+
+def test_dual_price_measure_check(stocks_only, monkeypatch):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    _patch_solve(
+        monkeypatch, lambda out: lp.Optimal(out.value, _all_on_first(out.primal), out.dual)
+    )
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.dual_price(tree, mask, claim, ())
 
 
 def test_refuting_measure_check(stocks_only, monkeypatch):

@@ -1,8 +1,9 @@
 """Exact one-stock closed forms of the one-period problems.
 
-With one stock, `node_na` and `node_price` answer in exact mode without an
-LP. These tests compare them with the LPs they replace, called directly on
-generated one-step sets, and pin the number of LPs each route solves.
+With one stock, `node_na` answers in every mode and `node_price` in exact
+mode without an LP. These tests compare them with the LPs they replace,
+called directly on generated one-step sets, and pin the number of LPs each
+route solves.
 """
 
 import json
@@ -174,24 +175,28 @@ TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]
 
 
 @pytest.mark.parametrize(
-    "moves, mode, per_node",
+    "moves, mode, na_per_node, price_per_node",
     [
-        (ONE_STOCK, lp.EXACT, 0),
-        (TWO_STOCKS, lp.EXACT, 1),
-        (ONE_STOCK, lp.float_mode(1e-9), 1),
+        (ONE_STOCK, lp.EXACT, 0, 0),
+        (TWO_STOCKS, lp.EXACT, 1, 1),
+        (ONE_STOCK, lp.float_mode(1e-9), 0, 1),
+        (TWO_STOCKS, lp.float_mode(1e-9), 1, 1),
     ],
-    ids=["one-stock-exact", "two-stocks-exact", "one-stock-float"],
+    ids=["one-stock-exact", "two-stocks-exact", "one-stock-float", "two-stocks-float"],
 )
-def test_one_step_lps_per_node(monkeypatch, moves, mode, per_node):
+def test_one_step_lps_per_node(monkeypatch, moves, mode, na_per_node, price_per_node):
     tree = trinomial_model(moves)
     mask = compute_support(tree)
     nodes = len(mask.relevant_nonleaf(tree))
     assert nodes == 4
     claim = Claim({leaf: F(k % 5) for k, leaf in enumerate(tree.leaves)})
     solves = count_calls(monkeypatch, lp, "solve")
-    assert global_na(tree, mask, mode) is None
-    assert len(solves) == per_node * nodes
+    assert global_na(tree, mask) is None
+    assert len(solves) == na_per_node * nodes
     solves.clear()
     sh.superhedge_dynamic(tree, mask, claim, mode)
-    # the NA scan and the backward recursion each visit every node once
-    assert len(solves) == 2 * per_node * nodes
+    # the NA scan and the backward recursion each visit every node once;
+    # the scan solves exactly in every mode, the recursion in the given one
+    assert [args[1] for args in solves] == (
+        [lp.EXACT] * (na_per_node * nodes) + [mode] * (price_per_node * nodes)
+    )
