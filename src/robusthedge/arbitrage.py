@@ -248,7 +248,8 @@ def find_dominating_mm(
     for leaf, w in p.weights.items():
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
-    rows, rhs, _ = zip(*martingale_rows(tree, mask, options))
+    system = martingale_rows(tree, mask, options)
+    rows, rhs, _ = zip(*system)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves], mode)
     if isinstance(out, lp.Infeasible):
         return None
@@ -265,7 +266,7 @@ def find_dominating_mm(
     q = lp_measure(dict(zip(leaves, out.primal)), mode)
     witness = FtapWitness(q, p)
     if mode.exact:
-        problems = verify_witness(tree, mask, options, witness)
+        problems = verify_witness(tree, mask, options, witness, system)
         if problems:
             raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
@@ -329,11 +330,13 @@ def verify_witness(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
     witness: FtapWitness,
+    rows: list[tuple[list[Fraction], Fraction, str]] | None = None,
 ) -> list[str]:
-    """Exact recheck of every FtapWitness invariant: `verify_measure` of q,
-    and q charging every leaf the reference charges; empty list = sound."""
+    """Exact recheck of every FtapWitness invariant: `verify_measure` of q
+    on `rows` (built there when not given), and q charging every leaf the
+    reference charges; empty list = sound."""
     q = witness.q
-    bad = verify_measure(tree, mask, options, q)
+    bad = verify_measure(tree, mask, options, q, rows)
     for leaf, w in witness.dominated.weights.items():
         if w > 0 and q(leaf) <= 0:
             bad.append(f"does not dominate the reference at {leaf!r}")

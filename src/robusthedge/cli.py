@@ -37,25 +37,20 @@ from .superhedge import (
     superhedge_semistatic,
 )
 
-# flags read by each subcommand besides --model, --float, --tol, --json, --dump-lp
+# flags read by each subcommand besides --model, --json and --dump-lp;
+# --float and --tol reach only the global LPs
+_FLOAT = ("--float", "--tol")
 _FLAGS = {
     "validate": (),
-    "na": (),
-    "mm": ("--dominate",),
-    "price": ("--claim",),
-    "hedge": ("--claim",),
-    "interval": ("--claim",),
-    "replicate": ("--claim",),
-    "complete": (),
+    "na": _FLOAT,
+    "mm": ("--dominate", *_FLOAT),
+    "price": ("--claim", *_FLOAT),
+    "hedge": ("--claim", *_FLOAT),
+    "interval": ("--claim", *_FLOAT),
+    "replicate": ("--claim", *_FLOAT),
+    "complete": _FLOAT,
     "decompose": ("--process",),
     "prove": ("--claim", "--bound"),
-}
-
-_FLAG_SPECS = {
-    "--claim": {"help": "claim name from the document"},
-    "--process": {"help": "adapted process name (decompose)"},
-    "--bound": {"help": "bound to prove (rational)"},
-    "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
 }
 
 
@@ -101,6 +96,16 @@ def _tolerance(text: str) -> float:
         ) from None
 
 
+_FLAG_SPECS = {
+    "--float": {"dest": "float_mode", "action": "store_true"},
+    "--tol": {"type": _tolerance, "help": "float tolerance (default 1e-9)"},
+    "--claim": {"help": "claim name from the document"},
+    "--process": {"help": "adapted process name (decompose)"},
+    "--bound": {"help": "bound to prove (rational)"},
+    "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -110,9 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, flags in _FLAGS.items():
         p = sub.add_parser(name)
+        p.set_defaults(float_mode=False, tol=None)  # exact unless --float is taken
         p.add_argument("--model", required=True, help="model document (JSON)")
-        p.add_argument("--float", dest="float_mode", action="store_true")
-        p.add_argument("--tol", type=_tolerance, help="float tolerance (default 1e-9)")
         p.add_argument("--json", action="store_true")
         p.add_argument("--dump-lp", dest="dump_lp", metavar="FILE")
         for flag in flags:
@@ -134,7 +138,13 @@ def _load(args) -> tuple[Model, str]:
 
 
 def _rat(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(x)
+    if not isinstance(x, Fraction):
+        return repr(x)
+    try:
+        return str(x)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"the exact answer has more than {limit} digits") from None
 
 
 def _strategy_json(model: Model, strategy) -> dict:
@@ -283,7 +293,7 @@ def _superhedge(args, model, mask, mode):
             model.tree, mask, claim, model.options, mode
         )
         return "lp", price, strategy
-    price, _, strategy = superhedge_dynamic(model.tree, mask, claim, mode)
+    price, _, strategy = superhedge_dynamic(model.tree, mask, claim)
     return "dp", price, strategy
 
 
@@ -382,7 +392,7 @@ def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
         raise ValueError(f"process {args.process!r} is not in the document")
     process = AdaptedProcess(values)
     try:
-        decomposition = optional_decomposition(model.tree, mask, process, mode)
+        decomposition = optional_decomposition(model.tree, mask, process)
     except NotSupermartingale as exc:
         report.update(
             {"process": args.process, "supermartingale": False,
@@ -414,7 +424,7 @@ def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
         bound = to_rational(args.bound)
     except RationalParseError as exc:
         raise ValueError(f"--bound: {exc}") from exc
-    result = prove_inequality(model.tree, mask, claim, bound, mode)
+    result = prove_inequality(model.tree, mask, claim, bound)
     report["claim"] = args.claim
     report["bound"] = _rat(bound)
     if isinstance(result, Proved):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .arbitrage import _dot
 from .model import ScenarioTree, Strategy
 from .polar import SupportMask
@@ -67,17 +66,16 @@ def check_supermartingale(
     tree: ScenarioTree,
     mask: SupportMask,
     process: AdaptedProcess,
-    mode: lp.Mode = lp.EXACT,
 ) -> Violation | None:
     """None when the one-step dynamic programming inequality holds at every
     relevant non-leaf node; otherwise the first violation (top level first,
     document order) with its exact positive gap."""
     _require_stock_na(tree, mask)
-    found = _one_step_hedges(tree, mask, process, mode)
+    found = _one_step_hedges(tree, mask, process)
     return found if isinstance(found, Violation) else None
 
 
-def _one_step_hedges(tree, mask, process, mode):
+def _one_step_hedges(tree, mask, process):
     """The one-step hedge at every relevant non-leaf node, or the first
     violation of the dynamic programming inequality; the stocks must
     already pass NA."""
@@ -86,9 +84,9 @@ def _one_step_hedges(tree, mask, process, mode):
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
             child_values = {c: process(c) for c in mask.node_support[node_id]}
-            value, hedge = node_price(tree, mask, node_id, child_values, mode)
+            value, hedge = node_price(tree, mask, node_id, child_values)
             gap = value - process(node_id)
-            if (gap > 0) if mode.exact else (float(gap) > mode.tolerance):
+            if gap > 0:
                 return Violation(node_id, gap)
             hedges[node_id] = hedge
     return hedges
@@ -98,13 +96,12 @@ def optional_decomposition(
     tree: ScenarioTree,
     mask: SupportMask,
     process: AdaptedProcess,
-    mode: lp.Mode = lp.EXACT,
 ) -> Decomposition:
     """Split a universal supermartingale as V_0 + H.S - K with K
-    nondecreasing along relevant paths and K_0 = 0; in exact mode the
-    result passes `verify_decomposition` before it is returned."""
+    nondecreasing along relevant paths and K_0 = 0, from exact one-step
+    hedges; the result passes `verify_decomposition` before it is returned."""
     _require_stock_na(tree, mask)
-    hedges = _one_step_hedges(tree, mask, process, mode)
+    hedges = _one_step_hedges(tree, mask, process)
     if isinstance(hedges, Violation):
         raise NotSupermartingale(hedges.node, hedges.gap)
     consumption: dict[str, Fraction] = {tree.root: F(0)}
@@ -117,10 +114,9 @@ def optional_decomposition(
                 consumption[child] = consumption[node_id] + increment
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     decomposition = Decomposition(Strategy(process(tree.root), (), dynamic), consumption)
-    if mode.exact:
-        problems = verify_decomposition(tree, mask, process, decomposition)
-        if problems:
-            raise RuntimeError(f"decomposition failed re-verification (bug): {problems}")
+    problems = verify_decomposition(tree, mask, process, decomposition)
+    if problems:
+        raise RuntimeError(f"decomposition failed re-verification (bug): {problems}")
     return decomposition
 
 

@@ -120,31 +120,27 @@ def node_price(
     mask: SupportMask,
     node_id: str,
     child_values: dict[str, Fraction],
-    mode: lp.Mode = lp.EXACT,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """One-step superhedging: the largest one-step martingale expectation of
-    the child values, with the dual hedge y satisfying
-    value + y.dS_c >= child value on every supported child.
+    """One-step superhedging, exact in every mode: the largest one-step
+    martingale expectation of the child values, with the dual hedge y
+    satisfying value + y.dS_c >= child value on every supported child.
 
-    In exact mode with one stock the price is the upper concave envelope of
-    the points (dS_c, v_c) at 0, read off the best chord across 0, and the
-    hedge is that chord's slope; see `_one_stock_price` for the cases left
-    to the LP. With two or more stocks, or in float mode, the one-step LP
-    answers. Either way the hedge is re-verified exactly in exact mode.
+    With one stock the price is the upper concave envelope of the points
+    (dS_c, v_c) at 0, read off the best chord across 0, and the hedge is
+    that chord's slope; see `_one_stock_price` for the cases left to the
+    LP. With two or more stocks the exact one-step LP answers. Either way
+    the hedge is re-verified.
     """
     support = mask.node_support[node_id]
     increments = [tree.increment(node_id, c) for c in support]
     values = [child_values[c] for c in support]
-    solved = None
-    if mode.exact and tree.dimension == 1:
-        solved = _one_stock_price(increments, values)
+    solved = _one_stock_price(increments, values) if tree.dimension == 1 else None
     if solved is None:
-        solved = _one_step_lp(node_id, increments, values, mode)
+        solved = _one_step_lp(node_id, increments, values)
     value, hedge = solved
-    if mode.exact:
-        for inc, v in zip(increments, values):
-            if value + _dot(hedge, inc) - v < 0:
-                raise RuntimeError("one-step hedge failed re-verification (bug)")
+    for inc, v in zip(increments, values):
+        if value + _dot(hedge, inc) - v < 0:
+            raise RuntimeError("one-step hedge failed re-verification (bug)")
     return value, hedge
 
 
@@ -177,17 +173,17 @@ def _one_stock_price(increments, values):
     return price, ((vj - vi) / (dj - di),)
 
 
-def _one_step_lp(node_id, increments, values, mode):
-    """The one-step superhedging LP: max sum q_c v_c over weights q >= 0
-    with sum q_c = 1 and sum q_c dS_c = 0; the hedge is the dual of the
-    martingale rows."""
+def _one_step_lp(node_id, increments, values):
+    """The exact one-step superhedging LP: max sum q_c v_c over weights
+    q >= 0 with sum q_c = 1 and sum q_c dS_c = 0; the hedge is the dual of
+    the martingale rows."""
     d = len(increments[0])
     constraints = []
     for i in range(d):
         constraints.append(([inc[i] for inc in increments], "=", F(0)))
     constraints.append(([F(1)] * len(increments), "=", F(1)))
     prog = lp.linear_program(values, maximize=True, constraints=constraints)
-    out = lp.solve(prog, mode)
+    out = lp.solve(prog, lp.EXACT)
     if isinstance(out, lp.Infeasible):
         raise LocalArbitrage(f"no one-step martingale weights at node {node_id!r}")
     assert isinstance(out, lp.Optimal)
@@ -232,7 +228,6 @@ def superhedge_dynamic(
     tree: ScenarioTree,
     mask: SupportMask,
     claim: Claim,
-    mode: lp.Mode = lp.EXACT,
 ) -> tuple[Fraction, ValueSurface, Strategy]:
     """Backward recursion over the relevant tree (stocks only): the composed
     one-step prices; the hedge field assembles into an optimal strategy with
@@ -245,13 +240,13 @@ def superhedge_dynamic(
     for level in range(tree.horizon - 1, -1, -1):
         for node_id in mask.relevant_nodes[level]:
             child_values = {c: values[c] for c in mask.node_support[node_id]}
-            value, hedge = node_price(tree, mask, node_id, child_values, mode)
+            value, hedge = node_price(tree, mask, node_id, child_values)
             values[node_id] = value
             hedges[node_id] = hedge
     price = values[tree.root]
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     strategy = Strategy(price, (), dynamic)
-    _check_superhedge(tree, mask, strategy, (), claim, mode)
+    _check_superhedge(tree, mask, strategy, (), claim, lp.EXACT)
     return price, ValueSurface(values, hedges), strategy
 
 
@@ -449,13 +444,12 @@ def lagrange_check(
     mask: SupportMask,
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    mode: lp.Mode = lp.EXACT,
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Evaluate pi(f) = inf_h sup over option-unconstrained martingale
     measures of E[f - h.g] at the optimal h* and assert it reproduces the
     semistatic price exactly."""
     options = tuple(options)
-    price, strategy, _ = superhedge_semistatic(tree, mask, claim, options, mode)
+    price, strategy, _ = superhedge_semistatic(tree, mask, claim, options)
     h_star = strategy.static
     shifted = Claim(
         {
@@ -467,9 +461,8 @@ def lagrange_check(
             for leaf in tree.leaves
         }
     )
-    value, _ = dual_price(tree, mask, shifted, (), mode)
-    same = value == price if mode.exact else abs(float(value) - float(price)) <= 1e-6
-    if not same:
+    value, _ = dual_price(tree, mask, shifted, ())
+    if value != price:
         raise LagrangeGap(f"Lagrange value {value} != price {price}")
     return value, h_star
 
@@ -479,22 +472,18 @@ def prove_inequality(
     mask: SupportMask,
     claim: Claim,
     bound: Fraction,
-    mode: lp.Mode = lp.EXACT,
 ) -> Proved | Refuted:
     """Reduce 'E_Q[f] <= bound for every martingale measure' to a pathwise
     certificate f <= bound + H.S_T on the relevant leaves, or refute it with
-    a martingale measure beating the bound."""
-    price, _, strategy = superhedge_dynamic(tree, mask, claim, mode)
-    below = price <= bound if mode.exact else float(price) <= float(bound) + mode.tolerance
-    if below:
+    the exact `dual_price` optimizer, its expectation rechecked against the
+    bound."""
+    price, _, strategy = superhedge_dynamic(tree, mask, claim)
+    if price <= bound:
         # superhedge_dynamic has checked the hedge from price <= bound, so
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
-    value, q = dual_price(tree, mask, claim, (), mode)
-    if mode.exact:
-        expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
-        if expectation <= bound:
-            raise RuntimeError("refutation measure does not beat the bound (bug)")
-    else:
-        expectation = value
+    _, q = dual_price(tree, mask, claim, ())
+    expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
+    if expectation <= bound:
+        raise RuntimeError("refutation measure does not beat the bound (bug)")
     return Refuted(q, expectation)

@@ -102,8 +102,8 @@ def _patch_solve(monkeypatch, corrupt) -> list:
 def _patch_node_price(monkeypatch, module, corrupt) -> None:
     inner = module.node_price
 
-    def node_price(tree, mask, node_id, child_values, mode=lp.EXACT):
-        return corrupt(*inner(tree, mask, node_id, child_values, mode))
+    def node_price(tree, mask, node_id, child_values):
+        return corrupt(*inner(tree, mask, node_id, child_values))
 
     monkeypatch.setattr(module, "node_price", node_price)
 

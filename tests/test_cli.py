@@ -1,6 +1,7 @@
 """CLI: exit codes, human and JSON output, determinism, certificates."""
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -80,12 +81,40 @@ def test_float_na_certificate_is_exact(tmp_path, capsys):
 
 def test_float_mode_decides_na_exactly(capsys):
     # leaf a lies 10**-12 below the root: a float test can take that
-    # increment for zero and see an arbitrage, the exact sign test does not
+    # increment for zero and see an arbitrage, the exact sign test does not;
+    # without options the backward recursion prices exactly in every mode
     path = str(DATA / "tiny_increment.json")
     assert main(["na", "--model", path, "--float"]) == 0
     assert "stocks-only NA: Pass" in capsys.readouterr().out
     assert main(["price", "--model", path, "--claim", "f", "--float"]) == 0
-    assert capsys.readouterr().out.strip() == "9.99999999999e-13"
+    assert capsys.readouterr().out == "1/1000000000001 (=9.99999999999e-13)\n"
+
+
+@pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
+def test_answer_too_long_to_print_exits_1(tmp_path, capsys, mode):
+    # one period, prices and claim values of about 3000 digits: the exact
+    # price has about 6000, past Python's int-to-str limit of 4300
+    rng = random.Random(5)
+    root, down, up, f_down, f_up = (rng.randrange(10**2999, 10**3000) for _ in range(5))
+    doc = {
+        "horizon": 1,
+        "nodes": [
+            {"id": "r", "level": 0, "parent": None, "price": [str(root)],
+             "generators": [{"d": "1"}, {"u": "1"}]},
+            {"id": "d", "level": 1, "parent": "r", "price": [str(root - down)]},
+            {"id": "u", "level": 1, "parent": "r", "price": [str(root + up)]},
+        ],
+        "claims": {"f": {"d": str(f_down), "u": str(f_up)}},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    for command in ("price", "hedge"):
+        assert main([command, "--model", str(path), "--claim", "f", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the exact answer has more than 4300 digits\n"
+        )
 
 
 def test_na_pass_exit_0(b_path, capsys):
@@ -263,23 +292,26 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
-# the flags each subcommand takes besides --model, --float, --tol, --json
-# and --dump-lp, and a value for each flag that takes one
+# the flags each subcommand takes besides --model, --json and --dump-lp,
+# and a value for each flag that takes one; --float and --tol reach only
+# the global LPs, so the subcommands that never solve one are exact
+FLOAT = ("--float", "--tol")
 TAKES = {
     "validate": (),
-    "na": (),
-    "mm": ("--dominate",),
-    "price": ("--claim",),
-    "hedge": ("--claim",),
-    "interval": ("--claim",),
-    "replicate": ("--claim",),
-    "complete": (),
+    "na": FLOAT,
+    "mm": ("--dominate", *FLOAT),
+    "price": ("--claim", *FLOAT),
+    "hedge": ("--claim", *FLOAT),
+    "interval": ("--claim", *FLOAT),
+    "replicate": ("--claim", *FLOAT),
+    "complete": FLOAT,
     "decompose": ("--process",),
     "prove": ("--claim", "--bound"),
 }
 FLAG_VALUES = {
     "--claim": ["call"], "--method": ["dp"], "--process": ["surface"],
     "--bound": ["x"], "--seed": ["9"], "--dominate": ["uniform"], "--enumerate": [],
+    "--float": [], "--tol": ["0.5"],
 }
 
 

@@ -1,7 +1,7 @@
 """Exact one-stock closed forms of the one-period problems.
 
-With one stock, `node_na` answers in every mode and `node_price` in exact
-mode without an LP. These tests compare them with the LPs they replace,
+With one stock, `node_na` and `node_price` answer without an LP in every
+mode. These tests compare them with the LPs they replace,
 called directly on generated one-step sets, and pin the number of LPs each
 route solves.
 """
@@ -58,7 +58,7 @@ def lp_separator(increments):
 
 def lp_price(increments, values):
     try:
-        return sh._one_step_lp("root", [(F(v),) for v in increments], values, lp.EXACT)
+        return sh._one_step_lp("root", [(F(v),) for v in increments], values)
     except sh.LocalArbitrage:
         return "LocalArbitrage"
 
@@ -175,16 +175,11 @@ TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]
 
 
 @pytest.mark.parametrize(
-    "moves, mode, na_per_node, price_per_node",
-    [
-        (ONE_STOCK, lp.EXACT, 0, 0),
-        (TWO_STOCKS, lp.EXACT, 1, 1),
-        (ONE_STOCK, lp.float_mode(1e-9), 0, 1),
-        (TWO_STOCKS, lp.float_mode(1e-9), 1, 1),
-    ],
-    ids=["one-stock-exact", "two-stocks-exact", "one-stock-float", "two-stocks-float"],
+    "moves, na_per_node, price_per_node",
+    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 1, 1)],
+    ids=["one-stock-exact", "two-stocks-exact"],
 )
-def test_one_step_lps_per_node(monkeypatch, moves, mode, na_per_node, price_per_node):
+def test_one_step_lps_per_node(monkeypatch, moves, na_per_node, price_per_node):
     tree = trinomial_model(moves)
     mask = compute_support(tree)
     nodes = len(mask.relevant_nonleaf(tree))
@@ -194,9 +189,9 @@ def test_one_step_lps_per_node(monkeypatch, moves, mode, na_per_node, price_per_
     assert global_na(tree, mask) is None
     assert len(solves) == na_per_node * nodes
     solves.clear()
-    sh.superhedge_dynamic(tree, mask, claim, mode)
-    # the NA scan and the backward recursion each visit every node once;
-    # the scan solves exactly in every mode, the recursion in the given one
-    assert [args[1] for args in solves] == (
-        [lp.EXACT] * (na_per_node * nodes) + [mode] * (price_per_node * nodes)
+    sh.superhedge_dynamic(tree, mask, claim)
+    # the NA scan and the backward recursion each visit every node once,
+    # and both solve exactly
+    assert [args[1] for args in solves] == [lp.EXACT] * (
+        (na_per_node + price_per_node) * nodes
     )

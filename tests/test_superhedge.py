@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from robusthedge.model import Claim, Strategy, load_model, wealth
-from robusthedge.polar import compute_support
+from robusthedge.polar import compute_support, reference_measure
 from robusthedge.superhedge import (
     OPEN_INTERVAL,
     POINT,
@@ -463,17 +463,32 @@ def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
 
 @pytest.mark.parametrize(
     "entry",
-    ["superhedge_semistatic", "price_interval", "check_replicable", "check_complete"],
+    [
+        "superhedge_semistatic",
+        "price_interval",
+        "check_replicable",
+        "check_complete",
+        "dual_price",
+        "find_dominating_mm",
+    ],
 )
 def test_martingale_system_is_built_once_per_call(example_b, monkeypatch, entry):
     import robusthedge.arbitrage as arb
+    import robusthedge.oracle as oracle
     import robusthedge.superhedge as sh
 
     tree, options = example_b.tree, example_b.options
     mask = compute_support(tree)
-    builds = count_calls(monkeypatch, arb, "martingale_rows")
+    # every module that binds the builder by name
+    builds = [
+        count_calls(monkeypatch, module, "martingale_rows")
+        for module in (arb, sh, oracle)
+    ]
     if entry == "check_complete":
         sh.check_complete(tree, mask, options)
+    elif entry == "find_dominating_mm":
+        # stocks only, so a witness exists and is re-verified
+        assert arb.find_dominating_mm(tree, mask, (), reference_measure(tree)) is not None
     else:
         getattr(sh, entry)(tree, mask, example_b.claims["digital"], options)
-    assert len(builds) == 1
+    assert sum(map(len, builds)) == 1
