@@ -113,17 +113,17 @@ def lift_first_failure(
     if failed is None:
         return None
     strategy = Strategy(F(0), (), {failed.node: failed.certificate})
-    found = _checked_arbitrage(tree, mask, strategy, (), lp.EXACT)
+    found = _checked_arbitrage(tree, mask, strategy, ())
     assert found.witness_leaves, "failing node must produce a nonpolar witness set"
     return found
 
 
-def _checked_arbitrage(tree, mask, strategy, options, mode) -> ArbitrageFound:
+def _checked_arbitrage(tree, mask, strategy, options) -> ArbitrageFound:
     """The arbitrage certificate of a strategy: its witnesses are exactly
-    the relevant leaves where its wealth is positive, and in exact mode its
-    wealth must be nonnegative on every relevant leaf."""
+    the relevant leaves where its wealth is positive, and its wealth must be
+    nonnegative on every relevant leaf."""
     wealths = leaf_wealths(tree, mask, strategy, options)
-    if mode.exact and any(w < 0 for w in wealths.values()):
+    if any(w < 0 for w in wealths.values()):
         raise RuntimeError("arbitrage strategy lost money (bug)")
     return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
 
@@ -132,9 +132,8 @@ def semistatic_na(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    mode: lp.Mode = lp.EXACT,
 ) -> ArbitrageFound | None:
-    """NA of the full semistatic market (stocks plus quoted options).
+    """NA of the full semistatic market (stocks plus quoted options), exact.
 
     Searches for (H, h) with quasi-surely nonnegative terminal wealth and
     positive wealth on some relevant leaf, by maximizing clipped gains:
@@ -156,13 +155,12 @@ def semistatic_na(
     prog = lp.linear_program(
         objective, maximize=True, constraints=constraints, lower=lower, upper=upper
     )
-    out = lp.solve(prog, mode)
+    out = lp.solve(prog, lp.EXACT)
     assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
-    gain_tol = 0 if mode.exact else mode.tolerance
-    if out.value <= gain_tol:
+    if out.value <= 0:
         return None
     strategy = _hedge_strategy(tree, mask, len(options), (F(0),) + out.primal)
-    return _checked_arbitrage(tree, mask, strategy, options, mode)
+    return _checked_arbitrage(tree, mask, strategy, options)
 
 
 def martingale_rows(
@@ -237,11 +235,10 @@ def find_dominating_mm(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
     p: PathMeasure,
-    mode: lp.Mode = lp.EXACT,
 ) -> FtapWitness | None:
     """Martingale measure q consistent with the option quotes and dominating
-    p (q >= t p with t > 0, so q charges every leaf p charges); None when no
-    such measure exists."""
+    p (q >= t p with t > 0, so q charges every leaf p charges), exact and
+    re-verified; None when no such measure exists."""
     options = tuple(options)
     leaves = mask.relevant_leaves
     relevant = set(leaves)
@@ -250,25 +247,16 @@ def find_dominating_mm(
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
     system = martingale_rows(tree, mask, options)
     rows, rhs, _ = zip(*system)
-    out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves], mode)
+    out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])
     if isinstance(out, lp.Infeasible):
         return None
     assert isinstance(out, lp.Optimal)
-    if mode.exact:
-        if out.value <= 0:
-            return None
-    else:
-        if abs(out.value) <= mode.tolerance:
-            # indeterminate under tolerance: settle it exactly
-            return find_dominating_mm(tree, mask, options, p, lp.EXACT)
-        if out.value < 0:
-            return None
-    q = lp_measure(dict(zip(leaves, out.primal)), mode)
-    witness = FtapWitness(q, p)
-    if mode.exact:
-        problems = verify_witness(tree, mask, options, witness, system)
-        if problems:
-            raise RuntimeError(f"witness failed re-verification (bug): {problems}")
+    if out.value <= 0:
+        return None
+    witness = FtapWitness(lp_measure(dict(zip(leaves, out.primal)), lp.EXACT), p)
+    problems = verify_witness(tree, mask, options, witness, system)
+    if problems:
+        raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
 
 

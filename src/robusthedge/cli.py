@@ -3,7 +3,7 @@
 Exit codes: 0 = success, 1 = input/usage error, 2 = a mathematically
 meaningful denial (arbitrage detected, no dominating measure, refuted bound,
 not a supermartingale) so scripts can branch on market properties. Every
-certificate is re-verified once, in exact mode, by the library function that
+certificate is re-verified once, exactly, by the library function that
 returns it; this module only renders it. Exact-mode `--json` output is
 byte-identical across runs except for the wall-time field.
 """
@@ -38,17 +38,18 @@ from .superhedge import (
 )
 
 # flags read by each subcommand besides --model, --json and --dump-lp;
-# --float and --tol reach only the global LPs
+# --float and --tol reach only the global LPs of the two subcommands that
+# print a number and no certificate
 _FLOAT = ("--float", "--tol")
 _FLAGS = {
     "validate": (),
-    "na": _FLOAT,
-    "mm": ("--dominate", *_FLOAT),
+    "na": (),
+    "mm": ("--dominate",),
     "price": ("--claim", *_FLOAT),
-    "hedge": ("--claim", *_FLOAT),
+    "hedge": ("--claim",),
     "interval": ("--claim", *_FLOAT),
-    "replicate": ("--claim", *_FLOAT),
-    "complete": _FLOAT,
+    "replicate": ("--claim",),
+    "complete": (),
     "decompose": ("--process",),
     "prove": ("--claim", "--bound"),
 }
@@ -124,10 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mode_of(args) -> lp.Mode:
+def _mode_of(args, report) -> lp.Mode:
+    """The mode of the global LPs about to run, recorded in the report."""
     if not args.float_mode:
         return lp.EXACT
-    return lp.float_mode(1e-9 if args.tol is None else args.tol)
+    mode = lp.float_mode(1e-9 if args.tol is None else args.tol)
+    report["mode"] = {"kind": "float", "tolerance": mode.tolerance}
+    return mode
 
 
 def _load(args) -> tuple[Model, str]:
@@ -175,16 +179,15 @@ def _claim_of(args, model: Model):
 
 def _dispatch(args) -> tuple[int, dict]:
     model, digest = _load(args)
-    mode = _mode_of(args)
     mask = compute_support(model.tree)
     report: dict = {
         "command": args.command,
         "model_digest": digest,
-        "mode": {"kind": "exact"} if mode.exact else {"kind": "float", "tolerance": mode.tolerance},
+        "mode": {"kind": "exact"},
     }
     handler = globals()[f"_cmd_{args.command}"]
     try:
-        return handler(args, model, mask, mode, report)
+        return handler(args, model, mask, report)
     except ArbitrageDetected as exc:
         report["denied"] = str(exc)
         if not args.json:
@@ -192,7 +195,7 @@ def _dispatch(args) -> tuple[int, dict]:
         return 2, report
 
 
-def _cmd_validate(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_validate(args, model, mask, report) -> tuple[int, dict]:
     tree = model.tree
     report.update(
         {
@@ -216,7 +219,7 @@ def _cmd_validate(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_na(args, model, mask, report) -> tuple[int, dict]:
     tree = model.tree
     reports = scan_nodes(tree, mask)
     rows = []
@@ -237,7 +240,7 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
         verdict["witness_leaves"] = list(stocks.witness_leaves)
     code = 0 if stocks is None else 2
     if model.options:
-        semi = semistatic_na(tree, mask, model.options, mode)
+        semi = semistatic_na(tree, mask, model.options)
         verdict["semistatic"] = "Pass" if semi is None else "Fail"
         if semi is not None:
             verdict["semistatic_strategy"] = _strategy_json(model, semi.strategy)
@@ -260,7 +263,7 @@ def _cmd_na(args, model, mask, mode, report) -> tuple[int, dict]:
     return code, report
 
 
-def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_mm(args, model, mask, report) -> tuple[int, dict]:
     tree = model.tree
     name = args.dominate
     if name == "uniform":
@@ -269,7 +272,7 @@ def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
         p = model.measures.get(name)
         if p is None:
             raise ValueError(f"measure {name!r} is not in the document")
-    witness = find_dominating_mm(tree, mask, model.options, p, mode)
+    witness = find_dominating_mm(tree, mask, model.options, p)
     report["dominate"] = name
     if witness is None:
         report["witness"] = None
@@ -283,30 +286,30 @@ def _cmd_mm(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _superhedge(args, model, mask, mode):
+def _superhedge(args, model, mask, report):
     """The route and the superhedging price and strategy of the claim: the
     global LP when the document quotes options, else the backward
-    recursion."""
+    recursion, which is exact in every mode."""
     claim = _claim_of(args, model)
     if model.options:
         price, strategy, _ = superhedge_semistatic(
-            model.tree, mask, claim, model.options, mode
+            model.tree, mask, claim, model.options, _mode_of(args, report)
         )
         return "lp", price, strategy
     price, _, strategy = superhedge_dynamic(model.tree, mask, claim)
     return "dp", price, strategy
 
 
-def _cmd_price(args, model, mask, mode, report) -> tuple[int, dict]:
-    method, price, _ = _superhedge(args, model, mask, mode)
+def _cmd_price(args, model, mask, report) -> tuple[int, dict]:
+    method, price, _ = _superhedge(args, model, mask, report)
     report.update({"claim": args.claim, "method": method, "price": _rat(price)})
     if not args.json:
         print(format_with_decimal(price))
     return 0, report
 
 
-def _cmd_hedge(args, model, mask, mode, report) -> tuple[int, dict]:
-    method, price, strategy = _superhedge(args, model, mask, mode)
+def _cmd_hedge(args, model, mask, report) -> tuple[int, dict]:
+    method, price, strategy = _superhedge(args, model, mask, report)
     report.update(
         {
             "claim": args.claim,
@@ -320,9 +323,11 @@ def _cmd_hedge(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_interval(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_interval(args, model, mask, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
-    interval = price_interval(model.tree, mask, claim, model.options, mode)
+    interval = price_interval(
+        model.tree, mask, claim, model.options, _mode_of(args, report)
+    )
     report.update(
         {
             "claim": args.claim,
@@ -342,9 +347,9 @@ def _cmd_interval(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_replicate(args, model, mask, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
-    result = check_replicable(model.tree, mask, claim, model.options, mode)
+    result = check_replicable(model.tree, mask, claim, model.options)
     if isinstance(result, Replicable):
         report.update(
             {
@@ -376,15 +381,15 @@ def _cmd_replicate(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_complete(args, model, mask, mode, report) -> tuple[int, dict]:
-    complete = check_complete(model.tree, mask, model.options, mode)
+def _cmd_complete(args, model, mask, report) -> tuple[int, dict]:
+    complete = check_complete(model.tree, mask, model.options)
     report["complete"] = complete
     if not args.json:
         print("complete" if complete else "incomplete")
     return 0, report
 
 
-def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_decompose(args, model, mask, report) -> tuple[int, dict]:
     if not args.process:
         raise ValueError("--process NAME is required for decompose")
     values = model.processes.get(args.process)
@@ -416,7 +421,7 @@ def _cmd_decompose(args, model, mask, mode, report) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_prove(args, model, mask, mode, report) -> tuple[int, dict]:
+def _cmd_prove(args, model, mask, report) -> tuple[int, dict]:
     claim = _claim_of(args, model)
     if args.bound is None:
         raise ValueError("--bound B is required for prove")

@@ -750,47 +750,32 @@ def _solve_square(mat: list[list[float]], vec: list[float]) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def _close(x, y, atol: float) -> bool:
-    if atol == 0:
-        return x == y
-    return abs(float(x) - float(y)) <= atol * (1.0 + abs(float(x)) + abs(float(y)))
-
-
-def _ge(x, y, atol: float) -> bool:
-    if atol == 0:
-        return x >= y
-    return float(x) >= float(y) - atol * (1.0 + abs(float(x)) + abs(float(y)))
-
-
-def verify_optimal(lp: LinearProgram, out: Optimal, mode: Mode = EXACT) -> list[str]:
+def verify_optimal(lp: LinearProgram, out: Optimal) -> list[str]:
     """Return a list of violations (empty list = certificate checks out)."""
-    atol = 0.0 if mode.exact else mode.tolerance * 1e3
     bad: list[str] = []
     x = out.primal
     y = out.dual
     for j in range(lp.n):
         lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None and not _ge(x[j], lo, atol):
+        if lo is not None and x[j] < lo:
             bad.append(f"x[{j}] below lower bound")
-        if up is not None and not _ge(up, x[j], atol):
+        if up is not None and x[j] > up:
             bad.append(f"x[{j}] above upper bound")
     for i, con in enumerate(lp.constraints):
         lhs = sum(a * xv for a, xv in zip(con.coeffs, x))
-        if con.relation == "<=" and not _ge(con.rhs, lhs, atol):
+        if con.relation == "<=" and lhs > con.rhs:
             bad.append(f"row {i} violated")
-        if con.relation == ">=" and not _ge(lhs, con.rhs, atol):
+        if con.relation == ">=" and lhs < con.rhs:
             bad.append(f"row {i} violated")
-        if con.relation == "=" and not _close(lhs, con.rhs, atol):
+        if con.relation == "=" and lhs != con.rhs:
             bad.append(f"row {i} violated")
-        if not _close(y[i] * (lhs - con.rhs), 0, atol):
+        if y[i] * (lhs - con.rhs) != 0:
             bad.append(f"row {i} complementary slackness violated")
-        hi_sign = y[i] >= 0 if mode.exact else float(y[i]) >= -atol
-        lo_sign = y[i] <= 0 if mode.exact else float(y[i]) <= atol
         want_nonneg = (con.relation == ">=") != lp.maximize
         if con.relation != "=":
-            if want_nonneg and not hi_sign:
+            if want_nonneg and y[i] < 0:
                 bad.append(f"row {i} dual sign violated")
-            if not want_nonneg and not lo_sign:
+            if not want_nonneg and y[i] > 0:
                 bad.append(f"row {i} dual sign violated")
     reduced = []
     for j in range(lp.n):
@@ -799,41 +784,39 @@ def verify_optimal(lp: LinearProgram, out: Optimal, mode: Mode = EXACT) -> list[
         )
         reduced.append(r)
         lo, up = lp.lower[j], lp.upper[j]
-        at_lo = lo is not None and _close(x[j], lo, atol)
-        at_up = up is not None and _close(x[j], up, atol)
+        at_lo = lo is not None and x[j] == lo
+        at_up = up is not None and x[j] == up
         if at_lo and at_up:
             continue
-        sign_lo = r >= 0 if mode.exact else float(r) >= -atol  # min sense
-        sign_up = r <= 0 if mode.exact else float(r) <= atol
+        sign_lo, sign_up = r >= 0, r <= 0  # min sense
         if lp.maximize:
             sign_lo, sign_up = sign_up, sign_lo
         if at_lo and not sign_lo:
             bad.append(f"reduced cost sign at lower bound of x[{j}]")
         elif at_up and not sign_up:
             bad.append(f"reduced cost sign at upper bound of x[{j}]")
-        elif not at_lo and not at_up and not _close(r, 0, atol):
+        elif not at_lo and not at_up and r != 0:
             bad.append(f"reduced cost of interior x[{j}] not zero")
-    if not _close(out.value, sum(c * xv for c, xv in zip(lp.objective, x)), atol):
+    if out.value != sum(c * xv for c, xv in zip(lp.objective, x)):
         bad.append("reported value differs from objective at primal")
     dual_value = sum(y[i] * lp.constraints[i].rhs for i in range(len(lp.constraints)))
     dual_value += sum(reduced[j] * x[j] for j in range(lp.n))
-    if not _close(out.value, dual_value, atol):
+    if out.value != dual_value:
         bad.append("strong duality identity violated")
     return bad
 
 
-def verify_infeasible(lp: LinearProgram, out: Infeasible, mode: Mode = EXACT) -> list[str]:
-    atol = 0.0 if mode.exact else mode.tolerance * 1e3
+def verify_infeasible(lp: LinearProgram, out: Infeasible) -> list[str]:
     cert = out.certificate
     bad: list[str] = []
     for i, con in enumerate(lp.constraints):
         s = cert.rows[i]
-        if con.relation == "<=" and not _ge(0, s, atol):
+        if con.relation == "<=" and s > 0:
             bad.append(f"multiplier sign on <= row {i}")
-        if con.relation == ">=" and not _ge(s, 0, atol):
+        if con.relation == ">=" and s < 0:
             bad.append(f"multiplier sign on >= row {i}")
     for j in range(lp.n):
-        if not _ge(cert.lower[j], 0, atol) or not _ge(cert.upper[j], 0, atol):
+        if cert.lower[j] < 0 or cert.upper[j] < 0:
             bad.append(f"bound multiplier sign for x[{j}]")
         if lp.lower[j] is None and cert.lower[j] != 0:
             bad.append(f"lower multiplier on unbounded-below x[{j}]")
@@ -844,7 +827,7 @@ def verify_infeasible(lp: LinearProgram, out: Infeasible, mode: Mode = EXACT) ->
             for i in range(len(lp.constraints))
         )
         combo += cert.lower[j] - cert.upper[j]
-        if not _close(combo, 0, atol):
+        if combo != 0:
             bad.append(f"aggregated coefficient of x[{j}] does not vanish")
     total = sum(
         cert.rows[i] * lp.constraints[i].rhs for i in range(len(lp.constraints))
@@ -854,49 +837,42 @@ def verify_infeasible(lp: LinearProgram, out: Infeasible, mode: Mode = EXACT) ->
             total += cert.lower[j] * lp.lower[j]
         if cert.upper[j] != 0:
             total -= cert.upper[j] * lp.upper[j]
-    strict = total > 0 if mode.exact else float(total) > atol
-    if not strict:
+    if total <= 0:
         bad.append("aggregated right-hand side not positive")
     return bad
 
 
-def verify_unbounded(lp: LinearProgram, out: Unbounded, mode: Mode = EXACT) -> list[str]:
-    atol = 0.0 if mode.exact else mode.tolerance * 1e3
+def verify_unbounded(lp: LinearProgram, out: Unbounded) -> list[str]:
     bad: list[str] = []
     x, r = out.base, out.ray
     for j in range(lp.n):
         lo, up = lp.lower[j], lp.upper[j]
-        if lo is not None and (not _ge(x[j], lo, atol) or not _ge(r[j], 0, atol)):
+        if lo is not None and (x[j] < lo or r[j] < 0):
             bad.append(f"base/ray violates lower bound of x[{j}]")
-        if up is not None and (not _ge(up, x[j], atol) or not _ge(0, r[j], atol)):
+        if up is not None and (x[j] > up or r[j] > 0):
             bad.append(f"base/ray violates upper bound of x[{j}]")
     for i, con in enumerate(lp.constraints):
         lhs = sum(a * xv for a, xv in zip(con.coeffs, x))
         step = sum(a * rv for a, rv in zip(con.coeffs, r))
-        if con.relation == "<=" and (not _ge(con.rhs, lhs, atol) or not _ge(0, step, atol)):
+        if con.relation == "<=" and (lhs > con.rhs or step > 0):
             bad.append(f"ray leaves <= row {i}")
-        if con.relation == ">=" and (not _ge(lhs, con.rhs, atol) or not _ge(step, 0, atol)):
+        if con.relation == ">=" and (lhs < con.rhs or step < 0):
             bad.append(f"ray leaves >= row {i}")
-        if con.relation == "=" and (
-            not _close(lhs, con.rhs, atol) or not _close(step, 0, atol)
-        ):
+        if con.relation == "=" and (lhs != con.rhs or step != 0):
             bad.append(f"ray leaves = row {i}")
     gain = sum(c * rv for c, rv in zip(lp.objective, r))
-    improving = gain > 0 if lp.maximize else gain < 0
-    if mode.exact:
-        if not improving:
-            bad.append("ray does not improve the objective")
-    elif (float(gain) <= atol if lp.maximize else float(gain) >= -atol):
+    if not (gain > 0 if lp.maximize else gain < 0):
         bad.append("ray does not improve the objective")
     return bad
 
 
-def verify(lp: LinearProgram, out: LpOutcome, mode: Mode = EXACT) -> list[str]:
+def verify(lp: LinearProgram, out: LpOutcome) -> list[str]:
+    """Exact check of an outcome's certificate; empty list = sound."""
     if isinstance(out, Optimal):
-        return verify_optimal(lp, out, mode)
+        return verify_optimal(lp, out)
     if isinstance(out, Infeasible):
-        return verify_infeasible(lp, out, mode)
-    return verify_unbounded(lp, out, mode)
+        return verify_infeasible(lp, out)
+    return verify_unbounded(lp, out)
 
 
 # --------------------------------------------------------------------------
@@ -904,10 +880,10 @@ def verify(lp: LinearProgram, out: LpOutcome, mode: Mode = EXACT) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def max_min_weight(rows, rhs, weights, mode: Mode = EXACT) -> LpOutcome:
-    """Solve max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k]:
-    the largest uniform domination factor of the given weights that the
-    equality system admits. The variables are q, then t (free)."""
+def max_min_weight(rows, rhs, weights) -> LpOutcome:
+    """Solve max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k],
+    exactly: the largest uniform domination factor of the given weights that
+    the equality system admits. The variables are q, then t (free)."""
     k = len(weights)
     constraints = [(list(row) + [Fraction(0)], "=", b) for row, b in zip(rows, rhs)]
     for v in range(k):
@@ -919,7 +895,7 @@ def max_min_weight(rows, rhs, weights, mode: Mode = EXACT) -> LpOutcome:
     objective = [Fraction(0)] * k + [Fraction(1)]
     return solve(
         linear_program(objective, maximize=True, constraints=constraints, lower=lower),
-        mode,
+        EXACT,
     )
 
 

@@ -199,16 +199,18 @@ def _require_stock_na(tree, mask):
         )
 
 
-def _no_consistent_measure(tree, mask, options, mode):
+def _no_consistent_measure(tree, mask, options):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
     hinting at each option whose quote leaves its stocks-only price range.
-    The stocks must already pass NA."""
+    Hints and arbitrage are exact, and NumericalBreakdown means a float LP
+    saw an empty polytope that the exact search does not confirm. The
+    stocks must already pass NA."""
     hints = []
     columns = _wealth_columns(tree, mask, ())
     for opt in options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
         (upper, _, _), (lower_neg, _, _) = _both_sides(
-            tree, mask, raw, (), mode, columns
+            tree, mask, raw, (), lp.EXACT, columns
         )
         lower = -lower_neg
         if opt.quote < lower or opt.quote > upper:
@@ -221,7 +223,13 @@ def _no_consistent_measure(tree, mask, options, mode):
         if hints
         else "option quotes jointly admit arbitrage (no consistent martingale measure)"
     )
-    return ArbitrageDetected(detail, semistatic_na(tree, mask, options, mode))
+    found = semistatic_na(tree, mask, options)
+    if found is None:
+        raise lp.NumericalBreakdown(
+            "a float LP found no consistent martingale measure, but the exact "
+            "arbitrage search finds no arbitrage"
+        )
+    return ArbitrageDetected(detail, found)
 
 
 def superhedge_dynamic(
@@ -309,7 +317,7 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Unbounded):
         # dual infeasible: no martingale measure matches the quotes
-        raise _no_consistent_measure(tree, mask, options, mode)
+        raise _no_consistent_measure(tree, mask, options)
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
     strategy = _hedge_strategy(tree, mask, len(options), out.primal)
@@ -348,7 +356,7 @@ def dual_price(
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
         _require_stock_na(tree, mask)
-        raise _no_consistent_measure(tree, mask, options, mode)
+        raise _no_consistent_measure(tree, mask, options)
     assert isinstance(out, lp.Optimal)
     q = lp_measure(dict(zip(leaves, out.primal)), mode)
     _check_measure(tree, mask, options, q, mode, rows)
@@ -376,37 +384,36 @@ def check_replicable(
     mask: SupportMask,
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    mode: lp.Mode = lp.EXACT,
 ) -> Replicable | NotReplicable:
-    """Second FTAP for one claim: replicable iff the two superhedging prices
-    coincide; otherwise two martingale measures separate the expectations."""
+    """Second FTAP for one claim, exact: replicable iff the two superhedging
+    prices coincide; otherwise two martingale measures separate the
+    expectations."""
     options = tuple(options)
     _require_stock_na(tree, mask)
     rows, columns = _wealth_system(tree, mask, options)
-    result = _replicable(tree, mask, claim, options, mode, columns)
+    result = _replicable(tree, mask, claim, options, columns)
     if isinstance(result, NotReplicable):
-        _check_measure(tree, mask, options, result.q_low, mode, rows)
-        _check_measure(tree, mask, options, result.q_high, mode, rows)
+        _check_measure(tree, mask, options, result.q_low, lp.EXACT, rows)
+        _check_measure(tree, mask, options, result.q_high, lp.EXACT, rows)
     return result
 
 
-def _replicable(tree, mask, claim, options, mode, columns):
+def _replicable(tree, mask, claim, options, columns):
     """check_replicable once the stocks are known to pass NA, on the
     `_wealth_columns` of the options."""
     (upper, strategy, q_high), (lower_neg, _, q_low) = _both_sides(
-        tree, mask, claim, options, mode, columns
+        tree, mask, claim, options, lp.EXACT, columns
     )
     lower = -lower_neg
-    same = lower == upper if mode.exact else abs(float(upper) - float(lower)) <= mode.tolerance
-    if same:
-        if mode.exact and any(
+    if lower == upper:
+        if any(
             w != claim(leaf)
             for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
         ):
             # Both bounds are attained at one price, so the superhedge minus
             # the subhedge is a semistatic arbitrage: the consistent
             # martingale measures miss some relevant leaf.
-            found = semistatic_na(tree, mask, options, mode)
+            found = semistatic_na(tree, mask, options)
             if found is None:
                 raise RuntimeError("replication is not exact (bug)")
             raise ArbitrageDetected(
@@ -422,10 +429,9 @@ def check_complete(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    mode: lp.Mode = lp.EXACT,
 ) -> bool:
     """Complete iff every relevant leaf indicator is replicable (iff the
-    martingale polytope is a single point)."""
+    martingale polytope is a single point); exact."""
     options = tuple(options)
     _require_stock_na(tree, mask)
     columns = _wealth_columns(tree, mask, options)
@@ -433,7 +439,7 @@ def check_complete(
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}
         )
-        result = _replicable(tree, mask, indicator, options, mode, columns)
+        result = _replicable(tree, mask, indicator, options, columns)
         if isinstance(result, NotReplicable):
             return False
     return True

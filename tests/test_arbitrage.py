@@ -17,8 +17,9 @@ from robusthedge.arbitrage import (
     semistatic_na,
     verify_witness,
 )
-from robusthedge.model import PathMeasure, Strategy, load_model, wealth
+from robusthedge.model import Claim, PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
+from robusthedge.superhedge import dual_price
 
 from conftest import DATA, constant_stock_model, random_instance
 
@@ -190,18 +191,20 @@ def _trinomial_with_call(horizon=4, steps=(-1, 0, 2)):
 
 
 def test_float_witness_weights_are_short_and_sum_to_one():
+    # the float dual price rounds its measure once to the 10**-12 grid
     model = _trinomial_with_call()
     tree = model.tree
     mask = compute_support(tree)
     assert len(mask.relevant_leaves) == 81
-    p = reference_measure(tree)
-    exact = find_dominating_mm(tree, mask, model.options, p)
-    approx = find_dominating_mm(tree, mask, model.options, p, lp.float_mode(1e-9))
-    assert exact is not None and approx is not None
-    weights = approx.q.weights
+    prices = {leaf: tree.nodes[leaf].price[0] for leaf in tree.leaves}
+    claim = Claim({leaf: max(11 - x, F(0)) for leaf, x in prices.items()})
+    exact, q_exact = dual_price(tree, mask, claim, model.options)
+    approx, q_approx = dual_price(tree, mask, claim, model.options, lp.float_mode(1e-9))
+    assert abs(approx - float(exact)) < 1e-9
+    weights = q_approx.weights
     assert all(w.denominator <= 10**12 for w in weights.values())
     assert sum(weights.values()) == 1
-    assert set(approx.q.support()) == set(exact.q.support())
+    assert set(q_approx.support()) == set(q_exact.support())
 
 
 def test_find_dominating_with_option_pins_measure(example_b):
@@ -356,15 +359,21 @@ def test_martingale_rows_transpose_to_wealth(example_b):
     assert with_polar >= 10
 
 
-def test_float_phase1_ray_is_a_numerical_breakdown():
+def test_float_phase1_ray_is_a_numerical_breakdown(monkeypatch):
     # phase 1 minimizes a sum of artificials >= 0, so an improving ray there
     # means float pivoting lost accuracy; exact mode keeps calling it a bug
     model = load_model((DATA / "float_phase1_ray.json").read_text())
     mask = compute_support(model.tree)
     p = reference_measure(model.tree)
+    rows, rhs, _ = zip(*martingale_rows(model.tree, mask, model.options))
+    weights = [p(leaf) for leaf in mask.relevant_leaves]
+    solved = []
+    inner = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog, mode: solved.append(prog) or inner(prog, mode))
+    assert isinstance(lp.max_min_weight(rows, rhs, weights), lp.Optimal)
+    (prog,) = solved
     with pytest.raises(lp.NumericalBreakdown, match="phase 1 ran unbounded"):
-        find_dominating_mm(model.tree, mask, model.options, p, lp.float_mode(1e-9))
-    assert find_dominating_mm(model.tree, mask, model.options, p) is not None
+        inner(prog, lp.float_mode(1e-9))
     prog = lp.linear_program([1], maximize=False, constraints=[([1], ">=", 1)])
     bug = lp._ExactSimplex(prog)._phase1_unbounded()
     assert isinstance(bug, RuntimeError) and "(bug)" in str(bug)

@@ -165,8 +165,8 @@ def test_dominating_measure_check(stocks_only, monkeypatch):
     mask = compute_support(tree)
     inner = lp.max_min_weight
 
-    def lumped(rows, rhs, weights, mode=lp.EXACT):
-        out = inner(rows, rhs, weights, mode)
+    def lumped(rows, rhs, weights):
+        out = inner(rows, rhs, weights)
         q = _all_on_first(out.primal[:-1])
         return lp.Optimal(out.value, q + out.primal[-1:], out.dual)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from robusthedge import lp, superhedge
 from robusthedge.cli import _build_parser, main
 
 from conftest import DATA, NUMBER_FIELDS, example_b_with
@@ -70,10 +71,10 @@ def test_na_all_positive_exit_2(tmp_path, capsys):
     assert "1" in out  # certificate y = 1
 
 
-def test_float_na_certificate_is_exact(tmp_path, capsys):
+def test_na_certificate_json(tmp_path, capsys):
     path = tmp_path / "allpos.json"
     path.write_text(ALL_POSITIVE)
-    assert main(["na", "--model", str(path), "--float", "--json"]) == 2
+    assert main(["na", "--model", str(path), "--json"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["nodes"] == [{"node": "r", "status": "Fail", "certificate": ["1"]}]
     assert report["verdict"]["strategy"]["dynamic"] == {"r": ["1"]}
@@ -82,12 +83,49 @@ def test_float_na_certificate_is_exact(tmp_path, capsys):
 def test_float_mode_decides_na_exactly(capsys):
     # leaf a lies 10**-12 below the root: a float test can take that
     # increment for zero and see an arbitrage, the exact sign test does not;
-    # without options the backward recursion prices exactly in every mode
+    # without options the backward recursion prices exactly in every mode,
+    # and the report says so
     path = str(DATA / "tiny_increment.json")
-    assert main(["na", "--model", path, "--float"]) == 0
-    assert "stocks-only NA: Pass" in capsys.readouterr().out
     assert main(["price", "--model", path, "--claim", "f", "--float"]) == 0
     assert capsys.readouterr().out == "1/1000000000001 (=9.99999999999e-13)\n"
+    assert main(["price", "--model", path, "--claim", "f", "--float", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == {"kind": "exact"}
+
+
+# one period, root 1, children 1/2, 1 and 3/2; the option's stocks-only
+# price interval is [1/10, 1], and it is quoted above it
+OUTSIDE_QUOTE = {
+    "horizon": 1,
+    "nodes": [
+        {"id": "r", "level": 0, "parent": None, "price": ["1"],
+         "generators": [{"d": "1/3", "m": "1/3", "u": "1/3"}]},
+        {"id": "d", "level": 1, "parent": "r", "price": ["1/2"]},
+        {"id": "m", "level": 1, "parent": "r", "price": ["1"]},
+        {"id": "u", "level": 1, "parent": "r", "price": ["3/2"]},
+    ],
+    "options": [{"name": "g", "quote": "7/3",
+                 "payoff": {"d": "0", "m": "1/10", "u": "2"}}],
+    "claims": {"f": {"d": "0", "m": "0", "u": "1"}},
+}
+
+
+def test_float_denial_is_exact(tmp_path, capsys, monkeypatch):
+    # the float LP finds no consistent measure; the hints and the arbitrage
+    # behind the denial are computed exactly
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(OUTSIDE_QUOTE))
+    for mode in ([], ["--float"]):
+        assert main(["price", "--model", str(path), "--claim", "f", *mode]) == 2
+        assert capsys.readouterr().out == (
+            "denied: option 'g' quoted 7/3 outside its stocks-only price "
+            "interval [1/10, 1]\n"
+        )
+    # a float verdict the exact search cannot confirm is a breakdown
+    monkeypatch.setattr(superhedge, "semistatic_na", lambda *args: None)
+    assert main(["price", "--model", str(path), "--claim", "f", "--float"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("; retry without --float\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
@@ -108,7 +146,7 @@ def test_answer_too_long_to_print_exits_1(tmp_path, capsys, mode):
     }
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc))
-    for command in ("price", "hedge"):
+    for command in ("price", "hedge") if not mode else ("price",):
         assert main([command, "--model", str(path), "--claim", "f", *mode]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -204,15 +242,21 @@ def test_replicate_and_complete_deny_when_no_measure_has_full_support(capsys):
         assert out.startswith("denied: option quotes admit arbitrage"), out
 
 
-def test_float_phase1_ray_asks_for_exact(capsys):
-    # a float-sweep benchmark document on which float pivoting finds an
-    # improving ray in phase 1: a numerical breakdown, not a traceback
+def test_float_phase1_ray_asks_for_exact(capsys, monkeypatch):
+    # a float-sweep benchmark document; a float LP that breaks down is a
+    # numerical breakdown, not a traceback
     path = str(DATA / "float_phase1_ray.json")
-    assert main(["mm", "--model", path, "--float", "--tol", "1e-9"]) == 1
+    assert main(["mm", "--model", path]) == 0
+    capsys.readouterr()
+
+    def breaks_down(prog, mode):
+        raise lp.NumericalBreakdown("phase 1 ran unbounded")
+
+    monkeypatch.setattr(lp, "solve", breaks_down)
+    assert main(["price", "--model", path, "--claim", "f", "--float", "--tol", "1e-9"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: phase 1 ran unbounded; retry without --float\n"
-    assert main(["mm", "--model", path]) == 0
 
 
 def test_decompose_command(tmp_path, capsys):
@@ -294,17 +338,17 @@ def test_usage_errors_exit_1(capsys, argv):
 
 # the flags each subcommand takes besides --model, --json and --dump-lp,
 # and a value for each flag that takes one; --float and --tol reach only
-# the global LPs, so the subcommands that never solve one are exact
+# the global LPs of the two subcommands that print no certificate
 FLOAT = ("--float", "--tol")
 TAKES = {
     "validate": (),
-    "na": FLOAT,
-    "mm": ("--dominate", *FLOAT),
+    "na": (),
+    "mm": ("--dominate",),
     "price": ("--claim", *FLOAT),
-    "hedge": ("--claim", *FLOAT),
+    "hedge": ("--claim",),
     "interval": ("--claim", *FLOAT),
-    "replicate": ("--claim", *FLOAT),
-    "complete": FLOAT,
+    "replicate": ("--claim",),
+    "complete": (),
     "decompose": ("--process",),
     "prove": ("--claim", "--bound"),
 }

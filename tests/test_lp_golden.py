@@ -11,9 +11,11 @@ arithmetic that changes an answer or a certificate shows here.
 
 `data/lp_golden_float.json` holds the float-mode outcome (tolerance 1e-9)
 of the same 200 LPs, in their order, plus a few LPs of the size the
-float-sweep benchmark workload solves (64-94 rows, taken with `--dump-lp`
-from `price`, `interval` and `mm --float --tol 1e-9` on its documents of
-seeds 0 and 1; one of them breaks down), stored with their outcome. Every
+float-sweep benchmark workload solves (64-94 rows), stored with their
+outcome. They were taken with `--dump-lp` on its documents of seeds 0 and
+1: superhedge LPs from `price` and `interval` with `--float --tol 1e-9`,
+and three max-min-weight LPs from a former `mm --float` (one of them breaks
+down). `mm` solves exactly, so those three pin only the float kernel. Every
 float is recorded with `float.hex`, so the float kernel must reproduce each
 bit, sign of zero included; a `NumericalBreakdown` is recorded by its
 message.
