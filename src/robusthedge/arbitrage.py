@@ -253,30 +253,16 @@ def find_dominating_mm(
     assert isinstance(out, lp.Optimal)
     if out.value <= 0:
         return None
-    witness = FtapWitness(lp_measure(dict(zip(leaves, out.primal)), lp.EXACT), p)
+    witness = FtapWitness(lp_measure(dict(zip(leaves, out.primal))), p)
     problems = verify_witness(tree, mask, options, witness, system)
     if problems:
         raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
 
 
-_GRID = 10**12
-
-
-def lp_measure(values: dict[str, Fraction | float], mode: lp.Mode) -> PathMeasure:
-    """The path measure of LP leaf weights: positive ones in exact mode;
-    in float mode those above the tolerance, rescaled to sum 1 and rounded
-    once to multiples of 1/10**12, the largest weight taking the remainder
-    so the total is exactly 1."""
-    if mode.exact:
-        return PathMeasure({leaf: w for leaf, w in values.items() if w > 0})
-    kept = {leaf: w for leaf, w in values.items() if w > mode.tolerance}
-    total = sum(kept.values())
-    ticks = {leaf: round(w / total * _GRID) for leaf, w in kept.items()}
-    if ticks:
-        top = max(ticks, key=ticks.__getitem__)
-        ticks[top] += _GRID - sum(ticks.values())
-    return PathMeasure({leaf: F(t, _GRID) for leaf, t in ticks.items() if t})
+def lp_measure(values: dict[str, Fraction]) -> PathMeasure:
+    """The path measure of exact LP leaf weights: the positive ones."""
+    return PathMeasure({leaf: w for leaf, w in values.items() if w > 0})
 
 
 def verify_measure(

@@ -4,17 +4,19 @@ Every optimization in the engine goes through `solve`. Exact mode pivots
 fraction-free on sparse rows: each tableau row holds integer numerators over
 one integer denominator (Bareiss), and every value it returns is an exact
 `Fraction`. Float mode pivots on dense rows of floats.
-Its outcomes carry certificates that re-verify exactly: an Optimal outcome
+Exact outcomes carry certificates that re-verify exactly: an Optimal outcome
 carries a dual vector satisfying complementary slackness, an Infeasible
 outcome carries a Farkas certificate (constraint and bound multipliers that
 aggregate to 0 >= positive), and an Unbounded outcome carries a feasible
-base point plus an improving ray. Bland's rule guarantees termination and,
-together with fixed variable/constraint ordering, makes outcomes
-deterministic. Float mode runs the same pivoting with tolerance comparisons
-and raises NumericalBreakdown when it loses accuracy (a lost primal
-feasibility, the pivot limit, a singular basis at the duals, or an
-improving ray in phase 1); nothing retries it here, the caller decides
-(the CLI asks for a rerun in exact mode, without --float).
+base point plus an improving ray. Both kernels read the duals and the
+Farkas multipliers off the final reduced-cost row. Bland's rule guarantees
+termination and, together with fixed variable/constraint ordering, makes
+outcomes deterministic. Float mode runs the same pivoting with tolerance
+comparisons, and the library reads only the kind and the value of its
+outcomes. It raises NumericalBreakdown when it loses accuracy (a lost
+primal feasibility, the pivot limit, or an improving ray in phase 1) and
+when the LP holds a number past float range; nothing retries it here, the
+caller decides (the CLI asks for a rerun in exact mode, without --float).
 
 Dual sign conventions (what `verify_optimal` checks):
   minimize: y_i >= 0 on ">=" rows, y_i <= 0 on "<=" rows, free on "=";
@@ -175,7 +177,10 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
             handle.write("\n")
     if mode.exact:
         return _ExactSimplex(lp).run()
-    return _FloatSimplex(lp, mode.tolerance).run()
+    try:
+        return _FloatSimplex(lp, mode.tolerance).run()
+    except OverflowError:
+        raise NumericalBreakdown("the LP holds a number past float range") from None
 
 
 # --------------------------------------------------------------------------
@@ -562,8 +567,9 @@ class _FloatSimplex(_Simplex):
     """The same pivots in floats, on dense rows: each tableau row and the
     reduced-cost row is a list of `ncols` floats. An update sets an entry
     of magnitude 1e-13 or less to 0.0, signs are read against the
-    tolerance, and duals come from a partial-pivoting solve of y'B = c_B
-    against the original matrix.
+    tolerance, and duals and Farkas multipliers come from the final
+    reduced-cost row as in exact mode: y_r = c_j - z_j at each row's
+    identity column j.
 
     A pivot collects the nonzero columns of the pivot row once and updates
     only those entries, and only in rows with a nonzero in the entering
@@ -585,7 +591,6 @@ class _FloatSimplex(_Simplex):
             for k, v in row.items():
                 dense[k] = float(v)
             self.tab.append(dense)
-        self.A0 = [list(row) for row in self.tab]  # pristine, for the duals
         self.rhs = [float(v) for v in rhs]
         self.cost = {k: float(v) for k, v in cost.items()}
 
@@ -689,9 +694,7 @@ class _FloatSimplex(_Simplex):
         return direction
 
     def _duals(self, z: list, cost: dict) -> list:
-        """Solve y'B = c_B against the pristine matrix (dead rows get 0)."""
-        mat = [[row[var] for row in self.A0] for var in self.basis]
-        return _solve_square(mat, [cost.get(var, 0.0) for var in self.basis])
+        return [cost.get(j, 0.0) - z[j] for j in self.identity]
 
     def _check_primal(self, primal: list) -> None:
         scale = 1.0 + max((abs(float(x)) for x in primal), default=0.0)
@@ -712,37 +715,6 @@ class _FloatSimplex(_Simplex):
     def _phase1_unbounded(self) -> Exception:
         # phase 1 is bounded below by 0, so only lost accuracy finds a ray
         return NumericalBreakdown("phase 1 ran unbounded")
-
-
-def _solve_square(mat: list[list[float]], vec: list[float]) -> list[float]:
-    """Gaussian elimination with partial pivoting in floats; each step
-    updates only the nonzero entries of its pivot row."""
-    m = len(vec)
-    a = [list(row) + [vec[i]] for i, row in enumerate(mat)]
-    for col in range(m):
-        pivot_row = None
-        best = None
-        for r in range(col, m):
-            v = a[r][col]
-            if v == 0:
-                continue
-            if pivot_row is None or abs(v) > best:
-                pivot_row = r
-                best = abs(v)
-        if pivot_row is None or abs(a[pivot_row][col]) < 1e-12:
-            raise NumericalBreakdown("singular basis in dual extraction")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        prow = a[col]
-        piv = prow[col]
-        items = [(k, prow[k]) for k in range(col, m + 1) if prow[k]]
-        for r, row in enumerate(a):
-            f = row[col]
-            if f == 0 or r == col:
-                continue
-            ratio = f / piv
-            for k, v in items:
-                row[k] -= ratio * v
-    return [a[i][m] / a[i][i] for i in range(m)]
 
 
 # --------------------------------------------------------------------------

@@ -230,6 +230,17 @@ def _rational(raw: object, where: str) -> Fraction:
         raise MalformedDocument(f"{where}: {exc}") from exc
 
 
+def _section(doc: dict, key: str, kind: type) -> list | dict:
+    """The optional top-level section `key`, empty when absent or null."""
+    raw = doc.get(key)
+    if raw is None:
+        return kind()
+    if not isinstance(raw, kind):
+        shape = "an array" if kind is list else "an object"
+        raise MalformedDocument(f"{key!r} must be {shape} or null")
+    return raw
+
+
 def load_model(text: str) -> Model:
     """Parse and validate a model document (see README for the schema).
 
@@ -376,7 +387,7 @@ def load_model(text: str) -> Model:
         return out
 
     options: list[StaticOption] = []
-    for k, raw_opt in enumerate(doc.get("options", []) or []):
+    for k, raw_opt in enumerate(_section(doc, "options", list)):
         if not isinstance(raw_opt, dict) or "name" not in raw_opt:
             raise MalformedDocument(f"option {k}: needs 'name', 'quote' and 'payoff'")
         name = str(raw_opt["name"])
@@ -385,13 +396,13 @@ def load_model(text: str) -> Model:
         options.append(StaticOption(name, quote, payoff))
 
     claims: dict[str, Claim] = {}
-    for name, raw_claim in (doc.get("claims", {}) or {}).items():
+    for name, raw_claim in _section(doc, "claims", dict).items():
         claims[str(name)] = Claim(
             leaf_map(raw_claim, f"claim {name!r}", complete=True)
         )
 
     processes: dict[str, dict[str, Fraction]] = {}
-    for name, raw_proc in (doc.get("processes", {}) or {}).items():
+    for name, raw_proc in _section(doc, "processes", dict).items():
         if not isinstance(raw_proc, dict):
             raise MalformedDocument(f"process {name!r} must be an object of node values")
         values: dict[str, Fraction] = {}
@@ -403,7 +414,7 @@ def load_model(text: str) -> Model:
         processes[str(name)] = values
 
     measures: dict[str, PathMeasure] = {}
-    for name, raw_meas in (doc.get("measures", {}) or {}).items():
+    for name, raw_meas in _section(doc, "measures", dict).items():
         pm = PathMeasure(leaf_map(raw_meas, f"measure {name!r}", complete=False))
         try:
             pm.validate()

@@ -12,6 +12,7 @@ Python's default limit of 4300 digits on int-to-str conversion.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 MAX_DIGITS = 4000
@@ -106,7 +107,15 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_with_decimal(x: Fraction | float, digits: int = 12) -> str:
-    """Human rendering: exact form plus a 12-significant-digit decimal."""
-    if isinstance(x, Fraction):
-        return f"{x} (={float(x):.{digits}g})"
-    return f"{x:.{digits}g}"
+    """Human rendering: exact form plus a 12-significant-digit decimal,
+    through `decimal` when the value is past float range."""
+    if not isinstance(x, Fraction):
+        return f"{x:.{digits}g}"
+    try:
+        approx = f"{float(x):.{digits}g}"
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            quotient = Decimal(x.numerator) / Decimal(x.denominator)
+        approx = f"{quotient.normalize():.{digits}g}"
+    return f"{x} (={approx})"

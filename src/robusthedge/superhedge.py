@@ -254,29 +254,28 @@ def superhedge_dynamic(
     price = values[tree.root]
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     strategy = Strategy(price, (), dynamic)
-    _check_superhedge(tree, mask, strategy, (), claim, lp.EXACT)
+    _check_superhedge(tree, mask, strategy, (), claim)
     return price, ValueSurface(values, hedges), strategy
 
 
-def _check_superhedge(tree, mask, strategy, options, claim, mode) -> None:
-    """In exact mode, fail unless the strategy's terminal wealth covers
-    the claim on every relevant leaf."""
-    if mode.exact and any(
+def _check_superhedge(tree, mask, strategy, options, claim) -> None:
+    """Fail unless the strategy's terminal wealth covers the claim on every
+    relevant leaf."""
+    if any(
         w < claim(leaf)
         for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
     ):
         raise RuntimeError("superhedging strategy failed re-verification (bug)")
 
 
-def _check_measure(tree, mask, options, q, mode, rows) -> None:
-    """In exact mode, fail unless q passes `verify_measure` on `rows`, the
+def _check_measure(tree, mask, options, q, rows) -> None:
+    """Fail unless q passes `verify_measure` on `rows`, the
     `martingale_rows` of the options."""
-    if mode.exact:
-        problems = verify_measure(tree, mask, options, q, rows)
-        if problems:
-            raise RuntimeError(
-                f"martingale measure failed re-verification (bug): {problems}"
-            )
+    problems = verify_measure(tree, mask, options, q, rows)
+    if problems:
+        raise RuntimeError(
+            f"martingale measure failed re-verification (bug): {problems}"
+        )
 
 
 def superhedge_semistatic(
@@ -285,11 +284,12 @@ def superhedge_semistatic(
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
     mode: lp.Mode = lp.EXACT,
-) -> tuple[Fraction, Strategy, PathMeasure]:
+) -> tuple[Fraction | float, Strategy | None, PathMeasure | None]:
     """Global LP route: min x over semistatic strategies superhedging the
-    claim on the relevant leaves. Also returns the dual optimizer, a
-    martingale measure attaining the price; in exact mode the strategy and
-    the measure are re-verified before they are returned.
+    claim on the relevant leaves. In exact mode it also returns an optimal
+    strategy and the dual optimizer, a martingale measure attaining the
+    price, both re-verified; in float mode it returns the price only, with
+    None for the strategy and the measure.
 
     Requires the stocks to pass NA and the option quotes to admit at least
     one consistent martingale measure; otherwise ArbitrageDetected.
@@ -298,13 +298,14 @@ def superhedge_semistatic(
     _require_stock_na(tree, mask)
     rows, columns = _wealth_system(tree, mask, options)
     x, strategy, q = _primal_superhedge(tree, mask, claim, options, mode, columns)
-    _check_measure(tree, mask, options, q, mode, rows)
+    if mode.exact:
+        _check_measure(tree, mask, options, q, rows)
     return x, strategy, q
 
 
 def _primal_superhedge(tree, mask, claim, options, mode, columns):
     """superhedge_semistatic once the stocks are known to pass NA, on the
-    `_wealth_columns` of the options."""
+    `_wealth_columns` of the options; the measure is not yet checked."""
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
         (column, ">=", claim(leaf))
@@ -320,10 +321,11 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
         raise _no_consistent_measure(tree, mask, options)
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
+    if not mode.exact:
+        return x, None, None
     strategy = _hedge_strategy(tree, mask, len(options), out.primal)
-    dual = lp_measure(dict(zip(mask.relevant_leaves, out.dual)), mode)
-    _check_superhedge(tree, mask, strategy, options, claim, mode)
-    return x, strategy, dual
+    _check_superhedge(tree, mask, strategy, options, claim)
+    return x, strategy, lp_measure(dict(zip(mask.relevant_leaves, out.dual)))
 
 
 def _both_sides(tree, mask, claim, options, mode, columns):
@@ -343,10 +345,11 @@ def dual_price(
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
     mode: lp.Mode = lp.EXACT,
-) -> tuple[Fraction, PathMeasure]:
+) -> tuple[Fraction | float, PathMeasure | None]:
     """Direct dual route: maximize the claim expectation over the
-    option-constrained martingale polytope; in exact mode the optimizing
-    measure passes `verify_measure` before it is returned."""
+    option-constrained martingale polytope. In exact mode it also returns
+    the optimizing measure, which passes `verify_measure` first; in float
+    mode it returns the value only, with None for the measure."""
     options = tuple(options)
     leaves = mask.relevant_leaves
     objective = [claim(leaf) for leaf in leaves]
@@ -358,8 +361,10 @@ def dual_price(
         _require_stock_na(tree, mask)
         raise _no_consistent_measure(tree, mask, options)
     assert isinstance(out, lp.Optimal)
-    q = lp_measure(dict(zip(leaves, out.primal)), mode)
-    _check_measure(tree, mask, options, q, mode, rows)
+    if not mode.exact:
+        return out.value, None
+    q = lp_measure(dict(zip(leaves, out.primal)))
+    _check_measure(tree, mask, options, q, rows)
     return out.value, q
 
 
@@ -393,8 +398,8 @@ def check_replicable(
     rows, columns = _wealth_system(tree, mask, options)
     result = _replicable(tree, mask, claim, options, columns)
     if isinstance(result, NotReplicable):
-        _check_measure(tree, mask, options, result.q_low, lp.EXACT, rows)
-        _check_measure(tree, mask, options, result.q_high, lp.EXACT, rows)
+        _check_measure(tree, mask, options, result.q_low, rows)
+        _check_measure(tree, mask, options, result.q_high, rows)
     return result
 
 

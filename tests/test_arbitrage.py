@@ -19,7 +19,7 @@ from robusthedge.arbitrage import (
 )
 from robusthedge.model import Claim, PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
-from robusthedge.superhedge import dual_price
+from robusthedge.superhedge import dual_price, superhedge_semistatic
 
 from conftest import DATA, constant_stock_model, random_instance
 
@@ -190,21 +190,24 @@ def _trinomial_with_call(horizon=4, steps=(-1, 0, 2)):
     return load_model(json.dumps(doc))
 
 
-def test_float_witness_weights_are_short_and_sum_to_one():
-    # the float dual price rounds its measure once to the 10**-12 grid
+def test_float_dual_price_is_the_number_only():
+    # a float LP yields a number: the float dual price is within 1e-9 of the
+    # exact one, and neither float route returns an unverified measure or
+    # strategy
     model = _trinomial_with_call()
     tree = model.tree
     mask = compute_support(tree)
     assert len(mask.relevant_leaves) == 81
     prices = {leaf: tree.nodes[leaf].price[0] for leaf in tree.leaves}
     claim = Claim({leaf: max(11 - x, F(0)) for leaf, x in prices.items()})
+    mode = lp.float_mode(1e-9)
     exact, q_exact = dual_price(tree, mask, claim, model.options)
-    approx, q_approx = dual_price(tree, mask, claim, model.options, lp.float_mode(1e-9))
+    approx, q_approx = dual_price(tree, mask, claim, model.options, mode)
     assert abs(approx - float(exact)) < 1e-9
-    weights = q_approx.weights
-    assert all(w.denominator <= 10**12 for w in weights.values())
-    assert sum(weights.values()) == 1
-    assert set(q_approx.support()) == set(q_exact.support())
+    assert q_exact is not None and q_approx is None
+    price, strategy, q = superhedge_semistatic(tree, mask, claim, model.options, mode)
+    assert abs(price - float(exact)) < 1e-9
+    assert strategy is None and q is None
 
 
 def test_find_dominating_with_option_pins_measure(example_b):

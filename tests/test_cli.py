@@ -1,14 +1,21 @@
 """CLI: exit codes, human and JSON output, determinism, certificates."""
 
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robusthedge import lp, superhedge
 from robusthedge.cli import _build_parser, main
+from robusthedge.rational import format_with_decimal
 
 from conftest import DATA, NUMBER_FIELDS, example_b_with
 
@@ -153,6 +160,52 @@ def test_answer_too_long_to_print_exits_1(tmp_path, capsys, mode):
         assert captured.err == (
             "error: the exact answer has more than 4300 digits\n"
         )
+
+
+def test_answer_past_float_range_prints_its_decimal(tmp_path, capsys):
+    # root 1, children 0 and 2, claim 1e400 at the child at 0: the price
+    # 1e400/2 is past float range, so its decimal comes from `decimal`
+    doc = {
+        "horizon": 1,
+        "nodes": [
+            {"id": "r", "level": 0, "parent": None, "price": ["1"],
+             "generators": [{"lo": "1/2", "hi": "1/2"}]},
+            {"id": "lo", "level": 1, "parent": "r", "price": ["0"]},
+            {"id": "hi", "level": 1, "parent": "r", "price": ["2"]},
+        ],
+        "claims": {"f": {"lo": "1e400", "hi": "0"}},
+    }
+    path = tmp_path / "past_float_range.json"
+    path.write_text(json.dumps(doc))
+    price = f"{5 * 10**399} (=5e+399)"
+    for argv, code, out in [
+        (["price", "--claim", "f"], 0, price),
+        (["interval", "--claim", "f"], 0, f"point {price}"),
+        (["replicate", "--claim", "f"], 0, f"replicable at {price}"),
+        (["prove", "--claim", "f", "--bound", "1"], 2,
+         f"refuted: expectation {price} exceeds 1 (=1) under a martingale measure"),
+    ]:
+        assert main([*argv, "--model", str(path)]) == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (out + "\n", "")
+    # inside float range the decimal is float's, as it always was
+    for x in (Fraction(6, 5), Fraction(-1, 3), Fraction(1, 10**400), Fraction(10**308)):
+        assert format_with_decimal(x) == f"{x} (={float(x):.12g})"
+
+
+def test_float_lp_past_float_range_asks_for_exact(capsys):
+    # a claim value of 1e400 has no float: the float global LP is a
+    # breakdown, and exact mode answers
+    path = str(DATA / "past_float_range.json")
+    for command in ("price", "interval"):
+        assert main([command, "--model", path, "--claim", "f", "--float"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the LP holds a number past float range; retry without --float\n"
+        )
+    assert main(["price", "--model", path, "--claim", "f"]) == 0
+    assert capsys.readouterr().out.endswith(" (=5e+399)\n")
 
 
 def test_na_pass_exit_0(b_path, capsys):
@@ -437,3 +490,48 @@ def test_oversize_number_exits_1_naming_the_field(tmp_path, capsys, field, liter
     assert captured.out == ""
     assert captured.err.startswith(f"error: {NUMBER_FIELDS[field][1]}: ")
     assert "4000 digits" in captured.err
+
+
+# small bounded JSON values for the mutation property: no value can build a
+# large tree, and the strings include a number past float range and a
+# division by zero
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.sampled_from(["", "x", "root", "8", "13", "-1", "1/2", "1e400", "1/0"]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["8", "10", "13", "id", "name"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_example_b(draw):
+    """example_b with one top-level field, or one field of a node, a
+    generator or an option, replaced by a small JSON value."""
+    doc = json.loads((DATA / "example_b.json").read_text())
+    nodes = doc["nodes"]
+    owners = [doc, *nodes, *nodes[0]["generators"], *doc["options"]]
+    owner = owners[draw(st.integers(0, len(owners) - 1))]
+    owner[draw(st.sampled_from(sorted(owner)))] = draw(_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(text=_mutated_example_b())
+def test_mutated_document_never_prints_a_traceback(text):
+    with tempfile.TemporaryDirectory() as folder:
+        path = str(Path(folder) / "mutated.json")
+        Path(path).write_text(text)
+        for argv in (["validate"], ["na"], ["price", "--claim", "call"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--model", path])
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()

@@ -18,7 +18,13 @@ and three max-min-weight LPs from a former `mm --float` (one of them breaks
 down). `mm` solves exactly, so those three pin only the float kernel. Every
 float is recorded with `float.hex`, so the float kernel must reproduce each
 bit, sign of zero included; a `NumericalBreakdown` is recorded by its
-message.
+message. The float duals and Farkas multipliers were re-recorded when the
+float kernel began to read them off its final reduced-cost row, as the
+exact kernel does, instead of solving y'B = c_B again on the original
+matrix: only those fields moved, each by at most 6e-12, and every kind,
+value, primal point, ray, base point and breakdown stayed the same. The
+float duals of the sweep LPs are also held to within 1e-9 of the exact
+ones.
 
 Re-record (only from a kernel whose answers are trusted) with
 `PYTHONPATH=src python tests/test_lp_golden.py` (exact) and
@@ -278,6 +284,26 @@ def test_float_golden_outcomes_identical():
         prog = lp_from_json(entry["lp"])
         assert len(prog.constraints) >= 64
         assert float_outcome_json(prog) == entry["outcome"], entry["source"]
+
+
+def test_float_sweep_duals_match_exact():
+    # the reduced-cost row gives the float duals of the sweep-sized LPs to
+    # within 1e-9 of the exact duals wherever both modes reach an optimum
+    golden = json.loads(GOLDEN_FLOAT.read_text(encoding="utf-8"))
+    compared = 0
+    for entry in golden["sweep"]:
+        want = entry["outcome"]
+        if want["kind"] != "Optimal":
+            continue
+        exact = solve(lp_from_json(entry["lp"]))
+        if not isinstance(exact, Optimal):
+            continue
+        floats = [float.fromhex(v) for v in want["dual"]]
+        assert len(floats) == len(exact.dual)
+        for got, y in zip(floats, exact.dual):
+            assert abs(got - float(y)) <= 1e-9, entry["source"]
+        compared += 1
+    assert compared >= 4
 
 
 @settings(max_examples=150, deadline=None)

@@ -132,6 +132,38 @@ def test_infinite_claim_rejected():
         load_model(doc)
 
 
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("options", 5),
+        ("options", "ab"),
+        ("options", {"name": "call"}),
+        ("claims", "call"),
+        ("claims", ["call"]),
+        ("processes", "surface"),
+        ("processes", [1]),
+        ("measures", "uniform"),
+        ("measures", []),
+    ],
+)
+def test_wrong_typed_section_is_named(example_b_text, section, value):
+    doc = json.loads(example_b_text)
+    doc[section] = value
+    shape = "an array" if section == "options" else "an object"
+    with pytest.raises(MalformedDocument, match=f"^'{section}' must be {shape} or null$"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section", ["options", "claims", "processes", "measures"])
+def test_absent_or_null_section_is_empty(example_b_text, section):
+    doc = json.loads(example_b_text)
+    doc[section] = None
+    with_null = load_model(json.dumps(doc))
+    del doc[section]
+    assert load_model(json.dumps(doc)) == with_null
+    assert not getattr(with_null, section)
+
+
 def test_round_trip_is_identity(example_b, example_b_text):
     text = save_model(example_b)
     again = load_model(text)
