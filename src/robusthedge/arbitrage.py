@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .model import PathMeasure, ScenarioTree, StaticOption, Strategy, leaf_wealths
+from .model import Measure, ScenarioTree, StaticOption, Strategy, leaf_wealths
 from .polar import SupportMask
 
 F = Fraction
@@ -37,8 +37,8 @@ class ArbitrageFound:
 
 @dataclass(frozen=True)
 class FtapWitness:
-    q: PathMeasure
-    dominated: PathMeasure
+    q: Measure
+    dominated: Measure
 
 
 def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport:
@@ -141,7 +141,7 @@ def semistatic_na(
     the optimum is 0. With no options this agrees with global_na.
     """
     options = tuple(options)
-    columns = _wealth_columns(tree, mask, options)
+    _, columns = _wealth_system(tree, mask, options)
     nw = len(columns)
     width = len(columns[0]) - 1  # h and the node blocks; no initial capital
     objective = [F(0)] * width + [F(1)] * nw
@@ -199,17 +199,12 @@ def martingale_rows(
     return list(zip(rows, rhs, labels))
 
 
-def _wealth_columns(tree, mask, options) -> list[list[Fraction]]:
-    """Per relevant leaf, the coefficients of terminal wealth in the hedge
-    variables: initial capital, option positions, then one d-block per
-    relevant non-leaf node (the martingale_rows columns, option rows
-    moved up behind the mass row)."""
-    return _wealth_system(tree, mask, options)[1]
-
-
 def _wealth_system(tree, mask, options):
-    """The martingale_rows of the options and their _wealth_columns, from
-    one build of the system."""
+    """The martingale_rows of the options and, per relevant leaf, the
+    coefficients of terminal wealth in the hedge variables: initial
+    capital, option positions, then one d-block per relevant non-leaf node
+    (the martingale_rows columns, option rows moved up behind the mass
+    row)."""
     system = martingale_rows(tree, mask, options)
     rows = [row for row, _, _ in system]
     cut = len(rows) - len(options)
@@ -218,7 +213,7 @@ def _wealth_system(tree, mask, options):
 
 
 def _hedge_strategy(tree, mask, n_options: int, point) -> Strategy:
-    """The Strategy of a point laid out like a _wealth_columns column;
+    """The Strategy of a point laid out like a _wealth_system column;
     entries past the node blocks are ignored."""
     d = tree.dimension
     blocks = point[1 + n_options:]
@@ -234,7 +229,7 @@ def find_dominating_mm(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    p: PathMeasure,
+    p: Measure,
 ) -> FtapWitness | None:
     """Martingale measure q consistent with the option quotes and dominating
     p (q >= t p with t > 0, so q charges every leaf p charges), exact and
@@ -260,16 +255,16 @@ def find_dominating_mm(
     return witness
 
 
-def lp_measure(values: dict[str, Fraction]) -> PathMeasure:
+def lp_measure(values: dict[str, Fraction]) -> Measure:
     """The path measure of exact LP leaf weights: the positive ones."""
-    return PathMeasure({leaf: w for leaf, w in values.items() if w > 0})
+    return Measure({leaf: w for leaf, w in values.items() if w > 0})
 
 
 def verify_measure(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    q: PathMeasure,
+    q: Measure,
     rows: list[tuple[list[Fraction], Fraction, str]] | None = None,
 ) -> list[str]:
     """Exact recheck that q lies in the option-constrained martingale

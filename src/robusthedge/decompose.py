@@ -51,12 +51,6 @@ class AdaptedProcess:
 
 
 @dataclass(frozen=True)
-class Violation:
-    node: str
-    gap: Fraction
-
-
-@dataclass(frozen=True)
 class Decomposition:
     strategy: Strategy  # initial = V_0, static empty
     consumption: dict[str, Fraction]  # accumulated K per relevant node, K_0 = 0
@@ -66,19 +60,22 @@ def check_supermartingale(
     tree: ScenarioTree,
     mask: SupportMask,
     process: AdaptedProcess,
-) -> Violation | None:
+) -> NotSupermartingale | None:
     """None when the one-step dynamic programming inequality holds at every
     relevant non-leaf node; otherwise the first violation (top level first,
     document order) with its exact positive gap."""
     _require_stock_na(tree, mask)
-    found = _one_step_hedges(tree, mask, process)
-    return found if isinstance(found, Violation) else None
+    try:
+        _one_step_hedges(tree, mask, process)
+    except NotSupermartingale as violation:
+        return violation
+    return None
 
 
 def _one_step_hedges(tree, mask, process):
-    """The one-step hedge at every relevant non-leaf node, or the first
-    violation of the dynamic programming inequality; the stocks must
-    already pass NA."""
+    """The one-step hedge at every relevant non-leaf node; raises
+    NotSupermartingale at the first violation of the dynamic programming
+    inequality. The stocks must already pass NA."""
     process.validate(mask)
     hedges: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon):
@@ -87,7 +84,7 @@ def _one_step_hedges(tree, mask, process):
             value, hedge = node_price(tree, mask, node_id, child_values)
             gap = value - process(node_id)
             if gap > 0:
-                return Violation(node_id, gap)
+                raise NotSupermartingale(node_id, gap)
             hedges[node_id] = hedge
     return hedges
 
@@ -102,8 +99,6 @@ def optional_decomposition(
     hedges; the result passes `verify_decomposition` before it is returned."""
     _require_stock_na(tree, mask)
     hedges = _one_step_hedges(tree, mask, process)
-    if isinstance(hedges, Violation):
-        raise NotSupermartingale(hedges.node, hedges.gap)
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
@@ -118,40 +113,6 @@ def optional_decomposition(
     if problems:
         raise RuntimeError(f"decomposition failed re-verification (bug): {problems}")
     return decomposition
-
-
-def confirm_by_sampling(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    process: AdaptedProcess,
-    rng,
-    samples: int = 100,
-) -> list[str]:
-    """Randomized confirmation of a Yes verdict: at every relevant non-leaf
-    node, `samples` random mixtures of the one-step martingale vertices must
-    satisfy the conditional inequality sum q V_child <= V_node."""
-    from .oracle import one_step_vertices
-
-    bad: list[str] = []
-    for level in range(tree.horizon):
-        for node_id in mask.relevant_nodes[level]:
-            vertices = one_step_vertices(tree, mask, node_id)
-            if not vertices:
-                bad.append(f"no one-step martingale measure at {node_id!r}")
-                continue
-            for _ in range(samples):
-                mix = [F(rng.randint(0, 4)) for _ in vertices]
-                if sum(mix) == 0:
-                    mix[0] = F(1)
-                total = sum(mix)
-                mean = F(0)
-                for m, vertex in zip(mix, vertices):
-                    for child, w in vertex.weights.items():
-                        mean += m * w * process(child)
-                if mean / total > process(node_id):
-                    bad.append(f"sampled kernel beats the process at {node_id!r}")
-                    break
-    return bad
 
 
 def verify_decomposition(

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 
 from .rational import (
     RationalParseError,
-    format_rational,
     json_float,
     json_int,
     to_rational,
@@ -65,40 +64,28 @@ class MissingKernel(ModelError):
 
 @dataclass(frozen=True)
 class Measure:
-    """One-step transition measure: child id -> weight, nonnegative, sum 1."""
+    """Probability weights by node id: a one-step kernel over a node's
+    children or a measure on leaves; nonnegative, summing to 1."""
 
     weights: dict[str, Fraction]
 
     def validate(self) -> None:
         total = Fraction(0)
-        for child, w in self.weights.items():
+        for node_id, w in self.weights.items():
             if w < 0:
-                raise ValueError(f"negative weight {w} on {child!r}")
+                raise ValueError(f"negative weight {w} on {node_id!r}")
             total += w
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
 
-    def __call__(self, child: str) -> Fraction:
-        return self.weights.get(child, Fraction(0))
+    def __call__(self, node_id: str) -> Fraction:
+        return self.weights.get(node_id, Fraction(0))
 
     def support(self) -> tuple[str, ...]:
-        return tuple(c for c, w in self.weights.items() if w > 0)
+        return tuple(n for n, w in self.weights.items() if w > 0)
 
 
-@dataclass(frozen=True)
-class AmbiguitySet:
-    """Finitely generated set of transition measures; semantics = convex hull."""
-
-    generators: tuple[Measure, ...]
-
-    def uniform_mixture(self) -> Measure:
-        """Average of the generators: a strictly representative selector."""
-        k = len(self.generators)
-        mixed: dict[str, Fraction] = {}
-        for g in self.generators:
-            for child, w in g.weights.items():
-                mixed[child] = mixed.get(child, Fraction(0)) + w
-        return Measure({c: w / k for c, w in mixed.items()})
+PathMeasure = Measure  # the name the measure on leaves goes by
 
 
 @dataclass(frozen=True)
@@ -108,7 +95,8 @@ class Node:
     parent: str | None
     price: tuple[Fraction, ...]
     children: tuple[str, ...]
-    ambiguity: AmbiguitySet | None  # None exactly at leaves
+    # the ambiguity set is their convex hull; empty exactly at leaves
+    generators: tuple[Measure, ...]
 
     @property
     def is_leaf(self) -> bool:
@@ -140,28 +128,6 @@ class ScenarioTree:
             ids.append(parent)
         ids.reverse()
         return tuple(ids)
-
-
-@dataclass(frozen=True)
-class PathMeasure:
-    """Probability vector over leaves."""
-
-    weights: dict[str, Fraction]
-
-    def validate(self) -> None:
-        total = Fraction(0)
-        for leaf, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight {w} on leaf {leaf!r}")
-            total += w
-        if total != 1:
-            raise ValueError(f"leaf weights sum to {total}, not 1")
-
-    def __call__(self, leaf: str) -> Fraction:
-        return self.weights.get(leaf, Fraction(0))
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(leaf for leaf, w in self.weights.items() if w > 0)
 
 
 @dataclass(frozen=True)
@@ -216,7 +182,7 @@ class Model:
     options: tuple[StaticOption, ...]
     claims: dict[str, Claim]
     processes: dict[str, dict[str, Fraction]] = field(default_factory=dict)
-    measures: dict[str, PathMeasure] = field(default_factory=dict)
+    measures: dict[str, Measure] = field(default_factory=dict)
 
 
 def _reject_constant(token: str) -> None:
@@ -316,7 +282,7 @@ def load_model(text: str) -> Model:
             )
         children[parent_id].append(node_id)
 
-    # Second pass: ambiguity sets over the now-known children.
+    # Second pass: generators over the now-known children.
     nodes: dict[str, Node] = {}
     for node_id, level, parent_id, price, raw_gens in parsed:
         kids = tuple(children[node_id])
@@ -326,13 +292,12 @@ def load_model(text: str) -> Model:
             raise MalformedDocument(
                 f"node {node_id!r} at level {level} < horizon has no children"
             )
-        ambiguity = None
+        gens: list[Measure] = []
         if kids:
             if not isinstance(raw_gens, list) or not raw_gens:
                 raise MalformedDocument(
                     f"node {node_id!r}: 'generators' must be a nonempty array"
                 )
-            gens = []
             kid_set = set(kids)
             for g_index, raw_g in enumerate(raw_gens):
                 if not isinstance(raw_g, dict):
@@ -355,8 +320,7 @@ def load_model(text: str) -> Model:
                         node_id, g_index, f"node {node_id!r} generator {g_index}: {exc}"
                     ) from exc
                 gens.append(measure)
-            ambiguity = AmbiguitySet(tuple(gens))
-        nodes[node_id] = Node(node_id, level, parent_id, price, kids, ambiguity)
+        nodes[node_id] = Node(node_id, level, parent_id, price, kids, tuple(gens))
 
     levels: list[list[str]] = [[] for _ in range(horizon + 1)]
     for node_id, level, _, _, _ in parsed:
@@ -391,6 +355,8 @@ def load_model(text: str) -> Model:
         if not isinstance(raw_opt, dict) or "name" not in raw_opt:
             raise MalformedDocument(f"option {k}: needs 'name', 'quote' and 'payoff'")
         name = str(raw_opt["name"])
+        if any(opt.name == name for opt in options):
+            raise MalformedDocument(f"duplicate option name {name!r}")
         quote = _rational(raw_opt.get("quote", 0), f"option {name!r} quote")
         payoff = leaf_map(raw_opt.get("payoff"), f"option {name!r} payoff", complete=True)
         options.append(StaticOption(name, quote, payoff))
@@ -413,9 +379,9 @@ def load_model(text: str) -> Model:
             values[node_id] = _rational(val, f"process {name!r} at node {node_id!r}")
         processes[str(name)] = values
 
-    measures: dict[str, PathMeasure] = {}
+    measures: dict[str, Measure] = {}
     for name, raw_meas in _section(doc, "measures", dict).items():
-        pm = PathMeasure(leaf_map(raw_meas, f"measure {name!r}", complete=False))
+        pm = Measure(leaf_map(raw_meas, f"measure {name!r}", complete=False))
         try:
             pm.validate()
         except ValueError as exc:
@@ -437,12 +403,12 @@ def save_model(model: Model) -> str:
                 "id": node.id,
                 "level": node.level,
                 "parent": node.parent,
-                "price": [format_rational(p) for p in node.price],
+                "price": [str(p) for p in node.price],
             }
-            if node.ambiguity is not None:
+            if node.generators:
                 entry["generators"] = [
-                    {c: format_rational(g.weights[c]) for c in node.children}
-                    for g in node.ambiguity.generators
+                    {c: str(g.weights[c]) for c in node.children}
+                    for g in node.generators
                 ]
             raw_nodes.append(entry)
     doc = {
@@ -452,21 +418,21 @@ def save_model(model: Model) -> str:
         "options": [
             {
                 "name": opt.name,
-                "quote": format_rational(opt.quote),
-                "payoff": {leaf: format_rational(opt.payoff[leaf]) for leaf in tree.leaves},
+                "quote": str(opt.quote),
+                "payoff": {leaf: str(opt.payoff[leaf]) for leaf in tree.leaves},
             }
             for opt in model.options
         ],
         "claims": {
-            name: {leaf: format_rational(claim.values[leaf]) for leaf in tree.leaves}
+            name: {leaf: str(claim.values[leaf]) for leaf in tree.leaves}
             for name, claim in model.claims.items()
         },
         "processes": {
-            name: {nid: format_rational(v) for nid, v in vals.items()}
+            name: {nid: str(v) for nid, v in vals.items()}
             for name, vals in model.processes.items()
         },
         "measures": {
-            name: {leaf: format_rational(w) for leaf, w in pm.weights.items()}
+            name: {leaf: str(w) for leaf, w in pm.weights.items()}
             for name, pm in model.measures.items()
         },
     }
@@ -527,7 +493,7 @@ def leaf_wealths(
     return out
 
 
-def product_measure(tree: ScenarioTree, kernels: dict[str, Measure]) -> PathMeasure:
+def product_measure(tree: ScenarioTree, kernels: dict[str, Measure]) -> Measure:
     """Multiply one-step kernels along paths into a measure on leaves.
 
     Kernels must cover every node reachable with positive mass; kernels at
@@ -552,6 +518,6 @@ def product_measure(tree: ScenarioTree, kernels: dict[str, Measure]) -> PathMeas
                 if cw != 0:
                     mass[child] = mass.get(child, Fraction(0)) + cw
     weights = {leaf: mass[leaf] for leaf in tree.leaves if mass.get(leaf, Fraction(0)) > 0}
-    result = PathMeasure(weights)
+    result = Measure(weights)
     result.validate()
     return result

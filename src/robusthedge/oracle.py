@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .arbitrage import martingale_rows
-from .model import Claim, Measure, PathMeasure, ScenarioTree, StaticOption
+from .model import Claim, Measure, ScenarioTree, StaticOption
 from .polar import SupportMask
 
 F = Fraction
@@ -32,7 +32,7 @@ class EmptyPolytope(Exception):
 class MartingalePolytope:
     ambient: tuple[str, ...]  # relevant leaves, document order
     equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]  # (row, rhs)
-    vertices: tuple[PathMeasure, ...]
+    vertices: tuple[Measure, ...]
 
 
 def enumerate_vertices(
@@ -76,7 +76,7 @@ def enumerate_vertices(
         ),
     )
     vertices = tuple(
-        PathMeasure({leaves[k]: v for k, v in enumerate(pt) if v != 0})
+        Measure({leaves[k]: v for k, v in enumerate(pt) if v != 0})
         for pt in ordered
     )
     return MartingalePolytope(
@@ -182,9 +182,9 @@ def one_step_vertices(
 @dataclass(frozen=True)
 class BrutePrice:
     maximum: Fraction
-    argmax: PathMeasure
+    argmax: Measure
     minimum: Fraction
-    argmin: PathMeasure
+    argmin: Measure
 
 
 def brute_price(polytope: MartingalePolytope, claim: Claim) -> BrutePrice:

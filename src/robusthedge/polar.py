@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Measure, PathMeasure, ScenarioTree, product_measure
+from .model import Measure, ScenarioTree, product_measure
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,6 @@ class SupportMask:
     node_support: dict[str, tuple[str, ...]]  # non-leaf node -> supported children
     relevant_nodes: tuple[tuple[str, ...], ...]  # per level, document order
     relevant_leaves: tuple[str, ...]
-
-    def is_relevant(self, node_id: str) -> bool:
-        return any(node_id in level for level in self.relevant_nodes)
 
     def relevant_nonleaf(self, tree: ScenarioTree) -> list[str]:
         """Relevant non-leaf nodes, level by level, document order."""
@@ -35,9 +32,8 @@ def compute_support(tree: ScenarioTree) -> SupportMask:
     for level in range(tree.horizon):
         for node_id in tree.levels[level]:
             node = tree.nodes[node_id]
-            assert node.ambiguity is not None
             supported = set()
-            for g in node.ambiguity.generators:
+            for g in node.generators:
                 supported.update(g.support())
             node_support[node_id] = tuple(c for c in node.children if c in supported)
 
@@ -79,19 +75,22 @@ def reference_kernels(tree: ScenarioTree) -> dict[str, Measure]:
     kernels: dict[str, Measure] = {}
     for level in range(tree.horizon):
         for node_id in tree.levels[level]:
-            node = tree.nodes[node_id]
-            assert node.ambiguity is not None
-            kernels[node_id] = node.ambiguity.uniform_mixture()
+            generators = tree.nodes[node_id].generators
+            mixed: dict[str, Fraction] = {}
+            for g in generators:
+                for child, w in g.weights.items():
+                    mixed[child] = mixed.get(child, Fraction(0)) + w
+            kernels[node_id] = Measure({c: w / len(generators) for c, w in mixed.items()})
     return kernels
 
 
-def reference_measure(tree: ScenarioTree) -> PathMeasure:
+def reference_measure(tree: ScenarioTree) -> Measure:
     """The product of the uniform-mixture kernels; its support is exactly
     the relevant leaves."""
     return product_measure(tree, reference_kernels(tree))
 
 
-def node_mass(tree: ScenarioTree, measure: PathMeasure) -> dict[str, Fraction]:
+def node_mass(tree: ScenarioTree, measure: Measure) -> dict[str, Fraction]:
     """Total leaf mass under every node (root mass is 1 for a probability)."""
     mass: dict[str, Fraction] = {leaf: measure(leaf) for leaf in tree.leaves}
     for level in range(tree.horizon - 1, -1, -1):

@@ -12,6 +12,7 @@ Python's default limit of 4300 digits on int-to-str conversion.
 
 from __future__ import annotations
 
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -101,21 +102,19 @@ def to_rational(value: object) -> Fraction:
     raise RationalParseError(f"cannot parse rational from {value!r}")
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as "p/q" (or "p" for integers), the form save_model emits."""
-    return str(x)
-
-
 def format_with_decimal(x: Fraction | float, digits: int = 12) -> str:
     """Human rendering: exact form plus a 12-significant-digit decimal,
-    through `decimal` when the value is past float range."""
+    through `decimal` when a nonzero value is past float range or below
+    its normal range, where a float would overflow, read 0 or lose digits."""
     if not isinstance(x, Fraction):
         return f"{x:.{digits}g}"
     try:
-        approx = f"{float(x):.{digits}g}"
+        value = float(x)
     except OverflowError:
-        with localcontext() as ctx:
-            ctx.prec = digits
-            quotient = Decimal(x.numerator) / Decimal(x.denominator)
-        approx = f"{quotient.normalize():.{digits}g}"
-    return f"{x} (={approx})"
+        value = None
+    if value is not None and (x == 0 or abs(value) >= sys.float_info.min):
+        return f"{x} (={value:.{digits}g})"
+    with localcontext() as ctx:
+        ctx.prec = digits
+        quotient = Decimal(x.numerator) / Decimal(x.denominator)
+    return f"{x} (={quotient.normalize():.{digits}g})"

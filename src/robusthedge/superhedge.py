@@ -18,7 +18,6 @@ from .arbitrage import (
     ArbitrageFound,
     _dot,
     _hedge_strategy,
-    _wealth_columns,
     _wealth_system,
     global_na,
     lp_measure,
@@ -28,7 +27,7 @@ from .arbitrage import (
 )
 from .model import (
     Claim,
-    PathMeasure,
+    Measure,
     ScenarioTree,
     StaticOption,
     Strategy,
@@ -61,26 +60,6 @@ class LagrangeGap(Exception):
     not a market property)."""
 
 
-_UNUSED = object()
-
-
-@dataclass(frozen=True)
-class ValueSurface:
-    """Backward-recursion values and hedges on the relevant tree; polar
-    nodes carry the Unused sentinel and the zero hedge."""
-
-    values: dict[str, Fraction]
-    hedges: dict[str, tuple[Fraction, ...]]
-
-    UNUSED = _UNUSED
-
-    def value(self, node_id: str):
-        return self.values.get(node_id, _UNUSED)
-
-    def hedge(self, node_id: str, dimension: int) -> tuple[Fraction, ...]:
-        return self.hedges.get(node_id, (F(0),) * dimension)
-
-
 @dataclass(frozen=True)
 class PriceInterval:
     lower: Fraction
@@ -99,8 +78,8 @@ class Replicable:
 
 @dataclass(frozen=True)
 class NotReplicable:
-    q_low: PathMeasure
-    q_high: PathMeasure
+    q_low: Measure
+    q_high: Measure
     interval: PriceInterval
 
 
@@ -111,7 +90,7 @@ class Proved:
 
 @dataclass(frozen=True)
 class Refuted:
-    q: PathMeasure
+    q: Measure
     expectation: Fraction
 
 
@@ -206,7 +185,7 @@ def _no_consistent_measure(tree, mask, options):
     saw an empty polytope that the exact search does not confirm. The
     stocks must already pass NA."""
     hints = []
-    columns = _wealth_columns(tree, mask, ())
+    _, columns = _wealth_system(tree, mask, ())
     for opt in options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
         (upper, _, _), (lower_neg, _, _) = _both_sides(
@@ -236,26 +215,26 @@ def superhedge_dynamic(
     tree: ScenarioTree,
     mask: SupportMask,
     claim: Claim,
-) -> tuple[Fraction, ValueSurface, Strategy]:
-    """Backward recursion over the relevant tree (stocks only): the composed
-    one-step prices; the hedge field assembles into an optimal strategy with
-    price + H.S_T >= claim on every relevant leaf."""
+) -> tuple[Fraction, dict[str, Fraction], Strategy]:
+    """Backward recursion over the relevant tree (stocks only): the price,
+    the superhedging value at every relevant node, and the optimal strategy
+    the one-step hedges assemble into, with price + H.S_T >= claim on every
+    relevant leaf."""
     _require_stock_na(tree, mask)
     values: dict[str, Fraction] = {
         leaf: claim(leaf) for leaf in mask.relevant_leaves
     }
-    hedges: dict[str, tuple[Fraction, ...]] = {}
+    dynamic: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon - 1, -1, -1):
         for node_id in mask.relevant_nodes[level]:
             child_values = {c: values[c] for c in mask.node_support[node_id]}
-            value, hedge = node_price(tree, mask, node_id, child_values)
-            values[node_id] = value
-            hedges[node_id] = hedge
+            values[node_id], hedge = node_price(tree, mask, node_id, child_values)
+            if any(v != 0 for v in hedge):
+                dynamic[node_id] = hedge
     price = values[tree.root]
-    dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     strategy = Strategy(price, (), dynamic)
     _check_superhedge(tree, mask, strategy, (), claim)
-    return price, ValueSurface(values, hedges), strategy
+    return price, values, strategy
 
 
 def _check_superhedge(tree, mask, strategy, options, claim) -> None:
@@ -284,7 +263,7 @@ def superhedge_semistatic(
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
     mode: lp.Mode = lp.EXACT,
-) -> tuple[Fraction | float, Strategy | None, PathMeasure | None]:
+) -> tuple[Fraction | float, Strategy | None, Measure | None]:
     """Global LP route: min x over semistatic strategies superhedging the
     claim on the relevant leaves. In exact mode it also returns an optimal
     strategy and the dual optimizer, a martingale measure attaining the
@@ -305,7 +284,7 @@ def superhedge_semistatic(
 
 def _primal_superhedge(tree, mask, claim, options, mode, columns):
     """superhedge_semistatic once the stocks are known to pass NA, on the
-    `_wealth_columns` of the options; the measure is not yet checked."""
+    wealth columns of the options; the measure is not yet checked."""
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
         (column, ">=", claim(leaf))
@@ -330,7 +309,7 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
 
 def _both_sides(tree, mask, claim, options, mode, columns):
     """The superhedges of the claim and of its negation, upper side first,
-    on the `_wealth_columns` of the options; the stocks must already pass
+    on the wealth columns of the options; the stocks must already pass
     NA."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
     return (
@@ -345,7 +324,7 @@ def dual_price(
     claim: Claim,
     options: tuple[StaticOption, ...] | list[StaticOption],
     mode: lp.Mode = lp.EXACT,
-) -> tuple[Fraction | float, PathMeasure | None]:
+) -> tuple[Fraction | float, Measure | None]:
     """Direct dual route: maximize the claim expectation over the
     option-constrained martingale polytope. In exact mode it also returns
     the optimizing measure, which passes `verify_measure` first; in float
@@ -377,7 +356,7 @@ def price_interval(
 ) -> PriceInterval:
     """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
     _require_stock_na(tree, mask)
-    columns = _wealth_columns(tree, mask, options)
+    _, columns = _wealth_system(tree, mask, options)
     (upper, _, _), (lower_neg, _, _) = _both_sides(
         tree, mask, claim, options, mode, columns
     )
@@ -405,7 +384,7 @@ def check_replicable(
 
 def _replicable(tree, mask, claim, options, columns):
     """check_replicable once the stocks are known to pass NA, on the
-    `_wealth_columns` of the options."""
+    wealth columns of the options."""
     (upper, strategy, q_high), (lower_neg, _, q_low) = _both_sides(
         tree, mask, claim, options, lp.EXACT, columns
     )
@@ -439,7 +418,7 @@ def check_complete(
     martingale polytope is a single point); exact."""
     options = tuple(options)
     _require_stock_na(tree, mask)
-    columns = _wealth_columns(tree, mask, options)
+    _, columns = _wealth_system(tree, mask, options)
     for leaf in mask.relevant_leaves:
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}

@@ -18,7 +18,7 @@ from robusthedge import lp
 from robusthedge.arbitrage import find_dominating_mm, global_na, semistatic_na
 from robusthedge.decompose import (
     AdaptedProcess,
-    Violation,
+    NotSupermartingale,
     check_supermartingale,
     optional_decomposition,
     verify_decomposition,
@@ -258,8 +258,8 @@ def test_criterion_6_optional_decomposition(corpus):
         if global_na(tree, mask) is not None:
             continue
         claim = random_claim(rng, model)
-        _, surface, _ = superhedge_dynamic(tree, mask, claim)
-        process = AdaptedProcess(dict(surface.values))
+        _, values, _ = superhedge_dynamic(tree, mask, claim)
+        process = AdaptedProcess(values)
         decomposition = optional_decomposition(tree, mask, process)
         assert verify_decomposition(tree, mask, process, decomposition) == []
         assert all(v >= 0 for v in decomposition.consumption.values())
@@ -274,10 +274,10 @@ def test_criterion_6_optional_decomposition(corpus):
             key=lambda q: sum((w * process(c) for c, w in q.items()), F(0)),
         )
         target = next(iter(best))
-        bumped = dict(surface.values)
+        bumped = dict(values)
         bumped[target] = bumped[target] + 1
         report = check_supermartingale(tree, mask, AdaptedProcess(bumped))
-        assert isinstance(report, Violation)
+        assert isinstance(report, NotSupermartingale)
         assert report.node == tree.root
         expected_gap = max(
             sum((w * bumped[c] for c, w in q.items()), F(0))

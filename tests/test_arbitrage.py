@@ -9,7 +9,7 @@ import pytest
 from robusthedge import lp
 from robusthedge.arbitrage import (
     _hedge_strategy,
-    _wealth_columns,
+    _wealth_system,
     find_dominating_mm,
     global_na,
     martingale_rows,
@@ -110,7 +110,7 @@ def test_failing_polar_node_is_ignored():
     }
     model = load_model(json.dumps(doc))
     mask = compute_support(model.tree)
-    assert not mask.is_relevant("bad")
+    assert "bad" not in mask.relevant_nodes[1]
     assert global_na(model.tree, mask) is None
 
     # making the bad node relevant flips the verdict
@@ -337,7 +337,7 @@ def _check_rows_give_wealth(model, rng):
         else:
             static.append(v)  # option rows follow model.options
     strategy = Strategy(initial, tuple(static), {n: tuple(h) for n, h in dynamic.items()})
-    columns = _wealth_columns(tree, mask, model.options)
+    _, columns = _wealth_system(tree, mask, model.options)
     point = [initial, *static, *(v for h in dynamic.values() for v in h)]
     same = _hedge_strategy(tree, mask, len(model.options), point)
     for k, leaf in enumerate(mask.relevant_leaves):

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -188,9 +190,69 @@ def test_answer_past_float_range_prints_its_decimal(tmp_path, capsys):
         assert main([*argv, "--model", str(path)]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (out + "\n", "")
-    # inside float range the decimal is float's, as it always was
-    for x in (Fraction(6, 5), Fraction(-1, 3), Fraction(1, 10**400), Fraction(10**308)):
+    # inside the normal float range the decimal is float's, as it always was
+    normal = (Fraction(6, 5), Fraction(-1, 3), Fraction(2) ** -1022, Fraction(10**308))
+    for x in (*normal, Fraction(0)):
         assert format_with_decimal(x) == f"{x} (={float(x):.12g})"
+
+
+@pytest.mark.parametrize(
+    "x, decimal",
+    [
+        (Fraction(1, 10**400), "1e-400"),
+        (Fraction(-1, 10**400), "-1e-400"),
+        (Fraction(123456789012345, 10**334), "1.23456789012e-320"),  # subnormal
+    ],
+)
+def test_value_below_normal_float_range_prints_its_decimal(x, decimal):
+    assert format_with_decimal(x) == f"{x} (={decimal})"
+
+
+def test_answer_below_float_range_prints_its_decimal(tmp_path, capsys):
+    # a claim of 1e-400 at every leaf is its own price, nonzero but below
+    # float range, so its decimal comes from `decimal` rather than reading 0
+    doc = {
+        "horizon": 1,
+        "nodes": [
+            {"id": "r", "level": 0, "parent": None, "price": ["1"],
+             "generators": [{"lo": "1/2", "hi": "1/2"}]},
+            {"id": "lo", "level": 1, "parent": "r", "price": ["0"]},
+            {"id": "hi", "level": 1, "parent": "r", "price": ["2"]},
+        ],
+        "claims": {"f": {"lo": "1e-400", "hi": "1e-400"}},
+    }
+    path = tmp_path / "below_float_range.json"
+    path.write_text(json.dumps(doc))
+    assert main(["price", "--model", str(path), "--claim", "f"]) == 0
+    assert capsys.readouterr().out == f"{Fraction(1, 10**400)} (=1e-400)\n"
+    # the CI step prices the same document
+    assert json.loads((DATA / "below_float_range.json").read_text()) == doc
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a fresh interpreter, so modules the tests import do not hide any
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import robusthedge, robusthedge.cli, robusthedge.oracle\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - {'robusthedge'} - set(sys.stdlib_module_names)))\n"
+    )
+    src = str(Path(superhedge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
+
+
+def test_repeated_option_name_exits_1(capsys):
+    path = str(DATA / "repeated_option.json")
+    for argv in (["validate"], ["hedge", "--claim", "put"]):
+        assert main([*argv, "--model", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate option name 'call'\n"
 
 
 def test_float_lp_past_float_range_asks_for_exact(capsys):

@@ -69,7 +69,7 @@ def test_decimal_weights_parse_exactly():
         ],
     }
     model = load_model(json.dumps(doc))
-    gen = model.tree.nodes["r"].ambiguity.generators[0]
+    gen = model.tree.nodes["r"].generators[0]
     assert gen.weights == {"a": F(1, 10), "b": F(9, 10)}
     assert model.tree.nodes["r"].price == (F(3, 2),)
 
@@ -116,6 +116,19 @@ def test_structural_errors():
         load_model("not json [")
     with pytest.raises(MalformedDocument):
         load_model(json.dumps({"horizon": 0, "nodes": []}))
+
+
+def test_repeated_option_name_rejected(example_b_text):
+    # strategies key option positions by name, so a second "call" would
+    # hide one position
+    doc = json.loads(example_b_text)
+    doc["options"].append(
+        {"name": "call", "quote": "3/5", "payoff": {"8": "1", "10": "0", "13": "0"}}
+    )
+    with pytest.raises(MalformedDocument, match="^duplicate option name 'call'$"):
+        load_model(json.dumps(doc))
+    doc["options"][1]["name"] = "put8"
+    assert [opt.name for opt in load_model(json.dumps(doc)).options] == ["call", "put8"]
 
 
 def test_infinite_claim_rejected():

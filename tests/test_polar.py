@@ -48,8 +48,7 @@ def test_dirac_kernel_makes_siblings_polar():
     mask = compute_support(model.tree)
     assert mask.node_support["r"] == ("u",)
     assert mask.relevant_leaves == ("uu", "ud")
-    assert not mask.is_relevant("d")
-    assert not mask.is_relevant("du")
+    assert mask.relevant_nodes == (("r",), ("u",), ("uu", "ud"))
     assert is_polar(model.tree, mask, {"du"})
     assert not is_polar(model.tree, mask, {"uu"})
     assert is_polar(model.tree, mask, set())
@@ -91,7 +90,7 @@ def test_max_mass_on_polar_event_is_zero():
         if node.is_leaf:
             return F(1) if node_id in event else F(0)
         best = F(0)
-        for gen in node.ambiguity.generators:
+        for gen in node.generators:
             total = sum(
                 (gen(c) * max_mass(c) for c in node.children), F(0)
             )

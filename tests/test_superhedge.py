@@ -17,7 +17,6 @@ from robusthedge.superhedge import (
     Proved,
     Refuted,
     Replicable,
-    ValueSurface,
     check_complete,
     check_replicable,
     dual_price,
@@ -80,7 +79,7 @@ def test_node_price_single_child_zero_increment():
 
 def test_dynamic_one_period_is_node_price(example_b):
     mask = compute_support(example_b.tree)
-    price, surface, strategy = superhedge_dynamic(
+    price, _, strategy = superhedge_dynamic(
         example_b.tree, mask, _call_claim(example_b)
     )
     assert price == F(6, 5)
@@ -109,23 +108,22 @@ def test_dynamic_matches_global_on_recombining_call():
     claim = Claim(
         {leaf: max(tree.nodes[leaf].price[0] - 3, F(0)) for leaf in tree.leaves}
     )
-    dp_price, surface, strategy = superhedge_dynamic(tree, mask, claim)
+    dp_price, values, strategy = superhedge_dynamic(tree, mask, claim)
     lp_price, _, _ = superhedge_semistatic(tree, mask, claim, ())
     assert dp_price == lp_price
-    # surface invariant: value + hedge . dS >= child value on supported edges
+    # value process invariant: value + hedge . dS >= child value on supported edges
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
-            hedge = surface.hedges[node_id]
+            hedge = strategy.position(node_id, tree.dimension)
             for child in mask.node_support[node_id]:
                 step = tree.increment(node_id, child)
-                lhs = surface.values[node_id] + sum(
+                lhs = values[node_id] + sum(
                     h * s for h, s in zip(hedge, step)
                 )
-                assert lhs >= surface.values[child]
-    # Unused only at polar nodes
+                assert lhs >= values[child]
+    # values exactly at the relevant nodes
     relevant = {n for level in mask.relevant_nodes for n in level}
-    assert set(surface.values) == relevant
-    assert surface.value("nope") is ValueSurface.UNUSED
+    assert set(values) == relevant
 
 
 def test_arbitrage_detected_on_bad_market():
