@@ -2,9 +2,11 @@
 
 Local no-arbitrage at a node means 0 lies in the relative interior of the
 convex hull of the supported price increments; the market passes globally
-when every relevant node passes locally. Failures come with a hedge vector
-whose one-node lift is a quasi-surely nonnegative strategy with positive
-wealth on a nonpolar set. The dominating-measure search is the executable
+when every relevant node passes locally. With one or two stocks a passing
+node is recognized without an LP; a failing node with two or more stocks,
+and every node with three or more, solves the max-min-weight LP. Failures
+come with a hedge vector whose one-node lift is a quasi-surely nonnegative
+strategy with positive wealth on a nonpolar set. The dominating-measure search is the executable
 First Fundamental Theorem: given a reference measure p it maximizes the
 uniform domination factor t with q >= t p over the option-constrained
 martingale polytope; a witness exists exactly when t* > 0.
@@ -12,6 +14,7 @@ martingale polytope; a witness exists exactly when t* > 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,8 +51,10 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
 
     With one stock the test needs no LP: the node passes iff its increments
     take both signs or all vanish, and otherwise (1,) or (-1,) is the only
-    scaled separator. With two or more stocks the exact max-min-weight LP
-    decides. Either way the separator is re-verified.
+    scaled separator. With two stocks a passing node needs no LP either
+    (`_two_stock_inside`); a failing one solves the exact max-min-weight LP
+    for its separator. With three or more stocks that LP decides. Whenever
+    there is a separator, it is re-verified.
     """
     node = tree.nodes[node_id]
     if node.is_leaf:
@@ -60,6 +65,8 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
         y = _one_stock_separator(vectors)
         if y is None:
             return NodeNaReport(node_id, True, None)
+    elif tree.dimension == 2 and _two_stock_inside(vectors):
+        return NodeNaReport(node_id, True, None)
     else:
         status = lp.zero_in_relative_interior(vectors)
         if status.inside:
@@ -85,6 +92,29 @@ def _one_stock_separator(
     if up == down:
         return None
     return (F(1),) if up else (F(-1),)
+
+
+def _two_stock_inside(increments: list[tuple[Fraction, ...]]) -> bool:
+    """Exact local NA for two stocks: whether 0 lies in the relative
+    interior of the hull of the increments. It does not iff some h has
+    h.w >= 0 for every increment w, with one strict inequality. The cone
+    {h : h.w >= 0 for every w} then is a half-plane whose inward normal is
+    an increment v, or its edges, each some +-v_perp, include such an h;
+    so only v and +-v_perp over the nonzero increments v are tried (-v
+    never works: -v.v < 0). Each increment is scaled by a positive integer
+    to integer coordinates, which keeps every sign."""
+    vectors = []
+    for x, y in increments:
+        if x or y:
+            scale = math.lcm(x.denominator, y.denominator)
+            vectors.append((x.numerator * (scale // x.denominator),
+                            y.numerator * (scale // y.denominator)))
+    for x, y in vectors:
+        for h0, h1 in ((x, y), (-y, x), (y, -x)):
+            products = [h0 * u + h1 * v for u, v in vectors]
+            if min(products) >= 0 and max(products) > 0:
+                return False
+    return True
 
 
 def _dot(a, b):

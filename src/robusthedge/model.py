@@ -11,6 +11,7 @@ as immutable afterwards, so models are safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -70,13 +71,15 @@ class Measure:
     weights: dict[str, Fraction]
 
     def validate(self) -> None:
-        total = Fraction(0)
         for node_id, w in self.weights.items():
-            if w < 0:
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {node_id!r}")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        # the sum in integers over the common denominator
+        weights = self.weights.values()
+        common = math.lcm(*(w.denominator for w in weights))
+        total = sum(w.numerator * (common // w.denominator) for w in weights)
+        if total != common:
+            raise ValueError(f"weights sum to {Fraction(total, common)}, not 1")
 
     def __call__(self, node_id: str) -> Fraction:
         return self.weights.get(node_id, Fraction(0))
@@ -222,8 +225,22 @@ def load_model(text: str) -> Model:
         )
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise MalformedDocument("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedDocument("top level must be an object")
+
+    # each numeral string is read once per document; keyed by strings only,
+    # because 1, True and Fraction(1) hash alike
+    seen: dict[str, Fraction] = {}
+
+    def rational(raw: object, where: str) -> Fraction:
+        if type(raw) is not str:
+            return _rational(raw, where)
+        value = seen.get(raw)
+        if value is None:
+            value = seen[raw] = _rational(raw, where)
+        return value
 
     horizon = doc.get("horizon")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
@@ -251,7 +268,7 @@ def load_model(text: str) -> Model:
         raw_price = entry.get("price")
         if not isinstance(raw_price, list) or not raw_price:
             raise MalformedDocument(f"node {node_id!r}: 'price' must be a nonempty array")
-        price = tuple(_rational(p, f"node {node_id!r} price") for p in raw_price)
+        price = tuple(rational(p, f"node {node_id!r} price") for p in raw_price)
         parsed.append((node_id, level, parent_id, price, entry.get("generators")))
 
     dimension = doc.get("dimension")
@@ -284,6 +301,7 @@ def load_model(text: str) -> Model:
 
     # Second pass: generators over the now-known children.
     nodes: dict[str, Node] = {}
+    zero = Fraction(0)
     for node_id, level, parent_id, price, raw_gens in parsed:
         kids = tuple(children[node_id])
         if level == horizon and kids:
@@ -304,20 +322,19 @@ def load_model(text: str) -> Model:
                     raise MalformedDocument(
                         f"node {node_id!r}: generator {g_index} must be an object"
                     )
+                where = f"node {node_id!r} generator {g_index}"
                 weights: dict[str, Fraction] = {}
                 for child_key, raw_w in raw_g.items():
                     child = str(child_key)
                     if child not in kid_set:
                         raise DanglingChildReference(node_id, child)
-                    weights[child] = _rational(
-                        raw_w, f"node {node_id!r} generator {g_index}"
-                    )
-                measure = Measure({c: weights.get(c, Fraction(0)) for c in kids})
+                    weights[child] = rational(raw_w, where)
+                measure = Measure({c: weights.get(c, zero) for c in kids})
                 try:
                     measure.validate()
                 except ValueError as exc:
                     raise ProbabilityNotNormalized(
-                        node_id, g_index, f"node {node_id!r} generator {g_index}: {exc}"
+                        node_id, g_index, f"{where}: {exc}"
                     ) from exc
                 gens.append(measure)
         nodes[node_id] = Node(node_id, level, parent_id, price, kids, tuple(gens))
@@ -342,7 +359,7 @@ def load_model(text: str) -> Model:
             leaf = str(key)
             if leaf not in leaf_set:
                 raise MalformedDocument(f"{where}: {leaf!r} is not a leaf")
-            out[leaf] = _rational(val, f"{where} at leaf {leaf!r}")
+            out[leaf] = rational(val, f"{where} at leaf {leaf!r}")
         if complete:
             for leaf in tree.leaves:
                 if leaf not in out:
@@ -357,7 +374,7 @@ def load_model(text: str) -> Model:
         name = str(raw_opt["name"])
         if any(opt.name == name for opt in options):
             raise MalformedDocument(f"duplicate option name {name!r}")
-        quote = _rational(raw_opt.get("quote", 0), f"option {name!r} quote")
+        quote = rational(raw_opt.get("quote", 0), f"option {name!r} quote")
         payoff = leaf_map(raw_opt.get("payoff"), f"option {name!r} payoff", complete=True)
         options.append(StaticOption(name, quote, payoff))
 
@@ -376,7 +393,7 @@ def load_model(text: str) -> Model:
             node_id = str(key)
             if node_id not in nodes:
                 raise MalformedDocument(f"process {name!r}: unknown node {node_id!r}")
-            values[node_id] = _rational(val, f"process {name!r} at node {node_id!r}")
+            values[node_id] = rational(val, f"process {name!r} at node {node_id!r}")
         processes[str(name)] = values
 
     measures: dict[str, Measure] = {}

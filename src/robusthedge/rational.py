@@ -71,6 +71,23 @@ def _too_large() -> RationalParseError:
     )
 
 
+def _plain_numeral(text: str) -> Fraction | None:
+    """The value of "n" or "n/m" in ASCII digits, n with an optional leading
+    "-" and m nonzero, without the `Fraction` regex; None for any other
+    text, which `Fraction` then reads or rejects."""
+    if not text.isascii():
+        return None
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num.startswith("-") else num
+    if not digits.isdigit():
+        return None
+    if not slash:
+        return Fraction(int(num))
+    if not den.isdigit() or not den.strip("0"):
+        return None
+    return Fraction(int(num), int(den))
+
+
 def to_rational(value: object) -> Fraction:
     """Convert a JSON scalar to an exact Fraction.
 
@@ -89,6 +106,9 @@ def to_rational(value: object) -> Fraction:
     if isinstance(value, str):
         if over_cap(value):
             raise _too_large()
+        plain = _plain_numeral(value)
+        if plain is not None:
+            return plain
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -246,6 +246,24 @@ def test_runtime_imports_only_the_standard_library():
     assert run.stdout == "[]\n"
 
 
+def test_deeply_nested_document_exits_1_without_traceback(tmp_path):
+    # json.loads raises RecursionError here; a fresh interpreter, so an
+    # uncaught exception prints its traceback as the CLI would
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    src = str(Path(superhedge.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "robusthedge.cli", "validate", "--model", str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr == "error: invalid JSON: nested too deeply\n"
+    assert "Traceback" not in run.stderr
+
+
 def test_repeated_option_name_exits_1(capsys):
     path = str(DATA / "repeated_option.json")
     for argv in (["validate"], ["hedge", "--claim", "put"]):

@@ -3,9 +3,12 @@
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from robusthedge.model import (
     DanglingChildReference,
@@ -22,6 +25,7 @@ from robusthedge.model import (
     wealth,
 )
 from robusthedge.polar import compute_support, reference_kernels
+from robusthedge.rational import RationalParseError, over_cap, to_rational
 
 from conftest import NUMBER_FIELDS, example_b_with, random_instance
 
@@ -363,3 +367,116 @@ def test_largest_numbers_round_trip(literal):
 def test_just_over_the_cap_is_rejected(literal):
     with pytest.raises(MalformedDocument, match="4000 digits"):
         load_model(example_b_with("claim", literal))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(text=st.text(alphabet="0123456789-+/._ eE\u0661\u0662", max_size=7))
+@example(text="+1")
+@example(text="--1")
+@example(text=" 12 ")
+@example(text="")
+@example(text="1_000")
+@example(text="_1")
+@example(text="007/0010")
+@example(text="-0")
+@example(text="1/0")
+@example(text="1/00")
+@example(text="1/-2")
+@example(text="1/2/3")
+@example(text="\u0661/\u0662")
+@example(text="-3.25")
+@example(text=".5")
+@example(text="2.5E-2")
+@example(text="1e3")
+def test_to_rational_reads_what_fraction_reads(text):
+    assume(not over_cap(text))
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(RationalParseError):
+            to_rational(text)
+    else:
+        assert to_rational(text) == expected
+
+
+_VALUES = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _numeral(draw, value: Fraction) -> object:
+    """value written as a JSON integer, a "p/q" string or a decimal string."""
+    forms = ["p/q"]
+    if value.denominator == 1:
+        forms.append("integer")
+    if 1000 % value.denominator == 0:
+        forms.append("decimal")
+    form = draw(st.sampled_from(forms))
+    if form == "integer":
+        return int(value)
+    if form == "decimal":
+        return str(Decimal(value.numerator) / value.denominator)
+    return str(value)
+
+
+def _weights(draw, keys: list[str]) -> dict[str, object]:
+    """Probability weights over keys, zeros included, summing to 1."""
+    raw = draw(st.lists(st.integers(0, 4), min_size=len(keys), max_size=len(keys)))
+    raw[draw(st.integers(0, len(keys) - 1))] += 1
+    return {k: _numeral(draw, F(w, sum(raw))) for k, w in zip(keys, raw)}
+
+
+@st.composite
+def _documents(draw):
+    """A valid model document: one or two periods, one or two stocks, up to
+    three children per node, with options, claims, processes and measures."""
+    horizon = draw(st.integers(1, 2))
+    dim = draw(st.integers(1, 2))
+    nodes = []
+    frontier = [None]
+    for level in range(horizon + 1):
+        grown = []
+        for parent in frontier:
+            count = 1 if parent is None else draw(st.integers(1, 3))
+            kids = []
+            for _ in range(count):
+                node = {
+                    "id": f"n{len(nodes)}",
+                    "level": level,
+                    "parent": parent and parent["id"],
+                    "price": [_numeral(draw, draw(_VALUES)) for _ in range(dim)],
+                }
+                nodes.append(node)
+                kids.append(node["id"])
+                grown.append(node)
+            if parent is not None:
+                parent["generators"] = [
+                    _weights(draw, kids) for _ in range(draw(st.integers(1, 2)))
+                ]
+        frontier = grown
+    leaves = [node["id"] for node in frontier]
+
+    def leaf_values():
+        return {leaf: _numeral(draw, draw(_VALUES)) for leaf in leaves}
+
+    return {
+        "horizon": horizon,
+        "dimension": dim,
+        "nodes": nodes,
+        "options": [
+            {"name": f"g{k}", "quote": _numeral(draw, draw(_VALUES)), "payoff": leaf_values()}
+            for k in range(draw(st.integers(0, 2)))
+        ],
+        "claims": {f"f{k}": leaf_values() for k in range(draw(st.integers(0, 2)))},
+        "processes": {
+            "v": {node["id"]: _numeral(draw, draw(_VALUES)) for node in nodes}
+        },
+        "measures": {"p": _weights(draw, leaves)},
+    }
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(doc=_documents())
+def test_generated_documents_round_trip(doc):
+    model = load_model(json.dumps(doc))
+    text = save_model(model)
+    assert load_model(text) == model
+    assert save_model(load_model(text)) == text

@@ -1,21 +1,27 @@
-"""Exact one-stock closed forms of the one-period problems.
+"""Exact one-stock closed forms of the one-period problems, and the exact
+two-stock no-arbitrage test.
 
 With one stock, `node_na` and `node_price` answer without an LP in every
-mode. These tests compare them with the LPs they replace,
-called directly on generated one-step sets, and pin the number of LPs each
-route solves.
+mode; with two stocks, `node_na` passes a node without an LP. These tests
+compare them with the LPs they replace, called directly on generated
+one-step sets, and pin the number of LPs each route solves.
 """
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robusthedge.lp as lp
 import robusthedge.superhedge as sh
-from robusthedge.arbitrage import _one_stock_separator, global_na, node_na
+from robusthedge.arbitrage import (
+    _one_stock_separator,
+    _two_stock_inside,
+    global_na,
+    node_na,
+)
 from robusthedge.model import Claim, load_model
 from robusthedge.polar import compute_support
 
@@ -29,19 +35,30 @@ ROOT_PRICE = 10
 def one_step_model(increments):
     """One period, one stock, a Dirac generator on every child, so every
     child is supported and child k moves the price by increments[k]."""
-    kids = [f"c{k}" for k in range(len(increments))]
+    return vector_step_model([(inc,) for inc in increments])
+
+
+def vector_step_model(moves):
+    """One period, as many stocks as each move has coordinates, a Dirac
+    generator on every child, so child k moves the prices by moves[k]."""
+    kids = [f"c{k}" for k in range(len(moves))]
     nodes = [
         {
             "id": "root",
             "level": 0,
             "parent": None,
-            "price": [str(ROOT_PRICE)],
+            "price": [str(ROOT_PRICE)] * len(moves[0]),
             "generators": [{kid: "1"} for kid in kids],
         }
     ]
     nodes += [
-        {"id": kid, "level": 1, "parent": "root", "price": [str(ROOT_PRICE + inc)]}
-        for kid, inc in zip(kids, increments)
+        {
+            "id": kid,
+            "level": 1,
+            "parent": "root",
+            "price": [str(ROOT_PRICE + m) for m in move],
+        }
+        for kid, move in zip(kids, moves)
     ]
     return load_model(json.dumps({"horizon": 1, "nodes": nodes})).tree, kids
 
@@ -49,7 +66,11 @@ def one_step_model(increments):
 def lp_separator(increments):
     """The scaled separator of the max-min-weight LP, None when 0 is in the
     relative interior of the hull."""
-    status = lp.zero_in_relative_interior([(F(v),) for v in increments])
+    return lp_vector_separator([(F(v),) for v in increments])
+
+
+def lp_vector_separator(vectors):
+    status = lp.zero_in_relative_interior(vectors)
     if status.inside:
         return None
     peak = max(abs(v) for v in status.separator)
@@ -140,6 +161,60 @@ def test_one_signed_sets_fail_na_and_price_raises():
             sh.node_price(tree, mask, "root", {kid: F(0) for kid in kids})
 
 
+def assert_two_stock_matches_lp(moves):
+    """The two-stock test gives the LP's verdict, and node_na its verdict
+    and separator."""
+    vectors = [(F(x), F(y)) for x, y in moves]
+    expected = lp_vector_separator(vectors)
+    assert _two_stock_inside(vectors) == (expected is None)
+    tree, _ = vector_step_model(moves)
+    report = node_na(tree, compute_support(tree), "root")
+    assert report.passed == (expected is None)
+    assert report.certificate == expected
+
+
+TWO_STOCK_CASES = {
+    "all zero": [(0, 0), (0, 0)],
+    "one zero": [(0, 0)],
+    "duplicates around 0": [(1, 0), (1, 0), (-1, 1), (-1, -1), (-1, -1)],
+    "duplicates on one side": [(1, 1), (1, 1), (2, 1)],
+    "collinear, both signs": [(2, -1), (-4, 2), (0, 0)],
+    "collinear, one sign": [(2, -1), (4, -2), (0, 0)],
+    "opposite pair and one on one side": [(1, 0), (-1, 0), (0, 1)],
+    "opposite pair and one on each side": [(1, 0), (-1, 0), (0, 1), (0, -1)],
+    "quadrant": [(1, 0), (0, 1), (1, 1)],
+    "triangle around 0": [(-1, -1), (2, -1), (0, 2)],
+    "fractional triangle around 0": [(F(-1, 3), F(-1, 2)), (F(2, 7), F(-1, 5)), (0, F(5, 3))],
+    "zero and an open half-plane": [(0, 0), (1, 1), (-1, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_STOCK_CASES))
+def test_two_stock_test_matches_lp_on_explicit_sets(name):
+    assert_two_stock_matches_lp(TWO_STOCK_CASES[name])
+
+
+small = st.integers(-3, 3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(moves=st.lists(st.tuples(small, small), min_size=1, max_size=6))
+@example(moves=[(0, 0), (0, 0), (0, 0)])
+@example(moves=[(1, 2), (-2, -4)])
+@example(moves=[(1, 2), (2, 4)])
+@example(moves=[(0, 1), (0, -1), (1, 0)])
+def test_two_stock_test_matches_lp_on_generated_sets(moves):
+    assert_two_stock_matches_lp(moves)
+
+
+def test_failing_two_stock_node_solves_one_lp(monkeypatch):
+    tree, _ = vector_step_model([(1, 0), (-1, 0), (0, 1)])
+    solves = count_calls(monkeypatch, lp, "solve")
+    report = node_na(tree, compute_support(tree), "root")
+    assert not report.passed and report.certificate == (F(0), F(1))
+    assert len(solves) == 1
+
+
 def trinomial_model(moves):
     """Two-period non-recombining tree with one child per move at every
     node; `moves` are the price increments, one vector each. Dirac
@@ -176,7 +251,7 @@ TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]
 
 @pytest.mark.parametrize(
     "moves, na_per_node, price_per_node",
-    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 1, 1)],
+    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 0, 1)],
     ids=["one-stock-exact", "two-stocks-exact"],
 )
 def test_one_step_lps_per_node(monkeypatch, moves, na_per_node, price_per_node):
