@@ -28,8 +28,11 @@ F = Fraction
 @dataclass(frozen=True)
 class NodeNaReport:
     node: str
-    passed: bool
     certificate: tuple[Fraction, ...] | None  # present exactly on failure
+
+    @property
+    def passed(self) -> bool:
+        return self.certificate is None
 
 
 @dataclass(frozen=True)
@@ -64,21 +67,19 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
     if tree.dimension == 1:
         y = _one_stock_separator(vectors)
         if y is None:
-            return NodeNaReport(node_id, True, None)
+            return NodeNaReport(node_id, None)
     elif tree.dimension == 2 and _two_stock_inside(vectors):
-        return NodeNaReport(node_id, True, None)
+        return NodeNaReport(node_id, None)
     else:
-        status = lp.zero_in_relative_interior(vectors)
-        if status.inside:
-            return NodeNaReport(node_id, True, None)
-        y = status.separator
-        assert y is not None
+        y = lp.zero_in_relative_interior(vectors)
+        if y is None:
+            return NodeNaReport(node_id, None)
         peak = max(abs(v) for v in y)
         y = tuple(v / peak for v in y)
     products = [_dot(y, v) for v in vectors]
     if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
         raise RuntimeError("separator failed re-verification (bug)")
-    return NodeNaReport(node_id, False, y)
+    return NodeNaReport(node_id, y)
 
 
 def _one_stock_separator(
@@ -170,7 +171,6 @@ def semistatic_na(
     max sum(w) s.t. wealth(leaf) >= w_leaf, 0 <= w_leaf <= 1. NA holds iff
     the optimum is 0. With no options this agrees with global_na.
     """
-    options = tuple(options)
     _, columns = _wealth_system(tree, mask, options)
     nw = len(columns)
     width = len(columns[0]) - 1  # h and the node blocks; no initial capital
@@ -264,7 +264,6 @@ def find_dominating_mm(
     """Martingale measure q consistent with the option quotes and dominating
     p (q >= t p with t > 0, so q charges every leaf p charges), exact and
     re-verified; None when no such measure exists."""
-    options = tuple(options)
     leaves = mask.relevant_leaves
     relevant = set(leaves)
     for leaf, w in p.weights.items():
@@ -316,7 +315,7 @@ def verify_measure(
     # charged relevant leaves only
     charged = [(index[leaf], w) for leaf, w in q.weights.items() if leaf in index]
     if rows is None:
-        rows = martingale_rows(tree, mask, tuple(options))
+        rows = martingale_rows(tree, mask, options)
     for row, _, label in rows[1:]:
         acc = sum((w * row[k] for k, w in charged), F(0))
         if acc != 0:

@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
         lp.set_dump_file(args.dump_lp)
     started = time.perf_counter()
     try:
-        code, report = _dispatch(args)
+        code, report, text = _dispatch(args)
     except (ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -75,8 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_lp:
             lp.set_dump_file(None)
     report["wall_time_s"] = round(time.perf_counter() - started, 6)
-    if args.json:
-        print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2) if args.json else text)
     return code
 
 
@@ -177,7 +176,8 @@ def _claim_of(args, model: Model):
     return claim
 
 
-def _dispatch(args) -> tuple[int, dict]:
+def _dispatch(args) -> tuple[int, dict, str]:
+    """Run the subcommand: its exit code, its JSON report and its text."""
     model, digest = _load(args)
     mask = compute_support(model.tree)
     report: dict = {
@@ -187,15 +187,14 @@ def _dispatch(args) -> tuple[int, dict]:
     }
     handler = globals()[f"_cmd_{args.command}"]
     try:
-        return handler(args, model, mask, report)
+        code, text = handler(args, model, mask, report)
     except ArbitrageDetected as exc:
         report["denied"] = str(exc)
-        if not args.json:
-            print(f"denied: {exc}")
-        return 2, report
+        code, text = 2, f"denied: {exc}"
+    return code, report, text
 
 
-def _cmd_validate(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_validate(args, model, mask, report) -> tuple[int, str]:
     tree = model.tree
     report.update(
         {
@@ -209,17 +208,15 @@ def _cmd_validate(args, model, mask, report) -> tuple[int, dict]:
             "valid": True,
         }
     )
-    if not args.json:
-        print(
-            f"valid model: T={tree.horizon} d={tree.dimension} "
-            f"nodes={report['nodes']} leaves={report['leaves']} "
-            f"(relevant {report['relevant_leaves']}) "
-            f"options={len(model.options)} claims={len(model.claims)}"
-        )
-    return 0, report
+    return 0, (
+        f"valid model: T={tree.horizon} d={tree.dimension} "
+        f"nodes={report['nodes']} leaves={report['leaves']} "
+        f"(relevant {report['relevant_leaves']}) "
+        f"options={len(model.options)} claims={len(model.claims)}"
+    )
 
 
-def _cmd_na(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_na(args, model, mask, report) -> tuple[int, str]:
     tree = model.tree
     reports = scan_nodes(tree, mask)
     rows = []
@@ -248,42 +245,38 @@ def _cmd_na(args, model, mask, report) -> tuple[int, dict]:
             code = 2
     report["nodes"] = rows
     report["verdict"] = verdict
-    if not args.json:
-        width = max(len(r["node"]) for r in rows) if rows else 4
-        print(f"{'node':<{width}}  status  certificate")
-        for r in rows:
-            cert = " ".join(r["certificate"]) if r["certificate"] else "-"
-            print(f"{r['node']:<{width}}  {r['status']:<6}  {cert}")
-        print(f"stocks-only NA: {verdict['stocks']}")
-        if stocks is not None:
-            print(f"  arbitrage at {next(iter(stocks.strategy.dynamic))!r}, "
-                  f"witness leaves {', '.join(stocks.witness_leaves)}")
-        if model.options:
-            print(f"semistatic NA (with options): {verdict['semistatic']}")
-    return code, report
+    width = max(len(r["node"]) for r in rows) if rows else 4
+    lines = [f"{'node':<{width}}  status  certificate"]
+    for r in rows:
+        cert = " ".join(r["certificate"]) if r["certificate"] else "-"
+        lines.append(f"{r['node']:<{width}}  {r['status']:<6}  {cert}")
+    lines.append(f"stocks-only NA: {verdict['stocks']}")
+    if stocks is not None:
+        lines.append(f"  arbitrage at {next(iter(stocks.strategy.dynamic))!r}, "
+                     f"witness leaves {', '.join(stocks.witness_leaves)}")
+    if model.options:
+        lines.append(f"semistatic NA (with options): {verdict['semistatic']}")
+    return code, "\n".join(lines)
 
 
-def _cmd_mm(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_mm(args, model, mask, report) -> tuple[int, str]:
     tree = model.tree
     name = args.dominate
-    if name == "uniform":
-        p = reference_measure(tree)
-    else:
-        p = model.measures.get(name)
-        if p is None:
+    p = model.measures.get(name)
+    if p is None:
+        if name != "uniform":
             raise ValueError(f"measure {name!r} is not in the document")
+        p = reference_measure(tree)
     witness = find_dominating_mm(tree, mask, model.options, p)
     report["dominate"] = name
     if witness is None:
         report["witness"] = None
-        if not args.json:
-            print("none exists")
-        return 2, report
+        return 2, "none exists"
     report["witness"] = _measure_json(witness.q)
-    if not args.json:
-        for leaf, w in sorted(witness.q.weights.items()):
-            print(f"{leaf}: {format_with_decimal(w)}")
-    return 0, report
+    return 0, "\n".join(
+        f"{leaf}: {format_with_decimal(w)}"
+        for leaf, w in sorted(witness.q.weights.items())
+    )
 
 
 def _superhedge(args, model, mask, report):
@@ -300,15 +293,13 @@ def _superhedge(args, model, mask, report):
     return "dp", price, strategy
 
 
-def _cmd_price(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_price(args, model, mask, report) -> tuple[int, str]:
     method, price, _ = _superhedge(args, model, mask, report)
     report.update({"claim": args.claim, "method": method, "price": _rat(price)})
-    if not args.json:
-        print(format_with_decimal(price))
-    return 0, report
+    return 0, format_with_decimal(price)
 
 
-def _cmd_hedge(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_hedge(args, model, mask, report) -> tuple[int, str]:
     method, price, strategy = _superhedge(args, model, mask, report)
     report.update(
         {
@@ -318,12 +309,10 @@ def _cmd_hedge(args, model, mask, report) -> tuple[int, dict]:
             "strategy": _strategy_json(model, strategy),
         }
     )
-    if not args.json:
-        print(json.dumps(report["strategy"], indent=2))
-    return 0, report
+    return 0, json.dumps(report["strategy"], indent=2)
 
 
-def _cmd_interval(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_interval(args, model, mask, report) -> tuple[int, str]:
     claim = _claim_of(args, model)
     interval = price_interval(
         model.tree, mask, claim, model.options, _mode_of(args, report)
@@ -336,18 +325,15 @@ def _cmd_interval(args, model, mask, report) -> tuple[int, dict]:
             "kind": interval.kind,
         }
     )
-    if not args.json:
-        if interval.kind == "Point":
-            print(f"point {format_with_decimal(interval.lower)}")
-        else:
-            print(
-                f"open interval ({format_with_decimal(interval.lower)}, "
-                f"{format_with_decimal(interval.upper)})"
-            )
-    return 0, report
+    if interval.kind == "Point":
+        return 0, f"point {format_with_decimal(interval.lower)}"
+    return 0, (
+        f"open interval ({format_with_decimal(interval.lower)}, "
+        f"{format_with_decimal(interval.upper)})"
+    )
 
 
-def _cmd_replicate(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_replicate(args, model, mask, report) -> tuple[int, str]:
     claim = _claim_of(args, model)
     result = check_replicable(model.tree, mask, claim, model.options)
     if isinstance(result, Replicable):
@@ -359,37 +345,31 @@ def _cmd_replicate(args, model, mask, report) -> tuple[int, dict]:
                 "strategy": _strategy_json(model, result.strategy),
             }
         )
-        if not args.json:
-            print(f"replicable at {format_with_decimal(result.price)}")
-    else:
-        report.update(
-            {
-                "claim": args.claim,
-                "replicable": False,
-                "lower": _rat(result.interval.lower),
-                "upper": _rat(result.interval.upper),
-                "q_low": _measure_json(result.q_low),
-                "q_high": _measure_json(result.q_high),
-            }
-        )
-        if not args.json:
-            print(
-                "not replicable: prices fill "
-                f"({format_with_decimal(result.interval.lower)}, "
-                f"{format_with_decimal(result.interval.upper)})"
-            )
-    return 0, report
+        return 0, f"replicable at {format_with_decimal(result.price)}"
+    report.update(
+        {
+            "claim": args.claim,
+            "replicable": False,
+            "lower": _rat(result.interval.lower),
+            "upper": _rat(result.interval.upper),
+            "q_low": _measure_json(result.q_low),
+            "q_high": _measure_json(result.q_high),
+        }
+    )
+    return 0, (
+        "not replicable: prices fill "
+        f"({format_with_decimal(result.interval.lower)}, "
+        f"{format_with_decimal(result.interval.upper)})"
+    )
 
 
-def _cmd_complete(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_complete(args, model, mask, report) -> tuple[int, str]:
     complete = check_complete(model.tree, mask, model.options)
     report["complete"] = complete
-    if not args.json:
-        print("complete" if complete else "incomplete")
-    return 0, report
+    return 0, "complete" if complete else "incomplete"
 
 
-def _cmd_decompose(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_decompose(args, model, mask, report) -> tuple[int, str]:
     if not args.process:
         raise ValueError("--process NAME is required for decompose")
     values = model.processes.get(args.process)
@@ -403,10 +383,8 @@ def _cmd_decompose(args, model, mask, report) -> tuple[int, dict]:
             {"process": args.process, "supermartingale": False,
              "node": exc.node, "gap": _rat(exc.gap)}
         )
-        if not args.json:
-            print(f"not a supermartingale: node {exc.node!r} "
-                  f"gap {format_with_decimal(exc.gap)}")
-        return 2, report
+        return 2, (f"not a supermartingale: node {exc.node!r} "
+                   f"gap {format_with_decimal(exc.gap)}")
     report.update(
         {
             "process": args.process,
@@ -416,12 +394,10 @@ def _cmd_decompose(args, model, mask, report) -> tuple[int, dict]:
             "initial": _rat(decomposition.strategy.initial),
         }
     )
-    if not args.json:
-        print(json.dumps({"H": report["H"], "K": report["K"]}, indent=2))
-    return 0, report
+    return 0, json.dumps({"H": report["H"], "K": report["K"]}, indent=2)
 
 
-def _cmd_prove(args, model, mask, report) -> tuple[int, dict]:
+def _cmd_prove(args, model, mask, report) -> tuple[int, str]:
     claim = _claim_of(args, model)
     if args.bound is None:
         raise ValueError("--bound B is required for prove")
@@ -435,19 +411,15 @@ def _cmd_prove(args, model, mask, report) -> tuple[int, dict]:
     if isinstance(result, Proved):
         report["proved"] = True
         report["strategy"] = _strategy_json(model, result.strategy)
-        if not args.json:
-            print(f"proved: claim <= {format_with_decimal(bound)} pathwise")
-        return 0, report
+        return 0, f"proved: claim <= {format_with_decimal(bound)} pathwise"
     assert isinstance(result, Refuted)
     report["proved"] = False
     report["counterexample"] = _measure_json(result.q)
     report["expectation"] = _rat(result.expectation)
-    if not args.json:
-        print(
-            f"refuted: expectation {format_with_decimal(result.expectation)} "
-            f"exceeds {format_with_decimal(bound)} under a martingale measure"
-        )
-    return 2, report
+    return 2, (
+        f"refuted: expectation {format_with_decimal(result.expectation)} "
+        f"exceeds {format_with_decimal(bound)} under a martingale measure"
+    )
 
 
 if __name__ == "__main__":

@@ -871,17 +871,11 @@ def max_min_weight(rows, rhs, weights) -> LpOutcome:
     )
 
 
-@dataclass(frozen=True)
-class RelativeInteriorResult:
-    inside: bool
-    min_weight: Fraction | None  # best uniform lower weight when 0 is in the hull
-    separator: tuple | None  # y with y.v >= 0 for all v, > 0 for some v
-
-
 def zero_in_relative_interior(
     vectors: list[tuple[Fraction, ...]],
-) -> RelativeInteriorResult:
-    """Decide 0 in ri(conv(vectors)) exactly by the max-min-weight LP.
+) -> tuple[Fraction, ...] | None:
+    """Decide 0 in ri(conv(vectors)) exactly by the max-min-weight LP: None
+    when 0 is inside, else a separator y.
 
     0 lies in the relative interior of the hull of finitely many points iff
     some convex combination with all weights strictly positive vanishes; the
@@ -896,10 +890,8 @@ def zero_in_relative_interior(
     rhs = [Fraction(0)] * d + [Fraction(1)]
     out = max_min_weight(rows, rhs, [Fraction(1)] * len(vectors))
     if isinstance(out, Infeasible):
-        y = tuple(-out.certificate.rows[i] for i in range(d))
-        return RelativeInteriorResult(False, None, y)
+        return tuple(-out.certificate.rows[i] for i in range(d))
     assert isinstance(out, Optimal)
     if out.value > 0:
-        return RelativeInteriorResult(True, out.value, None)
-    y = tuple(out.dual[i] for i in range(d))
-    return RelativeInteriorResult(False, out.value, y)
+        return None
+    return tuple(out.dual[i] for i in range(d))

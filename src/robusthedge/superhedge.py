@@ -72,8 +72,12 @@ class PriceInterval:
 
 @dataclass(frozen=True)
 class Replicable:
-    price: Fraction
     strategy: Strategy
+
+    @property
+    def price(self) -> Fraction:
+        """The replication price: the initial capital of the strategy."""
+        return self.strategy.initial
 
 
 @dataclass(frozen=True)
@@ -188,14 +192,11 @@ def _no_consistent_measure(tree, mask, options):
     _, columns = _wealth_system(tree, mask, ())
     for opt in options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
-        (upper, _, _), (lower_neg, _, _) = _both_sides(
-            tree, mask, raw, (), lp.EXACT, columns
-        )
-        lower = -lower_neg
-        if opt.quote < lower or opt.quote > upper:
+        interval = _both_sides(tree, mask, raw, (), lp.EXACT, columns)[0]
+        if not interval.lower <= opt.quote <= interval.upper:
             hints.append(
                 f"option {opt.name!r} quoted {opt.quote} outside its "
-                f"stocks-only price interval [{lower}, {upper}]"
+                f"stocks-only price interval [{interval.lower}, {interval.upper}]"
             )
     detail = (
         "; ".join(hints)
@@ -273,7 +274,6 @@ def superhedge_semistatic(
     Requires the stocks to pass NA and the option quotes to admit at least
     one consistent martingale measure; otherwise ArbitrageDetected.
     """
-    options = tuple(options)
     _require_stock_na(tree, mask)
     rows, columns = _wealth_system(tree, mask, options)
     x, strategy, q = _primal_superhedge(tree, mask, claim, options, mode, columns)
@@ -308,14 +308,19 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
 
 
 def _both_sides(tree, mask, claim, options, mode, columns):
-    """The superhedges of the claim and of its negation, upper side first,
-    on the wealth columns of the options; the stocks must already pass
-    NA."""
+    """The price interval [-pi(-f), pi(f)] of the claim on the wealth
+    columns of the options, with the superhedging strategy and measure of
+    the upper side and the measure of the lower side; the stocks must
+    already pass NA."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    return (
-        _primal_superhedge(tree, mask, claim, options, mode, columns),
-        _primal_superhedge(tree, mask, negated, options, mode, columns),
+    upper, strategy, q_high = _primal_superhedge(
+        tree, mask, claim, options, mode, columns
     )
+    lower_neg, _, q_low = _primal_superhedge(
+        tree, mask, negated, options, mode, columns
+    )
+    # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
+    return PriceInterval(0 - lower_neg, upper), strategy, q_high, q_low
 
 
 def dual_price(
@@ -328,8 +333,18 @@ def dual_price(
     """Direct dual route: maximize the claim expectation over the
     option-constrained martingale polytope. In exact mode it also returns
     the optimizing measure, which passes `verify_measure` first; in float
-    mode it returns the value only, with None for the measure."""
-    options = tuple(options)
+    mode it returns the value only, with None for the measure.
+
+    Like superhedge_semistatic, it requires the stocks to pass NA and the
+    option quotes to admit a consistent martingale measure; otherwise
+    ArbitrageDetected.
+    """
+    _require_stock_na(tree, mask)
+    return _dual_lp(tree, mask, claim, options, mode)
+
+
+def _dual_lp(tree, mask, claim, options, mode):
+    """dual_price once the stocks are known to pass NA."""
     leaves = mask.relevant_leaves
     objective = [claim(leaf) for leaf in leaves]
     rows = martingale_rows(tree, mask, options)
@@ -337,7 +352,6 @@ def dual_price(
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
-        _require_stock_na(tree, mask)
         raise _no_consistent_measure(tree, mask, options)
     assert isinstance(out, lp.Optimal)
     if not mode.exact:
@@ -357,10 +371,7 @@ def price_interval(
     """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
     _require_stock_na(tree, mask)
     _, columns = _wealth_system(tree, mask, options)
-    (upper, _, _), (lower_neg, _, _) = _both_sides(
-        tree, mask, claim, options, mode, columns
-    )
-    return PriceInterval(-lower_neg, upper)
+    return _both_sides(tree, mask, claim, options, mode, columns)[0]
 
 
 def check_replicable(
@@ -372,7 +383,6 @@ def check_replicable(
     """Second FTAP for one claim, exact: replicable iff the two superhedging
     prices coincide; otherwise two martingale measures separate the
     expectations."""
-    options = tuple(options)
     _require_stock_na(tree, mask)
     rows, columns = _wealth_system(tree, mask, options)
     result = _replicable(tree, mask, claim, options, columns)
@@ -385,11 +395,10 @@ def check_replicable(
 def _replicable(tree, mask, claim, options, columns):
     """check_replicable once the stocks are known to pass NA, on the
     wealth columns of the options."""
-    (upper, strategy, q_high), (lower_neg, _, q_low) = _both_sides(
+    interval, strategy, q_high, q_low = _both_sides(
         tree, mask, claim, options, lp.EXACT, columns
     )
-    lower = -lower_neg
-    if lower == upper:
+    if interval.kind == POINT:
         if any(
             w != claim(leaf)
             for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
@@ -405,8 +414,8 @@ def _replicable(tree, mask, claim, options, columns):
                 "measure charges every relevant leaf)",
                 found,
             )
-        return Replicable(upper, strategy)
-    return NotReplicable(q_low, q_high, PriceInterval(lower, upper))
+        return Replicable(strategy)
+    return NotReplicable(q_low, q_high, interval)
 
 
 def check_complete(
@@ -416,7 +425,6 @@ def check_complete(
 ) -> bool:
     """Complete iff every relevant leaf indicator is replicable (iff the
     martingale polytope is a single point); exact."""
-    options = tuple(options)
     _require_stock_na(tree, mask)
     _, columns = _wealth_system(tree, mask, options)
     for leaf in mask.relevant_leaves:
@@ -438,7 +446,6 @@ def lagrange_check(
     """Evaluate pi(f) = inf_h sup over option-unconstrained martingale
     measures of E[f - h.g] at the optimal h* and assert it reproduces the
     semistatic price exactly."""
-    options = tuple(options)
     price, strategy, _ = superhedge_semistatic(tree, mask, claim, options)
     h_star = strategy.static
     shifted = Claim(
@@ -451,7 +458,7 @@ def lagrange_check(
             for leaf in tree.leaves
         }
     )
-    value, _ = dual_price(tree, mask, shifted, ())
+    value, _ = _dual_lp(tree, mask, shifted, (), lp.EXACT)
     if value != price:
         raise LagrangeGap(f"Lagrange value {value} != price {price}")
     return value, h_star
@@ -472,7 +479,7 @@ def prove_inequality(
         # superhedge_dynamic has checked the hedge from price <= bound, so
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
-    _, q = dual_price(tree, mask, claim, ())
+    _, q = _dual_lp(tree, mask, claim, (), lp.EXACT)
     expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
     if expectation <= bound:
         raise RuntimeError("refutation measure does not beat the bound (bug)")

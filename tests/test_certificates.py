@@ -138,7 +138,7 @@ def test_node_lift_arbitrage_check(monkeypatch):
 
     def flipped(tree, mask, node_id):
         report = inner(tree, mask, node_id)
-        return arb.NodeNaReport(node_id, False, tuple(-v for v in report.certificate))
+        return arb.NodeNaReport(node_id, tuple(-v for v in report.certificate))
 
     monkeypatch.setattr(arb, "node_na", flipped)
     with pytest.raises(RuntimeError, match="arbitrage strategy lost money"):

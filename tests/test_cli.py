@@ -339,6 +339,23 @@ def test_mm_without_options(tmp_path, capsys):
     assert set(report["witness"]) == {"8", "10", "13"}
 
 
+def test_mm_dominates_a_document_measure_named_uniform(capsys):
+    # the document's own "uniform" charges 8 and 13 only; the built-in
+    # reference measure would charge 10 as well
+    path = str(DATA / "example_b_own_uniform.json")
+    assert main(["mm", "--model", path]) == 0
+    assert capsys.readouterr().out == "13: 2/5 (=0.4)\n8: 3/5 (=0.6)\n"
+
+
+def test_float_interval_prints_no_negative_zero(capsys):
+    argv = ["interval", "--claim", "call", "--float",
+            "--model", str(DATA / "example_b_own_uniform.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "open interval (0, 1.2)\n"
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["lower"] == "0.0"
+
+
 def test_hedge_emits_strategy(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(WITH_PROCESS)

@@ -194,24 +194,18 @@ def test_float_mode_matches_exact_value():
 
 
 def test_relative_interior_basic():
-    inside = zero_in_relative_interior([(F(-2),), (F(0),), (F(3),)])
-    assert inside.inside
-    assert inside.min_weight == F(2, 7)
+    assert zero_in_relative_interior([(F(-2),), (F(0),), (F(3),)]) is None
+    rows = [[F(-2), F(0), F(3)], [F(1)] * 3]
+    assert lp.max_min_weight(rows, [F(0), F(1)], [F(1)] * 3).value == F(2, 7)
 
-    single = zero_in_relative_interior([(F(0), F(0))])
-    assert single.inside
+    assert zero_in_relative_interior([(F(0), F(0))]) is None
 
     outside = zero_in_relative_interior([(F(1),), (F(2),)])
-    assert not outside.inside
-    assert outside.separator is not None
-    assert all(outside.separator[0] * v > 0 for v in (1, 2))
+    assert outside is not None
+    assert all(outside[0] * v > 0 for v in (1, 2))
 
     # 0 on the relative boundary: bottom edge of a triangle
-    boundary = zero_in_relative_interior(
-        [(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))]
-    )
-    assert not boundary.inside
-    y = boundary.separator
+    y = zero_in_relative_interior([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
     assert y is not None
     prods = [y[0] * 1 + y[1] * 0, -y[0], y[1]]
     assert all(p >= 0 for p in prods) and any(p > 0 for p in prods)

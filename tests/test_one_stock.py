@@ -70,11 +70,11 @@ def lp_separator(increments):
 
 
 def lp_vector_separator(vectors):
-    status = lp.zero_in_relative_interior(vectors)
-    if status.inside:
+    y = lp.zero_in_relative_interior(vectors)
+    if y is None:
         return None
-    peak = max(abs(v) for v in status.separator)
-    return tuple(v / peak for v in status.separator)
+    peak = max(abs(v) for v in y)
+    return tuple(v / peak for v in y)
 
 
 def lp_price(increments, values):

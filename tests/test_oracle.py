@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from robusthedge.arbitrage import node_na
 from robusthedge.model import Claim, load_model
 from robusthedge.oracle import (
     EmptyPolytope,
     InstanceTooLarge,
     brute_price,
     enumerate_vertices,
+    one_step_vertices,
 )
 from robusthedge.polar import compute_support
 from robusthedge.superhedge import ArbitrageDetected, check_complete, dual_price
@@ -185,3 +187,32 @@ def test_oracle_agrees_with_lp_dual():
         assert result.maximum == value
         agree += 1
     assert agree >= 15
+
+
+def test_one_step_vertices_against_node_na():
+    """Each vertex is a one-step martingale measure on the supported
+    children, none appears twice, and together they charge every supported
+    child exactly when the node passes local NA."""
+    rng = random.Random(1618)
+    seen = set()
+    for _ in range(40):
+        model = random_instance(rng, max_dim=3, max_options=0)
+        tree = model.tree
+        mask = compute_support(tree)
+        for node in mask.relevant_nonleaf(tree):
+            support = mask.node_support[node]
+            vertices = one_step_vertices(tree, mask, node)
+            keys = [tuple(sorted(v.weights.items())) for v in vertices]
+            assert len(set(keys)) == len(keys)
+            for v in vertices:
+                assert set(v.weights) <= set(support)
+                assert all(w > 0 for w in v.weights.values())
+                assert sum(v.weights.values()) == 1
+                for i in range(tree.dimension):
+                    drift = sum(w * tree.increment(node, c)[i] for c, w in v.weights.items())
+                    assert drift == 0
+            charged = {c for v in vertices for c in v.weights}
+            passed = node_na(tree, mask, node).passed
+            assert (charged == set(support)) == passed
+            seen.add((tree.dimension, passed))
+    assert seen == {(d, p) for d in (1, 2, 3) for p in (True, False)}

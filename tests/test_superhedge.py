@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robusthedge.model import Claim, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
@@ -359,6 +361,26 @@ def test_zero_gap_and_oracle_agreement_small_corpus():
     assert done >= 15
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mm_quotes=st.booleans())
+def test_zero_duality_gap_on_generated_markets(seed, mm_quotes):
+    """The primal and the dual route give the same exact price, or both
+    deny: neither prices a market whose stocks or quotes admit arbitrage."""
+    model = random_instance(
+        random.Random(seed), mm_quotes=mm_quotes, max_options=2, max_leaves=12
+    )
+    assume(model.options)
+    tree, claim = model.tree, model.claims["f"]
+    mask = compute_support(tree)
+    answers = []
+    for route in (superhedge_semistatic, dual_price):
+        try:
+            answers.append(route(tree, mask, claim, model.options)[0])
+        except ArbitrageDetected:
+            answers.append("denied")
+    assert answers[0] == answers[1]
+
+
 def test_weak_duality_unconditional():
     """Any feasible (x, H, h) dominates every consistent measure's
     expectation, even without filtering for no-arbitrage."""
@@ -435,7 +457,13 @@ def test_pi_properties_spot_check():
 
 @pytest.mark.parametrize(
     "entry",
-    ["superhedge_semistatic", "price_interval", "check_replicable", "check_complete"],
+    [
+        "superhedge_semistatic",
+        "dual_price",
+        "price_interval",
+        "check_replicable",
+        "check_complete",
+    ],
 )
 def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
     import robusthedge.superhedge as sh
