@@ -26,17 +26,33 @@ value, primal point, ray, base point and breakdown stayed the same. The
 float duals of the sweep LPs are also held to within 1e-9 of the exact
 ones.
 
+`data/lp_golden_market.json` holds LPs of the shapes the market layer
+solves, with their exact outcomes: superhedge, max-min-weight and
+arbitrage-search LPs taken with `--dump-lp` from one op cycle of the
+global-lp and envelope-mix benchmark workloads, seed 0. Per workload, LP
+kind and outcome kind it keeps up to MARKET_PER_OUTCOME distinct LPs,
+evenly spaced in dump order. These LPs have free variables (split into two
+columns) and ">=" rows with a zero right-hand side (a slack and an
+artificial each), the columns the exact kernel stores once; the file holds
+Infeasible outcomes and outcomes whose final basis holds the negative half
+of a free variable.
+
 Re-record (only from a kernel whose answers are trusted) with
-`PYTHONPATH=src python tests/test_lp_golden.py` (exact) and
+`PYTHONPATH=src python tests/test_lp_golden.py` (exact),
 `PYTHONPATH=src python tests/test_lp_golden.py --float` (float; it re-solves
-the LPs already in both files).
+the LPs already in both files) and
+`PYTHONPATH=src python tests/test_lp_golden.py --market` (market; it runs
+the two op cycles).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +64,7 @@ from robusthedge.lp import (
     NumericalBreakdown,
     Optimal,
     Unbounded,
+    _ExactSimplex,
     float_mode,
     linear_program,
     solve,
@@ -57,6 +74,7 @@ from robusthedge.lp import (
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "lp_golden.json"
 GOLDEN_FLOAT = Path(__file__).parent / "data" / "lp_golden_float.json"
+GOLDEN_MARKET = Path(__file__).parent / "data" / "lp_golden_market.json"
 FLOAT_TOL = 1e-9
 KINDS = ("random", "degenerate", "infeasible", "unbounded", "bounds")
 CORPUS_SEED = 20261018
@@ -318,9 +336,125 @@ def test_generated_certificates_verify(rng, kind):
         assert isinstance(out, Unbounded)
 
 
+MARKET_WORKLOADS = ("global-lp", "envelope-mix")
+MARKET_PER_OUTCOME = 4
+
+
+def lp_from_text(text):
+    """Parse one LP written by `lp.lp_to_text` (the `--dump-lp` format)."""
+    head, *rows, lower, upper = text.strip().splitlines()
+    sense, *objective = head.split()
+    constraints = []
+    for line in rows:
+        *coeffs, rel, rhs = line.split()
+        constraints.append(([F(a) for a in coeffs], rel, F(rhs)))
+    bound = lambda word: None if word in ("-inf", "+inf") else F(word)
+    return linear_program(
+        [F(c) for c in objective],
+        maximize=sense == "max",
+        constraints=constraints,
+        lower=[bound(w) for w in lower.split()[1:]],
+        upper=[bound(w) for w in upper.split()[1:]],
+    )
+
+
+def market_kind(prog):
+    """superhedge: min x over free (x, h, H) with ">=" rows; max-min-weight:
+    max t over q >= 0 and a free t; arbitrage-search: max clipped gains,
+    the only one with upper bounds. Any other LP gives None."""
+    if not prog.maximize and all(b is None for b in prog.lower):
+        return "superhedge"
+    if prog.maximize and any(b is not None for b in prog.upper):
+        return "arbitrage-search"
+    if prog.maximize and prog.lower[-1] is None and all(b == 0 for b in prog.lower[:-1]):
+        return "max-min-weight"
+    return None
+
+
+def mirrored_basic(prog):
+    """Whether the exact kernel's final basis holds the negative half of a
+    free variable."""
+    simplex = _ExactSimplex(prog)
+    simplex.run()
+    minus = {entry[2] for entry in simplex.var_map if entry[0] == "free"}
+    return bool(minus & set(simplex.basis))
+
+
+def dumped_lps(workload, seed=0):
+    """Every LP of one op cycle of a benchmark workload, in dump order."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "bench"))
+    import workloads
+    from robusthedge import cli
+
+    plan = workloads.build(workload, seed)
+    texts = []
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {}
+        for doc in plan.docs:
+            paths[doc.name] = Path(folder) / f"{doc.name}.json"
+            paths[doc.name].write_text(json.dumps(doc.body), encoding="utf-8")
+        dump = Path(folder) / "dump.lp"
+        for op in plan.ops:
+            argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:], "--dump-lp", str(dump)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(argv)
+        texts = dump.read_text(encoding="utf-8").split("\n\n")
+    return [text for text in texts if text.strip()]
+
+
+def record_market(path=GOLDEN_MARKET):
+    entries = []
+    for workload in MARKET_WORKLOADS:
+        groups = {}
+        seen = set()
+        for text in dumped_lps(workload):
+            prog = lp_from_text(text)
+            kind = market_kind(prog)
+            if kind is None or text in seen:
+                continue
+            seen.add(text)
+            out = solve(prog)
+            if verify(prog, out):
+                raise RuntimeError(f"refusing to record an unverified {kind} outcome")
+            groups.setdefault((kind, type(out).__name__), []).append((prog, out))
+        for (kind, outcome), items in sorted(groups.items()):
+            count = min(MARKET_PER_OUTCOME, len(items))
+            for i in range(count):
+                prog, out = items[i * len(items) // count]
+                entries.append({
+                    "source": f"{workload} seed 0 {kind}",
+                    "lp": lp_json(prog),
+                    "outcome": outcome_json(out),
+                })
+    lines = ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries)
+    path.write_text("[\n" + lines + "\n]\n", encoding="utf-8")
+    return entries
+
+
+def test_market_golden_outcomes_identical():
+    entries = json.loads(GOLDEN_MARKET.read_text(encoding="utf-8"))
+    sources = {e["source"] for e in entries}
+    assert sources == {
+        f"{w} seed 0 {k}"
+        for w in MARKET_WORKLOADS
+        for k in ("superhedge", "max-min-weight", "arbitrage-search")
+    }
+    assert "Infeasible" in {e["outcome"]["kind"] for e in entries}
+    minus_basic = 0
+    for k, entry in enumerate(entries):
+        prog = lp_from_json(entry["lp"])
+        assert market_kind(prog) in entry["source"]
+        assert outcome_json(solve(prog)) == entry["outcome"], (k, entry["source"])
+        minus_basic += mirrored_basic(prog)
+    assert minus_basic > 0
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--float"]:
         written, path = record_float(), GOLDEN_FLOAT
+    elif sys.argv[1:] == ["--market"]:
+        written, path = record_market(), GOLDEN_MARKET
     else:
         written, path = record(), GOLDEN
     print(f"recorded {len(written)} outcomes to {path}", file=sys.stderr)
