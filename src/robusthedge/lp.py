@@ -78,6 +78,10 @@ class LinearProgram:
         return len(self.objective)
 
 
+def _fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def linear_program(
     objective,
     *,
@@ -86,22 +90,23 @@ def linear_program(
     lower=None,
     upper=None,
 ) -> LinearProgram:
-    """Convenience constructor; default bounds are x >= 0 with no upper."""
-    obj = tuple(Fraction(c) for c in objective)
+    """Convenience constructor; default bounds are x >= 0 with no upper.
+    A Fraction is kept as it is; any other number goes through Fraction()."""
+    obj = tuple(map(_fraction, objective))
     n = len(obj)
     rows = []
     for coeffs, relation, rhs in constraints:
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_fraction, coeffs))
         if len(coeffs) != n:
             raise ValueError(f"constraint width {len(coeffs)} != {n} variables")
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"bad relation {relation!r}")
-        rows.append(Constraint(coeffs, relation, Fraction(rhs)))
-    lo = tuple(Fraction(0) for _ in range(n)) if lower is None else tuple(
-        None if b is None else Fraction(b) for b in lower
+        rows.append(Constraint(coeffs, relation, _fraction(rhs)))
+    lo = (Fraction(0),) * n if lower is None else tuple(
+        None if b is None else _fraction(b) for b in lower
     )
-    up = tuple(None for _ in range(n)) if upper is None else tuple(
-        None if b is None else Fraction(b) for b in upper
+    up = (None,) * n if upper is None else tuple(
+        None if b is None else _fraction(b) for b in upper
     )
     if len(lo) != n or len(up) != n:
         raise ValueError("bounds must match the number of variables")
@@ -197,7 +202,16 @@ class _Simplex:
     pairs (free), plus one internal row per two-sided variable. Each row
     starts with an identity column of its own (its +1 slack or an
     artificial), so the tableau is always B^-1 A for the current basis B.
+
+    `mirror` maps each mirrored column j to the column k whose negative it
+    is: the second half x- of a split free variable, and the artificial of
+    a row that also has a slack (a -1 slack after any flip, so the +1
+    artificial is its negative). Row operations are linear, so column j of
+    the tableau stays -1 times column k. A kernel with `store_mirrored`
+    unset gets rows without the mirrored entries and derives them.
     """
+
+    store_mirrored = True
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -206,6 +220,8 @@ class _Simplex:
     def _standardize(self) -> None:
         lp = self.lp
         self.var_map: list[tuple] = []
+        self.mirror: dict[int, int] = {}  # ascending mirrored column -> its negative
+        keep = self.store_mirrored
         ncols = 0
         ubound_rows: list[tuple[int, Fraction]] = []  # (struct col, cap)
         self.ubound_owner: list[int] = []  # var index per ubound row
@@ -222,6 +238,7 @@ class _Simplex:
                 ncols += 1
             else:
                 self.var_map.append(("free", ncols, ncols + 1))
+                self.mirror[ncols + 1] = ncols
                 ncols += 2
         self.nstruct = ncols
 
@@ -254,7 +271,8 @@ class _Simplex:
                 entry = self.var_map[j]
                 if entry[0] == "free":
                     row[entry[1]] = a
-                    row[entry[2]] = -a
+                    if keep:
+                        row[entry[2]] = -a
                     continue
                 row[entry[1]] = a if entry[0] == "shift" else -a
                 if entry[2]:
@@ -295,7 +313,10 @@ class _Simplex:
             if sc is not None and rows[r][sc] == 1:
                 basis.append(sc)
             else:
-                rows[r][col] = Fraction(1)
+                if sc is not None:
+                    self.mirror[col] = sc
+                if keep or sc is None:
+                    rows[r][col] = Fraction(1)
                 self.art_col[r] = col
                 basis.append(col)
                 col += 1
@@ -440,16 +461,28 @@ class _ExactSimplex(_Simplex):
     Row r stands for tab[r] / den[r] and rhs[r] / den[r]: integer
     numerators over one positive integer denominator, divided by their gcd
     after every update, so no gcd runs per entry. The reduced-cost row z is
-    [numerators, denominator] in the same form. Every decision reads a sign
-    or compares ratios by cross-multiplication, so the pivots are the ones
-    Bland's rule takes on the rational tableau, and every value returned is
-    the same Fraction. Duals and Farkas multipliers come from the final z
-    row at each row's identity column j: y_r = c_j - z_j, the unique
-    solution of y'B = c_B.
+    [numerators, denominator, lift] in the same form. Every decision reads
+    a sign or compares ratios by cross-multiplication, so the pivots are
+    the ones Bland's rule takes on the rational tableau, and every value
+    returned is the same Fraction. Duals and Farkas multipliers come from
+    the final z row at each row's identity column j: y_r = c_j - z_j, the
+    unique solution of y'B = c_B.
+
+    Rows and z hold no entry in a mirrored column j (see `_Simplex`); each
+    is derived from its stored column k when read. The tableau entry of j
+    is -entry(k), and its reduced cost is c_j + c_k - z_k, where c_j + c_k
+    is 0 except for a mirrored artificial in phase 1 (`lift`), where it is
+    1; the dual at a mirrored identity column is y_r = z_k - c_k. Column
+    indices keep their meaning, so Bland's rule takes the same pivots, and
+    every stored integer, and so every value returned, is the one a full
+    tableau would hold: a gcd over a row is the same without entries that
+    are negatives of others. Free variables and ">=" rows with rhs >= 0,
+    common in the market LPs, thus cost no pivot work twice.
     """
 
     _zero = Fraction(0)
     _one = Fraction(1)
+    store_mirrored = False
 
     def _load(self, rows, rhs, cost) -> None:
         self.tab: list[dict[int, int]] = []
@@ -465,10 +498,12 @@ class _ExactSimplex(_Simplex):
         self.cost = cost
 
     def _pivot(self, r: int, col: int, z: list) -> None:
+        k = self.mirror.get(col, col)  # col's stored column; neg: col = -k
+        neg = k != col
         row, b = self.tab[r], self.rhs[r]
-        p = row[col]
+        p = -row[k] if neg else row[k]
         if p < 0:
-            row = {k: -v for k, v in row.items()}
+            row = {c: -v for c, v in row.items()}
             b, p = -b, -p
         # the pivot row divided by its pivot entry is row / p
         row, b, p = _primitive(row, b, p)
@@ -478,32 +513,52 @@ class _ExactSimplex(_Simplex):
             if i == r:
                 continue
             other = self.tab[i]
-            f = other.get(col)
+            f = other.get(k)
             if f is None:
                 continue
+            if neg:
+                f = -f
             # other/d - (f/d)(row/p) = (p*other - f*row) / (d*p)
             self.tab[i], self.rhs[i], self.den[i] = _primitive(
                 _combine(p, other, f, items),
                 self.rhs[i] * p - f * b,
                 self.den[i] * p,
             )
-        zrow, zden = z
-        f = zrow.get(col)
-        if f is not None:
+        zrow, zden, lift = z
+        f = zrow.get(k)
+        if neg:
+            f = (zden if col in lift else 0) - (f or 0)
+        if f:
             z[0], _, z[1] = _primitive(_combine(p, zrow, f, items), 0, zden * p)
         self.basis[r] = col
 
     def _enter(self, z: list, barred: set[int]) -> int | None:
-        return min(
-            (col for col, v in z[0].items() if v < 0 and col not in barred),
+        zrow, zden, lift = z
+        best = min(
+            (col for col, v in zrow.items() if v < 0 and col not in barred),
             default=None,
         )
+        # mirrored columns ascend, so the first improving one below `best`
+        # is the smallest; its reduced cost c_j + c_k - z_k is negative iff
+        # z_k exceeds c_j + c_k
+        for j, k in self.mirror.items():
+            if best is not None and j > best:
+                break
+            if j not in barred and zrow.get(k, 0) > (zden if j in lift else 0):
+                return j
+        return best
 
     def _leave(self, col: int) -> int | None:
+        k = self.mirror.get(col, col)
+        neg = k != col
         best_row = None
         for r in range(self.m):
-            a = self.tab[r].get(col)
-            if a is None or a <= 0:
+            a = self.tab[r].get(k)
+            if a is None:
+                continue
+            if neg:
+                a = -a
+            if a <= 0:
                 continue
             if best_row is None:
                 best_row, best_b, best_a = r, self.rhs[r], a
@@ -515,8 +570,10 @@ class _ExactSimplex(_Simplex):
         return best_row
 
     def _z_row(self, cost: dict) -> list:
-        den = lcm(*(v.denominator for v in cost.values()))
-        z = {k: v.numerator * (den // v.denominator) for k, v in cost.items()}
+        mirror = self.mirror
+        stored = {k: v for k, v in cost.items() if k not in mirror} if mirror else cost
+        den = lcm(*(v.denominator for v in stored.values()))
+        z = {k: v.numerator * (den // v.denominator) for k, v in stored.items()}
         for r in range(self.m):
             cb = cost.get(self.basis[r])
             if cb is None:
@@ -525,7 +582,10 @@ class _ExactSimplex(_Simplex):
             s = cb.denominator * self.den[r]
             t = cb.numerator * den
             z, _, den = _primitive(_combine(s, z, t, self.tab[r].items()), 0, den * s)
-        return [z, den]
+        # c_j + c_k is 0 for an x- half (c_j = -c_k) and for a mirrored
+        # artificial in phase 2; it is 1 for a mirrored artificial in phase 1
+        lift = {j for j in mirror if j in cost and j in self.artificials} if mirror else ()
+        return [z, den, lift]
 
     def _phase1_infeasible(self) -> bool:
         return any(
@@ -535,6 +595,8 @@ class _ExactSimplex(_Simplex):
         )
 
     def _drive_target(self, r: int) -> int | None:
+        # a mirrored column never wins: its stored column is smaller,
+        # nonzero in the same rows, and no artificial
         return min(
             (col for col in self.tab[r] if col not in self.artificials), default=None
         )
@@ -545,16 +607,24 @@ class _ExactSimplex(_Simplex):
         }
 
     def _ray(self, col: int) -> dict:
+        k = self.mirror.get(col, col)
+        neg = k != col
         direction = {col: self._one}
         for r in range(self.m):
-            a = self.tab[r].get(col)
+            a = self.tab[r].get(k)
             if a is not None:
-                direction[self.basis[r]] = Fraction(-a, self.den[r])
+                direction[self.basis[r]] = Fraction(a if neg else -a, self.den[r])
         return direction
 
     def _duals(self, z: list, cost: dict) -> list:
-        zrow, zden = z
-        return [cost.get(j, 0) - Fraction(zrow.get(j, 0), zden) for j in self.identity]
+        zrow, zden, _ = z
+        mirror = self.mirror
+        return [
+            cost.get(j, 0) - Fraction(zrow.get(j, 0), zden)
+            if j not in mirror
+            else Fraction(zrow.get(mirror[j], 0), zden) - cost.get(mirror[j], 0)
+            for j in self.identity
+        ]
 
     def _pivot_limit(self) -> Exception:
         return RuntimeError("pivot limit exceeded in exact mode (bug)")

@@ -368,10 +368,18 @@ def price_interval(
     options: tuple[StaticOption, ...] | list[StaticOption],
     mode: lp.Mode = lp.EXACT,
 ) -> PriceInterval:
-    """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable."""
+    """Arbitrage-free price range [-pi(-f), pi(f)]; a Point iff replicable.
+
+    Float bounds within the tolerance of each other may be one point split
+    or reversed by rounding, so there the exact LPs decide point or
+    interval and give the bounds: floats guide, exact decides."""
     _require_stock_na(tree, mask)
     _, columns = _wealth_system(tree, mask, options)
-    return _both_sides(tree, mask, claim, options, mode, columns)[0]
+    interval = _both_sides(tree, mask, claim, options, mode, columns)[0]
+    lower, upper = interval.lower, interval.upper
+    if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
+        interval = _both_sides(tree, mask, claim, options, lp.EXACT, columns)[0]
+    return interval
 
 
 def check_replicable(

@@ -356,6 +356,17 @@ def test_float_interval_prints_no_negative_zero(capsys):
     assert json.loads(capsys.readouterr().out)["lower"] == "0.0"
 
 
+def test_float_interval_decides_a_point_exactly(b_path, capsys):
+    # the two float optima of the replicable digital differ by one rounding
+    # (0.4 against 0.39999999999999997); the exact LPs decide the point
+    argv = ["interval", "--claim", "digital", "--float", "--model", b_path]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "point 2/5 (=0.4)\n"
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["lower"], report["upper"], report["kind"]) == ("2/5", "2/5", "Point")
+
+
 def test_hedge_emits_strategy(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(WITH_PROCESS)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robusthedge import lp
 from robusthedge.lp import (
@@ -15,6 +17,11 @@ from robusthedge.lp import (
     verify,
     zero_in_relative_interior,
 )
+from robusthedge.model import load_model
+from robusthedge.polar import compute_support
+from robusthedge.superhedge import superhedge_semistatic
+
+from conftest import DATA
 
 F = Fraction
 
@@ -230,3 +237,70 @@ def test_bad_float_tolerance_is_rejected(tol):
         float_mode(tol)
     with pytest.raises(ValueError, match="tolerance"):
         lp.Mode(exact=False, tolerance=tol)
+
+
+def test_exact_rows_store_no_mirrored_column(monkeypatch):
+    # example_b's superhedge LP has free (x, h, H), each split into x+ and
+    # x-, and ">=" rows with rhs >= 0, each with a -1 slack and a +1
+    # artificial: both kinds of mirrored column
+    model = load_model((DATA / "example_b.json").read_text(encoding="utf-8"))
+    solved = []
+    real_solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog, mode=lp.EXACT: solved.append(prog) or real_solve(prog, mode))
+    superhedge_semistatic(model.tree, compute_support(model.tree), model.claims["call"], model.options)
+    prog = solved[-1]
+    simplex = lp._ExactSimplex(prog)
+    out = simplex.run()
+    assert out == real_solve(prog) and verify(prog, out) == []
+    assert out.value == F(6, 5)
+    mirrored = set(simplex.mirror)
+    assert mirrored & simplex.artificials and mirrored - simplex.artificials
+    assert all(row.keys().isdisjoint(mirrored) for row in simplex.tab)
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _mirrored_lps(draw):
+    """LPs whose columns the exact kernel mirrors: mostly free variables and
+    ">=" rows with rhs >= 0, plus some "<=" rows with rhs < 0, "=" rows and
+    variables bounded below. Unless `loose`, every row holds at a drawn
+    point, so most of these LPs are feasible; with `bounded`, the objective
+    is a combination of the rows that the dual signs allow, so those LPs
+    have an optimum."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 6))
+    lower = [draw(st.sampled_from([None, None, F(0)])) for _ in range(n)]
+    point = [abs(draw(_small)) if lo is not None else draw(_small) for lo in lower]
+    loose = draw(st.booleans())
+    rows = []
+    for _ in range(m):
+        coeffs = [draw(_small) for _ in range(n)]
+        rel = draw(st.sampled_from([">=", ">=", ">=", "<=", "="]))
+        level = sum(a * x for a, x in zip(coeffs, point))
+        if (level < 0) == (rel == ">="):
+            coeffs, level = [-a for a in coeffs], -level
+        if loose:
+            rhs = abs(draw(_small)) * (-1 if rel == "<=" else 1)
+        else:
+            rhs = level * draw(st.sampled_from([0, F(1, 2), 1])) if rel != "=" else level
+        rows.append((coeffs, rel, rhs))
+    maximize = draw(st.booleans())
+    if draw(st.booleans()):  # bounded
+        objective = [abs(draw(_small)) if lo is not None else F(0) for lo in lower]
+        for coeffs, rel, _ in rows:
+            y = abs(draw(_small)) * {">=": 1, "<=": -1, "=": draw(st.sampled_from([1, -1]))}[rel]
+            objective = [c + y * a for c, a in zip(objective, coeffs)]
+        if maximize:
+            objective = [-c for c in objective]
+    else:
+        objective = [draw(_small) for _ in range(n)]
+    return linear_program(objective, maximize=maximize, constraints=rows, lower=lower)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(prog=_mirrored_lps())
+def test_mirrored_columns_keep_certificates(prog):
+    out = solve(prog)
+    assert verify(prog, out) == []
