@@ -3,7 +3,11 @@
 Every optimization in the engine goes through `solve`. Exact mode pivots
 fraction-free on sparse rows: each tableau row holds integer numerators over
 one integer denominator (Bareiss), and every value it returns is an exact
-`Fraction`. Float mode pivots on dense rows of floats.
+`Fraction`. It stores each mirrored column once: a standard-form column
+that is -1 times another (the negative half of a split free variable, or
+the artificial of a row that also has a slack) has no entries of its own
+and is read off the other, with the same pivots and the same values as a
+full tableau. Float mode pivots on dense rows of floats.
 Exact outcomes carry certificates that re-verify exactly: an Optimal outcome
 carries a dual vector satisfying complementary slackness, an Infeasible
 outcome carries a Farkas certificate (constraint and bound multipliers that
@@ -461,12 +465,12 @@ class _ExactSimplex(_Simplex):
     Row r stands for tab[r] / den[r] and rhs[r] / den[r]: integer
     numerators over one positive integer denominator, divided by their gcd
     after every update, so no gcd runs per entry. The reduced-cost row z is
-    [numerators, denominator, lift] in the same form. Every decision reads
-    a sign or compares ratios by cross-multiplication, so the pivots are
-    the ones Bland's rule takes on the rational tableau, and every value
-    returned is the same Fraction. Duals and Farkas multipliers come from
-    the final z row at each row's identity column j: y_r = c_j - z_j, the
-    unique solution of y'B = c_B.
+    [numerators, denominator] in the same form, plus the set `lift` below.
+    Every decision reads a sign or compares ratios by cross-multiplication,
+    so the pivots are the ones Bland's rule takes on the rational tableau,
+    and every value returned is the same Fraction. Duals and Farkas
+    multipliers come from the final z row at each row's identity column j:
+    y_r = c_j - z_j, the unique solution of y'B = c_B.
 
     Rows and z hold no entry in a mirrored column j (see `_Simplex`); each
     is derived from its stored column k when read. The tableau entry of j

@@ -246,8 +246,12 @@ def test_exact_rows_store_no_mirrored_column(monkeypatch):
     model = load_model((DATA / "example_b.json").read_text(encoding="utf-8"))
     solved = []
     real_solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda prog, mode=lp.EXACT: solved.append(prog) or real_solve(prog, mode))
-    superhedge_semistatic(model.tree, compute_support(model.tree), model.claims["call"], model.options)
+    monkeypatch.setattr(
+        lp, "solve", lambda prog, mode=lp.EXACT: solved.append(prog) or real_solve(prog, mode)
+    )
+    superhedge_semistatic(
+        model.tree, compute_support(model.tree), model.claims["call"], model.options
+    )
     prog = solved[-1]
     simplex = lp._ExactSimplex(prog)
     out = simplex.run()
@@ -286,8 +290,8 @@ def _mirrored_lps(draw):
         else:
             rhs = level * draw(st.sampled_from([0, F(1, 2), 1])) if rel != "=" else level
         rows.append((coeffs, rel, rhs))
-    maximize = draw(st.booleans())
-    if draw(st.booleans()):  # bounded
+    maximize, bounded = draw(st.booleans()), draw(st.booleans())
+    if bounded:
         objective = [abs(draw(_small)) if lo is not None else F(0) for lo in lower]
         for coeffs, rel, _ in rows:
             y = abs(draw(_small)) * {">=": 1, "<=": -1, "=": draw(st.sampled_from([1, -1]))}[rel]

@@ -388,7 +388,6 @@ def dumped_lps(workload, seed=0):
     from robusthedge import cli
 
     plan = workloads.build(workload, seed)
-    texts = []
     with tempfile.TemporaryDirectory() as folder:
         paths = {}
         for doc in plan.docs:
