@@ -3,11 +3,11 @@
 Every optimization in the engine goes through `solve`. Exact mode pivots
 fraction-free on sparse rows: each tableau row holds integer numerators over
 one integer denominator (Bareiss), and every value it returns is an exact
-`Fraction`. It stores each mirrored column once: a standard-form column
-that is -1 times another (the negative half of a split free variable, or
-the artificial of a row that also has a slack) has no entries of its own
-and is read off the other, with the same pivots and the same values as a
-full tableau. Float mode pivots on dense rows of floats.
+`Fraction`. Float mode pivots on dense rows of floats. Both kernels store
+each mirrored column once: a standard-form column that is -1 times another
+(the negative half of a split free variable, or the artificial of a row
+that also has a slack) has no entries of its own and is read off the
+other, with the same pivots and the same values as a full tableau.
 Exact outcomes carry certificates that re-verify exactly: an Optimal outcome
 carries a dual vector satisfying complementary slackness, an Infeasible
 outcome carries a Farkas certificate (constraint and bound multipliers that
@@ -211,11 +211,9 @@ class _Simplex:
     is: the second half x- of a split free variable, and the artificial of
     a row that also has a slack (a -1 slack after any flip, so the +1
     artificial is its negative). Row operations are linear, so column j of
-    the tableau stays -1 times column k. A kernel with `store_mirrored`
-    unset gets rows without the mirrored entries and derives them.
+    the tableau stays -1 times column k. No row stores an entry in a
+    mirrored column; each kernel derives it from column k when it reads it.
     """
-
-    store_mirrored = True
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
@@ -225,7 +223,6 @@ class _Simplex:
         lp = self.lp
         self.var_map: list[tuple] = []
         self.mirror: dict[int, int] = {}  # ascending mirrored column -> its negative
-        keep = self.store_mirrored
         ncols = 0
         ubound_rows: list[tuple[int, Fraction]] = []  # (struct col, cap)
         self.ubound_owner: list[int] = []  # var index per ubound row
@@ -275,8 +272,6 @@ class _Simplex:
                 entry = self.var_map[j]
                 if entry[0] == "free":
                     row[entry[1]] = a
-                    if keep:
-                        row[entry[2]] = -a
                     continue
                 row[entry[1]] = a if entry[0] == "shift" else -a
                 if entry[2]:
@@ -319,7 +314,7 @@ class _Simplex:
             else:
                 if sc is not None:
                     self.mirror[col] = sc
-                if keep or sc is None:
+                else:
                     rows[r][col] = Fraction(1)
                 self.art_col[r] = col
                 basis.append(col)
@@ -486,7 +481,6 @@ class _ExactSimplex(_Simplex):
 
     _zero = Fraction(0)
     _one = Fraction(1)
-    store_mirrored = False
 
     def _load(self, rows, rhs, cost) -> None:
         self.tab: list[dict[int, int]] = []
@@ -638,17 +632,26 @@ class _ExactSimplex(_Simplex):
 
 
 class _FloatSimplex(_Simplex):
-    """The same pivots in floats, on dense rows: each tableau row and the
-    reduced-cost row is a list of `ncols` floats. An update sets an entry
-    of magnitude 1e-13 or less to 0.0, signs are read against the
-    tolerance, and duals and Farkas multipliers come from the final
-    reduced-cost row as in exact mode: y_r = c_j - z_j at each row's
-    identity column j.
+    """The same pivots in floats, on dense rows: each tableau row is a list
+    of `ncols` floats. An update sets an entry of magnitude 1e-13 or less
+    to 0.0, signs are read against the tolerance, and duals and Farkas
+    multipliers come from the final reduced-cost row as in exact mode:
+    y_r = c_j - z_j at each row's identity column j.
 
     A pivot collects the nonzero columns of the pivot row once and updates
     only those entries, and only in rows with a nonzero in the entering
     column; the drop applies only to the entries an update computes, so a
-    small entry that no update touches keeps its value."""
+    small entry that no update touches keeps its value.
+
+    As in exact mode, a row holds 0.0 in every mirrored column j (see
+    `_Simplex`) and is read at its stored column k with the sign flipped.
+    The reduced-cost row z stays full, since c_j + c_k need not be 0: a
+    pivot updates z_j from the pivot row's entry at k with the sign
+    flipped. IEEE negation is exact, so every value read (ratios, reduced
+    costs, duals) has the bits a full tableau would give, and Bland's rule
+    takes the same pivots. One departure: when a pivot skips a row whose
+    multiplier is 1e-13 or less, a full tableau zeroes the entering column
+    there but keeps the tiny entry of its twin; here both read 0.0."""
 
     _zero = 0.0
     _one = 1.0
@@ -667,40 +670,56 @@ class _FloatSimplex(_Simplex):
             self.tab.append(dense)
         self.rhs = [float(v) for v in rhs]
         self.cost = {k: float(v) for k, v in cost.items()}
+        self.twin = {k: j for j, k in self.mirror.items()}  # stored -> mirrored
 
     def _pivot(self, r: int, col: int, z: list) -> None:
         drop = self.drop
         low = -drop
+        k = self.mirror.get(col, col)  # col's stored column; neg: col = -k
+        neg = k != col
         rhs = self.rhs
         row = self.tab[r]
         nonzero = list(compress(range(self.ncols), row))
-        piv = row[col]
+        piv = -row[k] if neg else row[k]
         if piv != 1:
-            for k in nonzero:
-                row[k] /= piv
+            for c in nonzero:
+                row[c] /= piv
             rhs[r] /= piv
-            row[col] = 1.0
-        # the entering column itself ends at 0.0 in every other row
-        items = [(k, row[k]) for k in nonzero if k != col]
+        row[k] = -1.0 if neg else 1.0
+        # column k ends at 0.0 in every other row, and so does its twin
+        items = [(c, row[c]) for c in nonzero if c != k]
         rr = rhs[r]
         for i, other in enumerate(self.tab):
-            f = other[col]
+            f = other[k]
             if not f or i == r:
                 continue
-            other[col] = 0.0
+            other[k] = 0.0
+            if neg:
+                f = -f
             if low <= f <= drop:
                 continue
-            for k, v in items:
-                nv = other[k] - f * v
-                other[k] = 0.0 if low <= nv <= drop else nv
+            for c, v in items:
+                nv = other[c] - f * v
+                other[c] = 0.0 if low <= nv <= drop else nv
             nb = rhs[i] - f * rr
             rhs[i] = 0.0 if low <= nb <= drop else nb
         f = z[col]
         z[col] = 0.0
         if not low <= f <= drop:
-            for k, v in items:
-                nv = z[k] - f * v
-                z[k] = 0.0 if low <= nv <= drop else nv
+            twin = self.twin
+            for c, v in items:
+                nv = z[c] - f * v
+                z[c] = 0.0 if low <= nv <= drop else nv
+                j = twin.get(c)
+                if j is not None:
+                    # the pivot row holds -v at j
+                    nv = z[j] + f * v
+                    z[j] = 0.0 if low <= nv <= drop else nv
+            # the pivot row holds -1.0 at the entering column's twin
+            t = k if neg else twin.get(k)
+            if t is not None:
+                nv = z[t] + f
+                z[t] = 0.0 if low <= nv <= drop else nv
         self.basis[r] = col
 
     def _enter(self, z: list, barred: set[int]) -> int | None:
@@ -711,11 +730,13 @@ class _FloatSimplex(_Simplex):
         return None
 
     def _leave(self, col: int) -> int | None:
+        k = self.mirror.get(col, col)
+        neg = k != col
         best_row = None
         best_ratio = None
         eps = self.eps
         for r, row in enumerate(self.tab):
-            d = row[col]
+            d = -row[k] if neg else row[k]
             if d <= eps:
                 continue
             ratio = self.rhs[r] / d
@@ -729,6 +750,7 @@ class _FloatSimplex(_Simplex):
     def _z_row(self, cost: dict) -> list:
         drop = self.drop
         low = -drop
+        twin = self.twin
         z = [0.0] * self.ncols
         for k, v in cost.items():
             z[k] = v
@@ -737,8 +759,13 @@ class _FloatSimplex(_Simplex):
             if cb is None or low <= cb <= drop:
                 continue
             for k in compress(range(self.ncols), row):
-                nv = z[k] - cb * row[k]
+                v = row[k]
+                nv = z[k] - cb * v
                 z[k] = 0.0 if low <= nv <= drop else nv
+                j = twin.get(k)
+                if j is not None:
+                    nv = z[j] + cb * v
+                    z[j] = 0.0 if low <= nv <= drop else nv
         return z
 
     def _phase1_infeasible(self) -> bool:
@@ -759,12 +786,14 @@ class _FloatSimplex(_Simplex):
         return {self.basis[r]: self.rhs[r] for r in range(self.m)}
 
     def _ray(self, col: int) -> dict:
+        k = self.mirror.get(col, col)
+        neg = k != col
         drop = self.drop
         direction = {col: 1.0}
         for r, row in enumerate(self.tab):
-            d = row[col]
+            d = row[k]
             if not -drop <= d <= drop:
-                direction[self.basis[r]] = -d
+                direction[self.basis[r]] = d if neg else -d
         return direction
 
     def _duals(self, z: list, cost: dict) -> list:

@@ -26,6 +26,11 @@ from .rational import (
 if TYPE_CHECKING:
     from .polar import SupportMask
 
+# A document may hold at most this many nodes. A valid tree has at least
+# horizon + 1 nodes and at most as many leaves as nodes, so the cap bounds
+# both as well.
+MAX_NODES = 100_000
+
 
 class ModelError(Exception):
     """Base class for model ingestion and evaluation errors."""
@@ -249,6 +254,10 @@ def load_model(text: str) -> Model:
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise MalformedDocument("'nodes' must be a nonempty array")
+    if len(raw_nodes) > MAX_NODES:
+        raise MalformedDocument(
+            f"'nodes' holds {len(raw_nodes)} nodes, more than the {MAX_NODES} allowed"
+        )
 
     # First pass: identities, levels, parents, prices.
     parsed = []

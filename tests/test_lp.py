@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from robusthedge import lp
 from robusthedge.lp import (
     Infeasible,
+    NumericalBreakdown,
     Optimal,
     Unbounded,
     float_mode,
@@ -239,7 +240,7 @@ def test_bad_float_tolerance_is_rejected(tol):
         lp.Mode(exact=False, tolerance=tol)
 
 
-def test_exact_rows_store_no_mirrored_column(monkeypatch):
+def _example_b_superhedge_lp(monkeypatch):
     # example_b's superhedge LP has free (x, h, H), each split into x+ and
     # x-, and ">=" rows with rhs >= 0, each with a -1 slack and a +1
     # artificial: both kinds of mirrored column
@@ -252,14 +253,29 @@ def test_exact_rows_store_no_mirrored_column(monkeypatch):
     superhedge_semistatic(
         model.tree, compute_support(model.tree), model.claims["call"], model.options
     )
-    prog = solved[-1]
+    return solved[-1]
+
+
+def test_exact_rows_store_no_mirrored_column(monkeypatch):
+    prog = _example_b_superhedge_lp(monkeypatch)
     simplex = lp._ExactSimplex(prog)
     out = simplex.run()
-    assert out == real_solve(prog) and verify(prog, out) == []
+    assert out == solve(prog) and verify(prog, out) == []
     assert out.value == F(6, 5)
     mirrored = set(simplex.mirror)
     assert mirrored & simplex.artificials and mirrored - simplex.artificials
     assert all(row.keys().isdisjoint(mirrored) for row in simplex.tab)
+
+
+def test_float_rows_store_no_mirrored_column(monkeypatch):
+    prog = _example_b_superhedge_lp(monkeypatch)
+    simplex = lp._FloatSimplex(prog, 1e-9)
+    out = simplex.run()
+    assert out == solve(prog, float_mode(1e-9))
+    assert abs(out.value - 1.2) <= 1e-9
+    mirrored = set(simplex.mirror)
+    assert mirrored & simplex.artificials and mirrored - simplex.artificials
+    assert all(row[j] == 0.0 for row in simplex.tab for j in mirrored)
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -308,3 +324,13 @@ def _mirrored_lps(draw):
 def test_mirrored_columns_keep_certificates(prog):
     out = solve(prog)
     assert verify(prog, out) == []
+    # the float kernel, which stores the same columns once, reaches the
+    # same kind and value or reports its breakdown
+    try:
+        got = solve(prog, float_mode(1e-9))
+    except NumericalBreakdown:
+        return
+    assert type(got) is type(out)
+    if isinstance(out, Optimal):
+        value = float(out.value)
+        assert abs(got.value - value) <= 1e-9 * max(1.0, abs(value))

@@ -65,6 +65,7 @@ from robusthedge.lp import (
     Optimal,
     Unbounded,
     _ExactSimplex,
+    _FloatSimplex,
     float_mode,
     linear_program,
     solve,
@@ -322,6 +323,26 @@ def test_float_sweep_duals_match_exact():
             assert abs(got - float(y)) <= 1e-9, entry["source"]
         compared += 1
     assert compared >= 4
+
+
+def test_float_golden_reads_mirrored_columns():
+    # the float kernel reads a mirrored column off its stored twin; the
+    # float golden holds LPs with x- halves, with mirrored artificials, and
+    # with a mirrored column in the final basis
+    golden = json.loads(GOLDEN_FLOAT.read_text(encoding="utf-8"))
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8")) + golden["sweep"]
+    minus = artificial = basic = 0
+    for entry in entries:
+        simplex = _FloatSimplex(lp_from_json(entry["lp"]), FLOAT_TOL)
+        mirrored = set(simplex.mirror)
+        minus += bool(mirrored - simplex.artificials)
+        artificial += bool(mirrored & simplex.artificials)
+        try:
+            simplex.run()
+        except NumericalBreakdown:
+            continue
+        basic += bool(mirrored & set(simplex.basis))
+    assert (minus, artificial, basic) == (38, 133, 69)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robusthedge.model import (
+    MAX_NODES,
     DanglingChildReference,
     DimensionMismatch,
     MalformedDocument,
@@ -120,6 +121,20 @@ def test_structural_errors():
         load_model("not json [")
     with pytest.raises(MalformedDocument):
         load_model(json.dumps({"horizon": 0, "nodes": []}))
+
+
+def _star(leaves):
+    """A valid one-period tree: a root with `leaves` children."""
+    nodes = [{"id": "r", "level": 0, "parent": None, "price": ["1"],
+              "generators": [{"0": "1"}]}]
+    nodes += [{"id": str(k), "level": 1, "parent": "r", "price": ["1"]} for k in range(leaves)]
+    return {"horizon": 1, "nodes": nodes}
+
+
+def test_node_count_is_capped():
+    load_model(json.dumps(_star(2)))
+    with pytest.raises(MalformedDocument, match=f"^'nodes' holds {MAX_NODES + 1} nodes"):
+        load_model(json.dumps(_star(MAX_NODES)))
 
 
 def test_repeated_option_name_rejected(example_b_text):
