@@ -25,6 +25,7 @@ from .model import Model, ModelError, load_model
 from .polar import compute_support, reference_measure
 from .rational import RationalParseError, format_with_decimal, to_rational
 from .superhedge import (
+    POINT,
     ArbitrageDetected,
     Proved,
     Refuted,
@@ -325,7 +326,7 @@ def _cmd_interval(args, model, mask, report) -> tuple[int, str]:
             "kind": interval.kind,
         }
     )
-    if interval.kind == "Point":
+    if interval.kind == POINT:
         return 0, f"point {format_with_decimal(interval.lower)}"
     return 0, (
         f"open interval ({format_with_decimal(interval.lower)}, "

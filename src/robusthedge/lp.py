@@ -1,9 +1,10 @@
 """Self-contained LP kernel: two-phase Bland simplex.
 
-Every optimization in the engine goes through `solve`. Exact mode pivots
-fraction-free on sparse rows: each tableau row holds integer numerators over
-one integer denominator (Bareiss), and every value it returns is an exact
-`Fraction`. Float mode pivots on dense rows of floats. Both kernels store
+Every optimization in the engine goes through `solve`. Both kernels load
+one standard form, built in one pass: integer rows over one denominator
+each. Exact mode pivots on them fraction-free (Bareiss), and every value
+it returns is an exact `Fraction`. Float mode divides each integer by its
+row denominator and pivots on dense rows of floats. Both kernels store
 each mirrored column once: a standard-form column that is -1 times another
 (the negative half of a split free variable, or the artificial of a row
 that also has a slack) has no entries of its own and is read off the
@@ -45,21 +46,23 @@ class NumericalBreakdown(Exception):
 
 @dataclass(frozen=True)
 class Mode:
-    exact: bool
-    tolerance: float = 0.0
+    tolerance: float | None  # None: exact
 
     def __post_init__(self) -> None:
-        if not isfinite(self.tolerance) or self.tolerance < 0:
-            raise ValueError(
-                f"tolerance must be a finite number >= 0, got {self.tolerance!r}"
-            )
+        tol = self.tolerance
+        if tol is not None and not (isfinite(tol) and tol >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+
+    @property
+    def exact(self) -> bool:
+        return self.tolerance is None
 
 
-EXACT = Mode(exact=True, tolerance=0.0)
+EXACT = Mode(tolerance=None)
 
 
 def float_mode(tolerance: float = 1e-9) -> Mode:
-    return Mode(exact=False, tolerance=tolerance)
+    return Mode(tolerance=tolerance)
 
 
 @dataclass(frozen=True)
@@ -203,9 +206,16 @@ class _Simplex:
 
     Standard form: minimize over x~ >= 0 with equality rows; general bounds
     become shifts (finite lower), reflections (finite upper only) or split
-    pairs (free), plus one internal row per two-sided variable. Each row
-    starts with an identity column of its own (its +1 slack or an
-    artificial), so the tableau is always B^-1 A for the current basis B.
+    pairs (free), plus one "<=" row per two-sided variable after the user
+    rows. Each row starts with an identity column of its own (its +1 slack
+    or an artificial), so the tableau is always B^-1 A for the current
+    basis B.
+
+    `_standardize` builds each row once, as integer numerators over one
+    positive denominator (the lcm of those of its coefficients and rhs),
+    negated if its rhs is < 0, with slack +-den and artificial +den; only
+    the rhs shift by the bounds is exact Fraction arithmetic. Both kernels
+    `_load` these rows, the float one dividing each integer by its den.
 
     `mirror` maps each mirrored column j to the column k whose negative it
     is: the second half x- of a split free variable, and the artificial of
@@ -224,14 +234,15 @@ class _Simplex:
         self.var_map: list[tuple] = []
         self.mirror: dict[int, int] = {}  # ascending mirrored column -> its negative
         ncols = 0
-        ubound_rows: list[tuple[int, Fraction]] = []  # (struct col, cap)
-        self.ubound_owner: list[int] = []  # var index per ubound row
+        # one "<=" row x~ <= up - lo per two-sided variable, after the user rows
+        bound_rows: list[tuple[list, str, Fraction]] = []
+        self.ubound_owner: list[int] = []  # var index per bound row
         for j in range(lp.n):
             lo, up = lp.lower[j], lp.upper[j]
             if lo is not None:
                 self.var_map.append(("shift", ncols, lo))
                 if up is not None:
-                    ubound_rows.append((ncols, up - lo))
+                    bound_rows.append(([(ncols, 1, 1)], "<=", up - lo))
                     self.ubound_owner.append(j)
                 ncols += 1
             elif up is not None:
@@ -241,7 +252,6 @@ class _Simplex:
                 self.var_map.append(("free", ncols, ncols + 1))
                 self.mirror[ncols + 1] = ncols
                 ncols += 2
-        self.nstruct = ncols
 
         # objective in min form over structural columns; each variable owns
         # its columns, so no column collects two contributions
@@ -259,72 +269,62 @@ class _Simplex:
                 cost[entry[1]] = cj
                 cost[entry[2]] = -cj
 
-        rows: list[dict[int, Fraction]] = []
-        rhs: list[Fraction] = []
-        rels: list[str] = []
-        self.row_origin: list[tuple[str, int]] = []
-        for i, con in enumerate(lp.constraints):
-            row: dict[int, Fraction] = {}
+        # each row as (column, numerator, denominator) terms, its relation
+        # and its rhs shifted by the finite bounds
+        specs = []
+        for con in lp.constraints:
+            terms = []
             b = con.rhs
             for j, a in enumerate(con.coeffs):
                 if a == 0:
                     continue
-                entry = self.var_map[j]
-                if entry[0] == "free":
-                    row[entry[1]] = a
-                    continue
-                row[entry[1]] = a if entry[0] == "shift" else -a
-                if entry[2]:
-                    b -= a * entry[2]
-            rows.append(row)
-            rhs.append(b)
-            rels.append(con.relation)
-            self.row_origin.append(("user", i))
-        for k, (col, cap) in enumerate(ubound_rows):
-            rows.append({col: Fraction(1)})
-            rhs.append(cap)
-            rels.append("<=")
-            self.row_origin.append(("ubound", k))
+                kind, col, shift = self.var_map[j]
+                terms.append((col, -a.numerator if kind == "flip" else a.numerator, a.denominator))
+                if kind != "free" and shift:
+                    b -= a * shift
+            specs.append((terms, con.relation, b))
+        specs += bound_rows
 
-        m = len(rows)
-        self.flipped = [False] * m
-        self.slack_col: list[int | None] = [None] * m
-        col = self.nstruct
-        for r in range(m):
-            if rels[r] == "<=":
-                rows[r][col] = Fraction(1)
-                self.slack_col[r] = col
-                col += 1
-            elif rels[r] == ">=":
-                rows[r][col] = Fraction(-1)
-                self.slack_col[r] = col
-                col += 1
-        for r in range(m):
-            if rhs[r] < 0:
-                rows[r] = {k: -v for k, v in rows[r].items()}
-                rhs[r] = -rhs[r]
-                self.flipped[r] = True
-
-        self.art_col: list[int | None] = [None] * m
+        # slacks follow the structural columns and artificials the slacks,
+        # each in row order; a row with rhs < 0 is negated (`flipped`)
+        slack = ncols
+        art = first_art = ncols + sum(rel != "=" for _, rel, _ in specs)
+        rows: list[dict[int, int]] = []
+        rhs: list[int] = []
+        dens: list[int] = []
+        self.flipped: list[bool] = []
         basis: list[int] = []
-        for r in range(m):
-            sc = self.slack_col[r]
-            if sc is not None and rows[r][sc] == 1:
-                basis.append(sc)
+        for terms, rel, b in specs:
+            flip = b < 0
+            den = lcm(b.denominator, *(q for _, _, q in terms))
+            if flip:
+                row = {col: -p * (den // q) for col, p, q in terms}
             else:
-                if sc is not None:
-                    self.mirror[col] = sc
+                row = {col: p * (den // q) for col, p, q in terms}
+            unit = art
+            if rel == "=":
+                row[art] = den
+            else:
+                # +1 slack on "<=", -1 on ">=", negated with the row
+                row[slack] = den if (rel == "<=") != flip else -den
+                if row[slack] > 0:
+                    unit = slack
                 else:
-                    rows[r][col] = Fraction(1)
-                self.art_col[r] = col
-                basis.append(col)
-                col += 1
-        self.ncols = col
-        self.artificials = {c for c in self.art_col if c is not None}
+                    self.mirror[art] = slack  # the +1 artificial is its negative
+                slack += 1
+            if unit == art:
+                art += 1
+            basis.append(unit)
+            rows.append(row)
+            rhs.append(abs(b.numerator) * (den // b.denominator))
+            dens.append(den)
+            self.flipped.append(flip)
+        self.ncols = art
+        self.artificials = set(range(first_art, art))
         self.identity = list(basis)  # each row's own unit column
         self.basis = basis
-        self.m = m
-        self._load(rows, rhs, cost)
+        self.m = len(rows)
+        self._load(rows, rhs, dens, cost)
 
     def _run_phase(self, z, barred: set[int]) -> int | None:
         """Bland loop; returns the entering column on unboundedness."""
@@ -389,13 +389,11 @@ class _Simplex:
         )
         y = self._duals(z2, self.cost)
         sense = -1 if self.lp.maximize else 1
-        dual = [self._zero] * len(self.lp.constraints)
-        for r in range(self.m):
-            kind, idx = self.row_origin[r]
-            if kind != "user":
-                continue
-            yr = -y[r] if self.flipped[r] else y[r]
-            dual[idx] = sense * yr
+        # the user rows come first, then the bound rows
+        dual = [
+            sense * (-y[r] if self.flipped[r] else y[r])
+            for r in range(len(self.lp.constraints))
+        ]
         self._check_primal(primal)
         return Optimal(value, tuple(primal), tuple(dual))
 
@@ -404,15 +402,10 @@ class _Simplex:
 
     def _extract_infeasible(self, y: list) -> Infeasible:
         n = self.lp.n
-        srow = [self._zero] * len(self.lp.constraints)
-        mrow: dict[int, object] = {}  # var index -> upper-row multiplier
-        for r in range(self.m):
-            yr = -y[r] if self.flipped[r] else y[r]
-            kind, idx = self.row_origin[r]
-            if kind == "user":
-                srow[idx] = yr
-            else:
-                mrow[self.ubound_owner[idx]] = yr
+        y = [-v if flip else v for v, flip in zip(y, self.flipped)]
+        srow = y[: len(self.lp.constraints)]
+        # var index -> bound-row multiplier; the bound rows follow the user rows
+        mrow = dict(zip(self.ubound_owner, y[len(srow):]))
         lower_mult = [self._zero] * n
         upper_mult = [self._zero] * n
         for j in range(n):
@@ -482,17 +475,11 @@ class _ExactSimplex(_Simplex):
     _zero = Fraction(0)
     _one = Fraction(1)
 
-    def _load(self, rows, rhs, cost) -> None:
-        self.tab: list[dict[int, int]] = []
-        self.rhs: list[int] = []
-        self.den: list[int] = []
-        for row, b in zip(rows, rhs):
-            den = lcm(b.denominator, *(v.denominator for v in row.values()))
-            nums = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
-            nums, num_b, den = _primitive(nums, b.numerator * (den // b.denominator), den)
-            self.tab.append(nums)
-            self.rhs.append(num_b)
-            self.den.append(den)
+    def _load(self, rows, rhs, dens, cost) -> None:
+        reduced = list(map(_primitive, rows, rhs, dens))
+        self.tab = [row for row, _, _ in reduced]
+        self.rhs = [b for _, b, _ in reduced]
+        self.den = [den for _, _, den in reduced]
         self.cost = cost
 
     def _pivot(self, r: int, col: int, z: list) -> None:
@@ -661,14 +648,16 @@ class _FloatSimplex(_Simplex):
         self.eps = tolerance
         super().__init__(lp)
 
-    def _load(self, rows, rhs, cost) -> None:
+    def _load(self, rows, rhs, dens, cost) -> None:
+        # int / int is correctly rounded, as float(Fraction) is, and raises
+        # OverflowError past float range
         self.tab = []
-        for row in rows:
+        for row, den in zip(rows, dens):
             dense = [0.0] * self.ncols
             for k, v in row.items():
-                dense[k] = float(v)
+                dense[k] = v / den
             self.tab.append(dense)
-        self.rhs = [float(v) for v in rhs]
+        self.rhs = [b / den for b, den in zip(rhs, dens)]
         self.cost = {k: float(v) for k, v in cost.items()}
         self.twin = {k: j for j, k in self.mirror.items()}  # stored -> mirrored
 

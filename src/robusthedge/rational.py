@@ -17,6 +17,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 MAX_DIGITS = 4000
+DECIMAL_DIGITS = 12  # significant digits of a rendered decimal
 _LIMIT = 10**MAX_DIGITS
 
 
@@ -122,19 +123,19 @@ def to_rational(value: object) -> Fraction:
     raise RationalParseError(f"cannot parse rational from {value!r}")
 
 
-def format_with_decimal(x: Fraction | float, digits: int = 12) -> str:
-    """Human rendering: exact form plus a 12-significant-digit decimal,
-    through `decimal` when a nonzero value is past float range or below
-    its normal range, where a float would overflow, read 0 or lose digits."""
+def format_with_decimal(x: Fraction | float) -> str:
+    """Human rendering: exact form plus a DECIMAL_DIGITS-significant-digit
+    decimal, through `decimal` when a nonzero value is past float range or
+    below its normal range, where a float would overflow, read 0 or lose digits."""
     if not isinstance(x, Fraction):
-        return f"{x:.{digits}g}"
+        return f"{x:.{DECIMAL_DIGITS}g}"
     try:
         value = float(x)
     except OverflowError:
         value = None
     if value is not None and (x == 0 or abs(value) >= sys.float_info.min):
-        return f"{x} (={value:.{digits}g})"
+        return f"{x} (={value:.{DECIMAL_DIGITS}g})"
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         quotient = Decimal(x.numerator) / Decimal(x.denominator)
-    return f"{x} (={quotient.normalize():.{digits}g})"
+    return f"{x} (={quotient.normalize():.{DECIMAL_DIGITS}g})"

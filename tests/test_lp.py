@@ -1,5 +1,6 @@
 """LP kernel: spec examples, certificate re-verification, determinism."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from robusthedge.polar import compute_support
 from robusthedge.superhedge import superhedge_semistatic
 
 from conftest import DATA
+from test_lp_golden import GOLDEN, GOLDEN_MARKET, lp_from_json
 
 F = Fraction
 
@@ -237,7 +239,73 @@ def test_bad_float_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="tolerance"):
         float_mode(tol)
     with pytest.raises(ValueError, match="tolerance"):
-        lp.Mode(exact=False, tolerance=tol)
+        lp.Mode(tolerance=tol)
+
+
+def test_mode_is_exact_without_tolerance():
+    assert lp.EXACT == lp.Mode(tolerance=None) and lp.EXACT.exact
+    assert not float_mode(0.0).exact and float_mode().tolerance == 1e-9
+    with pytest.raises(TypeError):
+        lp.Mode(exact=True, tolerance=0.5)
+
+
+def test_both_kernels_load_one_standard_form():
+    # every LP of the exact and market goldens, before any pivot: each
+    # float entry is the exact kernel's numerator over its row denominator,
+    # converted as float(Fraction) converts it
+    progs = [
+        lp_from_json(entry["lp"])
+        for path in (GOLDEN, GOLDEN_MARKET)
+        for entry in json.loads(path.read_text(encoding="utf-8"))
+    ]
+    seen = {"flipped row": 0, "flip": 0, "two-sided": 0, "free": 0}
+    for prog in progs:
+        exact, floats = lp._ExactSimplex(prog), lp._FloatSimplex(prog, 1e-9)
+        for name in ("var_map", "mirror", "basis", "artificials", "flipped", "ncols"):
+            assert getattr(floats, name) == getattr(exact, name), name
+        for r, row in enumerate(floats.tab):
+            den = exact.den[r]
+            assert row == [float(F(exact.tab[r].get(k, 0), den)) for k in range(exact.ncols)]
+            assert floats.rhs[r] == float(F(exact.rhs[r], den))
+        kinds = {entry[0] for entry in exact.var_map}
+        seen["flipped row"] += any(exact.flipped)
+        seen["flip"] += "flip" in kinds
+        seen["two-sided"] += bool(exact.ubound_owner)
+        seen["free"] += "free" in kinds
+    assert all(seen.values()), seen
+
+
+def test_float_rows_with_huge_denominators():
+    # every value is in float range, but the lcm of a row's denominators
+    # is not: each entry is divided as one correctly rounded quotient, so
+    # every bit is the one float(Fraction) gave entry by entry
+    a = F(1, 3**600)
+    b = F(2 * 7**350 + 1, 3 * 7**350)
+    c = F(3**600 + 1, 3**600)
+    prog = linear_program(
+        [1, 1, 1, -1],
+        maximize=True,
+        constraints=[
+            ([a, b, 1, 0], "<=", F(5, 7)),
+            ([-c, -b, 0, 1], "<=", -1),
+            ([b, 1, -a, c], ">=", F(1, 3)),
+        ],
+        lower=[0, 0, 0, None],
+        upper=[10, None, None, 2],
+    )
+    assert max(lp._ExactSimplex(prog).den) > 10**400
+    out = solve(prog, float_mode(1e-9))
+    assert isinstance(out, Optimal)
+    assert out.value.hex() == "0x1.279e79e79e79fp+4"
+    assert [v.hex() for v in out.primal] == [
+        "0x1.4000000000000p+3", "0x1.124924924924ap+0", "0x0.0p+0", "-0x1.d9e79e79e79eap+2",
+    ]
+    assert [v.hex() for v in out.dual] == [
+        "0x1.8000000000000p+1", "0x0.0p+0", "-0x1.0000000000001p+0",
+    ]
+    huge = linear_program([1], maximize=True, constraints=[([10**400], "<=", 1)])
+    with pytest.raises(NumericalBreakdown, match="past float range"):
+        solve(huge, float_mode(1e-9))
 
 
 def _example_b_superhedge_lp(monkeypatch):
