@@ -10,6 +10,15 @@ strategy with positive wealth on a nonpolar set. The dominating-measure search i
 First Fundamental Theorem: given a reference measure p it maximizes the
 uniform domination factor t with q >= t p over the option-constrained
 martingale polytope; a witness exists exactly when t* > 0.
+
+That polytope and the superhedging LPs read one object, the
+option-constrained martingale system: its rows constrain the martingale
+measures, and its columns are the terminal-wealth map of a semistatic
+strategy. The internal `Market` (tree, mask, options) builds it once, on
+first use, and is the one reader of its layout; the public functions
+still take (tree, mask, options). `require_stock_na` is the pricing
+precondition: `ArbitrageDetected` unless the stocks alone pass NA,
+otherwise the call's `Market`.
 """
 
 from __future__ import annotations
@@ -17,9 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import lp
-from .model import Measure, ScenarioTree, StaticOption, Strategy, leaf_wealths
+from .model import Measure, ScenarioTree, StaticOption, Strategy, dot, leaf_wealths
 from .polar import SupportMask
 
 F = Fraction
@@ -39,6 +49,16 @@ class NodeNaReport:
 class ArbitrageFound:
     strategy: Strategy
     witness_leaves: tuple[str, ...]
+
+
+class ArbitrageDetected(Exception):
+    """The market (with its quoted options) admits arbitrage; prices are
+    undefined. Carries the failing certificate and, when the stocks alone
+    are fine, each offending option's own price interval as a hint."""
+
+    def __init__(self, message: str, found: ArbitrageFound | None = None):
+        super().__init__(message)
+        self.found = found
 
 
 @dataclass(frozen=True)
@@ -76,7 +96,7 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
             return NodeNaReport(node_id, None)
         peak = max(abs(v) for v in y)
         y = tuple(v / peak for v in y)
-    products = [_dot(y, v) for v in vectors]
+    products = [dot(y, v) for v in vectors]
     if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
         raise RuntimeError("separator failed re-verification (bug)")
     return NodeNaReport(node_id, y)
@@ -118,10 +138,6 @@ def _two_stock_inside(increments: list[tuple[Fraction, ...]]) -> bool:
     return True
 
 
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), F(0))
-
-
 def scan_nodes(tree: ScenarioTree, mask: SupportMask) -> list[NodeNaReport]:
     """node_na at every relevant non-leaf node, level by level."""
     return [node_na(tree, mask, n) for n in mask.relevant_nonleaf(tree)]
@@ -136,6 +152,21 @@ def global_na(tree: ScenarioTree, mask: SupportMask) -> ArbitrageFound | None:
     return lift_first_failure(tree, mask, scan_nodes(tree, mask))
 
 
+def require_stock_na(
+    tree: ScenarioTree,
+    mask: SupportMask,
+    options: tuple[StaticOption, ...] | list[StaticOption] = (),
+) -> Market:
+    """The precondition of every pricing function: ArbitrageDetected, naming
+    the first failing node and carrying global_na's certificate, unless the
+    stocks alone pass NA; otherwise the call's Market."""
+    found = global_na(tree, mask)
+    if found is not None:
+        node = next(iter(found.strategy.dynamic))
+        raise ArbitrageDetected(f"market admits arbitrage at node {node!r}", found)
+    return Market(tree, mask, tuple(options))
+
+
 def lift_first_failure(
     tree: ScenarioTree, mask: SupportMask, reports: list[NodeNaReport]
 ) -> ArbitrageFound | None:
@@ -144,19 +175,9 @@ def lift_first_failure(
     if failed is None:
         return None
     strategy = Strategy(F(0), (), {failed.node: failed.certificate})
-    found = _checked_arbitrage(tree, mask, strategy, ())
+    found = Market(tree, mask, ()).arbitrage(strategy)
     assert found.witness_leaves, "failing node must produce a nonpolar witness set"
     return found
-
-
-def _checked_arbitrage(tree, mask, strategy, options) -> ArbitrageFound:
-    """The arbitrage certificate of a strategy: its witnesses are exactly
-    the relevant leaves where its wealth is positive, and its wealth must be
-    nonnegative on every relevant leaf."""
-    wealths = leaf_wealths(tree, mask, strategy, options)
-    if any(w < 0 for w in wealths.values()):
-        raise RuntimeError("arbitrage strategy lost money (bug)")
-    return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
 
 
 def semistatic_na(
@@ -171,7 +192,8 @@ def semistatic_na(
     max sum(w) s.t. wealth(leaf) >= w_leaf, 0 <= w_leaf <= 1. NA holds iff
     the optimum is 0. With no options this agrees with global_na.
     """
-    _, columns = _wealth_system(tree, mask, options)
+    market = Market(tree, mask, tuple(options))
+    columns = market.columns
     nw = len(columns)
     width = len(columns[0]) - 1  # h and the node blocks; no initial capital
     objective = [F(0)] * width + [F(1)] * nw
@@ -189,8 +211,7 @@ def semistatic_na(
     assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
     if out.value <= 0:
         return None
-    strategy = _hedge_strategy(tree, mask, len(options), (F(0),) + out.primal)
-    return _checked_arbitrage(tree, mask, strategy, options)
+    return market.arbitrage(market.strategy((F(0),) + out.primal))
 
 
 def martingale_rows(
@@ -229,30 +250,74 @@ def martingale_rows(
     return list(zip(rows, rhs, labels))
 
 
-def _wealth_system(tree, mask, options):
-    """The martingale_rows of the options and, per relevant leaf, the
+@dataclass(frozen=True)
+class Market:
+    """One call's market: the tree, its support mask and the quoted options,
+    with the option-constrained martingale system built on first use, once.
+
+    `rows` are its `martingale_rows`; `columns` hold, per relevant leaf, the
     coefficients of terminal wealth in the hedge variables: initial
     capital, option positions, then one d-block per relevant non-leaf node
-    (the martingale_rows columns, option rows moved up behind the mass
-    row)."""
-    system = martingale_rows(tree, mask, options)
-    rows = [row for row, _, _ in system]
-    cut = len(rows) - len(options)
-    rows = rows[:1] + rows[cut:] + rows[1:cut]
-    return system, [list(column) for column in zip(*rows)]
+    (the columns of `rows`, option rows moved up behind the mass row).
+    Every reading of that layout is a method here. Internal: the public
+    functions still take (tree, mask, options).
+    """
 
+    tree: ScenarioTree
+    mask: SupportMask
+    options: tuple[StaticOption, ...]
 
-def _hedge_strategy(tree, mask, n_options: int, point) -> Strategy:
-    """The Strategy of a point laid out like a _wealth_system column;
-    entries past the node blocks are ignored."""
-    d = tree.dimension
-    blocks = point[1 + n_options:]
-    dynamic = {}
-    for k, n in enumerate(mask.relevant_nonleaf(tree)):
-        vec = tuple(blocks[k * d:(k + 1) * d])
-        if any(v != 0 for v in vec):
-            dynamic[n] = vec
-    return Strategy(point[0], tuple(point[1:1 + n_options]), dynamic)
+    @cached_property
+    def rows(self) -> list[tuple[list[Fraction], Fraction, str]]:
+        return martingale_rows(self.tree, self.mask, self.options)
+
+    @cached_property
+    def columns(self) -> list[list[Fraction]]:
+        rows = [row for row, _, _ in self.rows]
+        cut = len(rows) - len(self.options)
+        rows = rows[:1] + rows[cut:] + rows[1:cut]
+        return [list(column) for column in zip(*rows)]
+
+    def strategy(self, point) -> Strategy:
+        """The Strategy of a point laid out like a column; entries past the
+        node blocks are ignored."""
+        d = self.tree.dimension
+        n_options = len(self.options)
+        blocks = point[1 + n_options:]
+        dynamic = {}
+        for k, n in enumerate(self.mask.relevant_nonleaf(self.tree)):
+            vec = tuple(blocks[k * d:(k + 1) * d])
+            if any(v != 0 for v in vec):
+                dynamic[n] = vec
+        return Strategy(point[0], tuple(point[1:1 + n_options]), dynamic)
+
+    def measure(self, weights) -> Measure:
+        """The path measure of exact LP weights over the relevant leaves, in
+        their order: the positive ones."""
+        return Measure(
+            {leaf: w for leaf, w in zip(self.mask.relevant_leaves, weights) if w > 0}
+        )
+
+    def wealths(self, strategy: Strategy) -> dict[str, Fraction]:
+        """`leaf_wealths` of the strategy with these options."""
+        return leaf_wealths(self.tree, self.mask, strategy, self.options)
+
+    def arbitrage(self, strategy: Strategy) -> ArbitrageFound:
+        """The arbitrage certificate of a strategy: its witnesses are exactly
+        the relevant leaves where its wealth is positive, and its wealth
+        must be nonnegative on every relevant leaf."""
+        wealths = self.wealths(strategy)
+        if any(w < 0 for w in wealths.values()):
+            raise RuntimeError("arbitrage strategy lost money (bug)")
+        return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
+
+    def check_measure(self, q: Measure) -> None:
+        """Fail unless q passes `verify_measure` on `rows`."""
+        problems = verify_measure(self.tree, self.mask, self.options, q, self.rows)
+        if problems:
+            raise RuntimeError(
+                f"martingale measure failed re-verification (bug): {problems}"
+            )
 
 
 def find_dominating_mm(
@@ -269,24 +334,19 @@ def find_dominating_mm(
     for leaf, w in p.weights.items():
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
-    system = martingale_rows(tree, mask, options)
-    rows, rhs, _ = zip(*system)
+    market = Market(tree, mask, tuple(options))
+    rows, rhs, _ = zip(*market.rows)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])
     if isinstance(out, lp.Infeasible):
         return None
     assert isinstance(out, lp.Optimal)
     if out.value <= 0:
         return None
-    witness = FtapWitness(lp_measure(dict(zip(leaves, out.primal))), p)
-    problems = verify_witness(tree, mask, options, witness, system)
+    witness = FtapWitness(market.measure(out.primal), p)
+    problems = verify_witness(tree, mask, options, witness, market.rows)
     if problems:
         raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
-
-
-def lp_measure(values: dict[str, Fraction]) -> Measure:
-    """The path measure of exact LP leaf weights: the positive ones."""
-    return Measure({leaf: w for leaf, w in values.items() if w > 0})
 
 
 def verify_measure(

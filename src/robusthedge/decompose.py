@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arbitrage import _dot
-from .model import ScenarioTree, Strategy
+from .arbitrage import require_stock_na
+from .model import ScenarioTree, Strategy, dot
 from .polar import SupportMask
-from .superhedge import _require_stock_na, node_price
+from .superhedge import node_price
 
 F = Fraction
 
@@ -64,7 +64,7 @@ def check_supermartingale(
     """None when the one-step dynamic programming inequality holds at every
     relevant non-leaf node; otherwise the first violation (top level first,
     document order) with its exact positive gap."""
-    _require_stock_na(tree, mask)
+    require_stock_na(tree, mask)
     try:
         _one_step_hedges(tree, mask, process)
     except NotSupermartingale as violation:
@@ -97,14 +97,14 @@ def optional_decomposition(
     """Split a universal supermartingale as V_0 + H.S - K with K
     nondecreasing along relevant paths and K_0 = 0, from exact one-step
     hedges; the result passes `verify_decomposition` before it is returned."""
-    _require_stock_na(tree, mask)
+    require_stock_na(tree, mask)
     hedges = _one_step_hedges(tree, mask, process)
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
             hedge = hedges[node_id]
             for child in mask.node_support[node_id]:
-                gain = _dot(hedge, tree.increment(node_id, child))
+                gain = dot(hedge, tree.increment(node_id, child))
                 increment = process(node_id) + gain - process(child)
                 consumption[child] = consumption[node_id] + increment
     dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
@@ -134,7 +134,7 @@ def verify_decomposition(
             hedge = strategy.position(node_id, tree.dimension)
             for child in mask.node_support[node_id]:
                 step = tree.increment(node_id, child)
-                gains[child] = gains[node_id] + _dot(hedge, step)
+                gains[child] = gains[node_id] + dot(hedge, step)
                 if k[child] < k[node_id]:
                     bad.append(f"K decreases on edge {node_id!r}->{child!r}")
     for level in mask.relevant_nodes:

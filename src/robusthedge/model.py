@@ -465,6 +465,11 @@ def save_model(model: Model) -> str:
     return json.dumps(doc, indent=2)
 
 
+def dot(a, b) -> Fraction:
+    """Exact inner product, e.g. of a position and a price increment."""
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def wealth(
     tree: ScenarioTree,
     strategy: Strategy,

@@ -54,22 +54,8 @@ def enumerate_vertices(
             f"{len(leaves)} relevant leaves exceed the cap of {cap}"
         )
     matrix, rhs, _ = zip(*martingale_rows(tree, mask, tuple(options)))
-    rank = _rank([list(r) for r in matrix])
-
-    seen: set[tuple[Fraction, ...]] = set()
-    for support in combinations(range(len(leaves)), min(rank, len(leaves))):
-        solution = _solve_exact_columns(matrix, rhs, support)
-        if solution is None:
-            continue
-        if any(v < 0 for v in solution):
-            continue
-        point = [F(0)] * len(leaves)
-        for col, v in zip(support, solution):
-            point[col] = v
-        seen.add(tuple(point))
-
     ordered = sorted(
-        seen,
+        set(_basic_points(matrix, rhs)),
         key=lambda pt: (
             tuple(k for k, v in enumerate(pt) if v != 0),
             pt,
@@ -84,6 +70,22 @@ def enumerate_vertices(
         equalities=tuple((tuple(r), b) for r, b in zip(matrix, rhs)),
         vertices=vertices,
     )
+
+
+def _basic_points(matrix, rhs):
+    """The nonnegative basic solutions of matrix x = rhs as dense tuples,
+    one per candidate support of size rank, in `combinations` order;
+    degenerate bases repeat a point."""
+    n = len(matrix[0])
+    rank = _rank([list(row) for row in matrix])
+    for support in combinations(range(n), min(rank, n)):
+        solution = _solve_exact_columns(matrix, rhs, support)
+        if solution is None or any(v < 0 for v in solution):
+            continue
+        point = [F(0)] * n
+        for col, v in zip(support, solution):
+            point[col] = v
+        yield tuple(point)
 
 
 def _rank(matrix: list[list[Fraction]]) -> int:
@@ -162,21 +164,10 @@ def one_step_vertices(
     for i in range(d):
         matrix.append([tree.increment(node_id, c)[i] for c in support])
         rhs.append(F(0))
-    rank = _rank([row[:] for row in matrix])
-    vertices: list[Measure] = []
-    seen = set()
-    for subset in combinations(range(len(support)), min(rank, len(support))):
-        solution = _solve_exact_columns(matrix, rhs, subset)
-        if solution is None or any(v < 0 for v in solution):
-            continue
-        weights = {
-            support[c]: v for c, v in zip(subset, solution) if v != 0
-        }
-        key = tuple(sorted(weights.items()))
-        if key not in seen:
-            seen.add(key)
-            vertices.append(Measure(weights))
-    return vertices
+    return [
+        Measure({support[k]: v for k, v in enumerate(point) if v != 0})
+        for point in dict.fromkeys(_basic_points(matrix, rhs))
+    ]
 
 
 @dataclass(frozen=True)

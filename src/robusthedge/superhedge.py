@@ -6,6 +6,10 @@ and a single global LP over (initial capital, option positions, node
 positions) whose row duals form the optimizing martingale measure. On top of
 these sit price intervals, replication and completeness tests, the Lagrange
 reformulation check, and the pathwise martingale-inequality prover.
+
+Each public function checks the stocks once (`require_stock_na`) and hands
+the returned `Market` to the private helpers, which read the martingale
+system, its wealth columns, strategies and measures through it.
 """
 
 from __future__ import annotations
@@ -14,41 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .arbitrage import (
-    ArbitrageFound,
-    _dot,
-    _hedge_strategy,
-    _wealth_system,
-    global_na,
-    lp_measure,
-    martingale_rows,
-    semistatic_na,
-    verify_measure,
-)
-from .model import (
-    Claim,
-    Measure,
-    ScenarioTree,
-    StaticOption,
-    Strategy,
-    leaf_wealths,
-)
+from .arbitrage import ArbitrageDetected, Market, require_stock_na, semistatic_na
+from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 
 F = Fraction
 
 POINT = "Point"
 OPEN_INTERVAL = "OpenInterval"
-
-
-class ArbitrageDetected(Exception):
-    """The market (with its quoted options) admits arbitrage; prices are
-    undefined. Carries the failing certificate and, when the stocks alone
-    are fine, each offending option's own price interval as a hint."""
-
-    def __init__(self, message: str, found: ArbitrageFound | None = None):
-        super().__init__(message)
-        self.found = found
 
 
 class LocalArbitrage(Exception):
@@ -122,7 +99,7 @@ def node_price(
         solved = _one_step_lp(node_id, increments, values)
     value, hedge = solved
     for inc, v in zip(increments, values):
-        if value + _dot(hedge, inc) - v < 0:
+        if value + dot(hedge, inc) - v < 0:
             raise RuntimeError("one-step hedge failed re-verification (bug)")
     return value, hedge
 
@@ -173,26 +150,17 @@ def _one_step_lp(node_id, increments, values):
     return out.value, tuple(out.dual[i] for i in range(d))
 
 
-def _require_stock_na(tree, mask):
-    found = global_na(tree, mask)
-    if found is not None:
-        node = next(iter(found.strategy.dynamic))
-        raise ArbitrageDetected(
-            f"market admits arbitrage at node {node!r}", found
-        )
-
-
-def _no_consistent_measure(tree, mask, options):
+def _no_consistent_measure(market):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
     hinting at each option whose quote leaves its stocks-only price range.
     Hints and arbitrage are exact, and NumericalBreakdown means a float LP
     saw an empty polytope that the exact search does not confirm. The
     stocks must already pass NA."""
     hints = []
-    _, columns = _wealth_system(tree, mask, ())
-    for opt in options:
-        raw = Claim({leaf: opt.payoff[leaf] for leaf in tree.leaves})
-        interval = _both_sides(tree, mask, raw, (), lp.EXACT, columns)[0]
+    stocks = Market(market.tree, market.mask, ())
+    for opt in market.options:
+        raw = Claim({leaf: opt.payoff[leaf] for leaf in market.tree.leaves})
+        interval = _both_sides(stocks, raw, lp.EXACT)[0]
         if not interval.lower <= opt.quote <= interval.upper:
             hints.append(
                 f"option {opt.name!r} quoted {opt.quote} outside its "
@@ -203,7 +171,7 @@ def _no_consistent_measure(tree, mask, options):
         if hints
         else "option quotes jointly admit arbitrage (no consistent martingale measure)"
     )
-    found = semistatic_na(tree, mask, options)
+    found = semistatic_na(market.tree, market.mask, market.options)
     if found is None:
         raise lp.NumericalBreakdown(
             "a float LP found no consistent martingale measure, but the exact "
@@ -221,7 +189,7 @@ def superhedge_dynamic(
     the superhedging value at every relevant node, and the optimal strategy
     the one-step hedges assemble into, with price + H.S_T >= claim on every
     relevant leaf."""
-    _require_stock_na(tree, mask)
+    market = require_stock_na(tree, mask)
     values: dict[str, Fraction] = {
         leaf: claim(leaf) for leaf in mask.relevant_leaves
     }
@@ -234,28 +202,15 @@ def superhedge_dynamic(
                 dynamic[node_id] = hedge
     price = values[tree.root]
     strategy = Strategy(price, (), dynamic)
-    _check_superhedge(tree, mask, strategy, (), claim)
+    _check_superhedge(market, strategy, claim)
     return price, values, strategy
 
 
-def _check_superhedge(tree, mask, strategy, options, claim) -> None:
+def _check_superhedge(market, strategy, claim) -> None:
     """Fail unless the strategy's terminal wealth covers the claim on every
     relevant leaf."""
-    if any(
-        w < claim(leaf)
-        for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
-    ):
+    if any(w < claim(leaf) for leaf, w in market.wealths(strategy).items()):
         raise RuntimeError("superhedging strategy failed re-verification (bug)")
-
-
-def _check_measure(tree, mask, options, q, rows) -> None:
-    """Fail unless q passes `verify_measure` on `rows`, the
-    `martingale_rows` of the options."""
-    problems = verify_measure(tree, mask, options, q, rows)
-    if problems:
-        raise RuntimeError(
-            f"martingale measure failed re-verification (bug): {problems}"
-        )
 
 
 def superhedge_semistatic(
@@ -274,21 +229,21 @@ def superhedge_semistatic(
     Requires the stocks to pass NA and the option quotes to admit at least
     one consistent martingale measure; otherwise ArbitrageDetected.
     """
-    _require_stock_na(tree, mask)
-    rows, columns = _wealth_system(tree, mask, options)
-    x, strategy, q = _primal_superhedge(tree, mask, claim, options, mode, columns)
+    market = require_stock_na(tree, mask, options)
+    x, strategy, q = _primal_superhedge(market, claim, mode)
     if mode.exact:
-        _check_measure(tree, mask, options, q, rows)
+        market.check_measure(q)
     return x, strategy, q
 
 
-def _primal_superhedge(tree, mask, claim, options, mode, columns):
-    """superhedge_semistatic once the stocks are known to pass NA, on the
-    wealth columns of the options; the measure is not yet checked."""
+def _primal_superhedge(market, claim, mode):
+    """superhedge_semistatic once the stocks are known to pass NA; the
+    measure is not yet checked."""
+    columns = market.columns
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
         (column, ">=", claim(leaf))
-        for column, leaf in zip(columns, mask.relevant_leaves)
+        for column, leaf in zip(columns, market.mask.relevant_leaves)
     ]
     lower = [None] * len(objective)
     prog = lp.linear_program(
@@ -297,28 +252,23 @@ def _primal_superhedge(tree, mask, claim, options, mode, columns):
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Unbounded):
         # dual infeasible: no martingale measure matches the quotes
-        raise _no_consistent_measure(tree, mask, options)
+        raise _no_consistent_measure(market)
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
     if not mode.exact:
         return x, None, None
-    strategy = _hedge_strategy(tree, mask, len(options), out.primal)
-    _check_superhedge(tree, mask, strategy, options, claim)
-    return x, strategy, lp_measure(dict(zip(mask.relevant_leaves, out.dual)))
+    strategy = market.strategy(out.primal)
+    _check_superhedge(market, strategy, claim)
+    return x, strategy, market.measure(out.dual)
 
 
-def _both_sides(tree, mask, claim, options, mode, columns):
-    """The price interval [-pi(-f), pi(f)] of the claim on the wealth
-    columns of the options, with the superhedging strategy and measure of
-    the upper side and the measure of the lower side; the stocks must
-    already pass NA."""
+def _both_sides(market, claim, mode):
+    """The price interval [-pi(-f), pi(f)] of the claim, with the
+    superhedging strategy and measure of the upper side and the measure of
+    the lower side; the stocks must already pass NA."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    upper, strategy, q_high = _primal_superhedge(
-        tree, mask, claim, options, mode, columns
-    )
-    lower_neg, _, q_low = _primal_superhedge(
-        tree, mask, negated, options, mode, columns
-    )
+    upper, strategy, q_high = _primal_superhedge(market, claim, mode)
+    lower_neg, _, q_low = _primal_superhedge(market, negated, mode)
     # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
     return PriceInterval(0 - lower_neg, upper), strategy, q_high, q_low
 
@@ -339,25 +289,22 @@ def dual_price(
     option quotes to admit a consistent martingale measure; otherwise
     ArbitrageDetected.
     """
-    _require_stock_na(tree, mask)
-    return _dual_lp(tree, mask, claim, options, mode)
+    return _dual_lp(require_stock_na(tree, mask, options), claim, mode)
 
 
-def _dual_lp(tree, mask, claim, options, mode):
+def _dual_lp(market, claim, mode):
     """dual_price once the stocks are known to pass NA."""
-    leaves = mask.relevant_leaves
-    objective = [claim(leaf) for leaf in leaves]
-    rows = martingale_rows(tree, mask, options)
-    constraints = [(row, "=", rhs) for row, rhs, _ in rows]
+    objective = [claim(leaf) for leaf in market.mask.relevant_leaves]
+    constraints = [(row, "=", rhs) for row, rhs, _ in market.rows]
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
-        raise _no_consistent_measure(tree, mask, options)
+        raise _no_consistent_measure(market)
     assert isinstance(out, lp.Optimal)
     if not mode.exact:
         return out.value, None
-    q = lp_measure(dict(zip(leaves, out.primal)))
-    _check_measure(tree, mask, options, q, rows)
+    q = market.measure(out.primal)
+    market.check_measure(q)
     return out.value, q
 
 
@@ -373,12 +320,11 @@ def price_interval(
     Float bounds within the tolerance of each other may be one point split
     or reversed by rounding, so there the exact LPs decide point or
     interval and give the bounds: floats guide, exact decides."""
-    _require_stock_na(tree, mask)
-    _, columns = _wealth_system(tree, mask, options)
-    interval = _both_sides(tree, mask, claim, options, mode, columns)[0]
+    market = require_stock_na(tree, mask, options)
+    interval = _both_sides(market, claim, mode)[0]
     lower, upper = interval.lower, interval.upper
     if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
-        interval = _both_sides(tree, mask, claim, options, lp.EXACT, columns)[0]
+        interval = _both_sides(market, claim, lp.EXACT)[0]
     return interval
 
 
@@ -391,30 +337,23 @@ def check_replicable(
     """Second FTAP for one claim, exact: replicable iff the two superhedging
     prices coincide; otherwise two martingale measures separate the
     expectations."""
-    _require_stock_na(tree, mask)
-    rows, columns = _wealth_system(tree, mask, options)
-    result = _replicable(tree, mask, claim, options, columns)
+    market = require_stock_na(tree, mask, options)
+    result = _replicable(market, claim)
     if isinstance(result, NotReplicable):
-        _check_measure(tree, mask, options, result.q_low, rows)
-        _check_measure(tree, mask, options, result.q_high, rows)
+        market.check_measure(result.q_low)
+        market.check_measure(result.q_high)
     return result
 
 
-def _replicable(tree, mask, claim, options, columns):
-    """check_replicable once the stocks are known to pass NA, on the
-    wealth columns of the options."""
-    interval, strategy, q_high, q_low = _both_sides(
-        tree, mask, claim, options, lp.EXACT, columns
-    )
+def _replicable(market, claim):
+    """check_replicable once the stocks are known to pass NA."""
+    interval, strategy, q_high, q_low = _both_sides(market, claim, lp.EXACT)
     if interval.kind == POINT:
-        if any(
-            w != claim(leaf)
-            for leaf, w in leaf_wealths(tree, mask, strategy, options).items()
-        ):
+        if any(w != claim(leaf) for leaf, w in market.wealths(strategy).items()):
             # Both bounds are attained at one price, so the superhedge minus
             # the subhedge is a semistatic arbitrage: the consistent
             # martingale measures miss some relevant leaf.
-            found = semistatic_na(tree, mask, options)
+            found = semistatic_na(market.tree, market.mask, market.options)
             if found is None:
                 raise RuntimeError("replication is not exact (bug)")
             raise ArbitrageDetected(
@@ -433,13 +372,12 @@ def check_complete(
 ) -> bool:
     """Complete iff every relevant leaf indicator is replicable (iff the
     martingale polytope is a single point); exact."""
-    _require_stock_na(tree, mask)
-    _, columns = _wealth_system(tree, mask, options)
+    market = require_stock_na(tree, mask, options)
     for leaf in mask.relevant_leaves:
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}
         )
-        result = _replicable(tree, mask, indicator, options, columns)
+        result = _replicable(market, indicator)
         if isinstance(result, NotReplicable):
             return False
     return True
@@ -456,17 +394,10 @@ def lagrange_check(
     semistatic price exactly."""
     price, strategy, _ = superhedge_semistatic(tree, mask, claim, options)
     h_star = strategy.static
-    shifted = Claim(
-        {
-            leaf: claim(leaf)
-            - sum(
-                (h_star[k] * options[k].normalized(leaf) for k in range(len(options))),
-                F(0),
-            )
-            for leaf in tree.leaves
-        }
-    )
-    value, _ = _dual_lp(tree, mask, shifted, (), lp.EXACT)
+    # f - h*.g at the relevant leaves, the only ones the dual LP reads
+    hedged = Market(tree, mask, tuple(options)).wealths(Strategy(F(0), h_star))
+    shifted = Claim({leaf: claim(leaf) - g for leaf, g in hedged.items()})
+    value, _ = _dual_lp(Market(tree, mask, ()), shifted, lp.EXACT)
     if value != price:
         raise LagrangeGap(f"Lagrange value {value} != price {price}")
     return value, h_star
@@ -487,7 +418,7 @@ def prove_inequality(
         # superhedge_dynamic has checked the hedge from price <= bound, so
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
-    _, q = _dual_lp(tree, mask, claim, (), lp.EXACT)
+    _, q = _dual_lp(Market(tree, mask, ()), claim, lp.EXACT)
     expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
     if expectation <= bound:
         raise RuntimeError("refutation measure does not beat the bound (bug)")

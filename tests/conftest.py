@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,23 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def count_everywhere(monkeypatch, function) -> list[tuple]:
+    """Record, in one list, the positional arguments of each call of
+    `function` through every robusthedge module that binds it by name,
+    found in sys.modules at run time."""
+    name = function.__name__
+    calls: list[tuple] = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("robusthedge") and getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 

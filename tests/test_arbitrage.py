@@ -6,14 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from robusthedge import lp
+from robusthedge import lp, superhedge
 from robusthedge.arbitrage import (
-    _hedge_strategy,
-    _wealth_system,
+    ArbitrageDetected,
+    Market,
     find_dominating_mm,
     global_na,
+    lift_first_failure,
     martingale_rows,
     node_na,
+    require_stock_na,
+    scan_nodes,
     semistatic_na,
     verify_witness,
 )
@@ -21,7 +24,7 @@ from robusthedge.model import Claim, PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
 from robusthedge.superhedge import dual_price, superhedge_semistatic
 
-from conftest import DATA, constant_stock_model, random_instance
+from conftest import DATA, constant_stock_model, count_everywhere, random_instance
 
 F = Fraction
 
@@ -119,6 +122,46 @@ def test_failing_polar_node_is_ignored():
     fmask = compute_support(flipped.tree)
     found = global_na(flipped.tree, fmask)
     assert found is not None and "bad" in found.strategy.dynamic
+
+
+# stocks only: "r" and "ok" pass, the relevant node "bad" rises surely
+FAILS_AT_BAD = {
+    "horizon": 2,
+    "nodes": [
+        {"id": "r", "level": 0, "parent": None, "price": ["5"],
+         "generators": [{"ok": "1/2", "bad": "1/2"}]},
+        {"id": "ok", "level": 1, "parent": "r", "price": ["5"],
+         "generators": [{"u": "1/2", "d": "1/2"}]},
+        {"id": "bad", "level": 1, "parent": "r", "price": ["5"],
+         "generators": [{"up": "1"}]},
+        {"id": "u", "level": 2, "parent": "ok", "price": ["6"]},
+        {"id": "d", "level": 2, "parent": "ok", "price": ["4"]},
+        {"id": "up", "level": 2, "parent": "bad", "price": ["9"]},
+    ],
+}
+
+
+def test_stock_na_verdict_builds_no_martingale_system(monkeypatch):
+    # the certificate is checked on leaf wealths; the Market never builds
+    # its rows, which the stocks-only `na` op must not pay for
+    model = load_model(json.dumps(FAILS_AT_BAD))
+    tree, mask = model.tree, compute_support(model.tree)
+    builds = count_everywhere(monkeypatch, martingale_rows)
+    assert global_na(tree, mask).witness_leaves == ("up",)
+    assert lift_first_failure(tree, mask, scan_nodes(tree, mask)) is not None
+    assert builds == []
+
+
+def test_require_stock_na_returns_the_market_or_names_the_node(example_b):
+    mask = compute_support(example_b.tree)
+    market = require_stock_na(example_b.tree, mask, list(example_b.options))
+    assert market == Market(example_b.tree, mask, example_b.options)
+    model = load_model(json.dumps(FAILS_AT_BAD))
+    mask = compute_support(model.tree)
+    with pytest.raises(ArbitrageDetected, match="at node 'bad'") as denied:
+        require_stock_na(model.tree, mask)
+    assert denied.value.found == global_na(model.tree, mask)
+    assert superhedge.ArbitrageDetected is ArbitrageDetected
 
 
 def test_polar_invariance_of_global_na():
@@ -337,9 +380,10 @@ def _check_rows_give_wealth(model, rng):
         else:
             static.append(v)  # option rows follow model.options
     strategy = Strategy(initial, tuple(static), {n: tuple(h) for n, h in dynamic.items()})
-    _, columns = _wealth_system(tree, mask, model.options)
+    market = Market(tree, mask, model.options)
+    columns = market.columns
     point = [initial, *static, *(v for h in dynamic.values() for v in h)]
-    same = _hedge_strategy(tree, mask, len(model.options), point)
+    same = market.strategy(point)
     for k, leaf in enumerate(mask.relevant_leaves):
         want = wealth(tree, strategy, model.options, leaf)
         assert sum((row[k] * v for (row, _, _), v in zip(rows, position)), F(0)) == want

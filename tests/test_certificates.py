@@ -2,7 +2,6 @@
 returns it: call counts per CLI op, and one corrupted certificate per check."""
 
 import json
-import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from robusthedge.decompose import AdaptedProcess, optional_decomposition
 from robusthedge.model import leaf_wealths, load_model
 from robusthedge.polar import compute_support, reference_measure
 
-from conftest import count_calls
+from conftest import count_everywhere
 
 F = Fraction
 
@@ -45,18 +44,6 @@ def stocks_only(example_b_text):
     return load_model(_stocks_only_text(example_b_text))
 
 
-def _count_everywhere(monkeypatch, function) -> list[list]:
-    """count_calls on every robusthedge module that binds `function` by
-    name."""
-    name = function.__name__
-    return [
-        count_calls(monkeypatch, module, name)
-        for module in list(sys.modules.values())
-        if module.__name__.startswith("robusthedge")
-        and getattr(module, name, None) is function
-    ]
-
-
 @pytest.mark.parametrize(
     "document, argv, function, times",
     [
@@ -78,10 +65,10 @@ def test_each_exact_op_checks_its_certificate_once(
     text = example_b_text if document == "example_b" else _stocks_only_text(example_b_text)
     path = tmp_path / "m.json"
     path.write_text(text)
-    calls = _count_everywhere(monkeypatch, function)
+    calls = count_everywhere(monkeypatch, function)
     assert main([*argv, "--model", str(path)]) in (0, 2)
     capsys.readouterr()
-    assert sum(map(len, calls)) == times
+    assert len(calls) == times
 
 
 def _patch_solve(monkeypatch, corrupt) -> list:

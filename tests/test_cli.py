@@ -1,5 +1,6 @@
 """CLI: exit codes, human and JSON output, determinism, certificates."""
 
+import ast
 import contextlib
 import io
 import json
@@ -244,6 +245,19 @@ def test_runtime_imports_only_the_standard_library():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout == "[]\n"
+
+
+def test_no_private_name_crosses_a_module():
+    # a name one module needs from another is public there
+    crossing = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(Path(superhedge.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert crossing == []
 
 
 def test_deeply_nested_document_exits_1_without_traceback(tmp_path):
