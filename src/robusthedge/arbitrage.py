@@ -18,7 +18,7 @@ strategy. The internal `Market` (tree, mask, options) builds it once, on
 first use, and is the one reader of its layout; the public functions
 still take (tree, mask, options). `require_stock_na` is the pricing
 precondition: `ArbitrageDetected` unless the stocks alone pass NA,
-otherwise the call's `Market`.
+otherwise the call's `Market`, which its denial paths search too.
 """
 
 from __future__ import annotations
@@ -185,33 +185,8 @@ def semistatic_na(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
 ) -> ArbitrageFound | None:
-    """NA of the full semistatic market (stocks plus quoted options), exact.
-
-    Searches for (H, h) with quasi-surely nonnegative terminal wealth and
-    positive wealth on some relevant leaf, by maximizing clipped gains:
-    max sum(w) s.t. wealth(leaf) >= w_leaf, 0 <= w_leaf <= 1. NA holds iff
-    the optimum is 0. With no options this agrees with global_na.
-    """
-    market = Market(tree, mask, tuple(options))
-    columns = market.columns
-    nw = len(columns)
-    width = len(columns[0]) - 1  # h and the node blocks; no initial capital
-    objective = [F(0)] * width + [F(1)] * nw
-    constraints = []
-    for li, column in enumerate(columns):
-        gains = [F(0)] * nw
-        gains[li] = F(-1)
-        constraints.append((column[1:] + gains, ">=", F(0)))
-    lower: list[Fraction | None] = [None] * width + [F(0)] * nw
-    upper: list[Fraction | None] = [None] * width + [F(1)] * nw
-    prog = lp.linear_program(
-        objective, maximize=True, constraints=constraints, lower=lower, upper=upper
-    )
-    out = lp.solve(prog, lp.EXACT)
-    assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
-    if out.value <= 0:
-        return None
-    return market.arbitrage(market.strategy((F(0),) + out.primal))
+    """`Market.search_arbitrage` of the stocks with these quoted options."""
+    return Market(tree, mask, tuple(options)).search_arbitrage()
 
 
 def martingale_rows(
@@ -310,6 +285,33 @@ class Market:
         if any(w < 0 for w in wealths.values()):
             raise RuntimeError("arbitrage strategy lost money (bug)")
         return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
+
+    def search_arbitrage(self) -> ArbitrageFound | None:
+        """NA of the full semistatic market (stocks plus quoted options),
+        exact; None means Pass. Searches for (H, h) with quasi-surely
+        nonnegative terminal wealth and positive wealth on some relevant
+        leaf, by maximizing clipped gains: max sum(w) s.t. wealth(leaf) >=
+        w_leaf, 0 <= w_leaf <= 1. NA holds iff the optimum is 0. With no
+        options this agrees with global_na."""
+        columns = self.columns
+        nw = len(columns)
+        width = len(columns[0]) - 1  # h and the node blocks; no initial capital
+        objective = [F(0)] * width + [F(1)] * nw
+        constraints = []
+        for li, column in enumerate(columns):
+            gains = [F(0)] * nw
+            gains[li] = F(-1)
+            constraints.append((column[1:] + gains, ">=", F(0)))
+        lower: list[Fraction | None] = [None] * width + [F(0)] * nw
+        upper: list[Fraction | None] = [None] * width + [F(1)] * nw
+        prog = lp.linear_program(
+            objective, maximize=True, constraints=constraints, lower=lower, upper=upper
+        )
+        out = lp.solve(prog, lp.EXACT)
+        assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
+        if out.value <= 0:
+            return None
+        return self.arbitrage(self.strategy((F(0),) + out.primal))
 
     def check_measure(self, q: Measure) -> None:
         """Fail unless q passes `verify_measure` on `rows`."""

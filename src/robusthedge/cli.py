@@ -100,9 +100,9 @@ def _tolerance(text: str) -> float:
 _FLAG_SPECS = {
     "--float": {"dest": "float_mode", "action": "store_true"},
     "--tol": {"type": _tolerance, "help": "float tolerance (default 1e-9)"},
-    "--claim": {"help": "claim name from the document"},
-    "--process": {"help": "adapted process name (decompose)"},
-    "--bound": {"help": "bound to prove (rational)"},
+    "--claim": {"required": True, "help": "claim name from the document"},
+    "--process": {"required": True, "help": "adapted process name (decompose)"},
+    "--bound": {"required": True, "help": "bound to prove (rational)"},
     "--dominate": {"default": "uniform", "help": "measure name from the document, or 'uniform'"},
 }
 
@@ -169,8 +169,6 @@ def _measure_json(measure) -> dict:
 
 
 def _claim_of(args, model: Model):
-    if not args.claim:
-        raise ValueError("--claim NAME is required for this command")
     claim = model.claims.get(args.claim)
     if claim is None:
         raise ValueError(f"claim {args.claim!r} is not in the document")
@@ -371,8 +369,6 @@ def _cmd_complete(args, model, mask, report) -> tuple[int, str]:
 
 
 def _cmd_decompose(args, model, mask, report) -> tuple[int, str]:
-    if not args.process:
-        raise ValueError("--process NAME is required for decompose")
     values = model.processes.get(args.process)
     if values is None:
         raise ValueError(f"process {args.process!r} is not in the document")
@@ -400,8 +396,6 @@ def _cmd_decompose(args, model, mask, report) -> tuple[int, str]:
 
 def _cmd_prove(args, model, mask, report) -> tuple[int, str]:
     claim = _claim_of(args, model)
-    if args.bound is None:
-        raise ValueError("--bound B is required for prove")
     try:
         bound = to_rational(args.bound)
     except RationalParseError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .arbitrage import ArbitrageDetected, Market, require_stock_na, semistatic_na
+from .arbitrage import ArbitrageDetected, Market, require_stock_na
 from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 
@@ -171,7 +171,7 @@ def _no_consistent_measure(market):
         if hints
         else "option quotes jointly admit arbitrage (no consistent martingale measure)"
     )
-    found = semistatic_na(market.tree, market.mask, market.options)
+    found = market.search_arbitrage()
     if found is None:
         raise lp.NumericalBreakdown(
             "a float LP found no consistent martingale measure, but the exact "
@@ -353,7 +353,7 @@ def _replicable(market, claim):
             # Both bounds are attained at one price, so the superhedge minus
             # the subhedge is a semistatic arbitrage: the consistent
             # martingale measures miss some relevant leaf.
-            found = semistatic_na(market.tree, market.mask, market.options)
+            found = market.search_arbitrage()
             if found is None:
                 raise RuntimeError("replication is not exact (bug)")
             raise ArbitrageDetected(

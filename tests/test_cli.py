@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robusthedge import lp, superhedge
+from robusthedge import arbitrage, lp, superhedge
 from robusthedge.cli import _build_parser, main
 from robusthedge.rational import format_with_decimal
 
@@ -96,6 +96,8 @@ def test_float_mode_decides_na_exactly(capsys):
     # without options the backward recursion prices exactly in every mode,
     # and the report says so
     path = str(DATA / "tiny_increment.json")
+    assert main(["na", "--model", path]) == 0
+    assert capsys.readouterr().out.endswith("stocks-only NA: Pass\n")
     assert main(["price", "--model", path, "--claim", "f", "--float"]) == 0
     assert capsys.readouterr().out == "1/1000000000001 (=9.99999999999e-13)\n"
     assert main(["price", "--model", path, "--claim", "f", "--float", "--json"]) == 0
@@ -131,7 +133,7 @@ def test_float_denial_is_exact(tmp_path, capsys, monkeypatch):
             "interval [1/10, 1]\n"
         )
     # a float verdict the exact search cannot confirm is a breakdown
-    monkeypatch.setattr(superhedge, "semistatic_na", lambda *args: None)
+    monkeypatch.setattr(arbitrage.Market, "search_arbitrage", lambda market: None)
     assert main(["price", "--model", str(path), "--claim", "f", "--float"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -209,25 +211,12 @@ def test_value_below_normal_float_range_prints_its_decimal(x, decimal):
     assert format_with_decimal(x) == f"{x} (={decimal})"
 
 
-def test_answer_below_float_range_prints_its_decimal(tmp_path, capsys):
+def test_answer_below_float_range_prints_its_decimal(capsys):
     # a claim of 1e-400 at every leaf is its own price, nonzero but below
     # float range, so its decimal comes from `decimal` rather than reading 0
-    doc = {
-        "horizon": 1,
-        "nodes": [
-            {"id": "r", "level": 0, "parent": None, "price": ["1"],
-             "generators": [{"lo": "1/2", "hi": "1/2"}]},
-            {"id": "lo", "level": 1, "parent": "r", "price": ["0"]},
-            {"id": "hi", "level": 1, "parent": "r", "price": ["2"]},
-        ],
-        "claims": {"f": {"lo": "1e-400", "hi": "1e-400"}},
-    }
-    path = tmp_path / "below_float_range.json"
-    path.write_text(json.dumps(doc))
-    assert main(["price", "--model", str(path), "--claim", "f"]) == 0
+    path = str(DATA / "below_float_range.json")
+    assert main(["price", "--model", path, "--claim", "f"]) == 0
     assert capsys.readouterr().out == f"{Fraction(1, 10**400)} (=1e-400)\n"
-    # the CI step prices the same document
-    assert json.loads((DATA / "below_float_range.json").read_text()) == doc
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -260,22 +249,35 @@ def test_no_private_name_crosses_a_module():
     assert crossing == []
 
 
-def test_deeply_nested_document_exits_1_without_traceback(tmp_path):
-    # json.loads raises RecursionError here; a fresh interpreter, so an
+@pytest.mark.parametrize(
+    "document, argv, code, out, err",
+    [
+        (None, ["price", "--claim", "call"], 0, "6/5 (=1.2)\n", ""),
+        (None, ["na"], 2,
+         "node  status  certificate\nroot  Pass    -\nstocks-only NA: Pass\n"
+         "semistatic NA (with options): Fail\n", ""),
+        # json.loads raises RecursionError here
+        ("[" * 200000, ["validate"], 1, "", "error: invalid JSON: nested too deeply\n"),
+        ('{"horizon": 1, "nodes": [{"id": "r", "level": 0, "parent": null, "price": ["1/0"]}]}',
+         ["validate"], 1, "", "error: node 'r' price: cannot parse rational from '1/0'\n"),
+    ],
+    ids=["answer", "denial", "nested", "zero_denominator"],
+)
+def test_cli_process_exit_code_and_output(b_path, tmp_path, document, argv, code, out, err):
+    # a fresh interpreter, so the exit code is the process's own and an
     # uncaught exception prints its traceback as the CLI would
-    path = tmp_path / "nested.json"
-    path.write_text("[" * 200000)
+    path = b_path
+    if document is not None:
+        path = str(tmp_path / "document.json")
+        Path(path).write_text(document)
     src = str(Path(superhedge.__file__).parents[1])
     run = subprocess.run(
-        [sys.executable, "-m", "robusthedge.cli", "validate", "--model", str(path)],
+        [sys.executable, "-m", "robusthedge.cli", *argv, "--model", path],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )
-    assert run.returncode == 1
-    assert run.stdout == ""
-    assert run.stderr == "error: invalid JSON: nested too deeply\n"
-    assert "Traceback" not in run.stderr
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
 
 
 def test_repeated_option_name_exits_1(capsys):
@@ -491,24 +493,30 @@ def test_dump_lp_flag(b_path, tmp_path, capsys):
     assert "max" in text or "min" in text
 
 
-def test_missing_claim_is_usage_error(b_path, capsys):
-    assert main(["price", "--model", b_path]) == 1
-    assert "--claim" in capsys.readouterr().err
-
-
 def test_missing_file_is_input_error(capsys):
     assert main(["validate", "--model", "/nonexistent/x.json"]) == 1
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["price", "--claim", "call"], ["validate", "--model", "m.json", "--nope"], []],
+    "argv, named",
+    [
+        (["price", "--claim", "call"], "--model"),
+        (["validate", "--model", "m.json", "--nope"], "--nope"),
+        ([], "command"),
+        # a required flag left out; m.json does not exist, so no file is read
+        (["price", "--model", "m.json"], "--claim"),
+        (["decompose", "--model", "m.json"], "--process"),
+        (["prove", "--model", "m.json", "--claim", "call"], "--bound"),
+    ],
+    ids=[f"argv{k}" for k in range(6)],
 )
-def test_usage_errors_exit_1(capsys, argv):
+def test_usage_errors_exit_1(capsys, argv, named):
     with pytest.raises(SystemExit) as exited:
         main(argv)
     assert exited.value.code == 1
-    assert "usage:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and named in captured.err.splitlines()[-1]
 
 
 # the flags each subcommand takes besides --model, --json and --dump-lp,
@@ -529,9 +537,10 @@ TAKES = {
 }
 FLAG_VALUES = {
     "--claim": ["call"], "--method": ["dp"], "--process": ["surface"],
-    "--bound": ["x"], "--seed": ["9"], "--dominate": ["uniform"], "--enumerate": [],
+    "--bound": ["1"], "--seed": ["9"], "--dominate": ["uniform"], "--enumerate": [],
     "--float": [], "--tol": ["0.5"],
 }
+REQUIRED = ("--claim", "--process", "--bound")
 
 
 @pytest.mark.parametrize(
@@ -539,10 +548,14 @@ FLAG_VALUES = {
     [(c, f) for c, flags in TAKES.items() for f in FLAG_VALUES if f not in flags],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(b_path, capsys, command, flag):
+    # the subcommand's required flags are given, so the unread one is the
+    # only error
+    given = [arg for f in TAKES[command] if f in REQUIRED for arg in (f, *FLAG_VALUES[f])]
     with pytest.raises(SystemExit) as exited:
-        main([command, "--model", b_path, flag, *FLAG_VALUES[flag]])
+        main([command, "--model", b_path, *given, flag, *FLAG_VALUES[flag]])
     assert exited.value.code == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    unread = " ".join([flag, *FLAG_VALUES[flag]])
+    assert f"unrecognized arguments: {unread}\n" in capsys.readouterr().err
 
 
 def test_every_benchmark_op_parses(tmp_path):

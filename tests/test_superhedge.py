@@ -1,8 +1,10 @@
 """Superhedging: one-step prices, both global routes, intervals,
 replicability, completeness, Lagrange form, inequality prover."""
 
+import contextlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -497,20 +499,38 @@ def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
         "check_complete",
         "dual_price",
         "find_dominating_mm",
+        # denials: a quote outside its stocks-only price interval, and
+        # quotes whose consistent measures all miss a relevant leaf
+        "superhedge_semistatic-outside",
+        "price_interval-outside",
+        "dual_price-outside",
+        "check_replicable-no_full_support",
+        "check_complete-no_full_support",
     ],
 )
 def test_martingale_system_is_built_once_per_call(example_b, monkeypatch, entry):
     import robusthedge.arbitrage as arb
     import robusthedge.superhedge as sh
 
-    tree, options = example_b.tree, example_b.options
+    entry, _, denial = entry.partition("-")
+    model = example_b
+    if denial == "no_full_support":
+        model = load_model((DATA / "no_full_support.json").read_text())
+    tree, options = model.tree, model.options
+    if denial == "outside":
+        options = (type(options[0])("call", F(2), options[0].payoff),)
     mask = compute_support(tree)
+    claim = model.claims["f" if denial == "no_full_support" else "digital"]
     builds = count_everywhere(monkeypatch, arb.martingale_rows)
-    if entry == "check_complete":
-        sh.check_complete(tree, mask, options)
-    elif entry == "find_dominating_mm":
-        # stocks only, so a witness exists and is re-verified
-        assert arb.find_dominating_mm(tree, mask, (), reference_measure(tree)) is not None
-    else:
-        getattr(sh, entry)(tree, mask, example_b.claims["digital"], options)
-    assert len(builds) == 1
+    with pytest.raises(ArbitrageDetected) if denial else contextlib.nullcontext():
+        if entry == "check_complete":
+            sh.check_complete(tree, mask, options)
+        elif entry == "find_dominating_mm":
+            # stocks only, so a witness exists and is re-verified
+            assert arb.find_dominating_mm(tree, mask, (), reference_measure(tree)) is not None
+        else:
+            getattr(sh, entry)(tree, mask, claim, options)
+    # one build per options tuple; the hints on an outside quote price the
+    # option in the stocks-only market, a second tuple
+    built = Counter(tuple(opt.name for opt in args[2]) for args in builds)
+    assert list(built.values()) == [1] * (2 if denial == "outside" else 1)
