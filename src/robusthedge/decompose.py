@@ -1,8 +1,10 @@
-"""Universal supermartingale test and nondominated optional decomposition.
+"""Nondominated optional decomposition, and with it the universal
+supermartingale test.
 
 A process is a supermartingale under every martingale measure of the family
-iff its one-step superhedging value never exceeds it at any relevant node.
-Such a process splits exactly into initial value plus a martingale transform
+iff its one-step superhedging value never exceeds it at any relevant node;
+`optional_decomposition` raises NotSupermartingale where it does. Such a
+process splits exactly into initial value plus a martingale transform
 minus a nondecreasing consumption: the hedge comes from the one-step dual,
 the consumption from the per-edge slack, and the identity
 V_t = V_0 + H.S_t - K_t holds by construction at every relevant node.
@@ -56,26 +58,18 @@ class Decomposition:
     consumption: dict[str, Fraction]  # accumulated K per relevant node, K_0 = 0
 
 
-def check_supermartingale(
+def optional_decomposition(
     tree: ScenarioTree,
     mask: SupportMask,
     process: AdaptedProcess,
-) -> NotSupermartingale | None:
-    """None when the one-step dynamic programming inequality holds at every
-    relevant non-leaf node; otherwise the first violation (top level first,
-    document order) with its exact positive gap."""
+) -> Decomposition:
+    """Split a universal supermartingale as V_0 + H.S - K with K
+    nondecreasing along relevant paths and K_0 = 0, from exact one-step
+    hedges; the result passes `verify_decomposition` before it is returned.
+    Raises NotSupermartingale, with the exact positive gap, at the first
+    relevant node (top level first, document order) whose one-step value
+    exceeds the process."""
     require_stock_na(tree, mask)
-    try:
-        _one_step_hedges(tree, mask, process)
-    except NotSupermartingale as violation:
-        return violation
-    return None
-
-
-def _one_step_hedges(tree, mask, process):
-    """The one-step hedge at every relevant non-leaf node; raises
-    NotSupermartingale at the first violation of the dynamic programming
-    inequality. The stocks must already pass NA."""
     process.validate(mask)
     hedges: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon):
@@ -86,19 +80,6 @@ def _one_step_hedges(tree, mask, process):
             if gap > 0:
                 raise NotSupermartingale(node_id, gap)
             hedges[node_id] = hedge
-    return hedges
-
-
-def optional_decomposition(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    process: AdaptedProcess,
-) -> Decomposition:
-    """Split a universal supermartingale as V_0 + H.S - K with K
-    nondecreasing along relevant paths and K_0 = 0, from exact one-step
-    hedges; the result passes `verify_decomposition` before it is returned."""
-    require_stock_na(tree, mask)
-    hedges = _one_step_hedges(tree, mask, process)
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:

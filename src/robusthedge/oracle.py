@@ -19,6 +19,9 @@ from .polar import SupportMask
 
 F = Fraction
 
+# the most relevant leaves a model may have before enumeration is refused
+LEAF_CAP = 16
+
 
 class InstanceTooLarge(Exception):
     pass
@@ -39,7 +42,6 @@ def enumerate_vertices(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
-    cap: int = 16,
 ) -> MartingalePolytope:
     """All basic feasible solutions of the martingale equality system.
 
@@ -49,9 +51,9 @@ def enumerate_vertices(
     bases are removed exactly.
     """
     leaves = mask.relevant_leaves
-    if len(leaves) > cap:
+    if len(leaves) > LEAF_CAP:
         raise InstanceTooLarge(
-            f"{len(leaves)} relevant leaves exceed the cap of {cap}"
+            f"{len(leaves)} relevant leaves exceed the cap of {LEAF_CAP}"
         )
     matrix, rhs, _ = zip(*martingale_rows(tree, mask, tuple(options)))
     ordered = sorted(

@@ -58,14 +58,6 @@ def compute_support(tree: ScenarioTree) -> SupportMask:
     )
 
 
-def is_polar(tree: ScenarioTree, mask: SupportMask, leaves: set[str] | frozenset[str]) -> bool:
-    """True iff the leaf event is null under every measure of the family."""
-    unknown = leaves - set(tree.leaves)
-    if unknown:
-        raise ValueError(f"not leaves of the tree: {sorted(unknown)}")
-    return not (leaves & set(mask.relevant_leaves))
-
-
 def reference_kernels(tree: ScenarioTree) -> dict[str, Measure]:
     """Uniform mixture of generators at every non-leaf node.
 
@@ -88,14 +80,3 @@ def reference_measure(tree: ScenarioTree) -> Measure:
     """The product of the uniform-mixture kernels; its support is exactly
     the relevant leaves."""
     return product_measure(tree, reference_kernels(tree))
-
-
-def node_mass(tree: ScenarioTree, measure: Measure) -> dict[str, Fraction]:
-    """Total leaf mass under every node (root mass is 1 for a probability)."""
-    mass: dict[str, Fraction] = {leaf: measure(leaf) for leaf in tree.leaves}
-    for level in range(tree.horizon - 1, -1, -1):
-        for node_id in tree.levels[level]:
-            mass[node_id] = sum(
-                (mass[c] for c in tree.nodes[node_id].children), Fraction(0)
-            )
-    return mass

@@ -4,8 +4,8 @@ Two independent routes compute the same number (zero duality gap, exact in
 rational mode): a backward recursion of one-step LPs down the relevant tree,
 and a single global LP over (initial capital, option positions, node
 positions) whose row duals form the optimizing martingale measure. On top of
-these sit price intervals, replication and completeness tests, the Lagrange
-reformulation check, and the pathwise martingale-inequality prover.
+these sit price intervals, replication and completeness tests, and the
+pathwise martingale-inequality prover.
 
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
@@ -30,11 +30,6 @@ OPEN_INTERVAL = "OpenInterval"
 
 class LocalArbitrage(Exception):
     """node_price called at a node violating local NA."""
-
-
-class LagrangeGap(Exception):
-    """The Lagrange reformulation disagreed with the direct price (a bug,
-    not a market property)."""
 
 
 @dataclass(frozen=True)
@@ -381,26 +376,6 @@ def check_complete(
         if isinstance(result, NotReplicable):
             return False
     return True
-
-
-def lagrange_check(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    claim: Claim,
-    options: tuple[StaticOption, ...] | list[StaticOption],
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Evaluate pi(f) = inf_h sup over option-unconstrained martingale
-    measures of E[f - h.g] at the optimal h* and assert it reproduces the
-    semistatic price exactly."""
-    price, strategy, _ = superhedge_semistatic(tree, mask, claim, options)
-    h_star = strategy.static
-    # f - h*.g at the relevant leaves, the only ones the dual LP reads
-    hedged = Market(tree, mask, tuple(options)).wealths(Strategy(F(0), h_star))
-    shifted = Claim({leaf: claim(leaf) - g for leaf, g in hedged.items()})
-    value, _ = _dual_lp(Market(tree, mask, ()), shifted, lp.EXACT)
-    if value != price:
-        raise LagrangeGap(f"Lagrange value {value} != price {price}")
-    return value, h_star
 
 
 def prove_inequality(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from robusthedge.model import Claim, Model, load_model
+from robusthedge.model import Claim, Measure, Model, ScenarioTree, load_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -271,6 +271,17 @@ def _reprice_options(model: Model, rng: random.Random) -> Model:
         for opt in model.options
     )
     return Model(model.tree, options, model.claims, model.processes, model.measures)
+
+
+def node_mass(tree: ScenarioTree, measure: Measure) -> dict[str, Fraction]:
+    """Total leaf mass under every node (root mass is 1 for a probability)."""
+    mass: dict[str, Fraction] = {leaf: measure(leaf) for leaf in tree.leaves}
+    for level in range(tree.horizon - 1, -1, -1):
+        for node_id in tree.levels[level]:
+            mass[node_id] = sum(
+                (mass[c] for c in tree.nodes[node_id].children), Fraction(0)
+            )
+    return mass
 
 
 def random_claim(rng: random.Random, model: Model) -> Claim:

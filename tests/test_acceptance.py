@@ -19,7 +19,6 @@ from robusthedge.arbitrage import find_dominating_mm, global_na, semistatic_na
 from robusthedge.decompose import (
     AdaptedProcess,
     NotSupermartingale,
-    check_supermartingale,
     optional_decomposition,
     verify_decomposition,
 )
@@ -276,8 +275,9 @@ def test_criterion_6_optional_decomposition(corpus):
         target = next(iter(best))
         bumped = dict(values)
         bumped[target] = bumped[target] + 1
-        report = check_supermartingale(tree, mask, AdaptedProcess(bumped))
-        assert isinstance(report, NotSupermartingale)
+        with pytest.raises(NotSupermartingale) as err:
+            optional_decomposition(tree, mask, AdaptedProcess(bumped))
+        report = err.value
         assert report.node == tree.root
         expected_gap = max(
             sum((w * bumped[c] for c, w in q.items()), F(0))

@@ -249,6 +249,39 @@ def test_no_private_name_crosses_a_module():
     assert crossing == []
 
 
+def test_every_public_function_has_a_caller():
+    # a public function earns its place by a caller in the package or by the
+    # benchmark's answer checks, except these two, kept for users: `verify`
+    # rechecks any LP certificate, `save_model` writes a model back out
+    allowed = {"verify", "save_model"}
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(superhedge.__file__).parent.glob("*.py"))
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    checks = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(checks.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    uncalled = [
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        if name != "__init__"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and node.name not in referenced | imported | allowed
+    ]
+    assert uncalled == []
+
+
 @pytest.mark.parametrize(
     "document, argv, code, out, err",
     [

@@ -8,19 +8,19 @@ import pytest
 from robusthedge.decompose import (
     AdaptedProcess,
     NotSupermartingale,
-    check_supermartingale,
     optional_decomposition,
     verify_decomposition,
 )
 from robusthedge.model import Strategy, wealth
-from robusthedge.oracle import InstanceTooLarge, enumerate_vertices
-from robusthedge.polar import compute_support, node_mass
+from robusthedge.oracle import InstanceTooLarge, enumerate_vertices, one_step_vertices
+from robusthedge.polar import compute_support
 from robusthedge.superhedge import ArbitrageDetected, superhedge_dynamic
 
 from conftest import (
     constant_stock_model,
     count_calls,
     grid_market_model,
+    node_mass,
     random_claim,
     random_instance,
 )
@@ -39,13 +39,14 @@ def test_constant_process_on_constant_stock():
     process = AdaptedProcess(
         {n: F(5) for level in mask.relevant_nodes for n in level}
     )
-    assert check_supermartingale(model.tree, mask, process) is None
+    # returns, rather than raising NotSupermartingale
+    optional_decomposition(model.tree, mask, process)
 
 
 def test_value_surface_is_supermartingale(example_b):
     mask = compute_support(example_b.tree)
     process, _, _ = _surface_process(example_b.tree, mask, example_b.claims["call"])
-    assert check_supermartingale(example_b.tree, mask, process) is None
+    optional_decomposition(example_b.tree, mask, process)
 
 
 def test_rising_process_fails_with_exact_gap():
@@ -53,9 +54,9 @@ def test_rising_process_fails_with_exact_gap():
     mask = compute_support(model.tree)
     values = {"root": F(0)}
     values.update({leaf: F(1) if leaf == "w1" else F(0) for leaf in model.tree.leaves})
-    report = check_supermartingale(model.tree, mask, AdaptedProcess(values))
-    assert isinstance(report, NotSupermartingale)
-    assert (report.node, report.gap) == ("root", F(1))
+    with pytest.raises(NotSupermartingale) as report:
+        optional_decomposition(model.tree, mask, AdaptedProcess(values))
+    assert (report.value.node, report.value.gap) == ("root", F(1))
 
 
 def test_decomposition_of_call_surface(example_b):
@@ -158,7 +159,7 @@ def test_yes_verdict_confirmed_by_sampled_kernels():
             continue
         if not polytope.vertices:
             continue
-        assert check_supermartingale(tree, mask, process) is None
+        optional_decomposition(tree, mask, process)
         for _ in range(100):
             mix = [F(rng.randint(0, 4)) for _ in polytope.vertices]
             if sum(mix) == 0:
@@ -190,7 +191,8 @@ def test_yes_verdict_confirmed_by_sampled_kernels():
 def test_equivalence_decomposition_exists_iff_supermartingale():
     """(i) <=> (ii): a valid decomposition exists iff the one-step test
     passes; any returned decomposition forces supermartingality under every
-    oracle vertex measure."""
+    oracle vertex measure, and a refusal names a node where some oracle
+    one-step martingale kernel beats the process by the reported gap."""
     rng = random.Random(3030)
     passed = failed = 0
     while passed < 10 or failed < 10:
@@ -213,26 +215,29 @@ def test_equivalence_decomposition_exists_iff_supermartingale():
             for n in level
         }
         process = AdaptedProcess(values)
-        verdict = check_supermartingale(tree, mask, process)
-        if verdict is None:
-            passed += 1
+        try:
             decomposition = optional_decomposition(tree, mask, process)
-            assert verify_decomposition(tree, mask, process, decomposition) == []
-            # necessity: V = V0 + H.S - K with K nondecreasing forces the
-            # supermartingale property under every vertex measure
-            for vertex in polytope.vertices:
-                mass = node_mass(tree, vertex)
-                for level in range(tree.horizon):
-                    for node_id in mask.relevant_nodes[level]:
-                        lhs = F(0)
-                        for child in tree.nodes[node_id].children:
-                            if mass.get(child, F(0)) > 0:
-                                lhs += mass[child] * process(child)
-                        assert lhs <= mass[node_id] * process(node_id)
-        else:
+        except NotSupermartingale as violation:
             failed += 1
-            with pytest.raises(NotSupermartingale):
-                optional_decomposition(tree, mask, process)
+            best = max(
+                sum((w * process(c) for c, w in q.weights.items()), F(0))
+                for q in one_step_vertices(tree, mask, violation.node)
+            )
+            assert violation.gap == best - process(violation.node) > 0
+            continue
+        passed += 1
+        assert verify_decomposition(tree, mask, process, decomposition) == []
+        # necessity: V = V0 + H.S - K with K nondecreasing forces the
+        # supermartingale property under every vertex measure
+        for vertex in polytope.vertices:
+            mass = node_mass(tree, vertex)
+            for level in range(tree.horizon):
+                for node_id in mask.relevant_nodes[level]:
+                    lhs = F(0)
+                    for child in tree.nodes[node_id].children:
+                        if mass.get(child, F(0)) > 0:
+                            lhs += mass[child] * process(child)
+                    assert lhs <= mass[node_id] * process(node_id)
 
 
 def test_decomposition_solves_each_one_step_lp_once(monkeypatch):

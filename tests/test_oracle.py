@@ -81,10 +81,10 @@ def test_empty_polytope():
 
 
 def test_instance_cap():
-    model = constant_stock_model(6)
+    model = constant_stock_model(17)
     mask = compute_support(model.tree)
     with pytest.raises(InstanceTooLarge):
-        enumerate_vertices(model.tree, mask, (), cap=5)
+        enumerate_vertices(model.tree, mask, ())
 
 
 def test_vertices_satisfy_equalities_and_dedupe():

@@ -4,17 +4,10 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from robusthedge.model import load_model
-from robusthedge.polar import (
-    compute_support,
-    is_polar,
-    node_mass,
-    reference_measure,
-)
+from robusthedge.polar import compute_support, reference_measure
 
-from conftest import random_instance
+from conftest import node_mass, random_instance
 
 F = Fraction
 
@@ -49,24 +42,10 @@ def test_dirac_kernel_makes_siblings_polar():
     assert mask.node_support["r"] == ("u",)
     assert mask.relevant_leaves == ("uu", "ud")
     assert mask.relevant_nodes == (("r",), ("u",), ("uu", "ud"))
-    assert is_polar(model.tree, mask, {"du"})
-    assert not is_polar(model.tree, mask, {"uu"})
-    assert is_polar(model.tree, mask, set())
-
-
-def test_is_polar_rejects_non_leaves(example_b):
-    mask = compute_support(example_b.tree)
-    with pytest.raises(ValueError):
-        is_polar(example_b.tree, mask, {"root"})
-
-
-def test_polar_union_rule():
-    model = _two_period_with_dirac()
-    mask = compute_support(model.tree)
-    a, b = {"du"}, {"uu"}
-    assert is_polar(model.tree, mask, a | b) == (
-        is_polar(model.tree, mask, a) and is_polar(model.tree, mask, b)
-    )
+    # a leaf event is polar iff it misses every relevant leaf
+    assert {"du"}.isdisjoint(mask.relevant_leaves)
+    assert not {"uu"}.isdisjoint(mask.relevant_leaves)
+    assert set().isdisjoint(mask.relevant_leaves)
 
 
 def test_reference_measure_support_is_relevance():
@@ -79,7 +58,7 @@ def test_reference_measure_support_is_relevance():
 
 
 def test_max_mass_on_polar_event_is_zero():
-    # cross-check is_polar by maximizing the event mass over generator choices
+    # cross-check polarity by maximizing the event mass over generator choices
     model = _two_period_with_dirac()
     tree = model.tree
     mask = compute_support(tree)
@@ -98,7 +77,7 @@ def test_max_mass_on_polar_event_is_zero():
         return best
 
     assert max_mass(tree.root) == 0
-    assert is_polar(tree, mask, event)
+    assert event.isdisjoint(mask.relevant_leaves)
 
 
 def test_support_monotone_under_generator_growth():

@@ -25,7 +25,6 @@ from robusthedge.superhedge import (
     check_complete,
     check_replicable,
     dual_price,
-    lagrange_check,
     node_price,
     price_interval,
     prove_inequality,
@@ -276,23 +275,50 @@ def test_replicable_denies_when_no_measure_has_full_support():
         check_complete(tree, mask, options)
 
 
+def _lagrange(tree, mask, claim, options):
+    """The semistatic price pi(f) and its optimal option positions h*,
+    after asserting the Lagrange form pi(f) = pi_0(f - h*.(g - quote)):
+    the stocks-only backward recursion prices the claim net of h*."""
+    price, strategy, _ = superhedge_semistatic(tree, mask, claim, options)
+    h_star = strategy.static
+    static = Strategy(F(0), h_star)
+    shifted = Claim(
+        {leaf: claim(leaf) - wealth(tree, static, options, leaf) for leaf in tree.leaves}
+    )
+    assert superhedge_dynamic(tree, mask, shifted)[0] == price
+    return price, h_star
+
+
 def test_lagrange_check(example_b):
     mask = compute_support(example_b.tree)
     call = _call_claim(example_b)
-    value, h_star = lagrange_check(example_b.tree, mask, call, ())
+    value, h_star = _lagrange(example_b.tree, mask, call, ())
     assert value == F(6, 5) and h_star == ()
 
     digital = example_b.claims["digital"]
-    value, h_star = lagrange_check(
-        example_b.tree, mask, digital, example_b.options
-    )
+    value, h_star = _lagrange(example_b.tree, mask, digital, example_b.options)
     assert value == F(2, 5)
     assert len(h_star) == 1
 
     opt = example_b.options[0]
     normalized = Claim({leaf: opt.normalized(leaf) for leaf in example_b.tree.leaves})
-    value, _ = lagrange_check(example_b.tree, mask, normalized, example_b.options)
+    value, _ = _lagrange(example_b.tree, mask, normalized, example_b.options)
     assert value == 0
+
+
+def test_lagrange_identity_on_corpus():
+    rng = random.Random(4242)
+    priced = hedged = 0
+    while priced < 15:
+        model = random_instance(rng, mm_quotes=True)
+        mask = compute_support(model.tree)
+        try:
+            _, h_star = _lagrange(model.tree, mask, model.claims["f"], model.options)
+        except ArbitrageDetected:
+            continue
+        priced += 1
+        hedged += any(h != 0 for h in h_star)
+    assert hedged >= 5
 
 
 def _grid_with_claim():

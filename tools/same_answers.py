@@ -6,13 +6,15 @@ BASE_SRC and NEW_SRC are directories that contain a `robusthedge` package
 (the `src/` folder of two checkouts). For each of them, a fresh Python
 process builds the documents and the full op cycle of workload W from
 `bench/workloads.py` (seed S), writes the documents to a temporary folder,
-and runs every op through `robusthedge.cli.main` in order, with
-`--dump-lp` on. The two runs are then compared op by op on the exit code,
-standard output (a `"wall_time_s"` value is masked), standard error and
-the dumped LP text. The first op that differs is printed and the exit code
-is 1; when no op differs the exit code is 0.
+and runs every op through `robusthedge.cli.main` in order, twice: as the
+workload gives it and again with `--json`, both with `--dump-lp` on. The
+two trees are then compared run by run on the exit code, standard output
+(a `"wall_time_s"` value is masked), standard error and the dumped LP
+text, so the fields only the JSON report carries are compared too. The
+first run that differs is printed and the exit code is 1; when no run
+differs the exit code is 0.
 
-With `--fewer-lps` the new run may solve fewer LPs: per op, its LP dump
+With `--fewer-lps` the new run may solve fewer LPs: per run, its LP dump
 must be an ordered subsequence of the base run's (LPs may only disappear,
 and each one left is byte-identical), while the exit code, standard output
 and standard error must still match exactly. Both LP totals are printed.
@@ -60,28 +62,29 @@ def run_cycle(src: str, workload: str, seed: int) -> None:
             paths[doc.name].write_text(json.dumps(doc.body, indent=1), encoding="utf-8")
         dump = Path(folder) / "dump.lp"
         for index, op in enumerate(plan.ops):
-            argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:],
-                    "--dump-lp", str(dump)]
-            out, err = io.StringIO(), io.StringIO()
-            try:
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-            except SystemExit as exc:
-                code = f"usage exit {exc.code}"
-            except Exception:
-                code = "exception"
-                err.write(traceback.format_exc())
-            lps = dump.read_text(encoding="utf-8").split("\n\n") if dump.exists() else []
-            dump.unlink(missing_ok=True)
-            record = {
-                "op": index,
-                "key": op.key,
-                "code": code,
-                "stdout": WALL.sub(r"\1<masked>", out.getvalue()),
-                "stderr": err.getvalue(),
-                "lps": [_digest(text) for text in lps if text],
-            }
-            print(json.dumps(record), flush=True)
+            for extra in ((), ("--json",)):
+                argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:],
+                        *extra, "--dump-lp", str(dump)]
+                out, err = io.StringIO(), io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                except SystemExit as exc:
+                    code = f"usage exit {exc.code}"
+                except Exception:
+                    code = "exception"
+                    err.write(traceback.format_exc())
+                lps = dump.read_text(encoding="utf-8").split("\n\n") if dump.exists() else []
+                dump.unlink(missing_ok=True)
+                record = {
+                    "op": index,
+                    "key": " ".join([op.key, *extra]),
+                    "code": code,
+                    "stdout": WALL.sub(r"\1<masked>", out.getvalue()),
+                    "stderr": err.getvalue(),
+                    "lps": [_digest(text) for text in lps if text],
+                }
+                print(json.dumps(record), flush=True)
 
 
 def collect(src: str, workload: str, seed: int) -> list[dict]:
@@ -101,7 +104,7 @@ def _is_subsequence(short: list[str], long: list[str]) -> bool:
 
 def first_difference(base: list[dict], new: list[dict], fewer_lps: bool = False) -> str | None:
     if len(base) != len(new):
-        return f"op counts differ: {len(base)} against {len(new)}"
+        return f"run counts differ: {len(base)} against {len(new)}"
     for a, b in zip(base, new):
         for field in ("code", "stdout", "stderr"):
             if a[field] != b[field]:
@@ -142,12 +145,12 @@ def main() -> int:
     if diff is not None:
         print(diff)
         return 1
+    runs = f"{args.workload} seed {args.seed}: {len(base) // 2} ops, {len(base)} runs"
     if args.fewer_lps:
         kept = sum(len(r["lps"]) for r in new)
-        print(f"{args.workload} seed {args.seed}: {len(base)} ops, "
-              f"{lps} LPs in base, {kept} in new, no difference")
+        print(f"{runs}, {lps} LPs in base, {kept} in new, no difference")
     else:
-        print(f"{args.workload} seed {args.seed}: {len(base)} ops, {lps} LPs, no difference")
+        print(f"{runs}, {lps} LPs, no difference")
     return 0
 
 
