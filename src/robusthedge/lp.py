@@ -791,9 +791,15 @@ class _FloatSimplex(_Simplex):
     def _check_primal(self, primal: list) -> None:
         scale = 1.0 + max((abs(float(x)) for x in primal), default=0.0)
         tol = max(self.eps, 1e-9) * 1e3 * scale
+        # numerator / denominator is float(Fraction) without its generic
+        # numbers.Rational dispatch: the same correctly rounded bits
         for con in self.lp.constraints:
-            lhs = sum(float(a) * float(x) for a, x in zip(con.coeffs, primal) if a)
-            gap = lhs - float(con.rhs)
+            lhs = sum(
+                a.numerator / a.denominator * float(x)
+                for a, x in zip(con.coeffs, primal)
+                if a
+            )
+            gap = lhs - con.rhs.numerator / con.rhs.denominator
             if con.relation == "<=" and gap > tol:
                 raise NumericalBreakdown("primal feasibility lost")
             if con.relation == ">=" and gap < -tol:

@@ -1,11 +1,14 @@
 """Superhedging prices, optimal semistatic strategies and price intervals.
 
 Two independent routes compute the same number (zero duality gap, exact in
-rational mode): a backward recursion of one-step LPs down the relevant tree,
-and a single global LP over (initial capital, option positions, node
-positions) whose row duals form the optimizing martingale measure. On top of
-these sit price intervals, replication and completeness tests, and the
-pathwise martingale-inequality prover.
+rational mode): a backward recursion of one-step problems down the relevant
+tree, and a single global LP over (initial capital, option positions, node
+positions) whose row duals form the optimizing martingale measure. The
+one-step problem is solved in integers without an LP where a closed form
+gives its answer (one stock, or a complete node with d + 1 children), and
+by the exact one-step LP elsewhere. On top of these sit price intervals,
+replication and completeness tests, and the pathwise martingale-inequality
+prover.
 
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import lp
 from .arbitrage import ArbitrageDetected, Market, require_stock_na
@@ -83,13 +87,20 @@ def node_price(
     With one stock the price is the upper concave envelope of the points
     (dS_c, v_c) at 0, read off the best chord across 0, and the hedge is
     that chord's slope; see `_one_stock_price` for the cases left to the
-    LP. With two or more stocks the exact one-step LP answers. Either way
-    the hedge is re-verified.
+    LP. With d >= 2 stocks and d + 1 supported children, a complete node
+    (one martingale measure, every weight positive) is priced by one exact
+    linear system, `_complete_price`. Every other node solves the exact
+    one-step LP. Either way the hedge is re-verified.
     """
     support = mask.node_support[node_id]
     increments = [tree.increment(node_id, c) for c in support]
     values = [child_values[c] for c in support]
-    solved = _one_stock_price(increments, values) if tree.dimension == 1 else None
+    if tree.dimension == 1:
+        solved = _one_stock_price(increments, values)
+    elif len(support) == tree.dimension + 1:
+        solved = _complete_price(increments, values)
+    else:
+        solved = None
     if solved is None:
         solved = _one_step_lp(node_id, increments, values)
     value, hedge = solved
@@ -97,6 +108,13 @@ def node_price(
         if value + dot(hedge, inc) - v < 0:
             raise RuntimeError("one-step hedge failed re-verification (bug)")
     return value, hedge
+
+
+def _integer_row(numbers):
+    """A row of rationals times its positive scale s, the lcm of their
+    denominators: (s, the integers s*x)."""
+    scale = lcm(*(x.denominator for x in numbers))
+    return scale, [x.numerator * (scale // x.denominator) for x in numbers]
 
 
 def _one_stock_price(increments, values):
@@ -111,21 +129,82 @@ def _one_stock_price(increments, values):
     LocalArbitrage), or when a zero-increment child lies strictly above the
     best chord (the optimal hedges then form an interval, and the LP's pivot
     rule picks one); one on the chord leaves its slope the only hedge.
+
+    Chords are compared in integers: with child c scaled by s_c
+    (`_integer_row`) to x_c = s_c dS_c and u_c = s_c v_c, the chord is
+    (u_i x_j - u_j x_i)/(x_j s_i - x_i s_j), over a positive denominator.
+    Pairs are taken in support order, and a later pair replaces the best
+    only when its chord is strictly larger.
     """
-    below = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] < 0]
-    above = [(inc[0], v) for inc, v in zip(increments, values) if inc[0] > 0]
+    below, above, level = [], [], []
+    for inc, v in zip(increments, values):
+        s, (x, u) = _integer_row((inc[0], v))
+        if x < 0:
+            below.append((x, u, s))
+        elif x > 0:
+            above.append((x, u, s))
+        else:
+            level.append((u, s))
     best = None
-    for di, vi in below:
-        for dj, vj in above:
-            chord = (vi * dj - vj * di) / (dj - di)
-            if best is None or chord > best[0]:
-                best = (chord, di, vi, dj, vj)
+    for xi, ui, si in below:
+        for xj, uj, sj in above:
+            num = ui * xj - uj * xi
+            den = xj * si - xi * sj
+            if best is None or num * best[1] > best[0] * den:
+                best = (num, den, ui, si, uj, sj)
     if best is None:
         return None
-    price, di, vi, dj, vj = best
-    if any(inc[0] == 0 and v > price for inc, v in zip(increments, values)):
+    num, den, ui, si, uj, sj = best
+    if any(u * den > num * s for u, s in level):
         return None
-    return price, ((vj - vi) / (dj - di),)
+    return F(num, den), (F(uj * si - ui * sj, den),)
+
+
+def _complete_price(increments, values):
+    """Exact one-step price and hedge at a complete node, or None where the
+    LP must answer.
+
+    With k = d + 1 children whose increments are affinely independent and
+    whose barycentric weights q (sum q_c = 1, sum q_c dS_c = 0) are all
+    positive, q is the node's only martingale measure. Complementary
+    slackness then makes value + y.dS_c = v_c hold on every child: the
+    price and the hedge are the unique solution of that square system, and
+    the unique optimum of the one-step LP and its dual. None when the rank
+    is short or some q_c <= 0 (0 on a facet, or local arbitrage).
+
+    Each row [1, dS_c | v_c] is scaled to integers by `_integer_row`, a
+    positive factor that changes neither the solution nor the sign of any
+    weight, and augmented with the unit row e_c. Fraction-free Gauss-Jordan
+    elimination (Bareiss 1968) turns [A | b | I] into [D I | D x | D A^-1],
+    D = det(A) up to sign, in integers with exact divisions. Row 0 of A^-1
+    holds q_c / s_c, so q > 0 iff that row has the sign of D throughout.
+    """
+    k = len(increments)
+    rows = []
+    for c, (inc, v) in enumerate(zip(increments, values)):
+        scale, row = _integer_row((*inc, v))
+        unit = [0] * k
+        unit[c] = 1
+        rows.append([scale, *row, *unit])
+    previous = 1
+    for j in range(k):
+        p = next((i for i in range(j, k) if rows[i][j]), None)
+        if p is None:
+            return None
+        rows[j], rows[p] = rows[p], rows[j]
+        pivot_row = rows[j]
+        pivot = pivot_row[j]
+        for i in range(k):
+            if i != j:
+                row = rows[i]
+                f = row[j]
+                rows[i] = [
+                    (pivot * a - f * b) // previous for a, b in zip(row, pivot_row)
+                ]
+        previous = pivot
+    if any(w * previous <= 0 for w in rows[0][k + 1:]):
+        return None
+    return F(rows[0][k], previous), tuple(F(row[k], previous) for row in rows[1:])
 
 
 def _one_step_lp(node_id, increments, values):

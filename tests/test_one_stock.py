@@ -1,10 +1,12 @@
-"""Exact one-stock closed forms of the one-period problems, and the exact
-two-stock no-arbitrage test.
+"""Exact closed forms of the one-period problems: the one-stock price and
+no-arbitrage test, the two-stock no-arbitrage test, and the price of a
+complete node.
 
 With one stock, `node_na` and `node_price` answer without an LP in every
-mode; with two stocks, `node_na` passes a node without an LP. These tests
-compare them with the LPs they replace, called directly on generated
-one-step sets, and pin the number of LPs each route solves.
+mode; with two stocks, `node_na` passes a node without an LP; with d stocks
+and d + 1 children, `node_price` prices a complete node without an LP.
+These tests compare them with the LPs they replace, called directly on
+generated one-step sets, and pin the number of LPs each route solves.
 """
 
 import json
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import robusthedge.lp as lp
 import robusthedge.superhedge as sh
+from robusthedge import oracle
 from robusthedge.arbitrage import (
     _one_stock_separator,
     _two_stock_inside,
@@ -215,6 +218,92 @@ def test_failing_two_stock_node_solves_one_lp(monkeypatch):
     assert len(solves) == 1
 
 
+coordinates = st.one_of(
+    st.integers(-2, 2).map(F), st.fractions(-2, 2, max_denominator=3)
+)
+
+
+@st.composite
+def square_nodes(draw):
+    """d = 1, 2 or 3 stocks, d + 1 moves and d + 1 child values."""
+    d = draw(st.integers(1, 3))
+    width = st.lists(coordinates, min_size=d, max_size=d).map(tuple)
+    moves = draw(st.lists(width, min_size=d + 1, max_size=d + 1))
+    values = draw(st.lists(coordinates, min_size=d + 1, max_size=d + 1))
+    return moves, values
+
+
+def is_complete(moves):
+    """By the vertex oracle: the node has one martingale measure, and it
+    charges every child."""
+    tree, _ = vector_step_model(moves)
+    vertices = oracle.one_step_vertices(tree, compute_support(tree), "root")
+    return len(vertices) == 1 and len(vertices[0].support()) == len(moves)
+
+
+def square_node(moves, values):
+    return [tuple(map(F, move)) for move in moves], [F(v) for v in values]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(node=square_nodes())
+@example(node=square_node([(-1,), (2,)], [1, 3]))  # complete, d = 1
+@example(node=square_node([(0,), (1,)], [1, 3]))  # 0 at a vertex
+@example(node=square_node([(1,), (2,)], [1, 3]))  # local arbitrage
+@example(node=square_node([(-1, -1), (2, -1), (0, 2)], [1, 0, 2]))  # complete
+@example(node=square_node([(1, 0), (-1, 0), (0, 1)], [1, 0, 2]))  # 0 on a facet
+@example(node=square_node([(-1, -1), (1, 1), (2, 2)], [1, 0, 2]))  # collinear
+@example(node=square_node([(1, 0), (1, 0), (-1, 0)], [1, 0, 2]))  # repeated
+@example(node=square_node([(1, 0), (0, 1), (1, 1)], [1, 0, 2]))  # local arbitrage
+@example(  # complete, d = 3
+    node=square_node([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [1, -1, 2, 0])
+)
+@example(  # 0 on an edge, d = 3
+    node=square_node(
+        [(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1), (0, 0, -1)], [1, -1, 2, 0]
+    )
+)
+def test_complete_price_matches_lp_on_generated_nodes(node):
+    """`_complete_price` answers exactly at the complete nodes, and there
+    gives the LP's price and hedge; it never answers where the LP finds
+    local arbitrage."""
+    moves, values = node
+    out = sh._complete_price(moves, values)
+    try:
+        expected = sh._one_step_lp("root", moves, values)
+    except sh.LocalArbitrage:
+        assert out is None
+        return
+    assert (out is not None) == is_complete(moves)
+    if out is not None:
+        assert out == expected
+
+
+@pytest.mark.parametrize(
+    "moves, closed_form",
+    [
+        ([(-1,), (1,), (2,)], "_one_stock_price"),
+        ([(-1, -1), (2, -1), (0, 2)], "_complete_price"),
+    ],
+    ids=["one-stock", "two-stocks"],
+)
+def test_shifted_closed_form_hedge_fails_reverification(
+    monkeypatch, moves, closed_form
+):
+    """node_price re-verifies the closed form's hedge on every child."""
+    tree, kids = vector_step_model(moves)
+    inner = getattr(sh, closed_form)
+
+    def shifted(increments, values):
+        value, hedge = inner(increments, values)
+        return value, (hedge[0] + 1, *hedge[1:])
+
+    monkeypatch.setattr(sh, closed_form, shifted)
+    values = {kid: F(k) for k, kid in enumerate(kids)}
+    with pytest.raises(RuntimeError, match="one-step hedge failed re-verification"):
+        sh.node_price(tree, compute_support(tree), "root", values)
+
+
 def trinomial_model(moves):
     """Two-period non-recombining tree with one child per move at every
     node; `moves` are the price increments, one vector each. Dirac
@@ -246,13 +335,14 @@ def trinomial_model(moves):
 
 
 ONE_STOCK = [(-1,), (1,), (2,)]
-TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]
+TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]  # complete: no price LP
+TWO_STOCKS_COLLINEAR = [(-1, -1), (1, 1), (2, 2)]  # rank short: the LP prices
 
 
 @pytest.mark.parametrize(
     "moves, na_per_node, price_per_node",
-    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 0, 1)],
-    ids=["one-stock-exact", "two-stocks-exact"],
+    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 0, 0), (TWO_STOCKS_COLLINEAR, 0, 1)],
+    ids=["one-stock-exact", "two-stocks-exact", "two-stocks-collinear-exact"],
 )
 def test_one_step_lps_per_node(monkeypatch, moves, na_per_node, price_per_node):
     tree = trinomial_model(moves)

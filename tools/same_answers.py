@@ -17,7 +17,11 @@ differs the exit code is 0.
 With `--fewer-lps` the new run may solve fewer LPs: per run, its LP dump
 must be an ordered subsequence of the base run's (LPs may only disappear,
 and each one left is byte-identical), while the exit code, standard output
-and standard error must still match exactly. Both LP totals are printed.
+and standard error must still match exactly.
+
+The LP count is printed twice: the total over both runs of every op, and,
+in brackets, the plain runs alone, which is the count of one op cycle as the
+benchmark runs it. With `--fewer-lps` both counts are printed for each tree.
 
 `bench/` is only imported, never changed.
 """
@@ -123,6 +127,14 @@ def first_difference(base: list[dict], new: list[dict], fewer_lps: bool = False)
     return None
 
 
+def lp_count(records: list[dict]) -> str:
+    """The LPs of all runs, and of the plain runs (every op runs plain
+    first, then with `--json`) as one op cycle."""
+    total = sum(len(r["lps"]) for r in records)
+    plain = sum(len(r["lps"]) for r in records[::2])
+    return f"{total} ({plain} per plain cycle)"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", nargs="?")
@@ -141,16 +153,14 @@ def main() -> int:
     base = collect(args.base, args.workload, args.seed)
     new = collect(args.new, args.workload, args.seed)
     diff = first_difference(base, new, args.fewer_lps)
-    lps = sum(len(r["lps"]) for r in base)
     if diff is not None:
         print(diff)
         return 1
     runs = f"{args.workload} seed {args.seed}: {len(base) // 2} ops, {len(base)} runs"
     if args.fewer_lps:
-        kept = sum(len(r["lps"]) for r in new)
-        print(f"{runs}, {lps} LPs in base, {kept} in new, no difference")
+        print(f"{runs}, {lp_count(base)} LPs in base, {lp_count(new)} in new, no difference")
     else:
-        print(f"{runs}, {lps} LPs, no difference")
+        print(f"{runs}, {lp_count(base)} LPs, no difference")
     return 0
 
 
