@@ -24,6 +24,7 @@ otherwise the call's `Market`, which its denial paths search too.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -147,9 +148,11 @@ def global_na(tree: ScenarioTree, mask: SupportMask) -> ArbitrageFound | None:
     """Stocks-only market NA; None means Pass.
 
     On failure the certificate is the lift of the first failing relevant
-    node (lowest level, document order): hold y there, zero elsewhere.
+    node (lowest level, document order): hold y there, zero elsewhere. The
+    scan stops at that node, so no later node is tested.
     """
-    return lift_first_failure(tree, mask, scan_nodes(tree, mask))
+    reports = (node_na(tree, mask, n) for n in mask.relevant_nonleaf(tree))
+    return lift_first_failure(tree, mask, reports)
 
 
 def require_stock_na(
@@ -168,9 +171,10 @@ def require_stock_na(
 
 
 def lift_first_failure(
-    tree: ScenarioTree, mask: SupportMask, reports: list[NodeNaReport]
+    tree: ScenarioTree, mask: SupportMask, reports: Iterable[NodeNaReport]
 ) -> ArbitrageFound | None:
-    """The global_na verdict from a scan_nodes result."""
+    """The global_na verdict from a scan_nodes result, read up to its first
+    failing report."""
     failed = next((r for r in reports if not r.passed), None)
     if failed is None:
         return None

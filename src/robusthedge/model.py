@@ -5,7 +5,9 @@ discounted price vector; each non-leaf node carries a finitely generated
 ambiguity set (the convex hull of its generator measures) over its children.
 Probability weights, prices, option quotes and claim values are exact
 rationals; validation happens once at load time and every object is treated
-as immutable afterwards, so models are safe to share across threads.
+as immutable afterwards, so models are safe to share across threads. A tree
+keeps each price increment it computes (`ScenarioTree.increment`); two
+threads computing the same one store equal values.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .rational import (
@@ -123,11 +126,21 @@ class ScenarioTree:
     def leaves(self) -> tuple[str, ...]:
         return self.levels[self.horizon]
 
+    @cached_property
+    def _increments(self) -> dict[tuple[str, str], tuple[Fraction, ...]]:
+        return {}
+
     def increment(self, parent: str, child: str) -> tuple[Fraction, ...]:
-        """Price increment S(child) - S(parent)."""
-        p = self.nodes[parent].price
-        c = self.nodes[child].price
-        return tuple(c[i] - p[i] for i in range(self.dimension))
+        """Price increment S(child) - S(parent), computed on the first call
+        for the pair and kept on the tree, which never changes after load."""
+        key = (parent, child)
+        step = self._increments.get(key)
+        if step is None:
+            p = self.nodes[parent].price
+            c = self.nodes[child].price
+            step = tuple(c[i] - p[i] for i in range(self.dimension))
+            self._increments[key] = step
+        return step
 
     def path(self, leaf: str) -> tuple[str, ...]:
         """Node ids from the root to the given leaf, inclusive."""

@@ -4,11 +4,13 @@ Two independent routes compute the same number (zero duality gap, exact in
 rational mode): a backward recursion of one-step problems down the relevant
 tree, and a single global LP over (initial capital, option positions, node
 positions) whose row duals form the optimizing martingale measure. The
-one-step problem is solved in integers without an LP where a closed form
-gives its answer (one stock, or a complete node with d + 1 children), and
-by the exact one-step LP elsewhere. On top of these sit price intervals,
-replication and completeness tests, and the pathwise martingale-inequality
-prover.
+one-step problem is solved without an LP where a closed form gives its
+answer: with one stock, by the best chord across 0, at a flat node (every
+increment 0) and at a tie node (one down, one level and one up child, the
+level child above the chord); with d >= 2 stocks, at a complete node (d + 1
+children, every martingale weight positive). The exact one-step LP answers
+elsewhere. On top of these sit price intervals, replication and
+completeness tests, and the pathwise martingale-inequality prover.
 
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
@@ -86,11 +88,14 @@ def node_price(
 
     With one stock the price is the upper concave envelope of the points
     (dS_c, v_c) at 0, read off the best chord across 0, and the hedge is
-    that chord's slope; see `_one_stock_price` for the cases left to the
-    LP. With d >= 2 stocks and d + 1 supported children, a complete node
-    (one martingale measure, every weight positive) is priced by one exact
-    linear system, `_complete_price`. Every other node solves the exact
-    one-step LP. Either way the hedge is re-verified.
+    that chord's slope; a flat node (every increment 0) and a tie node (a
+    zero-increment child above the chord of one down and one up child)
+    take the LP's answer in closed form. See `_one_stock_price` for these
+    and for the cases left to the LP. With d >= 2 stocks and d + 1
+    supported children, a complete node (one martingale measure, every
+    weight positive) is priced by one exact linear system,
+    `_complete_price`. Every other node solves the exact one-step LP.
+    Either way the hedge is re-verified.
     """
     support = mask.node_support[node_id]
     increments = [tree.increment(node_id, c) for c in support]
@@ -121,20 +126,52 @@ def _one_stock_price(increments, values):
     """Exact one-step price and hedge for one stock, or None where the LP
     must answer.
 
-    The price is the largest chord value (v_i dS_j - v_j dS_i)/(dS_j - dS_i)
-    over pairs with dS_i < 0 < dS_j, and the hedge is that chord's slope.
-    The slope is unique when 0 lies strictly inside one linear piece of the
-    envelope. None when no such pair exists (all increments vanish or have
-    one sign: the LP then prices a zero-increment child or raises
-    LocalArbitrage), or when a zero-increment child lies strictly above the
-    best chord (the optimal hedges then form an interval, and the LP's pivot
-    rule picks one); one on the chord leaves its slope the only hedge.
+    With a pair dS_i < 0 < dS_j, the price is the largest chord value
+    (v_i dS_j - v_j dS_i)/(dS_j - dS_i) over such pairs, and the hedge is
+    that chord's slope, unique when 0 lies strictly inside one linear piece
+    of the envelope; a zero-increment ("level") child on the chord leaves
+    its slope the only hedge. Chords are compared in integers: with child c
+    scaled by s_c (`_integer_row`) to x_c = s_c dS_c and u_c = s_c v_c, the
+    chord is (u_i x_j - u_j x_i)/(x_j s_i - x_i s_j), over a positive
+    denominator. Pairs are taken in support order, and a later pair
+    replaces the best only when its chord is strictly larger.
 
-    Chords are compared in integers: with child c scaled by s_c
-    (`_integer_row`) to x_c = s_c dS_c and u_c = s_c v_c, the chord is
-    (u_i x_j - u_j x_i)/(x_j s_i - x_i s_j), over a positive denominator.
-    Pairs are taken in support order, and a later pair replaces the best
-    only when its chord is strictly larger.
+    Two more shapes are answered as the LP answers them; the LP is the
+    two-phase Bland simplex (`lp.solve`) on the rows sum q_c dS_c = 0
+    (row 0) and sum q_c = 1 (row 1), columns in support order, artificials
+    a0, a1 after them, and the hedge is the dual of row 0.
+
+    Flat: every increment is 0. Row 0 is all zero, so its artificial is
+    never driven out and stays basic at 0 (cost 0 in phase 2): the dual of
+    row 0 is 0. The price is max v_c and the hedge (0,).
+
+    Tie: three children, one down (D, dS = d < 0), one level (L) and one
+    up (U, dS = u > 0), with L strictly above the chord. The price is v_L;
+    the optimal hedges form the interval between the slopes of the lines
+    through L and U and through L and D, and the LP returns the one whose
+    basis is {L, U} ("tight on U") or {L, D}. Phase 1 starts from {a0, a1}
+    with reduced cost -(dS_c + 1) at child c: always negative at L and U,
+    negative at D iff d > -1. Bland's rule enters the first negative column
+    in support order and leaves the row of least ratio, ties to the
+    smaller basic column. Whatever enters first, the walk ends in one of
+    three ways:
+    - L enters (row 1 leaves), then U (row 0 leaves at ratio 0): {L, U}.
+    - U enters (row 0 leaves at ratio 0), then the earlier of L and D:
+      {L, U}, or the chord basis {D, U}.
+    - D enters (d > -1; row 1 leaves), then the earlier of L and U. L ties
+      rows 0 and 1 at ratio 1 and takes D's row, and U then leaves row 0
+      at ratio 0: {L, U}. U leaves row 0 at the smaller ratio: {D, U}.
+    In phase 2, {L, U} and {L, D} are optimal and stop at once (the other
+    child has a positive reduced cost, as L is strictly above the chord).
+    From {D, U}, L enters; D and U tie at ratio 1, and the earlier of them
+    in support order leaves. So the basis is {L, D} exactly when D's column
+    comes after U's and {D, U} is reached, that is for the support order
+    (U, D, L) alone, whatever d and u are; every other order gives {L, U}.
+
+    None when there is no pair across 0 and some increment is nonzero
+    (one-signed moves: the LP prices a level child or raises
+    LocalArbitrage), or when a level child lies strictly above the best
+    chord of any other shape (the LP's pick is not derived here).
     """
     below, above, level = [], [], []
     for inc, v in zip(increments, values):
@@ -153,11 +190,17 @@ def _one_stock_price(increments, values):
             if best is None or num * best[1] > best[0] * den:
                 best = (num, den, ui, si, uj, sj)
     if best is None:
-        return None
+        return None if below or above else (max(values), (F(0),))
     num, den, ui, si, uj, sj = best
-    if any(u * den > num * s for u, s in level):
+    if not any(u * den > num * s for u, s in level):
+        return F(num, den), (F(uj * si - ui * sj, den),)
+    if len(values) != 3:
         return None
-    return F(num, den), (F(uj * si - ui * sj, den),)
+    # a tie node: one down (-1), one level (0) and one up (+1) child
+    signs = [(inc[0] > 0) - (inc[0] < 0) for inc in increments]
+    zero = signs.index(0)
+    tight = signs.index(-1) if signs == [1, -1, 0] else signs.index(1)
+    return values[zero], ((values[tight] - values[zero]) / increments[tight][0],)
 
 
 def _complete_price(increments, values):

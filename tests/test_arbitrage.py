@@ -152,6 +152,39 @@ def test_stock_na_verdict_builds_no_martingale_system(monkeypatch):
     assert builds == []
 
 
+# two stocks: the root passes without an LP, and both level-1 nodes fail
+# (their moves span a quadrant), each solving one separator LP in a scan
+TWO_FAILING_NODES = {
+    "horizon": 2,
+    "nodes": [
+        {"id": "r", "level": 0, "parent": None, "price": ["5", "5"],
+         "generators": [{"a": "1/2", "b": "1/2"}]},
+        {"id": "a", "level": 1, "parent": "r", "price": ["6", "6"],
+         "generators": [{"a1": "1/2", "a2": "1/2"}]},
+        {"id": "b", "level": 1, "parent": "r", "price": ["4", "4"],
+         "generators": [{"b1": "1/2", "b2": "1/2"}]},
+        {"id": "a1", "level": 2, "parent": "a", "price": ["7", "6"]},
+        {"id": "a2", "level": 2, "parent": "a", "price": ["6", "7"]},
+        {"id": "b1", "level": 2, "parent": "b", "price": ["3", "4"]},
+        {"id": "b2", "level": 2, "parent": "b", "price": ["4", "3"]},
+    ],
+}
+
+
+def test_global_na_stops_at_the_first_failing_node(monkeypatch):
+    model = load_model(json.dumps(TWO_FAILING_NODES))
+    tree, mask = model.tree, compute_support(model.tree)
+    solves = count_everywhere(monkeypatch, lp.solve)
+    found = global_na(tree, mask)
+    assert len(solves) == 1
+    solves.clear()
+    reports = scan_nodes(tree, mask)
+    assert [r.passed for r in reports] == [True, False, False]
+    assert len(solves) == 2
+    assert found == lift_first_failure(tree, mask, reports)
+    assert list(found.strategy.dynamic) == ["a"]
+
+
 def test_require_stock_na_returns_the_market_or_names_the_node(example_b):
     mask = compute_support(example_b.tree)
     market = require_stock_na(example_b.tree, mask, list(example_b.options))

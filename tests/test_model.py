@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from robusthedge import cli
 from robusthedge.model import (
     MAX_NODES,
     DanglingChildReference,
@@ -18,6 +19,7 @@ from robusthedge.model import (
     Measure,
     MissingKernel,
     ProbabilityNotNormalized,
+    ScenarioTree,
     Strategy,
     leaf_wealths,
     load_model,
@@ -28,7 +30,7 @@ from robusthedge.model import (
 from robusthedge.polar import compute_support, reference_kernels
 from robusthedge.rational import RationalParseError, over_cap, to_rational
 
-from conftest import NUMBER_FIELDS, example_b_with, random_instance
+from conftest import NUMBER_FIELDS, count_calls, example_b_with, random_instance
 
 F = Fraction
 
@@ -201,6 +203,30 @@ def test_round_trip_is_identity(example_b, example_b_text):
     again = load_model(text)
     assert again == example_b
     assert save_model(again) == text
+
+
+def test_increments_are_computed_once_per_tree(example_b_text):
+    model = load_model(example_b_text)
+    tree = model.tree
+    for node in tree.nodes.values():
+        for child in node.children:
+            step = tree.increment(node.id, child)
+            prices = zip(tree.nodes[child].price, node.price)
+            assert step == tuple(c - p for c, p in prices)
+            assert tree.increment(node.id, child) is step
+    # the kept increments change neither equality nor the saved text
+    fresh = load_model(example_b_text)
+    assert model == fresh
+    assert save_model(model) == save_model(fresh)
+    assert load_model(save_model(model)) == model
+
+
+def test_validate_computes_no_increment(monkeypatch, tmp_path, example_b_text):
+    path = tmp_path / "b.json"
+    path.write_text(example_b_text)
+    calls = count_calls(monkeypatch, ScenarioTree, "increment")
+    assert cli.main(["validate", "--model", str(path)]) == 0
+    assert calls == []
 
 
 def test_wealth_zero_strategy(example_b):

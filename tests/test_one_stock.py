@@ -2,13 +2,16 @@
 no-arbitrage test, the two-stock no-arbitrage test, and the price of a
 complete node.
 
-With one stock, `node_na` and `node_price` answer without an LP in every
-mode; with two stocks, `node_na` passes a node without an LP; with d stocks
-and d + 1 children, `node_price` prices a complete node without an LP.
+With one stock, `node_na` answers without an LP, and so does `node_price`
+at every node with local NA except where a zero-increment child lies above
+the best chord and the node has more than three children; with two
+stocks, `node_na` passes a node without an LP; with d stocks and d + 1
+children, `node_price` prices a complete node without an LP.
 These tests compare them with the LPs they replace, called directly on
 generated one-step sets, and pin the number of LPs each route solves.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -135,9 +138,14 @@ CASES = {
 }
 
 
-# the cases node_price answers without its LP: a pair across 0 and no
-# zero-increment child strictly above the best chord
+# the cases node_price answers without its LP: a pair across 0 with no
+# zero-increment child strictly above the best chord, a flat node (every
+# increment 0), and a tie node (one down, one zero and one up child, the
+# zero child above the chord)
 CLOSED_FORM_PRICES = {
+    "all increments zero",
+    "single child, zero increment",
+    "zero child on the envelope",
     "zero child on the best chord",
     "zero child strictly below",
     "repeated increments",
@@ -152,6 +160,58 @@ def test_closed_forms_match_lp_on_explicit_sets(name):
     assert_matches_lp(increments, values)
     out = sh._one_stock_price([(F(v),) for v in increments], values)
     assert (out is not None) == (name in CLOSED_FORM_PRICES)
+
+
+magnitudes = st.one_of(
+    st.fractions(F(1, 1000), 1, max_denominator=1000),
+    st.fractions(1, 1000, max_denominator=10),
+)
+child_values = st.fractions(-20, 20, max_denominator=7)
+
+
+@st.composite
+def tie_children(draw):
+    """One down, one zero and one up child by name, as (dS, value): |dS|
+    on both sides of 1, and the zero child strictly above the chord of the
+    other two."""
+    down, up = -draw(magnitudes), draw(magnitudes)
+    v_down, v_up = draw(child_values), draw(child_values)
+    chord = (v_down * up - v_up * down) / (up - down)
+    gap = draw(st.fractions(F(1, 7), 20, max_denominator=7))
+    return {"down": (down, v_down), "zero": (F(0), chord + gap), "up": (up, v_up)}
+
+
+def assert_closed_form_is_lp(increments, values):
+    """node_price answers without its LP, with the LP's price and hedge."""
+    tree, kids = one_step_model(increments)
+    mask = compute_support(tree)
+    moves = [(F(v),) for v in increments]
+    expected = sh._one_step_lp("root", moves, values)
+    assert sh._one_stock_price(moves, values) == expected
+    assert sh.node_price(tree, mask, "root", dict(zip(kids, values))) == expected
+    return expected
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(["down", "zero", "up"])))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kids=tie_children())
+@example(kids={"down": (-1, F(0)), "zero": (0, F(1)), "up": (1, F(0))})  # D's phase-1 cost 0
+@example(kids={"down": (F(-1, 1000), F(20)), "zero": (0, F(20)), "up": (1000, F(-20))})
+@example(kids={"down": (F(-999, 1000), F(-3)), "zero": (0, F(7)), "up": (1000, F(3))})
+def test_tie_node_closed_form_matches_lp(order, kids):
+    """The LP's pick is tight on the down child for (up, down, zero) and on
+    the up child in the five other orders, whatever the magnitudes."""
+    moves, values = [kids[k][0] for k in order], [kids[k][1] for k in order]
+    price, hedge = assert_closed_form_is_lp(moves, values)
+    tight = "down" if order == ("up", "down", "zero") else "up"
+    (move, value), zero = kids[tight], kids["zero"][1]
+    assert (price, hedge) == (zero, ((value - zero) / move,))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(values=st.lists(child_values, min_size=1, max_size=5))
+def test_flat_node_closed_form_matches_lp(values):
+    assert_closed_form_is_lp([0] * len(values), values)
 
 
 def test_one_signed_sets_fail_na_and_price_raises():
@@ -335,14 +395,26 @@ def trinomial_model(moves):
 
 
 ONE_STOCK = [(-1,), (1,), (2,)]
+# (up, down, zero): with the claim below, three of the four nodes are ties
+ONE_STOCK_TIES = [(1,), (-1,), (0,)]
 TWO_STOCKS = [(-1, -1), (2, -1), (0, 2)]  # complete: no price LP
 TWO_STOCKS_COLLINEAR = [(-1, -1), (1, 1), (2, 2)]  # rank short: the LP prices
 
 
 @pytest.mark.parametrize(
     "moves, na_per_node, price_per_node",
-    [(ONE_STOCK, 0, 0), (TWO_STOCKS, 0, 0), (TWO_STOCKS_COLLINEAR, 0, 1)],
-    ids=["one-stock-exact", "two-stocks-exact", "two-stocks-collinear-exact"],
+    [
+        (ONE_STOCK, 0, 0),
+        (ONE_STOCK_TIES, 0, 0),
+        (TWO_STOCKS, 0, 0),
+        (TWO_STOCKS_COLLINEAR, 0, 1),
+    ],
+    ids=[
+        "one-stock-exact",
+        "one-stock-ties-exact",
+        "two-stocks-exact",
+        "two-stocks-collinear-exact",
+    ],
 )
 def test_one_step_lps_per_node(monkeypatch, moves, na_per_node, price_per_node):
     tree = trinomial_model(moves)
