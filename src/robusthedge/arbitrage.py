@@ -23,7 +23,6 @@ otherwise the call's `Market`, which its denial paths search too.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +31,7 @@ from functools import cached_property
 from . import lp
 from .model import Measure, ScenarioTree, StaticOption, Strategy, dot, leaf_wealths
 from .polar import SupportMask
+from .rational import integer_row
 
 F = Fraction
 
@@ -123,14 +123,9 @@ def _two_stock_inside(increments: list[tuple[Fraction, ...]]) -> bool:
     {h : h.w >= 0 for every w} then is a half-plane whose inward normal is
     an increment v, or its edges, each some +-v_perp, include such an h;
     so only v and +-v_perp over the nonzero increments v are tried (-v
-    never works: -v.v < 0). Each increment is scaled by a positive integer
-    to integer coordinates, which keeps every sign."""
-    vectors = []
-    for x, y in increments:
-        if x or y:
-            scale = math.lcm(x.denominator, y.denominator)
-            vectors.append((x.numerator * (scale // x.denominator),
-                            y.numerator * (scale // y.denominator)))
+    never works: -v.v < 0). Each increment is scaled to integers by
+    `integer_row`, a positive factor that keeps every sign."""
+    vectors = [integer_row(v)[1] for v in increments if any(v)]
     for x, y in vectors:
         for h0, h1 in ((x, y), (-y, x), (y, -x)):
             products = [h0 * u + h1 * v for u, v in vectors]

@@ -1,4 +1,4 @@
-"""Self-contained LP kernel: two-phase Bland simplex.
+"""LP kernel: two-phase Bland simplex.
 
 Every optimization in the engine goes through `solve`. Both kernels load
 one standard form, built in one pass: integer rows over one denominator
@@ -35,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite
+
+from .rational import integer_row
 
 _MAX_PIVOTS = 200_000
 
@@ -212,7 +214,7 @@ class _Simplex:
     basis B.
 
     `_standardize` builds each row once, as integer numerators over one
-    positive denominator (the lcm of those of its coefficients and rhs),
+    positive denominator, its rhs and coefficients scaled by `integer_row`,
     negated if its rhs is < 0, with slack +-den and artificial +den; only
     the rhs shift by the bounds is exact Fraction arithmetic. Both kernels
     `_load` these rows, the float one dividing each integer by its den.
@@ -235,14 +237,14 @@ class _Simplex:
         self.mirror: dict[int, int] = {}  # ascending mirrored column -> its negative
         ncols = 0
         # one "<=" row x~ <= up - lo per two-sided variable, after the user rows
-        bound_rows: list[tuple[list, str, Fraction]] = []
+        bound_rows: list[tuple[dict, str, Fraction]] = []
         self.ubound_owner: list[int] = []  # var index per bound row
         for j in range(lp.n):
             lo, up = lp.lower[j], lp.upper[j]
             if lo is not None:
                 self.var_map.append(("shift", ncols, lo))
                 if up is not None:
-                    bound_rows.append(([(ncols, 1, 1)], "<=", up - lo))
+                    bound_rows.append(({ncols: Fraction(1)}, "<=", up - lo))
                     self.ubound_owner.append(j)
                 ncols += 1
             elif up is not None:
@@ -269,17 +271,17 @@ class _Simplex:
                 cost[entry[1]] = cj
                 cost[entry[2]] = -cj
 
-        # each row as (column, numerator, denominator) terms, its relation
-        # and its rhs shifted by the finite bounds
+        # each row as its coefficients by column, its relation and its rhs
+        # shifted by the finite bounds
         specs = []
         for con in lp.constraints:
-            terms = []
+            terms = {}
             b = con.rhs
             for j, a in enumerate(con.coeffs):
                 if a == 0:
                     continue
                 kind, col, shift = self.var_map[j]
-                terms.append((col, -a.numerator if kind == "flip" else a.numerator, a.denominator))
+                terms[col] = -a if kind == "flip" else a
                 if kind != "free" and shift:
                     b -= a * shift
             specs.append((terms, con.relation, b))
@@ -296,11 +298,12 @@ class _Simplex:
         basis: list[int] = []
         for terms, rel, b in specs:
             flip = b < 0
-            den = lcm(b.denominator, *(q for _, _, q in terms))
+            # the rhs comes last, so zip pairs each column with its own entry
+            den, numerators = integer_row([*terms.values(), b])
             if flip:
-                row = {col: -p * (den // q) for col, p, q in terms}
+                row = {col: -p for col, p in zip(terms, numerators)}
             else:
-                row = {col: p * (den // q) for col, p, q in terms}
+                row = dict(zip(terms, numerators))
             unit = art
             if rel == "=":
                 row[art] = den
@@ -316,7 +319,7 @@ class _Simplex:
                 art += 1
             basis.append(unit)
             rows.append(row)
-            rhs.append(abs(b.numerator) * (den // b.denominator))
+            rhs.append(abs(numerators[-1]))
             dens.append(den)
             self.flipped.append(flip)
         self.ncols = art
@@ -557,8 +560,8 @@ class _ExactSimplex(_Simplex):
     def _z_row(self, cost: dict) -> list:
         mirror = self.mirror
         stored = {k: v for k, v in cost.items() if k not in mirror} if mirror else cost
-        den = lcm(*(v.denominator for v in stored.values()))
-        z = {k: v.numerator * (den // v.denominator) for k, v in stored.items()}
+        den, numerators = integer_row(stored.values())
+        z = dict(zip(stored, numerators))
         for r in range(self.m):
             cb = cost.get(self.basis[r])
             if cb is None:

@@ -13,18 +13,12 @@ threads computing the same one store equal values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .rational import (
-    RationalParseError,
-    json_float,
-    json_int,
-    to_rational,
-)
+from .rational import RationalParseError, integer_row, json_float, json_int, to_rational
 
 if TYPE_CHECKING:
     from .polar import SupportMask
@@ -83,9 +77,8 @@ class Measure:
             if w.numerator < 0:
                 raise ValueError(f"negative weight {w} on {node_id!r}")
         # the sum in integers over the common denominator
-        weights = self.weights.values()
-        common = math.lcm(*(w.denominator for w in weights))
-        total = sum(w.numerator * (common // w.denominator) for w in weights)
+        common, numerators = integer_row(self.weights.values())
+        total = sum(numerators)
         if total != common:
             raise ValueError(f"weights sum to {Fraction(total, common)}, not 1")
 

@@ -37,25 +37,12 @@ def compute_support(tree: ScenarioTree) -> SupportMask:
                 supported.update(g.support())
             node_support[node_id] = tuple(c for c in node.children if c in supported)
 
-    relevant: list[list[str]] = [[tree.root]]
-    alive = {tree.root}
-    for level in range(tree.horizon):
-        next_level: list[str] = []
-        for node_id in tree.levels[level]:
-            if node_id not in alive:
-                continue
-            for child in node_support[node_id]:
-                alive.add(child)
-        for child_id in tree.levels[level + 1]:
-            if child_id in alive:
-                next_level.append(child_id)
-        relevant.append(next_level)
-
-    return SupportMask(
-        node_support=node_support,
-        relevant_nodes=tuple(tuple(lv) for lv in relevant),
-        relevant_leaves=tuple(relevant[tree.horizon]),
-    )
+    # a node is relevant iff its parent is and supports it
+    relevant = [(tree.root,)]
+    for level in tree.levels[1:]:
+        supported = {c for n in relevant[-1] for c in node_support[n]}
+        relevant.append(tuple(n for n in level if n in supported))
+    return SupportMask(node_support, tuple(relevant), relevant[-1])
 
 
 def reference_kernels(tree: ScenarioTree) -> dict[str, Measure]:

@@ -1,4 +1,4 @@
-"""Exact rational parsing and rendering shared by the model loader and the CLI.
+"""Exact rational parsing, rendering and scaling shared by the package.
 
 Accepted inputs: "p/q" strings, decimal strings, plain integers, and
 `Fraction` itself. Decimal inputs convert exactly (scaled integers), never
@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import lcm
 
 MAX_DIGITS = 4000
 DECIMAL_DIGITS = 12  # significant digits of a rendered decimal
@@ -121,6 +122,15 @@ def to_rational(value: object) -> Fraction:
             f"refusing inexact float {value!r}; parse the document with exact numbers"
         )
     raise RationalParseError(f"cannot parse rational from {value!r}")
+
+
+def integer_row(numbers) -> tuple[int, list[int]]:
+    """A row of rationals as integers over one positive scale s, the lcm of
+    their denominators and so the least positive integer that makes every
+    entry integral: (s, [s*x for x in numbers]), and (1, []) for no entry."""
+    ratios = [x.as_integer_ratio() for x in numbers]
+    scale = lcm(*[d for _, d in ratios])
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 def format_with_decimal(x: Fraction | float) -> str:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import lp
 from .arbitrage import ArbitrageDetected, Market, require_stock_na
 from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
+from .rational import integer_row
 
 F = Fraction
 
@@ -115,13 +115,6 @@ def node_price(
     return value, hedge
 
 
-def _integer_row(numbers):
-    """A row of rationals times its positive scale s, the lcm of their
-    denominators: (s, the integers s*x)."""
-    scale = lcm(*(x.denominator for x in numbers))
-    return scale, [x.numerator * (scale // x.denominator) for x in numbers]
-
-
 def _one_stock_price(increments, values):
     """Exact one-step price and hedge for one stock, or None where the LP
     must answer.
@@ -131,7 +124,7 @@ def _one_stock_price(increments, values):
     that chord's slope, unique when 0 lies strictly inside one linear piece
     of the envelope; a zero-increment ("level") child on the chord leaves
     its slope the only hedge. Chords are compared in integers: with child c
-    scaled by s_c (`_integer_row`) to x_c = s_c dS_c and u_c = s_c v_c, the
+    scaled by s_c (`integer_row`) to x_c = s_c dS_c and u_c = s_c v_c, the
     chord is (u_i x_j - u_j x_i)/(x_j s_i - x_i s_j), over a positive
     denominator. Pairs are taken in support order, and a later pair
     replaces the best only when its chord is strictly larger.
@@ -175,7 +168,7 @@ def _one_stock_price(increments, values):
     """
     below, above, level = [], [], []
     for inc, v in zip(increments, values):
-        s, (x, u) = _integer_row((inc[0], v))
+        s, (x, u) = integer_row((inc[0], v))
         if x < 0:
             below.append((x, u, s))
         elif x > 0:
@@ -215,7 +208,7 @@ def _complete_price(increments, values):
     the unique optimum of the one-step LP and its dual. None when the rank
     is short or some q_c <= 0 (0 on a facet, or local arbitrage).
 
-    Each row [1, dS_c | v_c] is scaled to integers by `_integer_row`, a
+    Each row [1, dS_c | v_c] is scaled to integers by `integer_row`, a
     positive factor that changes neither the solution nor the sign of any
     weight, and augmented with the unit row e_c. Fraction-free Gauss-Jordan
     elimination (Bareiss 1968) turns [A | b | I] into [D I | D x | D A^-1],
@@ -225,7 +218,7 @@ def _complete_price(increments, values):
     k = len(increments)
     rows = []
     for c, (inc, v) in enumerate(zip(increments, values)):
-        scale, row = _integer_row((*inc, v))
+        scale, row = integer_row((*inc, v))
         unit = [0] * k
         unit[c] = 1
         rows.append([scale, *row, *unit])

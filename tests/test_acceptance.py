@@ -10,7 +10,6 @@ failing ones), which keeps quoted instances strictly arbitrage-free.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -23,7 +22,7 @@ from robusthedge.decompose import (
     verify_decomposition,
 )
 from robusthedge.model import Claim, wealth
-from robusthedge.oracle import brute_price, enumerate_vertices
+from robusthedge.oracle import brute_price, enumerate_vertices, one_step_vertices
 from robusthedge.polar import compute_support, reference_measure
 from robusthedge.superhedge import (
     Proved,
@@ -199,54 +198,6 @@ def test_criterion_5_second_ftap(corpus):
     )
 
 
-def _one_step_vertices(tree, mask, node_id):
-    """Independent one-step martingale vertex enumeration at a node."""
-    support = mask.node_support[node_id]
-    d = tree.dimension
-    incs = {c: tree.increment(node_id, c) for c in support}
-    vertices = []
-    for size in range(1, d + 2):
-        for subset in combinations(support, size):
-            # solve sum q = 1, sum q dS = 0 on the subset by elimination
-            cols = list(subset)
-            rows = [[F(1)] * len(cols) + [F(1)]]
-            for i in range(d):
-                rows.append([incs[c][i] for c in cols] + [F(0)])
-            sol = _gauss_unique(rows, len(cols))
-            if sol is None or any(v < 0 for v in sol):
-                continue
-            point = {c: v for c, v in zip(cols, sol) if v != 0}
-            if point not in vertices:
-                vertices.append(point)
-    return vertices
-
-
-def _gauss_unique(aug, ncols):
-    rows = [row[:] for row in aug]
-    m = len(rows)
-    piv = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            return None  # dependent columns: skip (covered by larger subsets)
-        rows[r], rows[p] = rows[p], rows[r]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                for k in range(c, ncols + 1):
-                    rows[i][k] -= f * rows[r][k]
-        piv.append((r, c))
-        r += 1
-    for i in range(r, m):
-        if rows[i][ncols] != 0:
-            return None
-    out = [F(0)] * ncols
-    for r, c in piv:
-        out[c] = rows[r][ncols] / rows[r][c]
-    return out
-
-
 def test_criterion_6_optional_decomposition(corpus):
     _, passing = corpus
     rng = random.Random(606060)
@@ -267,7 +218,7 @@ def test_criterion_6_optional_decomposition(corpus):
         if tree.horizon < 2:
             continue
         # perturb a positively-weighted level-1 node: the root test must flip
-        root_vertices = _one_step_vertices(tree, mask, tree.root)
+        root_vertices = [q.weights for q in one_step_vertices(tree, mask, tree.root)]
         best = max(
             root_vertices,
             key=lambda q: sum((w * process(c) for c, w in q.items()), F(0)),

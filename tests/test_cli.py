@@ -249,6 +249,18 @@ def test_no_private_name_crosses_a_module():
     assert crossing == []
 
 
+def test_only_rational_calls_lcm():
+    # `rational.integer_row` is the one place a row is scaled to integers
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(superhedge.__file__).parent.glob("*.py"))
+        if path.name != "rational.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "lcm"
+    ]
+    assert calls == []
+
+
 def test_every_public_function_has_a_caller():
     # a public function earns its place by a caller in the package or by the
     # benchmark's answer checks, except these two, kept for users: `verify`

@@ -5,6 +5,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,7 +29,7 @@ from robusthedge.model import (
     wealth,
 )
 from robusthedge.polar import compute_support, reference_kernels
-from robusthedge.rational import RationalParseError, over_cap, to_rational
+from robusthedge.rational import RationalParseError, integer_row, over_cap, to_rational
 
 from conftest import NUMBER_FIELDS, count_calls, example_b_with, random_instance
 
@@ -438,6 +439,23 @@ def test_to_rational_reads_what_fraction_reads(text):
             to_rational(text)
     else:
         assert to_rational(text) == expected
+
+
+_ROW = st.lists(st.builds(F, st.integers(-10**60, 10**60), st.integers(1, 30)), max_size=6)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(row=_ROW)
+@example(row=[])
+@example(row=[F(-10**60, 7), F(0), F(10**60 + 1, 30)])
+def test_integer_row_is_the_least_integral_scaling(row):
+    scale, ints = integer_row(row)
+    assert ints == [x * scale for x in row] and all(type(n) is int for n in ints)
+    # least: scale divides an integral scaling, and no scale / p is integral
+    assert scale > 0 and prod(x.denominator for x in row) % scale == 0
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
+        assert scale % p or any((x * (scale // p)).denominator > 1 for x in row)
+    assert integer_row(tuple(row)) == integer_row(dict(enumerate(row)).values()) == (scale, ints)
 
 
 _VALUES = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -48,13 +48,31 @@ def test_dirac_kernel_makes_siblings_polar():
     assert set().isdisjoint(mask.relevant_leaves)
 
 
-def test_reference_measure_support_is_relevance():
+def test_compute_support_matches_the_definition():
+    # a node is relevant iff every edge on its root path is supported, and
+    # the reference measure charges exactly the relevant leaves
     rng = random.Random(99)
-    for _ in range(50):
-        model = random_instance(rng)
-        mask = compute_support(model.tree)
-        p_hat = reference_measure(model.tree)
-        assert set(p_hat.support()) == set(mask.relevant_leaves)
+    polar = 0
+    for _ in range(200):
+        tree = random_instance(rng).tree
+        mask = compute_support(tree)
+
+        def supported(parent, child):
+            return any(g(child) > 0 for g in tree.nodes[parent].generators)
+
+        def relevant(n):
+            parent = tree.nodes[n].parent
+            return parent is None or (supported(parent, n) and relevant(parent))
+
+        assert mask.node_support == {
+            n: tuple(c for c in tree.nodes[n].children if supported(n, c))
+            for level in tree.levels[:-1] for n in level
+        }
+        assert mask.relevant_nodes == tuple(tuple(filter(relevant, lv)) for lv in tree.levels)
+        assert mask.relevant_leaves == mask.relevant_nodes[-1]
+        assert set(reference_measure(tree).support()) == set(mask.relevant_leaves)
+        polar += len(mask.relevant_leaves) < len(tree.leaves)
+    assert polar >= 20  # polar subtrees do occur in the corpus
 
 
 def test_max_mass_on_polar_event_is_zero():
