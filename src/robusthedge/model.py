@@ -5,9 +5,11 @@ discounted price vector; each non-leaf node carries a finitely generated
 ambiguity set (the convex hull of its generator measures) over its children.
 Probability weights, prices, option quotes and claim values are exact
 rationals; validation happens once at load time and every object is treated
-as immutable afterwards, so models are safe to share across threads. A tree
-keeps each price increment it computes (`ScenarioTree.increment`); two
-threads computing the same one store equal values.
+as immutable afterwards, so models are safe to share across threads. The
+loader builds the name of a field only when the number in it fails to parse,
+and checks each distinct generator row once per document. A tree keeps each
+price increment it computes (`ScenarioTree.increment`); two threads
+computing the same one store equal values.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .rational import RationalParseError, integer_row, json_float, json_int, to_rational
@@ -203,13 +206,6 @@ def _reject_constant(token: str) -> None:
     raise MalformedDocument(f"non-finite number {token!r} is not a valid rational")
 
 
-def _rational(raw: object, where: str) -> Fraction:
-    try:
-        return to_rational(raw)
-    except RationalParseError as exc:
-        raise MalformedDocument(f"{where}: {exc}") from exc
-
-
 def _section(doc: dict, key: str, kind: type) -> list | dict:
     """The optional top-level section `key`, empty when absent or null."""
     raw = doc.get(key)
@@ -225,7 +221,12 @@ def load_model(text: str) -> Model:
     """Parse and validate a model document (see README for the schema).
 
     JSON numbers are parsed exactly: decimals through scaled integers,
-    never through binary floats.
+    never through binary floats. Each numeral string is parsed once per
+    document, and the name of the field a number sits in is built only
+    when it fails to parse. Each distinct generator row (its raw values in
+    document order) is checked for nonnegative weights summing to 1 once
+    per document, after every value in it has parsed. Nothing is kept
+    between calls.
     """
     try:
         doc = json.loads(
@@ -245,12 +246,12 @@ def load_model(text: str) -> Model:
     # because 1, True and Fraction(1) hash alike
     seen: dict[str, Fraction] = {}
 
-    def rational(raw: object, where: str) -> Fraction:
+    def rational(raw: object) -> Fraction:
         if type(raw) is not str:
-            return _rational(raw, where)
+            return to_rational(raw)
         value = seen.get(raw)
         if value is None:
-            value = seen[raw] = _rational(raw, where)
+            value = seen[raw] = to_rational(raw)
         return value
 
     horizon = doc.get("horizon")
@@ -283,7 +284,10 @@ def load_model(text: str) -> Model:
         raw_price = entry.get("price")
         if not isinstance(raw_price, list) or not raw_price:
             raise MalformedDocument(f"node {node_id!r}: 'price' must be a nonempty array")
-        price = tuple(rational(p, f"node {node_id!r} price") for p in raw_price)
+        try:
+            price = tuple(map(rational, raw_price))
+        except RationalParseError as exc:
+            raise MalformedDocument(f"node {node_id!r} price: {exc}") from exc
         parsed.append((node_id, level, parent_id, price, entry.get("generators")))
 
     dimension = doc.get("dimension")
@@ -317,6 +321,10 @@ def load_model(text: str) -> Model:
     # Second pass: generators over the now-known children.
     nodes: dict[str, Node] = {}
     zero = Fraction(0)
+    # raw weight rows that passed Measure.validate. A row is looked up only
+    # after every value in it parsed, so no bool (True hashes like 1),
+    # Oversize or unhashable value reaches the lookup.
+    valid_rows: set[tuple] = set()
     for node_id, level, parent_id, price, raw_gens in parsed:
         kids = tuple(children[node_id])
         if level == horizon and kids:
@@ -337,20 +345,27 @@ def load_model(text: str) -> Model:
                     raise MalformedDocument(
                         f"node {node_id!r}: generator {g_index} must be an object"
                     )
-                where = f"node {node_id!r} generator {g_index}"
                 weights: dict[str, Fraction] = {}
-                for child_key, raw_w in raw_g.items():
-                    child = str(child_key)
-                    if child not in kid_set:
-                        raise DanglingChildReference(node_id, child)
-                    weights[child] = rational(raw_w, where)
-                measure = Measure({c: weights.get(c, zero) for c in kids})
                 try:
-                    measure.validate()
-                except ValueError as exc:
-                    raise ProbabilityNotNormalized(
-                        node_id, g_index, f"{where}: {exc}"
-                    ) from exc
+                    # each child is checked before its weight is parsed
+                    for child, raw_w in raw_g.items():
+                        if child not in kid_set:
+                            raise DanglingChildReference(node_id, child)
+                        weights[child] = rational(raw_w)
+                except RationalParseError as exc:
+                    where = f"node {node_id!r} generator {g_index}"
+                    raise MalformedDocument(f"{where}: {exc}") from exc
+                measure = Measure({c: weights.get(c, zero) for c in kids})
+                row = tuple(raw_g.values())
+                if row not in valid_rows:
+                    try:
+                        measure.validate()
+                    except ValueError as exc:
+                        where = f"node {node_id!r} generator {g_index}"
+                        raise ProbabilityNotNormalized(
+                            node_id, g_index, f"{where}: {exc}"
+                        ) from exc
+                    valid_rows.add(row)
                 gens.append(measure)
         nodes[node_id] = Node(node_id, level, parent_id, price, kids, tuple(gens))
 
@@ -370,11 +385,13 @@ def load_model(text: str) -> Model:
         if not isinstance(raw, dict):
             raise MalformedDocument(f"{where} must be an object of leaf values")
         out: dict[str, Fraction] = {}
-        for key, val in raw.items():
-            leaf = str(key)
+        for leaf, val in raw.items():
             if leaf not in leaf_set:
                 raise MalformedDocument(f"{where}: {leaf!r} is not a leaf")
-            out[leaf] = rational(val, f"{where} at leaf {leaf!r}")
+            try:
+                out[leaf] = rational(val)
+            except RationalParseError as exc:
+                raise MalformedDocument(f"{where} at leaf {leaf!r}: {exc}") from exc
         if complete:
             for leaf in tree.leaves:
                 if leaf not in out:
@@ -389,27 +406,33 @@ def load_model(text: str) -> Model:
         name = str(raw_opt["name"])
         if any(opt.name == name for opt in options):
             raise MalformedDocument(f"duplicate option name {name!r}")
-        quote = rational(raw_opt.get("quote", 0), f"option {name!r} quote")
+        if "quote" not in raw_opt:
+            raise MalformedDocument(f"option {name!r}: needs a 'quote'")
+        try:
+            quote = rational(raw_opt["quote"])
+        except RationalParseError as exc:
+            raise MalformedDocument(f"option {name!r} quote: {exc}") from exc
         payoff = leaf_map(raw_opt.get("payoff"), f"option {name!r} payoff", complete=True)
         options.append(StaticOption(name, quote, payoff))
 
     claims: dict[str, Claim] = {}
     for name, raw_claim in _section(doc, "claims", dict).items():
-        claims[str(name)] = Claim(
-            leaf_map(raw_claim, f"claim {name!r}", complete=True)
-        )
+        claims[name] = Claim(leaf_map(raw_claim, f"claim {name!r}", complete=True))
 
     processes: dict[str, dict[str, Fraction]] = {}
     for name, raw_proc in _section(doc, "processes", dict).items():
         if not isinstance(raw_proc, dict):
             raise MalformedDocument(f"process {name!r} must be an object of node values")
         values: dict[str, Fraction] = {}
-        for key, val in raw_proc.items():
-            node_id = str(key)
+        for node_id, val in raw_proc.items():
             if node_id not in nodes:
                 raise MalformedDocument(f"process {name!r}: unknown node {node_id!r}")
-            values[node_id] = rational(val, f"process {name!r} at node {node_id!r}")
-        processes[str(name)] = values
+            try:
+                values[node_id] = rational(val)
+            except RationalParseError as exc:
+                where = f"process {name!r} at node {node_id!r}"
+                raise MalformedDocument(f"{where}: {exc}") from exc
+        processes[name] = values
 
     measures: dict[str, Measure] = {}
     for name, raw_meas in _section(doc, "measures", dict).items():
@@ -418,7 +441,7 @@ def load_model(text: str) -> Model:
             pm.validate()
         except ValueError as exc:
             raise MalformedDocument(f"measure {name!r}: {exc}") from exc
-        measures[str(name)] = pm
+        measures[name] = pm
 
     return Model(tree, tuple(options), claims, processes, measures)
 
@@ -472,8 +495,15 @@ def save_model(model: Model) -> str:
 
 
 def dot(a, b) -> Fraction:
-    """Exact inner product, e.g. of a position and a price increment."""
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    """Exact inner product, e.g. of a position and a price increment:
+    the products added from the first one on, and Fraction(0) for none."""
+    products = map(mul, a, b)
+    total = next(products, None)
+    if total is None:
+        return Fraction(0)
+    for term in products:
+        total += term
+    return total
 
 
 def wealth(

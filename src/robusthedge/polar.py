@@ -32,10 +32,12 @@ def compute_support(tree: ScenarioTree) -> SupportMask:
     for level in range(tree.horizon):
         for node_id in tree.levels[level]:
             node = tree.nodes[node_id]
-            supported = set()
-            for g in node.generators:
-                supported.update(g.support())
-            node_support[node_id] = tuple(c for c in node.children if c in supported)
+            gens = node.generators
+            # weights are validated nonnegative, so a nonzero numerator is
+            # a positive weight
+            node_support[node_id] = tuple(
+                c for c in node.children if any(g.weights[c].numerator for g in gens)
+            )
 
     # a node is relevant iff its parent is and supports it
     relevant = [(tree.root,)]

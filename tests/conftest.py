@@ -68,6 +68,8 @@ NUMBER_FIELDS = {
     "claim": (("claims", "digital", "13"), "claim 'digital' at leaf '13'"),
     "price": (("nodes", 0, "price", 0), "node 'root' price"),
     "quote": (("options", 0, "quote"), "option 'call' quote"),
+    "weight": (("nodes", 0, "generators", 0, "8"), "node 'root' generator 0"),
+    "measure": (("measures", "uniform", "8"), "measure 'uniform' at leaf '8'"),
 }
 
 

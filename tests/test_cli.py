@@ -334,6 +334,15 @@ def test_repeated_option_name_exits_1(capsys):
         assert captured.err == "error: duplicate option name 'call'\n"
 
 
+def test_option_without_quote_exits_1(tmp_path, capsys, example_b_text):
+    doc = json.loads(example_b_text)
+    del doc["options"][0]["quote"]
+    path = tmp_path / "no_quote.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: option 'call': needs a 'quote'\n")
+
+
 def test_float_lp_past_float_range_asks_for_exact(capsys):
     # a claim value of 1e400 has no float: the float global LP is a
     # breakdown, and exact mode answers

@@ -22,6 +22,7 @@ from robusthedge.model import (
     ProbabilityNotNormalized,
     ScenarioTree,
     Strategy,
+    dot,
     leaf_wealths,
     load_model,
     product_measure,
@@ -95,6 +96,63 @@ def test_dangling_child_reference():
         load_model(json.dumps(doc))
 
 
+def _rows_document(*rows):
+    """One period: a root over children a and b with the given generator rows."""
+    return json.dumps({
+        "horizon": 1,
+        "nodes": [
+            {"id": "r", "level": 0, "parent": None, "price": ["1"], "generators": list(rows)},
+            {"id": "a", "level": 1, "parent": "r", "price": ["1"]},
+            {"id": "b", "level": 1, "parent": "r", "price": ["2"]},
+        ],
+    })
+
+
+def test_a_validated_row_does_not_admit_a_bool():
+    # True == 1 and hash(True) == hash(1), so a row that passed as (1,)
+    # must not let (True,) through
+    with pytest.raises(MalformedDocument, match="^node 'r' generator 1: .*boolean True"):
+        load_model(_rows_document({"a": 1}, {"a": True}))
+
+
+def test_each_child_is_checked_before_its_weight():
+    with pytest.raises(DanglingChildReference, match="unknown child 'zz'"):
+        load_model(_rows_document({"zz": "1", "a": "bad"}))
+    with pytest.raises(MalformedDocument, match="^node 'r' generator 0: cannot parse") as err:
+        load_model(_rows_document({"a": "bad", "zz": "1"}))
+    assert not isinstance(err.value, DanglingChildReference)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [(["2", "-1"], "negative weight -1 on 'd'"), (["1/2", "1/3"], "weights sum to 5/6, not 1")],
+)
+def test_a_bad_row_repeated_fails_at_its_first_node(row, problem):
+    # two periods; the bad row sits on x and again on y, after a good row
+    nodes = [
+        {"id": "r", "level": 0, "parent": None, "price": ["1"],
+         "generators": [{"x": "1/2", "y": "1/2"}]},
+        {"id": "x", "level": 1, "parent": "r", "price": ["1"],
+         "generators": [{"c": "1/2", "d": "1/2"}, dict(zip("cd", row))]},
+        {"id": "y", "level": 1, "parent": "r", "price": ["1"],
+         "generators": [dict(zip("ef", row))]},
+    ]
+    nodes += [{"id": k, "level": 2, "parent": "x" if k in "cd" else "y", "price": ["1"]}
+              for k in "cdef"]
+    with pytest.raises(ProbabilityNotNormalized) as err:
+        load_model(json.dumps({"horizon": 2, "nodes": nodes}))
+    assert (err.value.node, err.value.generator) == ("x", 1)
+    assert str(err.value) == f"node 'x' generator 1: {problem}"
+
+
+def test_repeated_rows_give_equal_generators():
+    model = load_model(_rows_document({"a": "1/3", "b": "2/3"}, {"b": "1/3", "a": "2/3"},
+                                      {"a": "1/3", "b": "2/3"}))
+    weights = [g.weights for g in model.tree.nodes["r"].generators]
+    assert weights == [{"a": F(1, 3), "b": F(2, 3)}, {"a": F(2, 3), "b": F(1, 3)},
+                       {"a": F(1, 3), "b": F(2, 3)}]
+
+
 def test_dimension_mismatch():
     doc = {
         "horizon": 1,
@@ -151,6 +209,13 @@ def test_repeated_option_name_rejected(example_b_text):
         load_model(json.dumps(doc))
     doc["options"][1]["name"] = "put8"
     assert [opt.name for opt in load_model(json.dumps(doc)).options] == ["call", "put8"]
+
+
+def test_option_without_quote_rejected(example_b_text):
+    doc = json.loads(example_b_text)
+    del doc["options"][0]["quote"]
+    with pytest.raises(MalformedDocument, match="^option 'call': needs a 'quote'$"):
+        load_model(json.dumps(doc))
 
 
 def test_infinite_claim_rejected():
@@ -456,6 +521,21 @@ def test_integer_row_is_the_least_integral_scaling(row):
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29):
         assert scale % p or any((x * (scale // p)).denominator > 1 for x in row)
     assert integer_row(tuple(row)) == integer_row(dict(enumerate(row)).values()) == (scale, ints)
+
+
+_BIG = st.builds(F, st.integers(-10**60, 10**60), st.integers(1, 10**60))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pairs=st.lists(st.tuples(_BIG, _BIG), max_size=4))
+@example(pairs=[])
+def test_dot_is_the_sum_of_products(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    result = dot(a, b)
+    assert type(result) is F
+    assert result == sum((x * y for x, y in pairs), F(0))
+    if not pairs:
+        assert result == F(0)
 
 
 _VALUES = st.fractions(min_value=-20, max_value=20, max_denominator=12)

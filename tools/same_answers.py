@@ -14,6 +14,15 @@ text, so the fields only the JSON report carries are compared too. The
 first run that differs is printed and the exit code is 1; when no run
 differs the exit code is 0.
 
+Each worker then runs `validate` on MUTANTS seeded one-value mutations of
+the workload's documents, taken in turn. A mutation replaces one value of a
+document (a scalar, an array or an object, anywhere in it) and never
+deletes a key: by null, a bool, `[]`, `"x"`, `"1/0"`, `"1e5000"`, a bare
+1e5000, -1, a generator with one child renamed to an unknown id, or a
+generator with one weight changed so that the row is no longer
+normalized. These runs are compared the same way, so the loader's and the
+support mask's errors must match byte for byte too.
+
 With `--fewer-lps` the new run may solve fewer LPs: per run, its LP dump
 must be an ordered subsequence of the base run's (LPs may only disappear,
 and each one left is byte-identical), while the exit code, standard output
@@ -33,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
 import subprocess
 import sys
@@ -43,14 +53,71 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 WALL = re.compile(r'("wall_time_s": )[-+0-9.eE]+')
+MUTANTS = 480  # validate runs on mutated documents per worker, a few seconds
+BARE = "@@bare 1e5000@@"  # written into the JSON text as the numeral 1e5000
+REPLACEMENTS = (None, True, False, [], "x", "1/0", "1e5000", BARE, -1)
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _slots(value, path=()):
+    """The path of every value below the top of a JSON document."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def mutate(body: dict, rng: random.Random) -> tuple[str, str]:
+    """One mutation of a document: (what was changed, the mutated JSON text)."""
+    doc = json.loads(json.dumps(body))
+    generators = [("nodes", i, "generators", k)
+                  for i, node in enumerate(doc["nodes"])
+                  for k, row in enumerate(node.get("generators") or ()) if row]
+    kind = rng.randrange(len(REPLACEMENTS) + 2)
+    if kind < len(REPLACEMENTS) or not generators:
+        path = rng.choice(list(_slots(doc)))
+        new = REPLACEMENTS[kind % len(REPLACEMENTS)]
+        label = "1e5000 (bare)" if new == BARE else json.dumps(new)
+    else:
+        path = rng.choice(generators)
+        row = doc["nodes"][path[1]]["generators"][path[3]]
+        child = rng.choice(list(row))
+        if kind == len(REPLACEMENTS):
+            new = {("zz-unknown" if key == child else key): w for key, w in row.items()}
+            label = f"child {child!r} renamed to 'zz-unknown'"
+        else:
+            new = {**row, child: "3/7" if row[child] != "3/7" else "4/7"}
+            label = f"weight of {child!r} set to {new[child]}"
+    *parent, last = path
+    slot = doc
+    for key in parent:
+        slot = slot[key]
+    slot[last] = new
+    text = json.dumps(doc, indent=1).replace(json.dumps(BARE), "1e5000")
+    return f"{'/'.join(map(str, path))} = {label}", text
+
+
+def _run(cli, argv: list[str]) -> tuple[object, str, str]:
+    """One CLI call: (exit code or failure tag, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = f"usage exit {exc.code}"
+    except Exception:
+        code = "exception"
+        err.write(traceback.format_exc())
+    return code, WALL.sub(r"\1<masked>", out.getvalue()), err.getvalue()
+
+
 def run_cycle(src: str, workload: str, seed: int) -> None:
-    """Worker: run the op cycle against `src`, one JSON line per op."""
+    """Worker: run the op cycle, then the mutants, against `src`, one JSON
+    line per run."""
     sys.path[:0] = [src, str(BENCH)]
     import workloads
     from robusthedge import cli
@@ -69,26 +136,28 @@ def run_cycle(src: str, workload: str, seed: int) -> None:
             for extra in ((), ("--json",)):
                 argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:],
                         *extra, "--dump-lp", str(dump)]
-                out, err = io.StringIO(), io.StringIO()
-                try:
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                except SystemExit as exc:
-                    code = f"usage exit {exc.code}"
-                except Exception:
-                    code = "exception"
-                    err.write(traceback.format_exc())
+                code, out, err = _run(cli, argv)
                 lps = dump.read_text(encoding="utf-8").split("\n\n") if dump.exists() else []
                 dump.unlink(missing_ok=True)
                 record = {
                     "op": index,
                     "key": " ".join([op.key, *extra]),
                     "code": code,
-                    "stdout": WALL.sub(r"\1<masked>", out.getvalue()),
-                    "stderr": err.getvalue(),
+                    "stdout": out,
+                    "stderr": err,
                     "lps": [_digest(text) for text in lps if text],
                 }
                 print(json.dumps(record), flush=True)
+        rng = random.Random(f"{workload} {seed}")
+        mutant = Path(folder) / "mutant.json"
+        for index in range(MUTANTS):
+            doc = plan.docs[index % len(plan.docs)]
+            change, text = mutate(doc.body, rng)
+            mutant.write_text(text, encoding="utf-8")
+            code, out, err = _run(cli, ["validate", "--model", str(mutant)])
+            record = {"op": f"mutant {index}", "key": f"validate {doc.name}: {change}",
+                      "code": code, "stdout": out, "stderr": err, "lps": []}
+            print(json.dumps(record), flush=True)
 
 
 def collect(src: str, workload: str, seed: int) -> list[dict]:
@@ -156,7 +225,9 @@ def main() -> int:
     if diff is not None:
         print(diff)
         return 1
-    runs = f"{args.workload} seed {args.seed}: {len(base) // 2} ops, {len(base)} runs"
+    base, new = base[:-MUTANTS], new[:-MUTANTS]
+    runs = (f"{args.workload} seed {args.seed}: {len(base) // 2} ops, {len(base)} runs "
+            f"and {MUTANTS} mutants")
     if args.fewer_lps:
         print(f"{runs}, {lp_count(base)} LPs in base, {lp_count(new)} in new, no difference")
     else:
