@@ -57,7 +57,7 @@ class ArbitrageDetected(Exception):
     undefined. Carries the failing certificate and, when the stocks alone
     are fine, each offending option's own price interval as a hint."""
 
-    def __init__(self, message: str, found: ArbitrageFound | None = None):
+    def __init__(self, message: str, found: ArbitrageFound):
         super().__init__(message)
         self.found = found
 

@@ -99,7 +99,10 @@ def _tolerance(text: str) -> float:
 
 _FLAG_SPECS = {
     "--float": {"dest": "float_mode", "action": "store_true"},
-    "--tol": {"type": _tolerance, "help": "float tolerance (default 1e-9)"},
+    "--tol": {
+        "type": _tolerance,
+        "help": f"float tolerance (default {lp.float_mode().tolerance:g})",
+    },
     "--claim": {"required": True, "help": "claim name from the document"},
     "--process": {"required": True, "help": "adapted process name (decompose)"},
     "--bound": {"required": True, "help": "bound to prove (rational)"},
@@ -129,7 +132,7 @@ def _mode_of(args, report) -> lp.Mode:
     """The mode of the global LPs about to run, recorded in the report."""
     if not args.float_mode:
         return lp.EXACT
-    mode = lp.float_mode(1e-9 if args.tol is None else args.tol)
+    mode = lp.float_mode() if args.tol is None else lp.float_mode(args.tol)
     report["mode"] = {"kind": "float", "tolerance": mode.tolerance}
     return mode
 

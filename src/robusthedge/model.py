@@ -62,12 +62,6 @@ class DimensionMismatch(ModelError):
         self.node = node
 
 
-class MissingKernel(ModelError):
-    def __init__(self, node: str):
-        super().__init__(f"no transition kernel supplied for reachable node {node!r}")
-        self.node = node
-
-
 @dataclass(frozen=True)
 class Measure:
     """Probability weights by node id: a one-step kernel over a node's
@@ -87,9 +81,6 @@ class Measure:
 
     def __call__(self, node_id: str) -> Fraction:
         return self.weights.get(node_id, Fraction(0))
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(n for n, w in self.weights.items() if w > 0)
 
 
 PathMeasure = Measure  # the name the measure on leaves goes by
@@ -198,8 +189,8 @@ class Model:
     tree: ScenarioTree
     options: tuple[StaticOption, ...]
     claims: dict[str, Claim]
-    processes: dict[str, dict[str, Fraction]] = field(default_factory=dict)
-    measures: dict[str, Measure] = field(default_factory=dict)
+    processes: dict[str, dict[str, Fraction]]
+    measures: dict[str, Measure]
 
 
 def _reject_constant(token: str) -> None:
@@ -559,32 +550,3 @@ def leaf_wealths(
         out[leaf] = total
     return out
 
-
-def product_measure(tree: ScenarioTree, kernels: dict[str, Measure]) -> Measure:
-    """Multiply one-step kernels along paths into a measure on leaves.
-
-    Kernels must cover every node reachable with positive mass; kernels at
-    unreachable nodes are ignored. The result is exactly normalized because
-    each factor is.
-    """
-    mass: dict[str, Fraction] = {tree.root: Fraction(1)}
-    for level in range(tree.horizon):
-        for node_id in tree.levels[level]:
-            w = mass.get(node_id, Fraction(0))
-            if w == 0:
-                continue
-            node = tree.nodes[node_id]
-            kernel = kernels.get(node_id)
-            if kernel is None:
-                raise MissingKernel(node_id)
-            for child_key in kernel.weights:
-                if child_key not in node.children:
-                    raise DanglingChildReference(node_id, child_key)
-            for child in node.children:
-                cw = w * kernel(child)
-                if cw != 0:
-                    mass[child] = mass.get(child, Fraction(0)) + cw
-    weights = {leaf: mass[leaf] for leaf in tree.leaves if mass.get(leaf, Fraction(0)) > 0}
-    result = Measure(weights)
-    result.validate()
-    return result

@@ -79,7 +79,7 @@ def _basic_points(matrix, rhs):
     one per candidate support of size rank, in `combinations` order;
     degenerate bases repeat a point."""
     n = len(matrix[0])
-    rank = _rank([list(row) for row in matrix])
+    rank = len(_eliminate([list(row) for row in matrix], n))
     for support in combinations(range(n), min(rank, n)):
         solution = _solve_exact_columns(matrix, rhs, support)
         if solution is None or any(v < 0 for v in solution):
@@ -90,67 +90,36 @@ def _basic_points(matrix, rhs):
         yield tuple(point)
 
 
-def _rank(matrix: list[list[Fraction]]) -> int:
-    rank = 0
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, m):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
+def _eliminate(rows: list[list[Fraction]], width: int) -> list[tuple[int, int]]:
+    """Gauss-Jordan elimination in place on the first `width` columns (later
+    columns ride along); the (row, column) pivots, top row first."""
+    pivots: list[tuple[int, int]] = []
+    for col in range(width):
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
             continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        pv = matrix[row][col]
-        for r in range(m):
-            if r == row or matrix[r][col] == 0:
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        top = rows[row]
+        for r, other in enumerate(rows):
+            if r == row or other[col] == 0:
                 continue
-            factor = matrix[r][col] / pv
-            for k in range(col, n):
-                matrix[r][k] -= factor * matrix[row][k]
-        row += 1
-        rank += 1
-        if row == m:
-            break
-    return rank
+            factor = other[col] / top[col]
+            for k in range(col, len(top)):
+                other[k] -= factor * top[k]
+        pivots.append((row, col))
+    return pivots
 
 
 def _solve_exact_columns(matrix, rhs, support) -> list[Fraction] | None:
     """Solve E[:, support] x = rhs; None when the columns are dependent or
     the overdetermined system is inconsistent."""
-    m = len(matrix)
     k = len(support)
-    aug = [[matrix[r][c] for c in support] + [rhs[r]] for r in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None  # dependent columns: not a basis
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        pv = aug[row][col]
-        for r in range(m):
-            if r == row or aug[r][col] == 0:
-                continue
-            factor = aug[r][col] / pv
-            for c in range(col, k + 1):
-                aug[r][c] -= factor * aug[row][c]
-        pivots.append((row, col))
-        row += 1
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            return None  # inconsistent
-    solution = [F(0)] * k
-    for r, c in pivots:
-        solution[c] = aug[r][k] / aug[r][c]
-    return solution
+    aug = [[row[c] for c in support] + [b] for row, b in zip(matrix, rhs)]
+    pivots = _eliminate(aug, k)
+    if len(pivots) < k or any(row[k] != 0 for row in aug[k:]):
+        return None
+    return [aug[r][k] / aug[r][c] for r, c in pivots]
 
 
 def one_step_vertices(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Measure, ScenarioTree, product_measure
+from .model import Measure, ScenarioTree
 
 
 @dataclass(frozen=True)
@@ -47,25 +47,24 @@ def compute_support(tree: ScenarioTree) -> SupportMask:
     return SupportMask(node_support, tuple(relevant), relevant[-1])
 
 
-def reference_kernels(tree: ScenarioTree) -> dict[str, Measure]:
-    """Uniform mixture of generators at every non-leaf node.
-
-    Any strictly positive mixture would do as the canonical selector with
-    maximal support; uniform keeps it deterministic.
-    """
-    kernels: dict[str, Measure] = {}
-    for level in range(tree.horizon):
-        for node_id in tree.levels[level]:
-            generators = tree.nodes[node_id].generators
-            mixed: dict[str, Fraction] = {}
-            for g in generators:
-                for child, w in g.weights.items():
-                    mixed[child] = mixed.get(child, Fraction(0)) + w
-            kernels[node_id] = Measure({c: w / len(generators) for c, w in mixed.items()})
-    return kernels
-
-
 def reference_measure(tree: ScenarioTree) -> Measure:
-    """The product of the uniform-mixture kernels; its support is exactly
-    the relevant leaves."""
-    return product_measure(tree, reference_kernels(tree))
+    """The uniform-mixture product, a measure of maximal support (any
+    strictly positive mixture would do; uniform keeps it deterministic). One
+    top-down pass gives each child of a node with mass that mass times the
+    mean of the node's generator weights on it. Its support is exactly the
+    relevant leaves, in `tree.leaves` order."""
+    mass = {tree.root: Fraction(1)}
+    for level in tree.levels[:-1]:
+        for node_id in level:
+            w = mass.get(node_id)
+            if w is None:
+                continue
+            node = tree.nodes[node_id]
+            gens = node.generators
+            for child in node.children:
+                share = w * sum(g(child) for g in gens) / len(gens)
+                if share:
+                    mass[child] = share
+    result = Measure({leaf: mass[leaf] for leaf in tree.leaves if leaf in mass})
+    result.validate()
+    return result

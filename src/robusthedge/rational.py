@@ -97,14 +97,7 @@ def to_rational(value: object) -> Fraction:
     ``parse_float=json_float`` so a genuine ``float`` here means the caller
     bypassed exact parsing.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise RationalParseError(f"expected a rational, got boolean {value!r}")
-    if isinstance(value, int):
-        if abs(value) >= _LIMIT:
-            raise _too_large()
-        return Fraction(value)
+    # str and int first: the Fraction check goes through ABCMeta
     if isinstance(value, str):
         if over_cap(value):
             raise _too_large()
@@ -115,6 +108,14 @@ def to_rational(value: object) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise RationalParseError(f"cannot parse rational from {value!r}") from exc
+    if isinstance(value, bool):  # before int: a bool is an int
+        raise RationalParseError(f"expected a rational, got boolean {value!r}")
+    if isinstance(value, int):
+        if abs(value) >= _LIMIT:
+            raise _too_large()
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Oversize):
         raise _too_large()
     if isinstance(value, float):

@@ -230,7 +230,7 @@ def test_find_dominating_constant_stock():
     assert verify_witness(model.tree, mask, (), witness) == []
     # every measure is a martingale measure here, so p dominates itself
     assert witness.q.weights == p.weights or all(
-        witness.q(leaf) > 0 for leaf in p.support()
+        witness.q(leaf) > 0 for leaf in p.weights
     )
 
 

@@ -264,7 +264,8 @@ def test_only_rational_calls_lcm():
 def test_every_public_function_has_a_caller():
     # a public function earns its place by a caller in the package or by the
     # benchmark's answer checks, except these two, kept for users: `verify`
-    # rechecks any LP certificate, `save_model` writes a model back out
+    # rechecks any LP certificate, `save_model` writes a model back out; a
+    # public method of a public class, by being read as an attribute there
     allowed = {"verify", "save_model"}
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -276,22 +277,44 @@ def test_every_public_function_has_a_caller():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    checks = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    checks_path = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+    checks = ast.parse(checks_path.read_text(encoding="utf-8"))
     imported = {
         alias.name
-        for node in ast.walk(ast.parse(checks.read_text(encoding="utf-8")))
+        for node in ast.walk(checks)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    uncalled = [
-        f"{name}.{node.name}"
+    read = {
+        node.attr
+        for tree in [*modules.values(), checks]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    public = [
+        (name, node)
         for name, tree in modules.items()
         if name != "__init__"
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    uncalled = [
+        f"{name}.{node.name}"
+        for name, node in public
+        if isinstance(node, ast.FunctionDef)
         and node.name not in referenced | imported | allowed
     ]
-    assert uncalled == []
+    unread = [
+        f"{name}.{cls.name}.{node.name}"
+        for name, cls in public
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert uncalled + unread == []
 
 
 @pytest.mark.parametrize(

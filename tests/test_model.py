@@ -1,4 +1,4 @@
-"""Model ingestion, wealth evaluation and kernel products."""
+"""Model ingestion and wealth evaluation."""
 
 import json
 import random
@@ -17,19 +17,16 @@ from robusthedge.model import (
     DanglingChildReference,
     DimensionMismatch,
     MalformedDocument,
-    Measure,
-    MissingKernel,
     ProbabilityNotNormalized,
     ScenarioTree,
     Strategy,
     dot,
     leaf_wealths,
     load_model,
-    product_measure,
     save_model,
     wealth,
 )
-from robusthedge.polar import compute_support, reference_kernels
+from robusthedge.polar import compute_support
 from robusthedge.rational import RationalParseError, integer_row, over_cap, to_rational
 
 from conftest import NUMBER_FIELDS, count_calls, example_b_with, random_instance
@@ -355,92 +352,6 @@ def test_leaf_wealths_match_wealth_on_random_strategies():
         assert list(got) == list(mask.relevant_leaves)
         for leaf, value in got.items():
             assert value == wealth(tree, strategy, model.options, leaf)
-
-
-def test_product_measure_one_period(example_b):
-    kernel = Measure({"8": F(1, 2), "10": F(1, 4), "13": F(1, 4)})
-    pm = product_measure(example_b.tree, {"root": kernel})
-    assert pm.weights == kernel.weights
-
-
-def test_product_measure_dirac_continuation():
-    doc = {
-        "horizon": 2,
-        "nodes": [
-            {"id": "r", "level": 0, "parent": None, "price": ["1"],
-             "generators": [{"a": "1/2", "b": "1/2"}]},
-            {"id": "a", "level": 1, "parent": "r", "price": ["1"],
-             "generators": [{"a1": "1"}, {"a2": "1"}]},
-            {"id": "b", "level": 1, "parent": "r", "price": ["1"],
-             "generators": [{"b1": "1"}, {"b2": "1"}]},
-            {"id": "a1", "level": 2, "parent": "a", "price": ["1"]},
-            {"id": "a2", "level": 2, "parent": "a", "price": ["1"]},
-            {"id": "b1", "level": 2, "parent": "b", "price": ["1"]},
-            {"id": "b2", "level": 2, "parent": "b", "price": ["1"]},
-        ],
-    }
-    model = load_model(json.dumps(doc))
-    kernels = {
-        "r": Measure({"a": F(1, 2), "b": F(1, 2)}),
-        "a": Measure({"a1": F(1)}),
-        "b": Measure({"b1": F(1)}),
-    }
-    pm = product_measure(model.tree, kernels)
-    assert pm.weights == {"a1": F(1, 2), "b1": F(1, 2)}
-
-    with pytest.raises(MissingKernel):
-        product_measure(model.tree, {"r": kernels["r"], "a": kernels["a"]})
-
-    # kernels at unreachable nodes are ignored
-    kernels_dirac = {
-        "r": Measure({"a": F(1)}),
-        "a": Measure({"a1": F(1, 3), "a2": F(2, 3)}),
-    }
-    pm2 = product_measure(model.tree, kernels_dirac)
-    assert pm2.weights == {"a1": F(1, 3), "a2": F(2, 3)}
-
-
-def test_product_measure_normalizes_exactly():
-    rng = random.Random(11)
-    for _ in range(25):
-        model = random_instance(rng)
-        pm = product_measure(model.tree, reference_kernels(model.tree))
-        assert sum(pm.weights.values()) == 1
-
-
-def test_conditioning_commutes_with_restriction():
-    rng = random.Random(23)
-    found = 0
-    for _ in range(40):
-        model = random_instance(rng, max_depth=3)
-        tree = model.tree
-        if tree.horizon < 2:
-            continue
-        kernels = reference_kernels(tree)
-        pm = product_measure(tree, kernels)
-        for node_id in tree.levels[1]:
-            node = tree.nodes[node_id]
-            mass = sum(
-                (pm(leaf) for leaf in tree.leaves if tree.path(leaf)[1] == node_id),
-                F(0),
-            )
-            if mass == 0 or node.is_leaf:
-                continue
-            found += 1
-            # conditional distribution of pm on the subtree below node_id
-            conditional = {
-                leaf: pm(leaf) / mass
-                for leaf in tree.leaves
-                if tree.path(leaf)[1] == node_id and pm(leaf) != 0
-            }
-            # product measure of the subtree: root kernel replaced by Dirac
-            sub_kernels = dict(kernels)
-            sub_kernels[tree.root] = Measure({node_id: F(1)})
-            if tree.horizon >= 2 and not node.is_leaf:
-                restricted = product_measure(tree, sub_kernels)
-                assert {k: v for k, v in restricted.weights.items()} == conditional
-            break
-    assert found >= 10
 
 
 def test_random_models_round_trip():

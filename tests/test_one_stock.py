@@ -298,7 +298,7 @@ def is_complete(moves):
     charges every child."""
     tree, _ = vector_step_model(moves)
     vertices = oracle.one_step_vertices(tree, compute_support(tree), "root")
-    return len(vertices) == 1 and len(vertices[0].support()) == len(moves)
+    return len(vertices) == 1 and len(vertices[0].weights) == len(moves)
 
 
 def square_node(moves, values):

@@ -11,6 +11,8 @@ from robusthedge.model import Claim, load_model
 from robusthedge.oracle import (
     EmptyPolytope,
     InstanceTooLarge,
+    _eliminate,
+    _solve_exact_columns,
     brute_price,
     enumerate_vertices,
     one_step_vertices,
@@ -46,6 +48,39 @@ def test_constant_stock_vertices_are_diracs():
     assert weights == sorted(
         ((leaf, F(1)),) for leaf in model.tree.leaves
     )
+
+
+def _matrix(rows):
+    return [[F(x) for x in row] for row in rows]
+
+
+def test_basis_solve_rejects_dependent_columns():
+    matrix = _matrix([[1, 2, 1], [2, 4, 0]])
+    assert _solve_exact_columns(matrix, [F(1), F(2)], (0, 1)) is None
+    assert _solve_exact_columns(matrix, [F(1), F(2)], (0, 2)) == [1, 0]
+
+
+def test_basis_solve_of_an_overdetermined_system():
+    # three rows, two columns; the first column needs a row swap
+    matrix = _matrix([[0, 1], [1, 0], [1, 1]])
+    assert _solve_exact_columns(matrix, [F(3), F(5), F(8)], (0, 1)) == [5, 3]
+    assert _solve_exact_columns(matrix, [F(3), F(5), F(9)], (0, 1)) is None
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 2),
+        ([[0, 1, 2], [0, 2, 4], [0, 0, 0]], 1),  # a column with no pivot
+        ([[1, 1], [1, 1], [2, 2], [0, 0]], 1),
+        ([[F(1, 3), 1, 0], [0, 1, 1], [F(1, 3), 2, 1], [F(2, 3), 0, -2]], 2),
+        ([[0, 0], [0, 0]], 0),
+    ],
+)
+def test_elimination_gives_the_rank(rows, rank):
+    pivots = _eliminate(_matrix(rows), len(rows[0]))
+    assert len(pivots) == rank
+    assert [r for r, _ in pivots] == list(range(rank))
 
 
 def test_brute_price_call(example_b):

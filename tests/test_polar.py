@@ -70,9 +70,30 @@ def test_compute_support_matches_the_definition():
         }
         assert mask.relevant_nodes == tuple(tuple(filter(relevant, lv)) for lv in tree.levels)
         assert mask.relevant_leaves == mask.relevant_nodes[-1]
-        assert set(reference_measure(tree).support()) == set(mask.relevant_leaves)
+        assert set(reference_measure(tree).weights) == set(mask.relevant_leaves)
         polar += len(mask.relevant_leaves) < len(tree.leaves)
     assert polar >= 20  # polar subtrees do occur in the corpus
+
+
+def test_reference_measure_is_the_uniform_mixture_product():
+    # leaf by leaf, in tree.leaves order: the product along the root path of
+    # each node's mean generator weight on the next node
+    rng = random.Random(31)
+    for _ in range(200):
+        tree = random_instance(rng).tree
+        expected = {}
+        for leaf in tree.leaves:
+            path = tree.path(leaf)
+            mass = F(1)
+            for node, child in zip(path, path[1:]):
+                gens = tree.nodes[node].generators
+                mass *= sum((g.weights.get(child, F(0)) for g in gens), F(0)) / len(gens)
+            if mass != 0:
+                expected[leaf] = mass
+        got = reference_measure(tree).weights
+        assert list(got.items()) == list(expected.items())
+        assert sum(got.values(), F(0)) == 1
+        assert tuple(got) == compute_support(tree).relevant_leaves
 
 
 def test_max_mass_on_polar_event_is_zero():
