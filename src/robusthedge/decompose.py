@@ -71,24 +71,20 @@ def optional_decomposition(
     exceeds the process."""
     require_stock_na(tree, mask)
     process.validate(mask)
-    hedges: dict[str, tuple[Fraction, ...]] = {}
-    for level in range(tree.horizon):
-        for node_id in mask.relevant_nodes[level]:
-            child_values = {c: process(c) for c in mask.node_support[node_id]}
-            value, hedge = node_price(tree, mask, node_id, child_values)
-            gap = value - process(node_id)
-            if gap > 0:
-                raise NotSupermartingale(node_id, gap)
-            hedges[node_id] = hedge
+    dynamic: dict[str, tuple[Fraction, ...]] = {}
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
-            hedge = hedges[node_id]
+            value, hedge = node_price(tree, mask, node_id, process.values)
+            gap = value - process(node_id)
+            if gap > 0:
+                raise NotSupermartingale(node_id, gap)
+            if any(v != 0 for v in hedge):
+                dynamic[node_id] = hedge
             for child in mask.node_support[node_id]:
                 gain = dot(hedge, tree.increment(node_id, child))
                 increment = process(node_id) + gain - process(child)
                 consumption[child] = consumption[node_id] + increment
-    dynamic = {n: h for n, h in hedges.items() if any(v != 0 for v in h)}
     decomposition = Decomposition(Strategy(process(tree.root), (), dynamic), consumption)
     problems = verify_decomposition(tree, mask, process, decomposition)
     if problems:

@@ -95,7 +95,8 @@ def node_price(
     supported children, a complete node (one martingale measure, every
     weight positive) is priced by one exact linear system,
     `_complete_price`. Every other node solves the exact one-step LP.
-    Either way the hedge is re-verified.
+    Either way the hedge is re-verified. Only the node's supported
+    children are read from `child_values`, so it may hold other nodes too.
     """
     support = mask.node_support[node_id]
     increments = [tree.increment(node_id, c) for c in support]
@@ -306,8 +307,7 @@ def superhedge_dynamic(
     dynamic: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon - 1, -1, -1):
         for node_id in mask.relevant_nodes[level]:
-            child_values = {c: values[c] for c in mask.node_support[node_id]}
-            values[node_id], hedge = node_price(tree, mask, node_id, child_values)
+            values[node_id], hedge = node_price(tree, mask, node_id, values)
             if any(v != 0 for v in hedge):
                 dynamic[node_id] = hedge
     price = values[tree.root]

@@ -1,4 +1,5 @@
-"""Shared fixtures: the trinomial example model and a seeded instance corpus.
+"""Shared fixtures: the trinomial example model and a seeded instance corpus,
+and the exact check of an LP outcome's certificate (`verify`).
 
 Corpus instances stay inside the acceptance envelope (T <= 3, branching <= 4,
 d <= 2, e <= 2, <= 4 generators per node) with small rational data so exact
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from robusthedge.lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
 from robusthedge.model import Claim, Measure, Model, ScenarioTree, load_model
 
 DATA = Path(__file__).parent / "data"
@@ -293,3 +295,133 @@ def random_claim(rng: random.Random, model: Model) -> Claim:
             for leaf in model.tree.leaves
         }
     )
+
+
+# --------------------------------------------------------------------------
+# certificate verification
+# --------------------------------------------------------------------------
+
+
+def verify_optimal(lp: LinearProgram, out: Optimal) -> list[str]:
+    """Return a list of violations (empty list = certificate checks out)."""
+    bad: list[str] = []
+    x = out.primal
+    y = out.dual
+    for j in range(lp.n):
+        lo, up = lp.lower[j], lp.upper[j]
+        if lo is not None and x[j] < lo:
+            bad.append(f"x[{j}] below lower bound")
+        if up is not None and x[j] > up:
+            bad.append(f"x[{j}] above upper bound")
+    for i, con in enumerate(lp.constraints):
+        lhs = sum(a * xv for a, xv in zip(con.coeffs, x))
+        if con.relation == "<=" and lhs > con.rhs:
+            bad.append(f"row {i} violated")
+        if con.relation == ">=" and lhs < con.rhs:
+            bad.append(f"row {i} violated")
+        if con.relation == "=" and lhs != con.rhs:
+            bad.append(f"row {i} violated")
+        if y[i] * (lhs - con.rhs) != 0:
+            bad.append(f"row {i} complementary slackness violated")
+        want_nonneg = (con.relation == ">=") != lp.maximize
+        if con.relation != "=":
+            if want_nonneg and y[i] < 0:
+                bad.append(f"row {i} dual sign violated")
+            if not want_nonneg and y[i] > 0:
+                bad.append(f"row {i} dual sign violated")
+    reduced = []
+    for j in range(lp.n):
+        r = lp.objective[j] - sum(
+            y[i] * lp.constraints[i].coeffs[j] for i in range(len(lp.constraints))
+        )
+        reduced.append(r)
+        lo, up = lp.lower[j], lp.upper[j]
+        at_lo = lo is not None and x[j] == lo
+        at_up = up is not None and x[j] == up
+        if at_lo and at_up:
+            continue
+        sign_lo, sign_up = r >= 0, r <= 0  # min sense
+        if lp.maximize:
+            sign_lo, sign_up = sign_up, sign_lo
+        if at_lo and not sign_lo:
+            bad.append(f"reduced cost sign at lower bound of x[{j}]")
+        elif at_up and not sign_up:
+            bad.append(f"reduced cost sign at upper bound of x[{j}]")
+        elif not at_lo and not at_up and r != 0:
+            bad.append(f"reduced cost of interior x[{j}] not zero")
+    if out.value != sum(c * xv for c, xv in zip(lp.objective, x)):
+        bad.append("reported value differs from objective at primal")
+    dual_value = sum(y[i] * lp.constraints[i].rhs for i in range(len(lp.constraints)))
+    dual_value += sum(reduced[j] * x[j] for j in range(lp.n))
+    if out.value != dual_value:
+        bad.append("strong duality identity violated")
+    return bad
+
+
+def verify_infeasible(lp: LinearProgram, out: Infeasible) -> list[str]:
+    cert = out.certificate
+    bad: list[str] = []
+    for i, con in enumerate(lp.constraints):
+        s = cert.rows[i]
+        if con.relation == "<=" and s > 0:
+            bad.append(f"multiplier sign on <= row {i}")
+        if con.relation == ">=" and s < 0:
+            bad.append(f"multiplier sign on >= row {i}")
+    for j in range(lp.n):
+        if cert.lower[j] < 0 or cert.upper[j] < 0:
+            bad.append(f"bound multiplier sign for x[{j}]")
+        if lp.lower[j] is None and cert.lower[j] != 0:
+            bad.append(f"lower multiplier on unbounded-below x[{j}]")
+        if lp.upper[j] is None and cert.upper[j] != 0:
+            bad.append(f"upper multiplier on unbounded-above x[{j}]")
+        combo = sum(
+            cert.rows[i] * lp.constraints[i].coeffs[j]
+            for i in range(len(lp.constraints))
+        )
+        combo += cert.lower[j] - cert.upper[j]
+        if combo != 0:
+            bad.append(f"aggregated coefficient of x[{j}] does not vanish")
+    total = sum(
+        cert.rows[i] * lp.constraints[i].rhs for i in range(len(lp.constraints))
+    )
+    for j in range(lp.n):
+        if cert.lower[j] != 0:
+            total += cert.lower[j] * lp.lower[j]
+        if cert.upper[j] != 0:
+            total -= cert.upper[j] * lp.upper[j]
+    if total <= 0:
+        bad.append("aggregated right-hand side not positive")
+    return bad
+
+
+def verify_unbounded(lp: LinearProgram, out: Unbounded) -> list[str]:
+    bad: list[str] = []
+    x, r = out.base, out.ray
+    for j in range(lp.n):
+        lo, up = lp.lower[j], lp.upper[j]
+        if lo is not None and (x[j] < lo or r[j] < 0):
+            bad.append(f"base/ray violates lower bound of x[{j}]")
+        if up is not None and (x[j] > up or r[j] > 0):
+            bad.append(f"base/ray violates upper bound of x[{j}]")
+    for i, con in enumerate(lp.constraints):
+        lhs = sum(a * xv for a, xv in zip(con.coeffs, x))
+        step = sum(a * rv for a, rv in zip(con.coeffs, r))
+        if con.relation == "<=" and (lhs > con.rhs or step > 0):
+            bad.append(f"ray leaves <= row {i}")
+        if con.relation == ">=" and (lhs < con.rhs or step < 0):
+            bad.append(f"ray leaves >= row {i}")
+        if con.relation == "=" and (lhs != con.rhs or step != 0):
+            bad.append(f"ray leaves = row {i}")
+    gain = sum(c * rv for c, rv in zip(lp.objective, r))
+    if not (gain > 0 if lp.maximize else gain < 0):
+        bad.append("ray does not improve the objective")
+    return bad
+
+
+def verify(lp: LinearProgram, out: LpOutcome) -> list[str]:
+    """Exact check of an outcome's certificate; empty list = sound."""
+    if isinstance(out, Optimal):
+        return verify_optimal(lp, out)
+    if isinstance(out, Infeasible):
+        return verify_infeasible(lp, out)
+    return verify_unbounded(lp, out)

@@ -263,10 +263,10 @@ def test_only_rational_calls_lcm():
 
 def test_every_public_function_has_a_caller():
     # a public function earns its place by a caller in the package or by the
-    # benchmark's answer checks, except these two, kept for users: `verify`
-    # rechecks any LP certificate, `save_model` writes a model back out; a
-    # public method of a public class, by being read as an attribute there
-    allowed = {"verify", "save_model"}
+    # benchmark's answer checks, except `save_model`, kept for users to write
+    # a model back out; a public method of a public class, by being read as
+    # an attribute there
+    allowed = {"save_model"}
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(superhedge.__file__).parent.glob("*.py"))

@@ -16,14 +16,13 @@ from robusthedge.lp import (
     float_mode,
     linear_program,
     solve,
-    verify,
     zero_in_relative_interior,
 )
 from robusthedge.model import load_model
 from robusthedge.polar import compute_support
 from robusthedge.superhedge import superhedge_semistatic
 
-from conftest import DATA
+from conftest import DATA, verify
 from test_lp_golden import GOLDEN, GOLDEN_MARKET, lp_from_json
 
 F = Fraction

@@ -69,8 +69,9 @@ from robusthedge.lp import (
     float_mode,
     linear_program,
     solve,
-    verify,
 )
+
+from conftest import verify
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "data" / "lp_golden.json"

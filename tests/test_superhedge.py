@@ -81,6 +81,26 @@ def test_node_price_single_child_zero_increment():
     assert value == F(11, 3)
 
 
+def test_node_price_reads_only_supported_children():
+    """A value map with extra keys (every node of the tree, in another order)
+    gives the price and hedge of the map over the supported children."""
+    rng = random.Random(2027)
+    checked = 0
+    while checked < 40:
+        model = random_instance(rng, max_options=0)
+        tree = model.tree
+        mask = compute_support(tree)
+        if global_na(tree, mask) is not None:
+            continue
+        every = {n: F(rng.randint(-6, 9), rng.choice([1, 2, 3])) for n in reversed(tree.nodes)}
+        for node_id in mask.relevant_nonleaf(tree):
+            exact = {c: every[c] for c in mask.node_support[node_id]}
+            assert node_price(tree, mask, node_id, every) == node_price(
+                tree, mask, node_id, exact
+            )
+            checked += 1
+
+
 def test_dynamic_one_period_is_node_price(example_b):
     mask = compute_support(example_b.tree)
     price, _, strategy = superhedge_dynamic(
