@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import lp
 from .arbitrage import find_dominating_mm, lift_first_failure, scan_nodes, semistatic_na
 from .decompose import AdaptedProcess, NotSupermartingale, optional_decomposition
-from .model import Model, ModelError, load_model
+from .model import Model, load_model
 from .polar import compute_support, reference_measure
 from .rational import RationalParseError, format_with_decimal, to_rational
 from .superhedge import (
@@ -66,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, report, text = _dispatch(args)
-    except (ModelError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except lp.NumericalBreakdown as exc:

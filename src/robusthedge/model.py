@@ -32,34 +32,8 @@ if TYPE_CHECKING:
 MAX_NODES = 100_000
 
 
-class ModelError(Exception):
-    """Base class for model ingestion and evaluation errors."""
-
-
-class MalformedDocument(ModelError):
-    pass
-
-
-class ProbabilityNotNormalized(ModelError):
-    def __init__(self, node: str, generator: int, message: str):
-        super().__init__(message)
-        self.node = node
-        self.generator = generator
-
-
-class DanglingChildReference(ModelError):
-    def __init__(self, node: str, child: str):
-        super().__init__(f"node {node!r}: reference to unknown child {child!r}")
-        self.node = node
-        self.child = child
-
-
-class DimensionMismatch(ModelError):
-    def __init__(self, node: str, expected: int, got: int):
-        super().__init__(
-            f"node {node!r}: price vector has {got} coordinates, expected {expected}"
-        )
-        self.node = node
+class MalformedDocument(ValueError):
+    """A document the loader cannot use; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -260,18 +234,21 @@ def load_model(text: str) -> Model:
     # First pass: identities, levels, parents, prices.
     parsed = []
     ids: set[str] = set()
-    for entry in raw_nodes:
+    for k, entry in enumerate(raw_nodes):
         if not isinstance(entry, dict) or "id" not in entry:
             raise MalformedDocument("every node needs an 'id'")
-        node_id = str(entry["id"])
+        node_id = entry["id"]
+        if type(node_id) is not str:
+            raise MalformedDocument(f"node {k}: 'id' must be a string")
         if node_id in ids:
             raise MalformedDocument(f"duplicate node id {node_id!r}")
         ids.add(node_id)
         level = entry.get("level")
         if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= horizon:
             raise MalformedDocument(f"node {node_id!r}: bad level {level!r}")
-        parent = entry.get("parent")
-        parent_id = None if parent is None else str(parent)
+        parent_id = entry.get("parent")
+        if parent_id is not None and type(parent_id) is not str:
+            raise MalformedDocument(f"node {node_id!r}: 'parent' must be a string or null")
         raw_price = entry.get("price")
         if not isinstance(raw_price, list) or not raw_price:
             raise MalformedDocument(f"node {node_id!r}: 'price' must be a nonempty array")
@@ -298,7 +275,10 @@ def load_model(text: str) -> Model:
     level_of = {p[0]: p[1] for p in parsed}
     for node_id, level, parent_id, price, _ in parsed:
         if len(price) != dimension:
-            raise DimensionMismatch(node_id, dimension, len(price))
+            raise MalformedDocument(
+                f"node {node_id!r}: price vector has {len(price)} coordinates, "
+                f"expected {dimension}"
+            )
         if parent_id is None:
             continue
         if parent_id not in children:
@@ -341,7 +321,9 @@ def load_model(text: str) -> Model:
                     # each child is checked before its weight is parsed
                     for child, raw_w in raw_g.items():
                         if child not in kid_set:
-                            raise DanglingChildReference(node_id, child)
+                            raise MalformedDocument(
+                                f"node {node_id!r}: reference to unknown child {child!r}"
+                            )
                         weights[child] = rational(raw_w)
                 except RationalParseError as exc:
                     where = f"node {node_id!r} generator {g_index}"
@@ -353,9 +335,7 @@ def load_model(text: str) -> Model:
                         measure.validate()
                     except ValueError as exc:
                         where = f"node {node_id!r} generator {g_index}"
-                        raise ProbabilityNotNormalized(
-                            node_id, g_index, f"{where}: {exc}"
-                        ) from exc
+                        raise MalformedDocument(f"{where}: {exc}") from exc
                     valid_rows.add(row)
                 gens.append(measure)
         nodes[node_id] = Node(node_id, level, parent_id, price, kids, tuple(gens))
@@ -394,7 +374,9 @@ def load_model(text: str) -> Model:
     for k, raw_opt in enumerate(_section(doc, "options", list)):
         if not isinstance(raw_opt, dict) or "name" not in raw_opt:
             raise MalformedDocument(f"option {k}: needs 'name', 'quote' and 'payoff'")
-        name = str(raw_opt["name"])
+        name = raw_opt["name"]
+        if type(name) is not str:
+            raise MalformedDocument(f"option {k}: 'name' must be a string")
         if any(opt.name == name for opt in options):
             raise MalformedDocument(f"duplicate option name {name!r}")
         if "quote" not in raw_opt:

@@ -34,10 +34,6 @@ POINT = "Point"
 OPEN_INTERVAL = "OpenInterval"
 
 
-class LocalArbitrage(Exception):
-    """node_price called at a node violating local NA."""
-
-
 @dataclass(frozen=True)
 class PriceInterval:
     lower: Fraction
@@ -164,7 +160,7 @@ def _one_stock_price(increments, values):
 
     None when there is no pair across 0 and some increment is nonzero
     (one-signed moves: the LP prices a level child or raises
-    LocalArbitrage), or when a level child lies strictly above the best
+    ValueError), or when a level child lies strictly above the best
     chord of any other shape (the LP's pick is not derived here).
     """
     below, above, level = [], [], []
@@ -256,7 +252,7 @@ def _one_step_lp(node_id, increments, values):
     prog = lp.linear_program(values, maximize=True, constraints=constraints)
     out = lp.solve(prog, lp.EXACT)
     if isinstance(out, lp.Infeasible):
-        raise LocalArbitrage(f"no one-step martingale weights at node {node_id!r}")
+        raise ValueError(f"no one-step martingale weights at node {node_id!r}")
     assert isinstance(out, lp.Optimal)
     return out.value, tuple(out.dual[i] for i in range(d))
 

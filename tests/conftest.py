@@ -75,11 +75,21 @@ NUMBER_FIELDS = {
 }
 
 
+# where example_b holds a node id, a parent and an option name, and the
+# loader's message when one of them is not a JSON string
+NAME_FIELDS = {
+    "id": (("nodes", 1, "id"), "node 1: 'id' must be a string"),
+    "parent": (("nodes", 1, "parent"), "node '8': 'parent' must be a string or null"),
+    "name": (("options", 0, "name"), "option 0: 'name' must be a string"),
+}
+
+
 def example_b_with(field: str, literal: str) -> str:
-    """example_b's text with one field of NUMBER_FIELDS set to `literal`,
-    written into the JSON as it is (a bare number, or a quoted string)."""
+    """example_b's text with one field of NUMBER_FIELDS or NAME_FIELDS set
+    to `literal`, written into the JSON as it is (a bare number, or a quoted
+    string)."""
     doc = json.loads((DATA / "example_b.json").read_text())
-    *path, last = NUMBER_FIELDS[field][0]
+    *path, last = {**NUMBER_FIELDS, **NAME_FIELDS}[field][0]
     slot = doc
     for key in path:
         slot = slot[key]

@@ -20,7 +20,7 @@ from robusthedge import arbitrage, lp, superhedge
 from robusthedge.cli import _build_parser, main
 from robusthedge.rational import format_with_decimal
 
-from conftest import DATA, NUMBER_FIELDS, example_b_with
+from conftest import DATA, NAME_FIELDS, NUMBER_FIELDS, example_b_with
 
 BROKEN = """{
   "horizon": 1,
@@ -328,8 +328,10 @@ def test_every_public_function_has_a_caller():
         ("[" * 200000, ["validate"], 1, "", "error: invalid JSON: nested too deeply\n"),
         ('{"horizon": 1, "nodes": [{"id": "r", "level": 0, "parent": null, "price": ["1/0"]}]}',
          ["validate"], 1, "", "error: node 'r' price: cannot parse rational from '1/0'\n"),
+        (example_b_with("name", "1e5000"), ["price", "--claim", "call"], 1, "",
+         "error: option 0: 'name' must be a string\n"),
     ],
-    ids=["answer", "denial", "nested", "zero_denominator"],
+    ids=["answer", "denial", "nested", "zero_denominator", "name_not_a_string"],
 )
 def test_cli_process_exit_code_and_output(b_path, tmp_path, document, argv, code, out, err):
     # a fresh interpreter, so the exit code is the process's own and an
@@ -364,6 +366,16 @@ def test_option_without_quote_exits_1(tmp_path, capsys, example_b_text):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--model", str(path)]) == 1
     assert capsys.readouterr() == ("", "error: option 'call': needs a 'quote'\n")
+
+
+@pytest.mark.parametrize("field", sorted(NAME_FIELDS))
+@pytest.mark.parametrize("literal", ["[]", "true", "1e5000"])
+def test_a_name_that_is_not_a_string_exits_1(tmp_path, capsys, field, literal):
+    path = tmp_path / "name.json"
+    path.write_text(example_b_with(field, literal))
+    for argv in (["validate"], ["price", "--claim", "call"]):
+        assert main([*argv, "--model", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {NAME_FIELDS[field][1]}\n")
 
 
 def test_float_lp_past_float_range_asks_for_exact(capsys):

@@ -123,3 +123,16 @@ def test_a_mutant_differs_only_at_the_path_it_reports():
         last = int(last) if isinstance(slot, list) else last
         slot[last] = original[last]
         assert json.dumps(mutant) == json.dumps(body), change
+
+
+@pytest.mark.parametrize("workload", ["envelope-mix", "deep-dp", "global-lp", "float-sweep"])
+def test_every_mutant_changes_its_document(monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(same_answers.BENCH))
+    import workloads
+
+    docs = workloads.build(workload, 0).docs
+    drawn = list(same_answers.mutants(docs, workload, 0))
+    assert len(drawn) == same_answers.MUTANTS == 480
+    unchanged = [change for doc, change, text in drawn
+                 if text == json.dumps(doc.body, indent=1)]
+    assert unchanged == []

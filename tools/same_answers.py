@@ -20,8 +20,9 @@ document (a scalar, an array or an object, anywhere in it) and never
 deletes a key: by null, a bool, `[]`, `"x"`, `"1/0"`, `"1e5000"`, a bare
 1e5000, -1, a generator with one child renamed to an unknown id, or a
 generator with one weight changed so that the row is no longer
-normalized. These runs are compared the same way, so the loader's and the
-support mask's errors must match byte for byte too.
+normalized. A draw that leaves the text unchanged is drawn again. These
+runs are compared the same way, so the loader's and the support mask's
+errors must match byte for byte too.
 
 With `--fewer-lps` the new run may solve fewer LPs: per run, its LP dump
 must be an ordered subsequence of the base run's (LPs may only disappear,
@@ -72,7 +73,17 @@ def _slots(value, path=()):
 
 
 def mutate(body: dict, rng: random.Random) -> tuple[str, str]:
-    """One mutation of a document: (what was changed, the mutated JSON text)."""
+    """One mutation of a document: (what was changed, the mutated JSON text).
+    A draw that leaves the text as it was (null on the root's parent, say)
+    is drawn again; texts are compared, not values, because True == 1."""
+    original = json.dumps(body, indent=1)
+    while True:
+        change, text = _draw(body, rng)
+        if text != original:
+            return change, text
+
+
+def _draw(body: dict, rng: random.Random) -> tuple[str, str]:
     doc = json.loads(json.dumps(body))
     generators = [("nodes", i, "generators", k)
                   for i, node in enumerate(doc["nodes"])
@@ -99,6 +110,15 @@ def mutate(body: dict, rng: random.Random) -> tuple[str, str]:
     slot[last] = new
     text = json.dumps(doc, indent=1).replace(json.dumps(BARE), "1e5000")
     return f"{'/'.join(map(str, path))} = {label}", text
+
+
+def mutants(docs: list, workload: str, seed: int):
+    """The worker's MUTANTS mutations, taken from `docs` in turn:
+    (document, what was changed, the mutated JSON text)."""
+    rng = random.Random(f"{workload} {seed}")
+    for index in range(MUTANTS):
+        doc = docs[index % len(docs)]
+        yield (doc, *mutate(doc.body, rng))
 
 
 def _run(cli, argv: list[str]) -> tuple[object, str, str]:
@@ -148,11 +168,8 @@ def run_cycle(src: str, workload: str, seed: int) -> None:
                     "lps": [_digest(text) for text in lps if text],
                 }
                 print(json.dumps(record), flush=True)
-        rng = random.Random(f"{workload} {seed}")
         mutant = Path(folder) / "mutant.json"
-        for index in range(MUTANTS):
-            doc = plan.docs[index % len(plan.docs)]
-            change, text = mutate(doc.body, rng)
+        for index, (doc, change, text) in enumerate(mutants(plan.docs, workload, seed)):
             mutant.write_text(text, encoding="utf-8")
             code, out, err = _run(cli, ["validate", "--model", str(mutant)])
             record = {"op": f"mutant {index}", "key": f"validate {doc.name}: {change}",
