@@ -16,9 +16,10 @@ option-constrained martingale system: its rows constrain the martingale
 measures, and its columns are the terminal-wealth map of a semistatic
 strategy. The internal `Market` (tree, mask, options) builds it once, on
 first use, and is the one reader of its layout; the public functions
-still take (tree, mask, options). `require_stock_na` is the pricing
-precondition: `ArbitrageDetected` unless the stocks alone pass NA,
-otherwise the call's `Market`, which its denial paths search too.
+still take (tree, mask, options). A measure is checked off the tree
+(`verify_measure`), never off these rows. `require_stock_na` is the
+pricing precondition: `ArbitrageDetected` unless the stocks alone pass
+NA, otherwise the call's `Market`, which its denial paths search too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import lp
-from .model import Measure, ScenarioTree, StaticOption, Strategy, dot, leaf_wealths
+from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot, leaf_wealths
 from .polar import SupportMask
 from .rational import integer_row
 
@@ -192,15 +193,15 @@ def martingale_rows(
     tree: ScenarioTree,
     mask: SupportMask,
     options: tuple[StaticOption, ...],
-) -> list[tuple[list[Fraction], Fraction, str]]:
+) -> list[tuple[list[Fraction], Fraction]]:
     """Equality rows of the option-constrained martingale polytope over the
     relevant leaves: normalization, one row per relevant node and price
     coordinate (unconditional form), one row per option.
 
-    Returns (row, rhs, label) triples, each row dense over
-    mask.relevant_leaves; every rhs is 0 except the normalization row's,
-    which is 1 (kept first, label "mass"). Read by columns, the rows give
-    terminal wealth: column k holds the coefficients of the initial
+    Returns (row, rhs) pairs, each row dense over mask.relevant_leaves: the
+    mass row (rhs 1), row 1 + k*d + i for coordinate i of the k-th relevant
+    non-leaf node, then the option rows (rhs 0). Read by columns, the rows
+    give terminal wealth: column k holds the coefficients of the initial
     capital, the node positions and the option positions at leaf k.
     """
     leaves = mask.relevant_leaves
@@ -217,11 +218,8 @@ def martingale_rows(
             step = tree.increment(parent, child)
             for i in range(d):
                 rows[first[parent] + i][k] = step[i]
-    labels = ["mass"]
-    labels += [f"martingale:{n}:{i}" for n in nodes for i in range(d)]
-    labels += [f"option:{opt.name}" for opt in options]
     rhs = [F(1)] + [F(0)] * (len(rows) - 1)
-    return list(zip(rows, rhs, labels))
+    return list(zip(rows, rhs))
 
 
 @dataclass(frozen=True)
@@ -233,8 +231,8 @@ class Market:
     coefficients of terminal wealth in the hedge variables: initial
     capital, option positions, then one d-block per relevant non-leaf node
     (the columns of `rows`, option rows moved up behind the mass row).
-    Every reading of that layout is a method here. Internal: the public
-    functions still take (tree, mask, options).
+    Every reading of that layout is a method here. `check_measure` checks
+    a measure the LPs return, off the tree, and the value it certifies.
     """
 
     tree: ScenarioTree
@@ -242,12 +240,12 @@ class Market:
     options: tuple[StaticOption, ...]
 
     @cached_property
-    def rows(self) -> list[tuple[list[Fraction], Fraction, str]]:
+    def rows(self) -> list[tuple[list[Fraction], Fraction]]:
         return martingale_rows(self.tree, self.mask, self.options)
 
     @cached_property
     def columns(self) -> list[list[Fraction]]:
-        rows = [row for row, _, _ in self.rows]
+        rows = [row for row, _ in self.rows]
         cut = len(rows) - len(self.options)
         rows = rows[:1] + rows[cut:] + rows[1:cut]
         return [list(column) for column in zip(*rows)]
@@ -312,9 +310,12 @@ class Market:
             return None
         return self.arbitrage(self.strategy((F(0),) + out.primal))
 
-    def check_measure(self, q: Measure) -> None:
-        """Fail unless q passes `verify_measure` on `rows`."""
-        problems = verify_measure(self.tree, self.mask, self.options, q, self.rows)
+    def check_measure(self, q: Measure, claim: Claim, value: Fraction) -> None:
+        """Fail unless q passes `verify_measure` and E_q[claim] is value."""
+        problems = verify_measure(self.tree, self.mask, self.options, q)
+        expectation = sum((w * claim(leaf) for leaf, w in q.weights.items()), F(0))
+        if expectation != value:
+            problems.append(f"expectation differs from {value}: {expectation}")
         if problems:
             raise RuntimeError(
                 f"martingale measure failed re-verification (bug): {problems}"
@@ -336,7 +337,7 @@ def find_dominating_mm(
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
     market = Market(tree, mask, tuple(options))
-    rows, rhs, _ = zip(*market.rows)
+    rows, rhs = zip(*market.rows)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])
     if isinstance(out, lp.Infeasible):
         return None
@@ -344,7 +345,7 @@ def find_dominating_mm(
     if out.value <= 0:
         return None
     witness = FtapWitness(market.measure(out.primal), p)
-    problems = verify_witness(tree, mask, options, witness, market.rows)
+    problems = verify_witness(tree, mask, options, witness)
     if problems:
         raise RuntimeError(f"witness failed re-verification (bug): {problems}")
     return witness
@@ -355,32 +356,34 @@ def verify_measure(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
     q: Measure,
-    rows: list[tuple[list[Fraction], Fraction, str]] | None = None,
 ) -> list[str]:
     """Exact recheck that q lies in the option-constrained martingale
-    polytope: nonnegative mass 1 on relevant leaves only, and every
-    martingale and option row of `rows`, the `martingale_rows` of the
-    options (built here when not given), satisfied; empty list = sound."""
+    polytope, read off the tree: nonnegative mass 1 on relevant leaves only,
+    E_q[payoff - quote] = 0 per option, and sum_c mass(c) dS(n, c) = 0 over
+    the supported children c of each relevant non-leaf node n, where mass(n)
+    = sum_c mass(c), bottom-up from q on the leaves; empty list = sound."""
     bad: list[str] = []
-    index = {leaf: k for k, leaf in enumerate(mask.relevant_leaves)}
+    relevant = set(mask.relevant_leaves)
     total = F(0)
     for leaf, w in q.weights.items():
-        if leaf not in index:
+        if leaf not in relevant:
             bad.append(f"mass on polar leaf {leaf!r}")
         if w < 0:
             bad.append(f"negative mass on {leaf!r}")
         total += w
     if total != 1:
         bad.append(f"total mass {total} != 1")
-    # the mass row is the total checked above; each sum runs over the
-    # charged relevant leaves only
-    charged = [(index[leaf], w) for leaf, w in q.weights.items() if leaf in index]
-    if rows is None:
-        rows = martingale_rows(tree, mask, options)
-    for row, _, label in rows[1:]:
-        acc = sum((w * row[k] for k, w in charged), F(0))
-        if acc != 0:
-            bad.append(f"row {label} violated by {acc}")
+    mass = {leaf: w for leaf, w in q.weights.items() if leaf in relevant}
+    for opt in options:
+        if acc := sum((w * opt.normalized(leaf) for leaf, w in mass.items()), F(0)):
+            bad.append(f"option {opt.name!r} violated by {acc}")
+    for node in reversed(mask.relevant_nonleaf(tree)):
+        support = mask.node_support[node]
+        moved = [(mass[c], tree.increment(node, c)) for c in support if mass.get(c)]
+        mass[node] = sum(w for w, _ in moved)
+        for i in range(tree.dimension):
+            if drift := sum(w * step[i] for w, step in moved):
+                bad.append(f"martingale condition at {node!r}:{i} violated by {drift}")
     return bad
 
 
@@ -389,13 +392,11 @@ def verify_witness(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
     witness: FtapWitness,
-    rows: list[tuple[list[Fraction], Fraction, str]] | None = None,
 ) -> list[str]:
-    """Exact recheck of every FtapWitness invariant: `verify_measure` of q
-    on `rows` (built there when not given), and q charging every leaf the
-    reference charges; empty list = sound."""
+    """Exact recheck of every FtapWitness invariant: `verify_measure` of q,
+    and q charging every leaf the reference charges; empty list = sound."""
     q = witness.q
-    bad = verify_measure(tree, mask, options, q, rows)
+    bad = verify_measure(tree, mask, options, q)
     for leaf, w in witness.dominated.weights.items():
         if w > 0 and q(leaf) <= 0:
             bad.append(f"does not dominate the reference at {leaf!r}")

@@ -55,7 +55,7 @@ def enumerate_vertices(
         raise InstanceTooLarge(
             f"{len(leaves)} relevant leaves exceed the cap of {LEAF_CAP}"
         )
-    matrix, rhs, _ = zip(*martingale_rows(tree, mask, tuple(options)))
+    matrix, rhs = zip(*martingale_rows(tree, mask, tuple(options)))
     ordered = sorted(
         set(_basic_points(matrix, rhs)),
         key=lambda pt: (

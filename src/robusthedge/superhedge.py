@@ -338,7 +338,7 @@ def superhedge_semistatic(
     market = require_stock_na(tree, mask, options)
     x, strategy, q = _primal_superhedge(market, claim, mode)
     if mode.exact:
-        market.check_measure(q)
+        market.check_measure(q, claim, x)
     return x, strategy, q
 
 
@@ -388,7 +388,7 @@ def dual_price(
 ) -> tuple[Fraction | float, Measure | None]:
     """Direct dual route: maximize the claim expectation over the
     option-constrained martingale polytope. In exact mode it also returns
-    the optimizing measure, which passes `verify_measure` first; in float
+    the optimizing measure, checked by `Market.check_measure` first; in float
     mode it returns the value only, with None for the measure.
 
     Like superhedge_semistatic, it requires the stocks to pass NA and the
@@ -401,7 +401,7 @@ def dual_price(
 def _dual_lp(market, claim, mode):
     """dual_price once the stocks are known to pass NA."""
     objective = [claim(leaf) for leaf in market.mask.relevant_leaves]
-    constraints = [(row, "=", rhs) for row, rhs, _ in market.rows]
+    constraints = [(row, "=", rhs) for row, rhs in market.rows]
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
@@ -410,7 +410,7 @@ def _dual_lp(market, claim, mode):
     if not mode.exact:
         return out.value, None
     q = market.measure(out.primal)
-    market.check_measure(q)
+    market.check_measure(q, claim, out.value)
     return out.value, q
 
 
@@ -427,10 +427,13 @@ def price_interval(
     or reversed by rounding, so there the exact LPs decide point or
     interval and give the bounds: floats guide, exact decides."""
     market = require_stock_na(tree, mask, options)
-    interval = _both_sides(market, claim, mode)[0]
+    interval, _, q_high, q_low = _both_sides(market, claim, mode)
     lower, upper = interval.lower, interval.upper
     if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
-        interval = _both_sides(market, claim, lp.EXACT)[0]
+        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT)
+    if q_high is not None:
+        market.check_measure(q_high, claim, interval.upper)
+        market.check_measure(q_low, claim, interval.lower)
     return interval
 
 
@@ -443,16 +446,11 @@ def check_replicable(
     """Second FTAP for one claim, exact: replicable iff the two superhedging
     prices coincide; otherwise two martingale measures separate the
     expectations."""
-    market = require_stock_na(tree, mask, options)
-    result = _replicable(market, claim)
-    if isinstance(result, NotReplicable):
-        market.check_measure(result.q_low)
-        market.check_measure(result.q_high)
-    return result
+    return _replicable(require_stock_na(tree, mask, options), claim)
 
 
 def _replicable(market, claim):
-    """check_replicable once the stocks are known to pass NA."""
+    """check_replicable once the stocks pass NA, separating measures checked."""
     interval, strategy, q_high, q_low = _both_sides(market, claim, lp.EXACT)
     if interval.kind == POINT:
         if any(w != claim(leaf) for leaf, w in market.wealths(strategy).items()):
@@ -468,6 +466,8 @@ def _replicable(market, claim):
                 found,
             )
         return Replicable(strategy)
+    market.check_measure(q_high, claim, interval.upper)
+    market.check_measure(q_low, claim, interval.lower)
     return NotReplicable(q_low, q_high, interval)
 
 
@@ -497,15 +497,14 @@ def prove_inequality(
 ) -> Proved | Refuted:
     """Reduce 'E_Q[f] <= bound for every martingale measure' to a pathwise
     certificate f <= bound + H.S_T on the relevant leaves, or refute it with
-    the exact `dual_price` optimizer, its expectation rechecked against the
-    bound."""
+    the exact `dual_price` optimizer and its checked expectation, which
+    must beat the bound."""
     price, _, strategy = superhedge_dynamic(tree, mask, claim)
     if price <= bound:
         # superhedge_dynamic has checked the hedge from price <= bound, so
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
-    _, q = _dual_lp(Market(tree, mask, ()), claim, lp.EXACT)
-    expectation = sum((q(leaf) * claim(leaf) for leaf in tree.leaves), F(0))
+    expectation, q = _dual_lp(Market(tree, mask, ()), claim, lp.EXACT)
     if expectation <= bound:
         raise RuntimeError("refutation measure does not beat the bound (bug)")
     return Refuted(q, expectation)

@@ -396,22 +396,19 @@ def test_martingale_transform_has_zero_mean():
 
 def _check_rows_give_wealth(model, rng):
     """A seeded position vector over the rows (initial capital on the mass
-    row, node positions on the martingale rows, option positions on the
-    option rows) times each column is the terminal wealth at that leaf."""
+    row, node positions on the martingale rows 1 + k*d + i of the k-th
+    relevant non-leaf node, option positions on the option rows) times each
+    column is the terminal wealth at that leaf."""
     tree = model.tree
     mask = compute_support(tree)
     rows = martingale_rows(tree, mask, model.options)
     position = [F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in rows]
-    initial, static, dynamic = F(0), [], {}
-    for (row, _, label), v in zip(rows, position):
-        assert len(row) == len(mask.relevant_leaves)
-        if label == "mass":
-            initial = v
-        elif label.startswith("martingale:"):
-            node, i = label[len("martingale:"):].rsplit(":", 1)
-            dynamic.setdefault(node, [F(0)] * tree.dimension)[int(i)] = v
-        else:
-            static.append(v)  # option rows follow model.options
+    assert all(len(row) == len(mask.relevant_leaves) for row, _ in rows)
+    d = tree.dimension
+    nodes = mask.relevant_nonleaf(tree)
+    assert len(rows) == 1 + len(nodes) * d + len(model.options)
+    initial, static = position[0], position[1 + len(nodes) * d:]
+    dynamic = {n: position[1 + k * d:1 + (k + 1) * d] for k, n in enumerate(nodes)}
     strategy = Strategy(initial, tuple(static), {n: tuple(h) for n, h in dynamic.items()})
     market = Market(tree, mask, model.options)
     columns = market.columns
@@ -419,7 +416,7 @@ def _check_rows_give_wealth(model, rng):
     same = market.strategy(point)
     for k, leaf in enumerate(mask.relevant_leaves):
         want = wealth(tree, strategy, model.options, leaf)
-        assert sum((row[k] * v for (row, _, _), v in zip(rows, position)), F(0)) == want
+        assert sum((row[k] * v for (row, _), v in zip(rows, position)), F(0)) == want
         assert sum((a * v for a, v in zip(columns[k], point)), F(0)) == want
         assert wealth(tree, same, model.options, leaf) == want
 
@@ -445,7 +442,7 @@ def test_float_phase1_ray_is_a_numerical_breakdown(monkeypatch):
     model = load_model((DATA / "float_phase1_ray.json").read_text())
     mask = compute_support(model.tree)
     p = reference_measure(model.tree)
-    rows, rhs, _ = zip(*martingale_rows(model.tree, mask, model.options))
+    rows, rhs = zip(*martingale_rows(model.tree, mask, model.options))
     weights = [p(leaf) for leaf in mask.relevant_leaves]
     solved = []
     inner = lp.solve

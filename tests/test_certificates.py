@@ -12,7 +12,7 @@ import robusthedge.superhedge as sh
 from robusthedge import lp
 from robusthedge.cli import main
 from robusthedge.decompose import AdaptedProcess, optional_decomposition
-from robusthedge.model import leaf_wealths, load_model
+from robusthedge.model import Measure, leaf_wealths, load_model
 from robusthedge.polar import compute_support, reference_measure
 
 from conftest import count_everywhere
@@ -57,6 +57,9 @@ def stocks_only(example_b_text):
         ("stocks_only", ["decompose", "--process", "surface"], dec.verify_decomposition, 1),
         ("example_b", ["price", "--claim", "call"], arb.verify_measure, 1),
         ("stocks_only", ["prove", "--claim", "call", "--bound", "1"], arb.verify_measure, 1),
+        ("stocks_only", ["interval", "--claim", "call"], arb.verify_measure, 2),
+        ("stocks_only", ["replicate", "--claim", "call"], arb.verify_measure, 2),
+        ("stocks_only", ["complete"], arb.verify_measure, 2),
     ],
 )
 def test_each_exact_op_checks_its_certificate_once(
@@ -176,6 +179,69 @@ def test_separating_measures_check(stocks_only, monkeypatch, side):
     )
     with pytest.raises(RuntimeError, match="martingale measure failed"):
         sh.check_replicable(tree, mask, claim, ())
+
+
+def _lump_dual(monkeypatch, at: int) -> None:
+    """Put all of the dual mass of the at-th solve (from 1) on the first
+    relevant leaf: a probability measure, but no martingale measure."""
+    solved = _patch_solve(
+        monkeypatch,
+        lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
+        if len(solved) == at else out,
+    )
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["q_high", "q_low"])
+@pytest.mark.parametrize("mode", [lp.EXACT, lp.float_mode(1e-9)], ids=["exact", "float"])
+def test_interval_measures_check(example_b, monkeypatch, side, mode):
+    tree, claim = example_b.tree, example_b.claims["call"]
+    mask = compute_support(tree)
+    # the quoted call's interval is a point, so in float mode the exact LPs,
+    # solves 3 and 4, decide it after the two float ones
+    assert sh.price_interval(tree, mask, claim, example_b.options, mode).kind == sh.POINT
+    _lump_dual(monkeypatch, side + (1 if mode.exact else 3))
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.price_interval(tree, mask, claim, example_b.options, mode)
+
+
+def test_incompleteness_measures_check(stocks_only, monkeypatch):
+    tree = stocks_only.tree
+    mask = compute_support(tree)
+    assert sh.check_complete(tree, mask, ()) is False
+    _lump_dual(monkeypatch, 1)
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.check_complete(tree, mask, ())
+
+
+def test_semistatic_measure_attains_the_price(stocks_only, monkeypatch):
+    tree, claim = stocks_only.tree, stocks_only.claims["call"]
+    mask = compute_support(tree)
+    # all mass on leaf 10, where the stock stays at 10: a martingale measure,
+    # but the call's expectation under it is 0, not the price 6/5
+    assert mask.relevant_leaves == ("8", "10", "13")
+    assert arb.verify_measure(tree, mask, (), Measure({"10": F(1)})) == []
+    _patch_solve(monkeypatch, lambda out: lp.Optimal(out.value, out.primal, (F(0), F(1), F(0))))
+    with pytest.raises(RuntimeError, match="expectation differs"):
+        sh.superhedge_semistatic(tree, mask, claim, ())
+
+
+def test_measure_checks_read_the_tree_not_the_rows(example_b, monkeypatch):
+    """A row builder that drops the root's martingale row prices the call
+    on the stocks alone at 3, not 6/5, and takes the uniform measure as a
+    dominating martingale measure; the checks read the tree, so both are
+    refused."""
+    tree, claim = example_b.tree, example_b.claims["call"]
+    mask = compute_support(tree)
+    inner = arb.martingale_rows
+    monkeypatch.setattr(arb, "martingale_rows", lambda *args: [
+        row for k, row in enumerate(inner(*args)) if k != 1
+    ])
+    for price in (sh.superhedge_semistatic, sh.dual_price, sh.price_interval):
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            price(tree, mask, claim, ())
+    for options in ((), example_b.options):
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            arb.find_dominating_mm(tree, mask, options, reference_measure(tree))
 
 
 def test_semistatic_measure_check(stocks_only, monkeypatch):

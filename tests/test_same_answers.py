@@ -12,6 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import DATA
+from robusthedge.cli import main
+from robusthedge.model import load_model, save_model
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_answers.py"
 _spec = importlib.util.spec_from_file_location("same_answers", TOOL)
@@ -136,3 +138,27 @@ def test_every_mutant_changes_its_document(monkeypatch, workload):
     unchanged = [change for doc, change, text in drawn
                  if text == json.dumps(doc.body, indent=1)]
     assert unchanged == []
+
+
+@pytest.mark.parametrize("workload", ["envelope-mix", "deep-dp", "global-lp", "float-sweep"])
+def test_mutants_fail_with_one_error_line_or_round_trip(
+    monkeypatch, tmp_path, capsys, workload
+):
+    """The identity gate's mutants as a specification: `validate` rejects a
+    mutant with exit 1 and one `error: ` line and nothing on stdout, or
+    accepts it, and then the document survives `save_model` unchanged."""
+    monkeypatch.syspath_prepend(str(same_answers.BENCH))
+    import workloads
+
+    path = tmp_path / "mutant.json"
+    for _, change, text in same_answers.mutants(workloads.build(workload, 0).docs,
+                                                workload, 0):
+        path.write_text(text, encoding="utf-8")
+        code = main(["validate", "--model", str(path)])
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, change
+        else:
+            assert code == 0, change
+            model = load_model(text)
+            assert load_model(save_model(model)) == model, change
