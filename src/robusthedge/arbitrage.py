@@ -15,11 +15,14 @@ That polytope and the superhedging LPs read one object, the
 option-constrained martingale system: its rows constrain the martingale
 measures, and its columns are the terminal-wealth map of a semistatic
 strategy. The internal `Market` (tree, mask, options) builds it once, on
-first use, and is the one reader of its layout; the public functions
+first use, and is the one reader of its layout; it also computes a
+strategy's terminal wealth at every relevant leaf. The public functions
 still take (tree, mask, options). A measure is checked off the tree
-(`verify_measure`), never off these rows. `require_stock_na` is the
-pricing precondition: `ArbitrageDetected` unless the stocks alone pass
-NA, otherwise the call's `Market`, which its denial paths search too.
+(`verify_measure`), never off these rows; that includes the measure that
+certifies a semistatic Pass, read off the arbitrage search's row duals.
+`require_stock_na` is the pricing precondition: `ArbitrageDetected`
+unless the stocks alone pass NA, otherwise the call's `Market`, which its
+denial paths search too.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import lp
-from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot, leaf_wealths
+from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 from .rational import integer_row
 
@@ -271,8 +274,30 @@ class Market:
         )
 
     def wealths(self, strategy: Strategy) -> dict[str, Fraction]:
-        """`leaf_wealths` of the strategy with these options."""
-        return leaf_wealths(self.tree, self.mask, strategy, self.options)
+        """Terminal wealth of the strategy with these options, as
+        `model.wealth` computes it, at every relevant leaf in
+        mask.relevant_leaves order: one top-down pass over the relevant tree
+        accumulates x + sum_u H_u . dS_u, then the option term is added."""
+        tree, mask = self.tree, self.mask
+        at = {tree.root: strategy.initial}
+        for level in mask.relevant_nodes[:-1]:
+            for node_id in level:
+                here = at[node_id]
+                position = strategy.dynamic.get(node_id)
+                for child in mask.node_support[node_id]:
+                    total = here
+                    if position is not None:
+                        # the same additions in the same order as `wealth`
+                        for h, s in zip(position, tree.increment(node_id, child)):
+                            total += h * s
+                    at[child] = total
+        out = {}
+        for leaf in mask.relevant_leaves:
+            total = at[leaf]
+            for h, opt in zip(strategy.static, self.options):
+                total += h * opt.normalized(leaf)
+            out[leaf] = total
+        return out
 
     def arbitrage(self, strategy: Strategy) -> ArbitrageFound:
         """The arbitrage certificate of a strategy: its witnesses are exactly
@@ -306,9 +331,19 @@ class Market:
         )
         out = lp.solve(prog, lp.EXACT)
         assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
-        if out.value <= 0:
-            return None
-        return self.arbitrage(self.strategy((F(0),) + out.primal))
+        if out.value > 0:
+            return self.arbitrage(self.strategy((F(0),) + out.primal))
+        # Pass (Stiemke): each gain w_leaf sits at 0 with reduced cost
+        # 1 + y_leaf <= 0, so every row dual is negative, and the free hedge
+        # columns make y, normalized, a consistent martingale measure
+        total = sum(out.dual)
+        q = self.measure([y / total for y in out.dual]) if total else Measure({})
+        problems = verify_measure(self.tree, self.mask, self.options, q)
+        if len(q.weights) < nw:
+            problems.append("does not charge every relevant leaf")
+        if problems:
+            raise RuntimeError(f"no-arbitrage measure failed re-verification (bug): {problems}")
+        return None
 
     def check_measure(self, q: Measure, claim: Claim, value: Fraction) -> None:
         """Fail unless q passes `verify_measure` and E_q[claim] is value."""

@@ -866,5 +866,10 @@ def zero_in_relative_interior(
         return tuple(-out.certificate.rows[i] for i in range(d))
     assert isinstance(out, Optimal)
     if out.value > 0:
+        q = out.primal[:-1]
+        if min(q) <= 0 or sum(q) != 1 or any(
+            sum(w * v[i] for w, v in zip(q, vectors)) for i in range(d)
+        ):
+            raise RuntimeError("relative-interior weights failed re-verification (bug)")
         return None
     return tuple(out.dual[i] for i in range(d))

@@ -9,7 +9,10 @@ as immutable afterwards, so models are safe to share across threads. The
 loader builds the name of a field only when the number in it fails to parse,
 and checks each distinct generator row once per document. A tree keeps each
 price increment it computes (`ScenarioTree.increment`); two threads
-computing the same one store equal values.
+computing the same one store equal values. `wealth` is the terminal wealth
+of a strategy at one leaf; the wealth at every relevant leaf, which needs
+the support mask, is `arbitrage.Market.wealths`. This module imports
+nothing else from the package but `rational`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .rational import RationalParseError, integer_row, json_float, json_int, to_rational
-
-if TYPE_CHECKING:
-    from .polar import SupportMask
 
 # A document may hold at most this many nodes. A valid tree has at least
 # horizon + 1 nodes and at most as many leaves as nodes, so the cap bounds
@@ -298,8 +297,6 @@ def load_model(text: str) -> Model:
     valid_rows: set[tuple] = set()
     for node_id, level, parent_id, price, raw_gens in parsed:
         kids = tuple(children[node_id])
-        if level == horizon and kids:
-            raise MalformedDocument(f"node {node_id!r} at level {horizon} has children")
         if level < horizon and not kids:
             raise MalformedDocument(
                 f"node {node_id!r} at level {level} < horizon has no children"
@@ -501,34 +498,4 @@ def wealth(
         h = strategy.static[k] if k < len(strategy.static) else Fraction(0)
         total += h * opt.normalized(leaf)
     return total
-
-
-def leaf_wealths(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    strategy: Strategy,
-    options: tuple[StaticOption, ...] | list[StaticOption],
-) -> dict[str, Fraction]:
-    """Terminal wealth, as `wealth` computes it, at every relevant leaf in
-    mask.relevant_leaves order: one top-down pass over the relevant tree
-    accumulates x + sum_u H_u . dS_u, then the option term is added."""
-    at = {tree.root: strategy.initial}
-    for level in mask.relevant_nodes[:-1]:
-        for node_id in level:
-            here = at[node_id]
-            position = strategy.dynamic.get(node_id)
-            for child in mask.node_support[node_id]:
-                total = here
-                if position is not None:
-                    # the same additions in the same order as `wealth`
-                    for h, s in zip(position, tree.increment(node_id, child)):
-                        total += h * s
-                at[child] = total
-    out = {}
-    for leaf in mask.relevant_leaves:
-        total = at[leaf]
-        for h, opt in zip(strategy.static, options):
-            total += h * opt.normalized(leaf)
-        out[leaf] = total
-    return out
 

@@ -33,8 +33,6 @@ class EmptyPolytope(Exception):
 
 @dataclass(frozen=True)
 class MartingalePolytope:
-    ambient: tuple[str, ...]  # relevant leaves, document order
-    equalities: tuple[tuple[tuple[Fraction, ...], Fraction], ...]  # (row, rhs)
     vertices: tuple[Measure, ...]
 
 
@@ -63,14 +61,11 @@ def enumerate_vertices(
             pt,
         ),
     )
-    vertices = tuple(
-        Measure({leaves[k]: v for k, v in enumerate(pt) if v != 0})
-        for pt in ordered
-    )
     return MartingalePolytope(
-        ambient=leaves,
-        equalities=tuple((tuple(r), b) for r, b in zip(matrix, rhs)),
-        vertices=vertices,
+        tuple(
+            Measure({leaves[k]: v for k, v in enumerate(pt) if v != 0})
+            for pt in ordered
+        )
     )
 
 

@@ -260,14 +260,16 @@ def _one_step_lp(node_id, increments, values):
 def _no_consistent_measure(market):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
     hinting at each option whose quote leaves its stocks-only price range.
-    Hints and arbitrage are exact, and NumericalBreakdown means a float LP
-    saw an empty polytope that the exact search does not confirm. The
-    stocks must already pass NA."""
+    Hints and arbitrage are exact, each hint's two measures are checked, and
+    NumericalBreakdown means a float LP saw an empty polytope that the exact
+    search does not confirm. The stocks must already pass NA."""
     hints = []
     stocks = Market(market.tree, market.mask, ())
     for opt in market.options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in market.tree.leaves})
-        interval = _both_sides(stocks, raw, lp.EXACT)[0]
+        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT)
+        stocks.check_measure(q_high, raw, interval.upper)
+        stocks.check_measure(q_low, raw, interval.lower)
         if not interval.lower <= opt.quote <= interval.upper:
             hints.append(
                 f"option {opt.name!r} quoted {opt.quote} outside its "

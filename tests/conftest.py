@@ -50,7 +50,7 @@ def count_calls(monkeypatch, module, name: str) -> list[tuple]:
 def count_everywhere(monkeypatch, function) -> list[tuple]:
     """Record, in one list, the positional arguments of each call of
     `function` through every robusthedge module that binds it by name,
-    found in sys.modules at run time."""
+    found in sys.modules at run time; a method, through its class."""
     name = function.__name__
     calls: list[tuple] = []
 
@@ -58,6 +58,10 @@ def count_everywhere(monkeypatch, function) -> list[tuple]:
         calls.append(args)
         return function(*args, **kwargs)
 
+    owner = function.__qualname__.removesuffix(f".{name}")
+    if owner != name:
+        monkeypatch.setattr(getattr(sys.modules[function.__module__], owner), name, counting)
+        return calls
     for module in list(sys.modules.values()):
         if module.__name__.startswith("robusthedge") and getattr(module, name, None) is function:
             monkeypatch.setattr(module, name, counting)

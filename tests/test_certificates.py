@@ -2,6 +2,7 @@
 returns it: call counts per CLI op, and one corrupted certificate per check."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import robusthedge.superhedge as sh
 from robusthedge import lp
 from robusthedge.cli import main
 from robusthedge.decompose import AdaptedProcess, optional_decomposition
-from robusthedge.model import Measure, leaf_wealths, load_model
+from robusthedge.model import Measure, load_model
 from robusthedge.polar import compute_support, reference_measure
 
 from conftest import count_everywhere
@@ -47,12 +48,12 @@ def stocks_only(example_b_text):
 @pytest.mark.parametrize(
     "document, argv, function, times",
     [
-        ("example_b", ["price", "--claim", "call"], leaf_wealths, 1),
-        ("example_b", ["hedge", "--claim", "call"], leaf_wealths, 1),
-        ("example_b", ["na"], leaf_wealths, 1),
-        ("stocks_only", ["price", "--claim", "call"], leaf_wealths, 1),
-        ("stocks_only", ["hedge", "--claim", "call"], leaf_wealths, 1),
-        ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], leaf_wealths, 1),
+        ("example_b", ["price", "--claim", "call"], arb.Market.wealths, 1),
+        ("example_b", ["hedge", "--claim", "call"], arb.Market.wealths, 1),
+        ("example_b", ["na"], arb.Market.wealths, 1),
+        ("stocks_only", ["price", "--claim", "call"], arb.Market.wealths, 1),
+        ("stocks_only", ["hedge", "--claim", "call"], arb.Market.wealths, 1),
+        ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], arb.Market.wealths, 1),
         ("stocks_only", ["mm"], arb.verify_witness, 1),
         ("stocks_only", ["decompose", "--process", "surface"], dec.verify_decomposition, 1),
         ("example_b", ["price", "--claim", "call"], arb.verify_measure, 1),
@@ -287,3 +288,99 @@ def test_decomposition_check(stocks_only, monkeypatch):
     )
     with pytest.raises(RuntimeError, match="decomposition failed re-verification"):
         optional_decomposition(tree, mask, process)
+
+
+def test_semistatic_pass_check(example_b_text, tmp_path, capsys, monkeypatch):
+    """`na`'s semistatic Pass is certified by its search LP: the row duals,
+    normalized, are a consistent martingale measure charging every leaf."""
+    doc = json.loads(example_b_text)
+    doc["options"][0]["quote"] = "1/2"  # inside the call's interval (0, 6/5)
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(doc))
+    assert main(["na", "--model", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("semistatic NA (with options): Pass\n")
+    _patch_solve(
+        monkeypatch, lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
+    )
+    with pytest.raises(RuntimeError, match="no-arbitrage measure failed re-verification"):
+        main(["na", "--model", str(path)])
+
+
+def test_semistatic_pass_measure_charges_every_leaf(stocks_only, monkeypatch):
+    tree = stocks_only.tree
+    mask = compute_support(tree)
+    assert arb.semistatic_na(tree, mask, ()) is None
+    # all mass on leaf 10: a martingale measure that misses leaves 8 and 13
+    assert mask.relevant_leaves == ("8", "10", "13")
+    _patch_solve(monkeypatch, lambda out: lp.Optimal(out.value, out.primal, (F(0), F(-1), F(0))))
+    with pytest.raises(RuntimeError, match="does not charge every relevant leaf"):
+        arb.semistatic_na(tree, mask, ())
+
+
+def test_relative_interior_weights_check(monkeypatch):
+    vectors = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(-1),) * 3]
+    assert lp.zero_in_relative_interior(vectors) is None
+    inner = lp.max_min_weight
+
+    def lumped(rows, rhs, weights):
+        out = inner(rows, rhs, weights)
+        return lp.Optimal(out.value, _all_on_first(out.primal[:-1]) + out.primal[-1:], out.dual)
+
+    monkeypatch.setattr(lp, "max_min_weight", lumped)
+    with pytest.raises(RuntimeError, match="relative-interior weights failed"):
+        lp.zero_in_relative_interior(vectors)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["q_high", "q_low"])
+def test_hint_measures_check(example_b, monkeypatch, side):
+    tree, claim = example_b.tree, example_b.claims["call"]
+    mask = compute_support(tree)
+    outside = (replace(example_b.options[0], quote=F(2)),)
+    with pytest.raises(sh.ArbitrageDetected, match="outside its stocks-only price interval"):
+        sh.superhedge_semistatic(tree, mask, claim, outside)
+    # solve 1 is the global LP (unbounded), solves 2 and 3 the call's
+    # stocks-only upper and lower sides
+    _lump_dual(monkeypatch, 2 + side)
+    with pytest.raises(RuntimeError, match="martingale measure failed"):
+        sh.superhedge_semistatic(tree, mask, claim, outside)
+
+
+@pytest.mark.parametrize(
+    "weights, problem",
+    [
+        ({"13": F(1)}, "mass on polar leaf '13'"),
+        ({"8": F(-1), "10": F(2)}, "negative mass on '8'"),
+        ({"10": F(1, 2)}, "total mass 1/2 != 1"),
+        ({"10": F(1)}, "option 'call' violated by -6/5"),
+        ({"8": F(1)}, "martingale condition at 'root':0 violated by -2"),
+    ],
+    ids=["polar", "negative", "total", "option", "martingale"],
+)
+def test_verify_measure_names_each_failure(example_b_text, weights, problem):
+    # leaf 13 is polar: no generator charges it
+    doc = json.loads(example_b_text)
+    doc["nodes"][0]["generators"] = [{"8": "1", "10": "0", "13": "0"}, {"10": "1"}]
+    model = load_model(json.dumps(doc))
+    mask = compute_support(model.tree)
+    assert mask.relevant_leaves == ("8", "10")
+    assert problem in arb.verify_measure(model.tree, mask, model.options, Measure(weights))
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda d: replace(d, consumption={**d.consumption, "root": F(1)}), "K_0 != 0"),
+        (lambda d: replace(d, consumption={**d.consumption, "8": F(-1)}),
+         "K decreases on edge 'root'->'8'"),
+        (lambda d: replace(d, strategy=replace(d.strategy, initial=F(2))),
+         "identity fails at 'root': 6/5 != 2"),
+    ],
+    ids=["k0", "decreasing", "identity"],
+)
+def test_verify_decomposition_names_each_failure(stocks_only, change, problem):
+    tree = stocks_only.tree
+    mask = compute_support(tree)
+    process = AdaptedProcess(stocks_only.processes["surface"])
+    decomposition = optional_decomposition(tree, mask, process)
+    assert dec.verify_decomposition(tree, mask, process, decomposition) == []
+    assert problem in dec.verify_decomposition(tree, mask, process, change(decomposition))

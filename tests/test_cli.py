@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robusthedge
 from robusthedge import arbitrage, lp, superhedge
 from robusthedge.cli import _build_parser, main
 from robusthedge.rational import format_with_decimal
 
 from conftest import DATA, NAME_FIELDS, NUMBER_FIELDS, example_b_with
+from test_readme import library_example
 
 BROKEN = """{
   "horizon": 1,
@@ -317,6 +319,33 @@ def test_every_public_function_has_a_caller():
     assert uncalled + unread == []
 
 
+def _from_package(source: str) -> set[str]:
+    """The names a source imports from `robusthedge` itself."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "robusthedge"
+        for alias in node.names
+    }
+
+
+def test_package_namespace_holds_what_its_readers_import():
+    # the benchmark's answer checks and the README's Library example are the
+    # package namespace's only readers; everything else imports by module
+    checks = (Path(__file__).resolve().parent.parent / "bench" / "checks.py").read_text(
+        encoding="utf-8"
+    )
+    readers = _from_package(checks) | _from_package(library_example())
+    init = Path(robusthedge.__file__).read_text(encoding="utf-8")
+    held = {
+        alias.name
+        for node in ast.parse(init).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert sorted(robusthedge.__all__) == sorted(held) == sorted(readers)
+
+
 @pytest.mark.parametrize(
     "document, argv, code, out, err",
     [
@@ -366,6 +395,75 @@ def test_option_without_quote_exits_1(tmp_path, capsys, example_b_text):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--model", str(path)]) == 1
     assert capsys.readouterr() == ("", "error: option 'call': needs a 'quote'\n")
+
+
+def _example_b_set(path: tuple, value) -> str:
+    """example_b's text with the value at `path` replaced."""
+    doc = json.loads((DATA / "example_b.json").read_text(encoding="utf-8"))
+    *parent, last = path
+    slot = doc
+    for key in parent:
+        slot = slot[key]
+    slot[last] = value
+    return json.dumps(doc)
+
+
+# each option quoted inside its stocks-only interval, [0, 2/5] and [0, 3/5],
+# but the first prices q(13) = 1/5 and the second q(13) = 2/15
+JOINT_ARBITRAGE = [
+    {"name": "up", "quote": "1/5", "payoff": {"8": "0", "10": "0", "13": "1"}},
+    {"name": "down", "quote": "1/5", "payoff": {"8": "1", "10": "0", "13": "0"}},
+]
+
+
+@pytest.mark.parametrize(
+    "document, argv, code, line",
+    [
+        ("[]", ["validate"], 1, "error: top level must be an object"),
+        ("[" * 200000, ["validate"], 1, "error: invalid JSON: nested too deeply"),
+        (_example_b_set(("nodes", 2, "id"), "8"), ["validate"], 1,
+         "error: duplicate node id '8'"),
+        (_example_b_set(("nodes", 0, "level"), 1), ["validate"], 1,
+         "error: root node 'root' must be at level 0"),
+        (_example_b_set(("nodes", 1, "level"), 0), ["validate"], 1,
+         "error: node '8': level 0 is not parent level + 1"),
+        (_example_b_set(("claims", "call", "root"), "1"), ["validate"], 1,
+         "error: claim 'call': 'root' is not a leaf"),
+        (_example_b_set(("claims", "call"), {"8": "0", "10": "0"}), ["validate"], 1,
+         "error: claim 'call': missing value at leaf '13'"),
+        (_example_b_set(("processes",), {"p": {"zz": "1"}}), ["validate"], 1,
+         "error: process 'p': unknown node 'zz'"),
+        (_example_b_set(("measures", "middle", "10"), "1/2"), ["validate"], 1,
+         "error: measure 'middle': weights sum to 1/2, not 1"),
+        (None, ["mm", "--dominate", "nope"], 1,
+         "error: measure 'nope' is not in the document"),
+        (None, ["decompose", "--process", "nope"], 1,
+         "error: process 'nope' is not in the document"),
+        (_example_b_set(("processes",), {"p": {"root": "0", "8": "0", "10": "0"}}),
+         ["decompose", "--process", "p"], 1,
+         "error: process undefined on relevant nodes ['13']"),
+        (None, ["prove", "--claim", "call", "--bound", "x"], 1,
+         "error: --bound: cannot parse rational from 'x'"),
+        (_example_b_set(("options",), JOINT_ARBITRAGE), ["price", "--claim", "call"], 2,
+         "denied: option quotes jointly admit arbitrage (no consistent martingale measure)"),
+    ],
+    ids=[
+        "not_an_object", "nested", "duplicate_id", "root_level", "child_level",
+        "not_a_leaf", "missing_leaf", "unknown_process_node", "measure_sum",
+        "unknown_measure", "unknown_process", "process_misses_a_node", "bad_bound",
+        "joint_arbitrage",
+    ],
+)
+def test_each_rejection_prints_one_line(b_path, tmp_path, capsys, document, argv, code, line):
+    path = b_path
+    if document is not None:
+        path = str(tmp_path / "document.json")
+        Path(path).write_text(document)
+    assert main([*argv, "--model", path]) == code
+    if code == 1:
+        assert capsys.readouterr() == ("", line + "\n")
+    else:
+        assert capsys.readouterr() == (line + "\n", "")
 
 
 @pytest.mark.parametrize("field", sorted(NAME_FIELDS))

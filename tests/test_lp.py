@@ -401,3 +401,19 @@ def test_mirrored_columns_keep_certificates(prog):
     if isinstance(out, Optimal):
         value = float(out.value)
         assert abs(got.value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize(
+    "constraints, bounds, message",
+    [
+        ([([1, 2], "<=", 1)], {}, "constraint width 2 != 1 variables"),
+        ([([1], "<", 1)], {}, "bad relation '<'"),
+        ([], {"lower": [0, 0]}, "bounds must match the number of variables"),
+        ([], {"upper": []}, "bounds must match the number of variables"),
+    ],
+    ids=["width", "relation", "lower", "upper"],
+)
+def test_linear_program_rejects_a_malformed_program(constraints, bounds, message):
+    with pytest.raises(ValueError) as failure:
+        linear_program([1], maximize=True, constraints=constraints, **bounds)
+    assert str(failure.value) == message

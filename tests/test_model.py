@@ -12,13 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robusthedge import cli
+from robusthedge.arbitrage import Market
 from robusthedge.model import (
     MAX_NODES,
     MalformedDocument,
     ScenarioTree,
     Strategy,
     dot,
-    leaf_wealths,
     load_model,
     save_model,
     wealth,
@@ -356,7 +356,7 @@ def test_wealth_dynamic_example_b(example_b):
 
 
 def test_leaf_wealths_match_wealth_on_random_strategies():
-    """The one-pass wealths equal `wealth` at every relevant leaf, in
+    """`Market.wealths` equals `wealth` at every relevant leaf, in
     relevant-leaf order, for exact and float positions alike (the float
     additions are done in the same order)."""
     rng = random.Random(11)
@@ -375,7 +375,7 @@ def test_leaf_wealths_match_wealth_on_random_strategies():
         # fewer static positions than options is allowed: the rest hold 0
         static = tuple(position() for _ in range(rng.randint(0, len(model.options))))
         strategy = Strategy(F(rng.randint(-3, 3)), static, dynamic)
-        got = leaf_wealths(tree, mask, strategy, model.options)
+        got = Market(tree, mask, model.options).wealths(strategy)
         assert list(got) == list(mask.relevant_leaves)
         for leaf, value in got.items():
             assert value == wealth(tree, strategy, model.options, leaf)

@@ -72,30 +72,41 @@ def _slots(value, path=()):
         yield from _slots(child, path + (key,))
 
 
+def _layout(body: dict) -> tuple[str, list, list]:
+    """What every draw from one document reads: its text, the path of every
+    value in it, and the path of every nonempty generator row."""
+    generators = [("nodes", i, "generators", k)
+                  for i, node in enumerate(body["nodes"])
+                  for k, row in enumerate(node.get("generators") or ()) if row]
+    return json.dumps(body, indent=1), list(_slots(body)), generators
+
+
 def mutate(body: dict, rng: random.Random) -> tuple[str, str]:
     """One mutation of a document: (what was changed, the mutated JSON text).
     A draw that leaves the text as it was (null on the root's parent, say)
     is drawn again; texts are compared, not values, because True == 1."""
-    original = json.dumps(body, indent=1)
+    return _mutate(body, rng, *_layout(body))
+
+
+def _mutate(body: dict, rng: random.Random, original: str, slots: list,
+            generators: list) -> tuple[str, str]:
     while True:
-        change, text = _draw(body, rng)
+        change, text = _draw(body, rng, slots, generators)
         if text != original:
             return change, text
 
 
-def _draw(body: dict, rng: random.Random) -> tuple[str, str]:
-    doc = json.loads(json.dumps(body))
-    generators = [("nodes", i, "generators", k)
-                  for i, node in enumerate(doc["nodes"])
-                  for k, row in enumerate(node.get("generators") or ()) if row]
+def _draw(body: dict, rng: random.Random, slots: list, generators: list) -> tuple[str, str]:
+    """One draw: the value at a drawn path is replaced, the text is taken,
+    and the value is put back, so `body` is left as it was."""
     kind = rng.randrange(len(REPLACEMENTS) + 2)
     if kind < len(REPLACEMENTS) or not generators:
-        path = rng.choice(list(_slots(doc)))
+        path = rng.choice(slots)
         new = REPLACEMENTS[kind % len(REPLACEMENTS)]
         label = "1e5000 (bare)" if new == BARE else json.dumps(new)
     else:
         path = rng.choice(generators)
-        row = doc["nodes"][path[1]]["generators"][path[3]]
+        row = body["nodes"][path[1]]["generators"][path[3]]
         child = rng.choice(list(row))
         if kind == len(REPLACEMENTS):
             new = {("zz-unknown" if key == child else key): w for key, w in row.items()}
@@ -104,21 +115,25 @@ def _draw(body: dict, rng: random.Random) -> tuple[str, str]:
             new = {**row, child: "3/7" if row[child] != "3/7" else "4/7"}
             label = f"weight of {child!r} set to {new[child]}"
     *parent, last = path
-    slot = doc
+    slot = body
     for key in parent:
         slot = slot[key]
+    old = slot[last]
     slot[last] = new
-    text = json.dumps(doc, indent=1).replace(json.dumps(BARE), "1e5000")
+    text = json.dumps(body, indent=1).replace(json.dumps(BARE), "1e5000")
+    slot[last] = old
     return f"{'/'.join(map(str, path))} = {label}", text
 
 
 def mutants(docs: list, workload: str, seed: int):
     """The worker's MUTANTS mutations, taken from `docs` in turn:
-    (document, what was changed, the mutated JSON text)."""
+    (document, what was changed, the mutated JSON text). Each document is
+    serialized, and its paths listed, once."""
     rng = random.Random(f"{workload} {seed}")
+    laid_out = [(doc, _layout(doc.body)) for doc in docs]
     for index in range(MUTANTS):
-        doc = docs[index % len(docs)]
-        yield (doc, *mutate(doc.body, rng))
+        doc, layout = laid_out[index % len(docs)]
+        yield (doc, *_mutate(doc.body, rng, *layout))
 
 
 def _run(cli, argv: list[str]) -> tuple[object, str, str]:
