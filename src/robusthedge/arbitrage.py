@@ -332,7 +332,10 @@ class Market:
         out = lp.solve(prog, lp.EXACT)
         assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
         if out.value > 0:
-            return self.arbitrage(self.strategy((F(0),) + out.primal))
+            found = self.arbitrage(self.strategy((F(0),) + out.primal))
+            if not found.witness_leaves:
+                raise RuntimeError("arbitrage search found no witness leaf (bug)")
+            return found
         # Pass (Stiemke): each gain w_leaf sits at 0 with reduced cost
         # 1 + y_leaf <= 0, so every row dual is negative, and the free hedge
         # columns make y, normalized, a consistent martingale measure

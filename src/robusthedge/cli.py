@@ -34,6 +34,7 @@ from .superhedge import (
     check_replicable,
     price_interval,
     prove_inequality,
+    semistatic_price,
     superhedge_dynamic,
     superhedge_semistatic,
 )
@@ -281,28 +282,31 @@ def _cmd_mm(args, model, mask, report) -> tuple[int, str]:
     )
 
 
-def _superhedge(args, model, mask, report):
-    """The route and the superhedging price and strategy of the claim: the
-    global LP when the document quotes options, else the backward
-    recursion, which is exact in every mode."""
+def _cmd_price(args, model, mask, report) -> tuple[int, str]:
+    """Like `hedge`, the global LP when the document quotes options, else
+    the backward recursion, which is exact in every mode; the price is
+    printed alone, so the LP may end at another optimal strategy."""
     claim = _claim_of(args, model)
     if model.options:
-        price, strategy, _ = superhedge_semistatic(
+        method = "lp"
+        price = semistatic_price(
             model.tree, mask, claim, model.options, _mode_of(args, report)
         )
-        return "lp", price, strategy
-    price, _, strategy = superhedge_dynamic(model.tree, mask, claim)
-    return "dp", price, strategy
-
-
-def _cmd_price(args, model, mask, report) -> tuple[int, str]:
-    method, price, _ = _superhedge(args, model, mask, report)
+    else:
+        method = "dp"
+        price, _, _ = superhedge_dynamic(model.tree, mask, claim)
     report.update({"claim": args.claim, "method": method, "price": _rat(price)})
     return 0, format_with_decimal(price)
 
 
 def _cmd_hedge(args, model, mask, report) -> tuple[int, str]:
-    method, price, strategy = _superhedge(args, model, mask, report)
+    claim = _claim_of(args, model)
+    if model.options:
+        method = "lp"
+        price, strategy, _ = superhedge_semistatic(model.tree, mask, claim, model.options)
+    else:
+        method = "dp"
+        price, _, strategy = superhedge_dynamic(model.tree, mask, claim)
     report.update(
         {
             "claim": args.claim,

@@ -1,11 +1,15 @@
-"""LP kernel: two-phase Bland simplex.
+"""LP kernel: two-phase simplex, by Bland's rule or Dantzig's.
 
-Every optimization in the engine goes through `solve`. Both kernels load
-one standard form, built in one pass: integer rows over one denominator
-each. Exact mode pivots on them fraction-free (Bareiss), and every value
-it returns is an exact `Fraction`. Float mode divides each integer by its
-row denominator and pivots on dense rows of floats. Both kernels store
-each mirrored column once: a standard-form column that is -1 times another
+Every optimization in the engine goes through `solve`, which takes Bland's
+rule, except the exact superhedge LPs of callers that print the value
+alone: those go through `solve_superhedge`, which starts the exact kernel
+at the trivial superhedge and takes Dantzig's rule, with Bland's rule
+taking over during long degenerate runs. Both kernels load one standard
+form, built in one pass: integer rows over one denominator each. Exact
+mode pivots on them fraction-free (Bareiss), and every value it returns
+is an exact `Fraction`. Float mode divides each integer by its row
+denominator and pivots on dense rows of floats. Both kernels store each
+mirrored column once: a standard-form column that is -1 times another
 (the negative half of a split free variable, or the artificial of a row
 that also has a slack) has no entries of its own and is read off the
 other, with the same pivots and the same values as a full tableau.
@@ -15,13 +19,15 @@ outcome carries a Farkas certificate (constraint and bound multipliers that
 aggregate to 0 >= positive), and an Unbounded outcome carries a feasible
 base point plus an improving ray. Both kernels read the duals and the
 Farkas multipliers off the final reduced-cost row. Bland's rule guarantees
-termination and, together with fixed variable/constraint ordering, makes
-outcomes deterministic. Float mode runs the same pivoting with tolerance
-comparisons, and the library reads only the kind and the value of its
-outcomes. It raises NumericalBreakdown when it loses accuracy (a lost
-primal feasibility, the pivot limit, or an improving ray in phase 1) and
-when the LP holds a number past float range; nothing retries it here, the
-caller decides (the CLI asks for a rerun in exact mode, without --float).
+termination, and so does the fallback to it. Both rules break ties by the
+lowest column, and the ratio test by the lowest basic column, so with fixed
+variable/constraint ordering the outcomes are deterministic. Float mode
+runs the same Bland pivoting with tolerance comparisons, and the library
+reads only the kind and the value of its outcomes. It raises
+NumericalBreakdown when it loses accuracy (a lost primal feasibility, the
+pivot limit, or an improving ray in phase 1) and when the LP holds a
+number past float range; nothing retries it here, the caller decides (the
+CLI asks for a rerun in exact mode, without --float).
 
 Dual sign conventions:
   minimize: y_i >= 0 on ">=" rows, y_i <= 0 on "<=" rows, free on "=";
@@ -42,6 +48,10 @@ from math import gcd, isfinite
 from .rational import integer_row
 
 _MAX_PIVOTS = 200_000
+# degenerate pivots in a row after which Dantzig's rule hands over to
+# Bland's; the longest run on the value-only superhedge LPs of the
+# global-lp and envelope-mix benchmark cycles, seeds 0 and 1, is 6
+_DEGENERATE_RUN = 50
 
 
 class NumericalBreakdown(Exception):
@@ -197,6 +207,53 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
         return _FloatSimplex(lp, mode.tolerance).run()
     except OverflowError:
         raise NumericalBreakdown("the LP holds a number past float range") from None
+
+
+def solve_superhedge(lp: LinearProgram) -> LpOutcome:
+    """Solve a superhedge LP exactly, started at the trivial superhedge.
+
+    The LP must have the superhedge shape: min x_0 with x_0 free, and every
+    row `x_0 + a.x >= f` (coefficient 1 on x_0); otherwise ValueError. With
+    M = max f, x_0 = M and the rest 0 is feasible, so the LP is solved for
+    x_0 = M + x': every rhs f - M is <= 0, a row with f < M starts with its
+    own slack basic, and only the rows where f attains M keep an artificial,
+    basic at 0. Dantzig's entering rule takes the pivots, with Bland's rule
+    taking over during long degenerate runs (see `_ExactSimplex`). The
+    outcome is mapped back (value, primal[0] and an Unbounded base point
+    plus M), so it satisfies the module conventions for the caller's LP;
+    it may be another optimum than `solve` returns, with the same value.
+    `--dump-lp` receives the caller's LP."""
+    objective = lp.objective
+    if (
+        lp.maximize
+        or not objective
+        or objective[0] != 1
+        or any(objective[1:])
+        or lp.lower[0] is not None
+        or lp.upper[0] is not None
+        or any(con.relation != ">=" or con.coeffs[0] != 1 for con in lp.constraints)
+    ):
+        raise ValueError("not a superhedge LP: min x_0 over free x_0, rows x_0 + a.x >= f")
+    if _dump_path is not None:
+        with open(_dump_path, "a", encoding="utf-8") as handle:
+            handle.write(lp_to_text(lp))
+            handle.write("\n")
+    top = max((con.rhs for con in lp.constraints), default=Fraction(0))
+    shifted = LinearProgram(
+        objective,
+        False,
+        tuple(Constraint(con.coeffs, ">=", con.rhs - top) for con in lp.constraints),
+        lp.lower,
+        lp.upper,
+    )
+    simplex = _ExactSimplex(shifted)
+    simplex.dantzig = True
+    out = simplex.run()
+    if isinstance(out, Optimal):
+        return Optimal(out.value + top, (out.primal[0] + top,) + out.primal[1:], out.dual)
+    if isinstance(out, Unbounded):
+        return Unbounded(out.ray, (out.base[0] + top,) + out.base[1:])
+    return out  # a Farkas certificate of the shifted rows holds for these
 
 
 # --------------------------------------------------------------------------
@@ -459,18 +516,19 @@ class _ExactSimplex(_Simplex):
     numerators over one positive integer denominator, divided by their gcd
     after every update, so no gcd runs per entry. The reduced-cost row z is
     [numerators, denominator] in the same form, plus the set `lift` below.
-    Every decision reads a sign or compares ratios by cross-multiplication,
-    so the pivots are the ones Bland's rule takes on the rational tableau,
-    and every value returned is the same Fraction. Duals and Farkas
-    multipliers come from the final z row at each row's identity column j:
-    y_r = c_j - z_j, the unique solution of y'B = c_B.
+    Every decision reads a sign or compares ratios by cross-multiplication
+    (reduced costs share z's denominator), so the pivots are the ones the
+    entering rule takes on the rational tableau, and every value returned
+    is the same Fraction. Duals and Farkas multipliers come from the final
+    z row at each row's identity column j: y_r = c_j - z_j, the unique
+    solution of y'B = c_B.
 
     Rows and z hold no entry in a mirrored column j (see `_Simplex`); each
     is derived from its stored column k when read. The tableau entry of j
     is -entry(k), and its reduced cost is c_j + c_k - z_k, where c_j + c_k
     is 0 except for a mirrored artificial in phase 1 (`lift`), where it is
     1; the dual at a mirrored identity column is y_r = z_k - c_k. Column
-    indices keep their meaning, so Bland's rule takes the same pivots, and
+    indices keep their meaning, so either rule takes the same pivots, and
     every stored integer, and so every value returned, is the one a full
     tableau would hold: a gcd over a row is the same without entries that
     are negatives of others. Free variables and ">=" rows with rhs >= 0,
@@ -479,6 +537,7 @@ class _ExactSimplex(_Simplex):
 
     _zero = Fraction(0)
     _one = Fraction(1)
+    dantzig = False  # entering rule: Bland's, or Dantzig's (`_run_phase`)
 
     def _load(self, rows, rhs, dens, cost) -> None:
         reduced = list(map(_primitive, rows, rhs, dens))
@@ -536,6 +595,48 @@ class _ExactSimplex(_Simplex):
                 break
             if j not in barred and zrow.get(k, 0) > (zden if j in lift else 0):
                 return j
+        return best
+
+    def _run_phase(self, z: list, barred: set[int]) -> int | None:
+        """Bland's loop, or with `dantzig` set, Dantzig's: the entering
+        column has the most negative reduced cost. A run of _DEGENERATE_RUN
+        pivots in a row that leave every basic value as it is hands the
+        choice to Bland's rule until a pivot moves them. Bland's rule cannot
+        cycle (Bland, Math. Oper. Res. 1977), so each degenerate run ends,
+        and a pivot that moves strictly lowers the objective, so no basis
+        repeats: the loop terminates."""
+        if not self.dantzig:
+            return super()._run_phase(z, barred)
+        stalled = 0
+        for _ in range(_MAX_PIVOTS):
+            if stalled < _DEGENERATE_RUN:
+                col = self._most_negative(z, barred)
+            else:
+                col = self._enter(z, barred)
+            if col is None:
+                return None
+            r = self._leave(col)
+            if r is None:
+                return col
+            stalled = stalled + 1 if self.rhs[r] == 0 else 0
+            self._pivot(r, col, z)
+        raise self._pivot_limit()
+
+    def _most_negative(self, z: list, barred: set[int]) -> int | None:
+        """Dantzig's entering column, the lowest of those whose reduced cost
+        is the most negative, mirrored columns included; z holds one
+        denominator, so its numerators compare as the reduced costs do."""
+        zrow, zden, lift = z
+        best, low = None, 0
+        for col, v in zrow.items():
+            if v < low or (v == low and best is not None and col < best):
+                if col not in barred:
+                    best, low = col, v
+        for j, k in self.mirror.items():
+            v = (zden if j in lift else 0) - zrow.get(k, 0)
+            if v < low or (v == low and best is not None and j < best):
+                if j not in barred:
+                    best, low = j, v
         return best
 
     def _leave(self, col: int) -> int | None:

@@ -257,12 +257,14 @@ def _one_step_lp(node_id, increments, values):
     return out.value, tuple(out.dual[i] for i in range(d))
 
 
-def _no_consistent_measure(market):
+def _no_consistent_measure(market, mode, kind):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
-    hinting at each option whose quote leaves its stocks-only price range.
-    Hints and arbitrage are exact, each hint's two measures are checked, and
-    NumericalBreakdown means a float LP saw an empty polytope that the exact
-    search does not confirm. The stocks must already pass NA."""
+    which the `kind` LP ("superhedge" or "dual") reported, hinting at each
+    option whose quote leaves its stocks-only price range. Hints and
+    arbitrage are exact, and each hint's two measures are checked. When the
+    exact search finds no arbitrage, the LP's report was wrong: in float
+    mode NumericalBreakdown, in exact mode a bug. The stocks must already
+    pass NA."""
     hints = []
     stocks = Market(market.tree, market.mask, ())
     for opt in market.options:
@@ -282,6 +284,11 @@ def _no_consistent_measure(market):
     )
     found = market.search_arbitrage()
     if found is None:
+        if mode.exact:
+            raise RuntimeError(
+                f"the exact {kind} LP found no consistent martingale measure, "
+                "but the exact arbitrage search finds no arbitrage (bug)"
+            )
         raise lp.NumericalBreakdown(
             "a float LP found no consistent martingale measure, but the exact "
             "arbitrage search finds no arbitrage"
@@ -344,9 +351,28 @@ def superhedge_semistatic(
     return x, strategy, q
 
 
-def _primal_superhedge(market, claim, mode):
+def semistatic_price(
+    tree: ScenarioTree,
+    mask: SupportMask,
+    claim: Claim,
+    options: tuple[StaticOption, ...] | list[StaticOption],
+    mode: lp.Mode = lp.EXACT,
+) -> Fraction | float:
+    """The price of `superhedge_semistatic`, alone. In exact mode the global
+    LP starts at the trivial superhedge (`lp.solve_superhedge`), so its
+    optimal strategy and measure may differ from `superhedge_semistatic`'s;
+    both are re-verified all the same, and the price is the same."""
+    market = require_stock_na(tree, mask, options)
+    x, _, q = _primal_superhedge(market, claim, mode, value_only=True)
+    if mode.exact:
+        market.check_measure(q, claim, x)
+    return x
+
+
+def _primal_superhedge(market, claim, mode, value_only=False):
     """superhedge_semistatic once the stocks are known to pass NA; the
-    measure is not yet checked."""
+    measure is not yet checked. With `value_only`, for callers that print
+    the price alone, an exact LP goes to `lp.solve_superhedge`."""
     columns = market.columns
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
@@ -357,10 +383,13 @@ def _primal_superhedge(market, claim, mode):
     prog = lp.linear_program(
         objective, maximize=False, constraints=constraints, lower=lower
     )
-    out = lp.solve(prog, mode)
+    if value_only and mode.exact:
+        out = lp.solve_superhedge(prog)
+    else:
+        out = lp.solve(prog, mode)
     if isinstance(out, lp.Unbounded):
         # dual infeasible: no martingale measure matches the quotes
-        raise _no_consistent_measure(market)
+        raise _no_consistent_measure(market, mode, "superhedge")
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     x = out.primal[0]
     if not mode.exact:
@@ -370,13 +399,14 @@ def _primal_superhedge(market, claim, mode):
     return x, strategy, market.measure(out.dual)
 
 
-def _both_sides(market, claim, mode):
+def _both_sides(market, claim, mode, value_only=False):
     """The price interval [-pi(-f), pi(f)] of the claim, with the
     superhedging strategy and measure of the upper side and the measure of
-    the lower side; the stocks must already pass NA."""
+    the lower side; the stocks must already pass NA. `value_only` as in
+    `_primal_superhedge`."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    upper, strategy, q_high = _primal_superhedge(market, claim, mode)
-    lower_neg, _, q_low = _primal_superhedge(market, negated, mode)
+    upper, strategy, q_high = _primal_superhedge(market, claim, mode, value_only)
+    lower_neg, _, q_low = _primal_superhedge(market, negated, mode, value_only)
     # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
     return PriceInterval(0 - lower_neg, upper), strategy, q_high, q_low
 
@@ -407,7 +437,7 @@ def _dual_lp(market, claim, mode):
     prog = lp.linear_program(objective, maximize=True, constraints=constraints)
     out = lp.solve(prog, mode)
     if isinstance(out, lp.Infeasible):
-        raise _no_consistent_measure(market)
+        raise _no_consistent_measure(market, mode, "dual")
     assert isinstance(out, lp.Optimal)
     if not mode.exact:
         return out.value, None
@@ -427,12 +457,13 @@ def price_interval(
 
     Float bounds within the tolerance of each other may be one point split
     or reversed by rounding, so there the exact LPs decide point or
-    interval and give the bounds: floats guide, exact decides."""
+    interval and give the bounds: floats guide, exact decides. Each exact
+    LP starts at the trivial superhedge, as in `semistatic_price`."""
     market = require_stock_na(tree, mask, options)
-    interval, _, q_high, q_low = _both_sides(market, claim, mode)
+    interval, _, q_high, q_low = _both_sides(market, claim, mode, value_only=True)
     lower, upper = interval.lower, interval.upper
     if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
-        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT)
+        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT, value_only=True)
     if q_high is not None:
         market.check_measure(q_high, claim, interval.upper)
         market.check_measure(q_low, claim, interval.lower)

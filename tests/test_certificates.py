@@ -76,17 +76,24 @@ def test_each_exact_op_checks_its_certificate_once(
 
 
 def _patch_solve(monkeypatch, corrupt) -> list:
-    """Make lp.solve pass each Optimal outcome through `corrupt`; returns the
-    list of solved programs."""
+    """Make lp.solve and lp.solve_superhedge pass each Optimal outcome
+    through `corrupt`; returns the list of programs solved by either, in
+    call order."""
     solved: list = []
-    inner = lp.solve
+    inner, inner_superhedge = lp.solve, lp.solve_superhedge
 
     def solve(prog, mode=lp.EXACT):
         solved.append(prog)
         out = inner(prog, mode)
         return corrupt(out) if isinstance(out, lp.Optimal) else out
 
+    def solve_superhedge(prog):
+        solved.append(prog)
+        out = inner_superhedge(prog)
+        return corrupt(out) if isinstance(out, lp.Optimal) else out
+
     monkeypatch.setattr(lp, "solve", solve)
+    monkeypatch.setattr(lp, "solve_superhedge", solve_superhedge)
     return solved
 
 
@@ -110,6 +117,10 @@ def test_dynamic_superhedge_check(stocks_only, monkeypatch):
         sh.prove_inequality(tree, mask, claim, F(1))
 
 
+# the global-LP routes of `hedge` and of `price`
+SEMISTATIC = (sh.superhedge_semistatic, sh.semistatic_price)
+
+
 def test_semistatic_superhedge_check(example_b, monkeypatch):
     tree, claim = example_b.tree, example_b.claims["call"]
     mask = compute_support(tree)
@@ -117,9 +128,10 @@ def test_semistatic_superhedge_check(example_b, monkeypatch):
         monkeypatch,
         lambda out: lp.Optimal(out.value - 1, (out.primal[0] - 1,) + out.primal[1:], out.dual),
     )
-    with pytest.raises(RuntimeError, match="superhedging strategy failed"):
-        sh.superhedge_semistatic(tree, mask, claim, example_b.options)
-    assert len(solved) == 1
+    for k, price in enumerate(SEMISTATIC, 1):
+        with pytest.raises(RuntimeError, match="superhedging strategy failed"):
+            price(tree, mask, claim, example_b.options)
+        assert len(solved) == k
 
 
 def test_node_lift_arbitrage_check(monkeypatch):
@@ -252,8 +264,9 @@ def test_semistatic_measure_check(stocks_only, monkeypatch):
     _patch_solve(
         monkeypatch, lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
     )
-    with pytest.raises(RuntimeError, match="martingale measure failed"):
-        sh.superhedge_semistatic(tree, mask, claim, ())
+    for price in SEMISTATIC:
+        with pytest.raises(RuntimeError, match="martingale measure failed"):
+            price(tree, mask, claim, ())
 
 
 def test_dual_price_measure_check(stocks_only, monkeypatch):
@@ -304,6 +317,18 @@ def test_semistatic_pass_check(example_b_text, tmp_path, capsys, monkeypatch):
     )
     with pytest.raises(RuntimeError, match="no-arbitrage measure failed re-verification"):
         main(["na", "--model", str(path)])
+
+
+def test_semistatic_fail_needs_a_witness(example_b, monkeypatch):
+    """A search LP whose value is positive but whose strategy gains nowhere
+    is refused rather than printed as a semistatic Fail."""
+    mask = compute_support(example_b.tree)
+    _patch_solve(
+        monkeypatch,
+        lambda out: lp.Optimal(out.value + 1, (F(0),) * len(out.primal), out.dual),
+    )
+    with pytest.raises(RuntimeError, match="no witness leaf"):
+        arb.semistatic_na(example_b.tree, mask, example_b.options)
 
 
 def test_semistatic_pass_measure_charges_every_leaf(stocks_only, monkeypatch):

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import robusthedge
 from robusthedge import arbitrage, lp, superhedge
 from robusthedge.cli import _build_parser, main
+from robusthedge.model import load_model
+from robusthedge.polar import compute_support
 from robusthedge.rational import format_with_decimal
 
 from conftest import DATA, NAME_FIELDS, NUMBER_FIELDS, example_b_with
@@ -140,6 +142,32 @@ def test_float_denial_is_exact(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith("; retry without --float\n")
+
+
+def test_exact_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b_text):
+    # an exact LP that finds no consistent measure on a market the exact
+    # search finds free of arbitrage is a bug of that LP; no float LP ran
+    doc = json.loads(example_b_text)
+    doc["options"][0]["quote"] = "1/2"  # inside the call's interval (0, 6/5)
+    path = tmp_path / "inside.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(lp, "solve_superhedge", lambda prog: lp.Unbounded((), ()))
+    with pytest.raises(RuntimeError, match=r"exact superhedge LP found no .*\(bug\)"):
+        main(["price", "--model", str(path), "--claim", "call"])
+    # the dual LP's Farkas verdict, the first LP solved, reads the same way
+    inner, solved = lp.solve, []
+
+    def infeasible_first(prog, mode=lp.EXACT):
+        solved.append(prog)
+        if len(solved) == 1:
+            return lp.Infeasible(lp.FarkasCertificate((), (), ()))
+        return inner(prog, mode)
+
+    monkeypatch.setattr(lp, "solve", infeasible_first)
+    model = load_model(json.dumps(doc))
+    mask = compute_support(model.tree)
+    with pytest.raises(RuntimeError, match=r"exact dual LP found no .*\(bug\)"):
+        superhedge.dual_price(model.tree, mask, model.claims["call"], model.options)
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])

@@ -56,9 +56,11 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robusthedge import lp
 from robusthedge.lp import (
     Infeasible,
     NumericalBreakdown,
@@ -68,7 +70,10 @@ from robusthedge.lp import (
     _FloatSimplex,
     float_mode,
     linear_program,
+    lp_to_text,
+    set_dump_file,
     solve,
+    solve_superhedge,
 )
 
 from conftest import verify
@@ -402,8 +407,10 @@ def mirrored_basic(prog):
     return bool(minus & set(simplex.basis))
 
 
-def dumped_lps(workload, seed=0):
-    """Every LP of one op cycle of a benchmark workload, in dump order."""
+def run_cycle(workload, seed=0, docs=None, commands=None, extra=()):
+    """Run one op cycle of a benchmark workload through the CLI, quietly:
+    only the ops on its first `docs` documents and of `commands`, when
+    given, each with the arguments `extra` added."""
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "bench"))
     import workloads
@@ -412,14 +419,22 @@ def dumped_lps(workload, seed=0):
     plan = workloads.build(workload, seed)
     with tempfile.TemporaryDirectory() as folder:
         paths = {}
-        for doc in plan.docs:
+        for doc in plan.docs[:docs]:
             paths[doc.name] = Path(folder) / f"{doc.name}.json"
             paths[doc.name].write_text(json.dumps(doc.body), encoding="utf-8")
-        dump = Path(folder) / "dump.lp"
         for op in plan.ops:
-            argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:], "--dump-lp", str(dump)]
+            if op.doc not in paths or commands is not None and op.command not in commands:
+                continue
+            argv = [op.args[0], "--model", str(paths[op.doc]), *op.args[1:], *extra]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 cli.main(argv)
+
+
+def dumped_lps(workload, seed=0):
+    """Every LP of one op cycle of a benchmark workload, in dump order."""
+    with tempfile.TemporaryDirectory() as folder:
+        dump = Path(folder) / "dump.lp"
+        run_cycle(workload, seed, extra=("--dump-lp", str(dump)))
         texts = dump.read_text(encoding="utf-8").split("\n\n")
     return [text for text in texts if text.strip()]
 
@@ -469,6 +484,82 @@ def test_market_golden_outcomes_identical():
         assert outcome_json(solve(prog)) == entry["outcome"], (k, entry["source"])
         minus_basic += mirrored_basic(prog)
     assert minus_basic > 0
+
+
+def market_entries(kind):
+    return [
+        e for e in json.loads(GOLDEN_MARKET.read_text(encoding="utf-8"))
+        if e["source"].endswith(f" {kind}")
+    ]
+
+
+def check_superhedge_golden(entries, outcomes):
+    """Each outcome has its golden entry's kind and value, and a
+    certificate for the entry's (unshifted) LP."""
+    for k, (entry, out) in enumerate(zip(entries, outcomes, strict=True)):
+        want = entry["outcome"]
+        assert type(out).__name__ == want["kind"], k
+        if isinstance(out, Optimal):
+            assert str(out.value) == want["value"], k
+        assert verify(lp_from_json(entry["lp"]), out) == [], k
+
+
+def test_solve_superhedge_matches_the_market_golden(tmp_path):
+    """The trivial start reaches the golden's outcome kind and value, with
+    a certificate for the caller's LP, and dumps the caller's LP."""
+    entries = market_entries("superhedge")
+    assert {e["outcome"]["kind"] for e in entries} == {"Optimal", "Unbounded"}
+    dump = tmp_path / "dump.lp"
+    set_dump_file(str(dump))
+    try:
+        outcomes = [solve_superhedge(lp_from_json(e["lp"])) for e in entries]
+    finally:
+        set_dump_file(None)
+    check_superhedge_golden(entries, outcomes)
+    assert dump.read_text(encoding="utf-8") == "".join(
+        lp_to_text(lp_from_json(e["lp"])) + "\n" for e in entries
+    )
+    for entry in market_entries("max-min-weight")[:1]:
+        with pytest.raises(ValueError, match="not a superhedge LP"):
+            solve_superhedge(lp_from_json(entry["lp"]))
+
+
+@pytest.mark.parametrize("run", [0, 1])
+def test_bland_fallback_keeps_the_value(monkeypatch, run):
+    """With the degenerate-run limit at 0, Bland's rule takes every pivot;
+    at 1, it takes over after each degenerate pivot. Either way the value
+    is `solve`'s and the certificate holds."""
+    monkeypatch.setattr(lp, "_DEGENERATE_RUN", run)
+    calls = {"bland": 0, "dantzig": 0}
+    for name, rule in (("bland", "_enter"), ("dantzig", "_most_negative")):
+        inner = getattr(_ExactSimplex, rule)
+
+        def counted(self, z, barred, inner=inner, name=name):
+            calls[name] += 1
+            return inner(self, z, barred)
+
+        monkeypatch.setattr(_ExactSimplex, rule, counted)
+    entries = market_entries("superhedge")
+    check_superhedge_golden(entries, [solve_superhedge(lp_from_json(e["lp"])) for e in entries])
+    assert calls["bland"] > 0
+    assert (calls["dantzig"] > 0) == (run > 0)
+
+
+def test_value_only_pivot_count(monkeypatch):
+    """A work counter that does not flake: the exact pivots of `price` and
+    `interval` on the first 8 global-lp seed-0 documents. Bland's rule with
+    a full phase 1 (`solve`) took 591 of them; the trivial start with
+    Dantzig's rule takes 375."""
+    pivots = []
+    inner = _ExactSimplex._pivot
+
+    def counted(self, r, col, z):
+        pivots.append(col)
+        return inner(self, r, col, z)
+
+    monkeypatch.setattr(_ExactSimplex, "_pivot", counted)
+    run_cycle("global-lp", 0, docs=8, commands=("price", "interval"))
+    assert len(pivots) == 375
 
 
 if __name__ == "__main__":
