@@ -2,14 +2,16 @@
 
 Local no-arbitrage at a node means 0 lies in the relative interior of the
 convex hull of the supported price increments; the market passes globally
-when every relevant node passes locally. With one or two stocks a passing
-node is recognized without an LP; a failing node with two or more stocks,
-and every node with three or more, solves the max-min-weight LP. Failures
-come with a hedge vector whose one-node lift is a quasi-surely nonnegative
-strategy with positive wealth on a nonpolar set. The dominating-measure search is the executable
-First Fundamental Theorem: given a reference measure p it maximizes the
-uniform domination factor t with q >= t p over the option-constrained
-martingale polytope; a witness exists exactly when t* > 0.
+when every relevant node passes locally. With one or two stocks the
+verdict needs no LP; every node with three or more stocks solves the
+max-min-weight LP, and so does a failing two-stock node for the separator
+that `na` prints. Failures come with a hedge vector whose one-node lift is
+a quasi-surely nonnegative strategy with positive wealth on a nonpolar
+set. The dominating-measure search is the executable First Fundamental
+Theorem: given a reference measure p it maximizes the uniform domination
+factor t with q >= t p over the option-constrained martingale polytope; a
+witness exists exactly when t* > 0. Its contrapositive answers first: a
+stocks arbitrage whose gain p charges leaves no dominating measure.
 
 That polytope and the superhedging LPs read one object, the
 option-constrained martingale system: its rows constrain the martingale
@@ -79,11 +81,20 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
 
     With one stock the test needs no LP: the node passes iff its increments
     take both signs or all vanish, and otherwise (1,) or (-1,) is the only
-    scaled separator. With two stocks a passing node needs no LP either
-    (`_two_stock_inside`); a failing one solves the exact max-min-weight LP
-    for its separator. With three or more stocks that LP decides. Whenever
-    there is a separator, it is re-verified.
+    scaled separator. With two stocks the verdict needs no LP either
+    (`_two_stock_separator`), and a failing node solves the exact
+    max-min-weight LP for the separator `na` prints. With three or more
+    stocks that LP decides. Whenever there is a separator, it is
+    re-verified.
     """
+    return _local_na(tree, mask, node_id, lp_separator=True)
+
+
+def _local_na(
+    tree: ScenarioTree, mask: SupportMask, node_id: str, lp_separator: bool
+) -> NodeNaReport:
+    """node_na; without `lp_separator`, a failing two-stock node keeps the
+    closed-form separator of `_two_stock_separator` and solves no LP."""
     node = tree.nodes[node_id]
     if node.is_leaf:
         raise ValueError(f"{node_id!r} is a leaf")
@@ -91,20 +102,30 @@ def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport
     vectors = [tree.increment(node_id, c) for c in support]
     if tree.dimension == 1:
         y = _one_stock_separator(vectors)
-        if y is None:
-            return NodeNaReport(node_id, None)
-    elif tree.dimension == 2 and _two_stock_inside(vectors):
-        return NodeNaReport(node_id, None)
+    elif tree.dimension == 2:
+        y = _two_stock_separator(vectors)
+        if y is not None and lp_separator:
+            y = _lp_separator(vectors)
     else:
-        y = lp.zero_in_relative_interior(vectors)
-        if y is None:
-            return NodeNaReport(node_id, None)
-        peak = max(abs(v) for v in y)
-        y = tuple(v / peak for v in y)
+        y = _lp_separator(vectors)
+    if y is None:
+        return NodeNaReport(node_id, None)
     products = [dot(y, v) for v in vectors]
     if not (all(p >= 0 for p in products) and any(p > 0 for p in products)):
         raise RuntimeError("separator failed re-verification (bug)")
     return NodeNaReport(node_id, y)
+
+
+def _lp_separator(
+    increments: list[tuple[Fraction, ...]],
+) -> tuple[Fraction, ...] | None:
+    """`lp.zero_in_relative_interior`, its separator scaled so the largest
+    absolute entry is 1."""
+    y = lp.zero_in_relative_interior(increments)
+    if y is None:
+        return None
+    peak = max(abs(v) for v in y)
+    return tuple(v / peak for v in y)
 
 
 def _one_stock_separator(
@@ -120,22 +141,27 @@ def _one_stock_separator(
     return (F(1),) if up else (F(-1),)
 
 
-def _two_stock_inside(increments: list[tuple[Fraction, ...]]) -> bool:
-    """Exact local NA for two stocks: whether 0 lies in the relative
-    interior of the hull of the increments. It does not iff some h has
-    h.w >= 0 for every increment w, with one strict inequality. The cone
-    {h : h.w >= 0 for every w} then is a half-plane whose inward normal is
-    an increment v, or its edges, each some +-v_perp, include such an h;
-    so only v and +-v_perp over the nonzero increments v are tried (-v
-    never works: -v.v < 0). Each increment is scaled to integers by
-    `integer_row`, a positive factor that keeps every sign."""
+def _two_stock_separator(
+    increments: list[tuple[Fraction, ...]],
+) -> tuple[Fraction, ...] | None:
+    """Exact local NA for two stocks: None when 0 lies in the relative
+    interior of the hull of the increments, otherwise a separator h, with
+    h.w >= 0 for every increment w and one strict inequality, scaled so the
+    largest absolute entry is 1. When such an h exists, the cone
+    {h : h.w >= 0 for every w} is a half-plane whose inward normal is an
+    increment v, or its edges, each some +-v_perp, include one; so only v
+    and +-v_perp over the nonzero increments v are tried, in that order
+    and in support order (-v never works: -v.v < 0). Each increment is
+    scaled to integers by `integer_row`, a positive factor that keeps every
+    sign."""
     vectors = [integer_row(v)[1] for v in increments if any(v)]
     for x, y in vectors:
         for h0, h1 in ((x, y), (-y, x), (y, -x)):
             products = [h0 * u + h1 * v for u, v in vectors]
             if min(products) >= 0 and max(products) > 0:
-                return False
-    return True
+                peak = max(abs(h0), abs(h1))
+                return F(h0, peak), F(h1, peak)
+    return None
 
 
 def scan_nodes(tree: ScenarioTree, mask: SupportMask) -> list[NodeNaReport]:
@@ -148,9 +174,15 @@ def global_na(tree: ScenarioTree, mask: SupportMask) -> ArbitrageFound | None:
 
     On failure the certificate is the lift of the first failing relevant
     node (lowest level, document order): hold y there, zero elsewhere. The
-    scan stops at that node, so no later node is tested.
+    scan stops at that node, so no later node is tested. The verdict is
+    node_na's at every node, but a failing two-stock node lifts the
+    closed-form separator of `_two_stock_separator`, not the LP's, so with
+    one or two stocks the scan solves no LP. The separator passes the same
+    products check, and the lift `Market.arbitrage`.
     """
-    reports = (node_na(tree, mask, n) for n in mask.relevant_nonleaf(tree))
+    reports = (
+        _local_na(tree, mask, n, lp_separator=False) for n in mask.relevant_nonleaf(tree)
+    )
     return lift_first_failure(tree, mask, reports)
 
 
@@ -368,12 +400,23 @@ def find_dominating_mm(
 ) -> FtapWitness | None:
     """Martingale measure q consistent with the option quotes and dominating
     p (q >= t p with t > 0, so q charges every leaf p charges), exact and
-    re-verified; None when no such measure exists."""
+    re-verified; None when no such measure exists.
+
+    When the stocks fail NA and p charges a witness leaf of `global_na`'s
+    arbitrage H, None is returned without the LP: under any consistent
+    martingale measure q, E_q[H.dS] = 0 while the wealth is >= 0 on every
+    relevant leaf, so q misses each witness leaf and no t > 0 exists. That
+    arbitrage, re-verified by `Market.arbitrage`, certifies the None.
+    Otherwise the max-min-weight LP over the martingale system decides.
+    """
     leaves = mask.relevant_leaves
     relevant = set(leaves)
     for leaf, w in p.weights.items():
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
+    found = global_na(tree, mask)
+    if found is not None and any(p(leaf) > 0 for leaf in found.witness_leaves):
+        return None
     market = Market(tree, mask, tuple(options))
     rows, rhs = zip(*market.rows)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])

@@ -4,8 +4,10 @@ Exit codes: 0 = success, 1 = input/usage error, 2 = a mathematically
 meaningful denial (arbitrage detected, no dominating measure, refuted bound,
 not a supermartingale) so scripts can branch on market properties. Every
 certificate is re-verified once, exactly, by the library function that
-returns it; this module only renders it. Exact-mode `--json` output is
-byte-identical across runs except for the wall-time field.
+returns it; this module only renders it. A check that fails inside the
+library raises a RuntimeError whose message says "(bug)"; it is printed
+as one `error: ... (bug)` line with exit code 1. Exact-mode `--json` output
+is byte-identical across runs except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, report, text = _dispatch(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except lp.NumericalBreakdown as exc:
@@ -379,7 +381,7 @@ def _cmd_decompose(args, model, mask, report) -> tuple[int, str]:
     values = model.processes.get(args.process)
     if values is None:
         raise ValueError(f"process {args.process!r} is not in the document")
-    process = AdaptedProcess(values)
+    process = AdaptedProcess(values, args.process)
     try:
         decomposition = optional_decomposition(model.tree, mask, process)
     except NotSupermartingale as exc:

@@ -34,9 +34,11 @@ class NotSupermartingale(Exception):
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """Node-indexed values, defined at least on every relevant node."""
+    """Node-indexed values, defined at least on every relevant node; the
+    name, when given, is the one its errors print."""
 
     values: dict[str, Fraction]
+    name: str | None = None
 
     def __call__(self, node_id: str) -> Fraction:
         return self.values[node_id]
@@ -49,7 +51,8 @@ class AdaptedProcess:
             if n not in self.values
         ]
         if missing:
-            raise ValueError(f"process undefined on relevant nodes {missing}")
+            label = "process" if self.name is None else f"process {self.name!r}"
+            raise ValueError(f"{label} undefined on relevant nodes {missing}")
 
 
 @dataclass(frozen=True)

@@ -261,15 +261,16 @@ def _no_consistent_measure(market, mode, kind):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
     which the `kind` LP ("superhedge" or "dual") reported, hinting at each
     option whose quote leaves its stocks-only price range. Hints and
-    arbitrage are exact, and each hint's two measures are checked. When the
-    exact search finds no arbitrage, the LP's report was wrong: in float
-    mode NumericalBreakdown, in exact mode a bug. The stocks must already
-    pass NA."""
+    arbitrage are exact. A hint prints the two bounds alone, so its LPs are
+    value-only (`lp.solve_superhedge`, as in `price_interval`), and each
+    hint's two measures are still checked. When the exact search finds no
+    arbitrage, the LP's report was wrong: in float mode NumericalBreakdown,
+    in exact mode a bug. The stocks must already pass NA."""
     hints = []
     stocks = Market(market.tree, market.mask, ())
     for opt in market.options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in market.tree.leaves})
-        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT)
+        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT, value_only=True)
         stocks.check_measure(q_high, raw, interval.upper)
         stocks.check_measure(q_low, raw, interval.lower)
         if not interval.lower <= opt.quote <= interval.upper:

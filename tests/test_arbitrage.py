@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from robusthedge import lp, superhedge
+from robusthedge import arbitrage, lp, superhedge
 from robusthedge.arbitrage import (
     ArbitrageDetected,
+    ArbitrageFound,
     Market,
     find_dominating_mm,
     global_na,
@@ -24,7 +25,13 @@ from robusthedge.model import Claim, PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
 from robusthedge.superhedge import dual_price, superhedge_semistatic
 
-from conftest import DATA, constant_stock_model, count_everywhere, random_instance
+from conftest import (
+    DATA,
+    constant_stock_model,
+    count_calls,
+    count_everywhere,
+    random_instance,
+)
 
 F = Fraction
 
@@ -172,17 +179,25 @@ TWO_FAILING_NODES = {
 
 
 def test_global_na_stops_at_the_first_failing_node(monkeypatch):
+    """global_na tests 'r' and 'a' and lifts the closed-form separator of
+    'a' with no LP; scan_nodes tests every node and solves one separator LP
+    per failing node, whose lift at 'a' is another arbitrage."""
     model = load_model(json.dumps(TWO_FAILING_NODES))
     tree, mask = model.tree, compute_support(model.tree)
+    tested = count_calls(monkeypatch, arbitrage, "_local_na")
     solves = count_everywhere(monkeypatch, lp.solve)
     found = global_na(tree, mask)
-    assert len(solves) == 1
-    solves.clear()
+    assert [args[2] for args in tested] == ["r", "a"]
+    assert solves == []
+    assert found == ArbitrageFound(Strategy(F(0), (), {"a": (F(1), F(0))}), ("a1",))
+    tested.clear()
     reports = scan_nodes(tree, mask)
+    assert [args[2] for args in tested] == ["r", "a", "b"]
     assert [r.passed for r in reports] == [True, False, False]
     assert len(solves) == 2
-    assert found == lift_first_failure(tree, mask, reports)
-    assert list(found.strategy.dynamic) == ["a"]
+    assert lift_first_failure(tree, mask, reports) == ArbitrageFound(
+        Strategy(F(0), (), {"a": (F(1), F(1))}), ("a1", "a2")
+    )
 
 
 def test_require_stock_na_returns_the_market_or_names_the_node(example_b):
@@ -296,6 +311,56 @@ def test_find_dominating_with_option_pins_measure(example_b):
     witness = find_dominating_mm(example_b.tree, mask, example_b.options, p_ok)
     assert witness is not None
     assert witness.q.weights == {"8": F(3, 5), "13": F(2, 5)}
+
+
+def _mm_lp(tree, mask, options, p):
+    """The max-min-weight LP that find_dominating_mm solves, called
+    directly: the verdict its route reaches without the shortcut."""
+    rows, rhs = zip(*Market(tree, mask, tuple(options)).rows)
+    return lp.max_min_weight(rows, rhs, [p(leaf) for leaf in mask.relevant_leaves])
+
+
+def test_mm_none_from_the_stock_arbitrage_is_the_lps_verdict(monkeypatch):
+    """On every envelope-mix seed-0 document whose stocks fail NA, the
+    uniform reference charges a witness leaf of global_na's arbitrage, so
+    `mm` answers None without an LP; the LP, solved directly, reaches the
+    same verdict (infeasible, or t <= 0)."""
+    monkeypatch.syspath_prepend(str(DATA.parents[1] / "bench"))
+    import workloads
+
+    failing = 0
+    for doc in workloads.build("envelope-mix", 0).docs:
+        model = load_model(json.dumps(doc.body))
+        tree, mask = model.tree, compute_support(model.tree)
+        found = global_na(tree, mask)
+        if found is None:
+            continue
+        failing += 1
+        p = reference_measure(tree)
+        assert any(p(leaf) > 0 for leaf in found.witness_leaves)
+        with monkeypatch.context() as patched:
+            solves = count_everywhere(patched, lp.solve)
+            assert find_dominating_mm(tree, mask, model.options, p) is None
+            assert solves == []
+        out = _mm_lp(tree, mask, model.options, p)
+        assert isinstance(out, lp.Infeasible) or out.value <= 0
+    assert failing == 75
+
+
+def test_mm_reference_off_the_witness_leaves_still_solves_the_lp(monkeypatch):
+    """The stocks fail at 'bad', whose lift gains at 'up' only. A reference
+    that does not charge 'up' is left to the LP, which here finds a
+    dominating measure: it puts no mass on 'bad'."""
+    model = load_model(json.dumps(FAILS_AT_BAD))
+    tree, mask = model.tree, compute_support(model.tree)
+    assert global_na(tree, mask).witness_leaves == ("up",)
+    solves = count_everywhere(monkeypatch, lp.solve)
+    p = PathMeasure({"u": F(1, 2), "d": F(1, 2)})
+    witness = find_dominating_mm(tree, mask, (), p)
+    assert len(solves) == 1
+    assert witness.q.weights == {"u": F(1, 2), "d": F(1, 2)}
+    assert find_dominating_mm(tree, mask, (), reference_measure(tree)) is None
+    assert len(solves) == 1
 
 
 def test_reference_charging_polar_leaf_rejected():

@@ -137,13 +137,13 @@ def test_semistatic_superhedge_check(example_b, monkeypatch):
 def test_node_lift_arbitrage_check(monkeypatch):
     model = load_model(ALL_POSITIVE)
     mask = compute_support(model.tree)
-    inner = arb.node_na
+    inner = arb._local_na
 
-    def flipped(tree, mask, node_id):
-        report = inner(tree, mask, node_id)
+    def flipped(tree, mask, node_id, lp_separator):
+        report = inner(tree, mask, node_id, lp_separator)
         return arb.NodeNaReport(node_id, tuple(-v for v in report.certificate))
 
-    monkeypatch.setattr(arb, "node_na", flipped)
+    monkeypatch.setattr(arb, "_local_na", flipped)
     with pytest.raises(RuntimeError, match="arbitrage strategy lost money"):
         arb.global_na(model.tree, mask)
 
@@ -315,8 +315,10 @@ def test_semistatic_pass_check(example_b_text, tmp_path, capsys, monkeypatch):
     _patch_solve(
         monkeypatch, lambda out: lp.Optimal(out.value, out.primal, _all_on_first(out.dual))
     )
-    with pytest.raises(RuntimeError, match="no-arbitrage measure failed re-verification"):
-        main(["na", "--model", str(path)])
+    assert main(["na", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: no-arbitrage measure failed re-verification (bug): ")
 
 
 def test_semistatic_fail_needs_a_witness(example_b, monkeypatch):

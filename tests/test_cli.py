@@ -144,17 +144,34 @@ def test_float_denial_is_exact(tmp_path, capsys, monkeypatch):
     assert captured.err.endswith("; retry without --float\n")
 
 
-def test_exact_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b_text):
-    # an exact LP that finds no consistent measure on a market the exact
-    # search finds free of arbitrage is a bug of that LP; no float LP ran
+def _inside_quote(tmp_path, example_b_text):
+    """example_b with the call quoted at 1/2, inside its interval (0, 6/5):
+    the market is free of arbitrage."""
     doc = json.loads(example_b_text)
-    doc["options"][0]["quote"] = "1/2"  # inside the call's interval (0, 6/5)
+    doc["options"][0]["quote"] = "1/2"
     path = tmp_path / "inside.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def test_exact_lp_without_measure_is_a_bug(tmp_path, capsys, monkeypatch, example_b_text):
+    # an exact LP that finds no consistent measure on a market the exact
+    # search finds free of arbitrage is a bug of that LP; no float LP ran.
+    # The CLI prints it on one line and exits 1, with no traceback.
+    path = _inside_quote(tmp_path, example_b_text)
     monkeypatch.setattr(lp, "solve_superhedge", lambda prog: lp.Unbounded((), ()))
-    with pytest.raises(RuntimeError, match=r"exact superhedge LP found no .*\(bug\)"):
-        main(["price", "--model", str(path), "--claim", "call"])
-    # the dual LP's Farkas verdict, the first LP solved, reads the same way
+    assert main(["price", "--model", str(path), "--claim", "call"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: the exact superhedge LP found no consistent martingale measure, "
+        "but the exact arbitrage search finds no arbitrage (bug)\n",
+    )
+
+
+def test_exact_dual_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b_text):
+    # the dual LP's Farkas verdict, the first LP solved, reads the same way;
+    # the hints' value-only LPs after it are solved for real
+    path = _inside_quote(tmp_path, example_b_text)
     inner, solved = lp.solve, []
 
     def infeasible_first(prog, mode=lp.EXACT):
@@ -164,7 +181,7 @@ def test_exact_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b_text
         return inner(prog, mode)
 
     monkeypatch.setattr(lp, "solve", infeasible_first)
-    model = load_model(json.dumps(doc))
+    model = load_model(path.read_text())
     mask = compute_support(model.tree)
     with pytest.raises(RuntimeError, match=r"exact dual LP found no .*\(bug\)"):
         superhedge.dual_price(model.tree, mask, model.claims["call"], model.options)
@@ -469,7 +486,7 @@ JOINT_ARBITRAGE = [
          "error: process 'nope' is not in the document"),
         (_example_b_set(("processes",), {"p": {"root": "0", "8": "0", "10": "0"}}),
          ["decompose", "--process", "p"], 1,
-         "error: process undefined on relevant nodes ['13']"),
+         "error: process 'p' undefined on relevant nodes ['13']"),
         (None, ["prove", "--claim", "call", "--bound", "x"], 1,
          "error: --bound: cannot parse rational from 'x'"),
         (_example_b_set(("options",), JOINT_ARBITRAGE), ["price", "--claim", "call"], 2,

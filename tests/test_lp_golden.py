@@ -562,6 +562,27 @@ def test_value_only_pivot_count(monkeypatch):
     assert len(pivots) == 375
 
 
+
+def test_lps_per_subcommand(tmp_path):
+    """A work counter that does not flake: the LPs each subcommand solves
+    (dumps) on the first 12 envelope-mix seed-0 documents. Before `mm`'s
+    stock-arbitrage answer, `global_na`'s closed-form two-stock separators
+    and the value-only denial hints, the counts were na 10, mm 12, price 5,
+    hedge 5, interval 13, replicate 13, complete 25 and prove 12 (95)."""
+    counts = {}
+    for command in ("validate", "na", "mm", "price", "hedge", "interval",
+                    "replicate", "complete", "prove"):
+        dump = tmp_path / f"{command}.lp"
+        dump.write_text("", encoding="utf-8")
+        run_cycle("envelope-mix", 0, docs=12, commands=(command,),
+                  extra=("--dump-lp", str(dump)))
+        texts = dump.read_text(encoding="utf-8").split("\n\n")
+        counts[command] = sum(1 for text in texts if text.strip())
+    assert counts == {
+        "validate": 0, "na": 10, "mm": 5, "price": 2, "hedge": 2,
+        "interval": 10, "replicate": 10, "complete": 22, "prove": 9,
+    }
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--float"]:
         written, path = record_float(), GOLDEN_FLOAT

@@ -5,7 +5,8 @@ complete node.
 With one stock, `node_na` answers without an LP, and so does `node_price`
 at every node with local NA except where a zero-increment child lies above
 the best chord and the node has more than three children; with two
-stocks, `node_na` passes a node without an LP; with d stocks and d + 1
+stocks, `node_na` passes a node without an LP, and `global_na` fails one
+without an LP; with d stocks and d + 1
 children, `node_price` prices a complete node without an LP.
 These tests compare them with the LPs they replace, called directly on
 generated one-step sets, and pin the number of LPs each route solves.
@@ -24,11 +25,11 @@ import robusthedge.superhedge as sh
 from robusthedge import oracle
 from robusthedge.arbitrage import (
     _one_stock_separator,
-    _two_stock_inside,
+    _two_stock_separator,
     global_na,
     node_na,
 )
-from robusthedge.model import Claim, load_model
+from robusthedge.model import Claim, dot, load_model
 from robusthedge.polar import compute_support
 
 from conftest import count_calls
@@ -228,15 +229,28 @@ def test_one_signed_sets_fail_na_and_price_raises():
 
 
 def assert_two_stock_matches_lp(moves):
-    """The two-stock test gives the LP's verdict, and node_na its verdict
-    and separator."""
+    """The closed-form separator exists exactly when the LP finds one, it
+    passes the products check, and global_na lifts it; node_na gives the
+    LP's verdict and separator."""
     vectors = [(F(x), F(y)) for x, y in moves]
     expected = lp_vector_separator(vectors)
-    assert _two_stock_inside(vectors) == (expected is None)
+    separator = _two_stock_separator(vectors)
+    assert (separator is None) == (expected is None)
     tree, _ = vector_step_model(moves)
-    report = node_na(tree, compute_support(tree), "root")
+    mask = compute_support(tree)
+    report = node_na(tree, mask, "root")
     assert report.passed == (expected is None)
     assert report.certificate == expected
+    found = global_na(tree, mask)
+    if separator is None:
+        assert found is None
+        return
+    products = [dot(separator, v) for v in vectors]
+    assert min(products) >= 0 and max(products) > 0
+    assert max(abs(h) for h in separator) == 1
+    assert found.strategy.dynamic == {"root": separator}
+    positive = {f"c{k}" for k, p in enumerate(products) if p > 0}
+    assert set(found.witness_leaves) == positive
 
 
 TWO_STOCK_CASES = {
@@ -274,10 +288,17 @@ def test_two_stock_test_matches_lp_on_generated_sets(moves):
 
 
 def test_failing_two_stock_node_solves_one_lp(monkeypatch):
+    """node_na solves the LP for the separator `na` prints; global_na lifts
+    the closed form, here the same one, and solves none."""
     tree, _ = vector_step_model([(1, 0), (-1, 0), (0, 1)])
+    mask = compute_support(tree)
     solves = count_calls(monkeypatch, lp, "solve")
-    report = node_na(tree, compute_support(tree), "root")
+    report = node_na(tree, mask, "root")
     assert not report.passed and report.certificate == (F(0), F(1))
+    assert len(solves) == 1
+    found = global_na(tree, mask)
+    assert found.strategy.dynamic == {"root": (F(0), F(1))}
+    assert found.witness_leaves == ("c2",)
     assert len(solves) == 1
 
 
