@@ -5,9 +5,9 @@ The package namespace holds the names its readers import from it: the
 benchmark's answer checks and the README's Library example. Everything
 else is imported from its module."""
 
-from .arbitrage import ArbitrageDetected, FtapWitness, verify_witness
-from .decompose import verify_decomposition
+from .arbitrage import ArbitrageDetected
 from .lp import EXACT, NumericalBreakdown, float_mode
+from .market import FtapWitness, verify_decomposition, verify_witness
 from .model import Claim, PathMeasure, Strategy, load_model, wealth
 from .oracle import brute_price, enumerate_vertices, one_step_vertices
 from .polar import compute_support, reference_measure

@@ -10,21 +10,13 @@ a quasi-surely nonnegative strategy with positive wealth on a nonpolar
 set. The dominating-measure search is the executable First Fundamental
 Theorem: given a reference measure p it maximizes the uniform domination
 factor t with q >= t p over the option-constrained martingale polytope; a
-witness exists exactly when t* > 0. Its contrapositive answers first: a
-stocks arbitrage whose gain p charges leaves no dominating measure.
+witness exists exactly when t* > 0. Its contrapositive certifies a None:
+a semistatic arbitrage whose gain p charges leaves no dominating measure.
 
-That polytope and the superhedging LPs read one object, the
-option-constrained martingale system: its rows constrain the martingale
-measures, and its columns are the terminal-wealth map of a semistatic
-strategy. The internal `Market` (tree, mask, options) builds it once, on
-first use, and is the one reader of its layout; it also computes a
-strategy's terminal wealth at every relevant leaf. The public functions
-still take (tree, mask, options). A measure is checked off the tree
-(`verify_measure`), never off these rows; that includes the measure that
-certifies a semistatic Pass, read off the arbitrage search's row duals.
-`require_stock_na` is the pricing precondition: `ArbitrageDetected`
+The martingale system, its `Market` and every certificate check are in
+`market`. `require_stock_na` is the pricing precondition: `ArbitrageDetected`
 unless the stocks alone pass NA, otherwise the call's `Market`, which its
-denial paths search too.
+denial paths search too (`search_arbitrage`).
 """
 
 from __future__ import annotations
@@ -32,10 +24,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import lp
-from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
+from .market import ArbitrageFound, FtapWitness, Market, verify_measure, verify_witness
+from .market import martingale_rows  # noqa: F401  only bench/checks.py reads it here
+from .model import Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 from .rational import integer_row
 
@@ -52,12 +45,6 @@ class NodeNaReport:
         return self.certificate is None
 
 
-@dataclass(frozen=True)
-class ArbitrageFound:
-    strategy: Strategy
-    witness_leaves: tuple[str, ...]
-
-
 class ArbitrageDetected(Exception):
     """The market (with its quoted options) admits arbitrage; prices are
     undefined. Carries the failing certificate and, when the stocks alone
@@ -66,12 +53,6 @@ class ArbitrageDetected(Exception):
     def __init__(self, message: str, found: ArbitrageFound):
         super().__init__(message)
         self.found = found
-
-
-@dataclass(frozen=True)
-class FtapWitness:
-    q: Measure
-    dominated: Measure
 
 
 def node_na(tree: ScenarioTree, mask: SupportMask, node_id: str) -> NodeNaReport:
@@ -220,176 +201,49 @@ def semistatic_na(
     mask: SupportMask,
     options: tuple[StaticOption, ...] | list[StaticOption],
 ) -> ArbitrageFound | None:
-    """`Market.search_arbitrage` of the stocks with these quoted options."""
-    return Market(tree, mask, tuple(options)).search_arbitrage()
+    """`search_arbitrage` of the stocks with these quoted options."""
+    return search_arbitrage(Market(tree, mask, tuple(options)))
 
 
-def martingale_rows(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    options: tuple[StaticOption, ...],
-) -> list[tuple[list[Fraction], Fraction]]:
-    """Equality rows of the option-constrained martingale polytope over the
-    relevant leaves: normalization, one row per relevant node and price
-    coordinate (unconditional form), one row per option.
-
-    Returns (row, rhs) pairs, each row dense over mask.relevant_leaves: the
-    mass row (rhs 1), row 1 + k*d + i for coordinate i of the k-th relevant
-    non-leaf node, then the option rows (rhs 0). Read by columns, the rows
-    give terminal wealth: column k holds the coefficients of the initial
-    capital, the node positions and the option positions at leaf k.
-    """
-    leaves = mask.relevant_leaves
-    nodes = mask.relevant_nonleaf(tree)
-    d = tree.dimension
-    first = {n: 1 + k * d for k, n in enumerate(nodes)}
-    rows = [[F(1)] * len(leaves)]
-    rows += [[F(0)] * len(leaves) for _ in range(len(nodes) * d)]
-    rows += [[opt.normalized(leaf) for leaf in leaves] for opt in options]
-    for k, leaf in enumerate(leaves):
-        path = tree.path(leaf)
-        for parent, child in zip(path, path[1:]):
-            # every ancestor of a relevant leaf is relevant
-            step = tree.increment(parent, child)
-            for i in range(d):
-                rows[first[parent] + i][k] = step[i]
-    rhs = [F(1)] + [F(0)] * (len(rows) - 1)
-    return list(zip(rows, rhs))
-
-
-@dataclass(frozen=True)
-class Market:
-    """One call's market: the tree, its support mask and the quoted options,
-    with the option-constrained martingale system built on first use, once.
-
-    `rows` are its `martingale_rows`; `columns` hold, per relevant leaf, the
-    coefficients of terminal wealth in the hedge variables: initial
-    capital, option positions, then one d-block per relevant non-leaf node
-    (the columns of `rows`, option rows moved up behind the mass row).
-    Every reading of that layout is a method here. `check_measure` checks
-    a measure the LPs return, off the tree, and the value it certifies.
-    """
-
-    tree: ScenarioTree
-    mask: SupportMask
-    options: tuple[StaticOption, ...]
-
-    @cached_property
-    def rows(self) -> list[tuple[list[Fraction], Fraction]]:
-        return martingale_rows(self.tree, self.mask, self.options)
-
-    @cached_property
-    def columns(self) -> list[list[Fraction]]:
-        rows = [row for row, _ in self.rows]
-        cut = len(rows) - len(self.options)
-        rows = rows[:1] + rows[cut:] + rows[1:cut]
-        return [list(column) for column in zip(*rows)]
-
-    def strategy(self, point) -> Strategy:
-        """The Strategy of a point laid out like a column; entries past the
-        node blocks are ignored."""
-        d = self.tree.dimension
-        n_options = len(self.options)
-        blocks = point[1 + n_options:]
-        dynamic = {}
-        for k, n in enumerate(self.mask.relevant_nonleaf(self.tree)):
-            vec = tuple(blocks[k * d:(k + 1) * d])
-            if any(v != 0 for v in vec):
-                dynamic[n] = vec
-        return Strategy(point[0], tuple(point[1:1 + n_options]), dynamic)
-
-    def measure(self, weights) -> Measure:
-        """The path measure of exact LP weights over the relevant leaves, in
-        their order: the positive ones."""
-        return Measure(
-            {leaf: w for leaf, w in zip(self.mask.relevant_leaves, weights) if w > 0}
-        )
-
-    def wealths(self, strategy: Strategy) -> dict[str, Fraction]:
-        """Terminal wealth of the strategy with these options, as
-        `model.wealth` computes it, at every relevant leaf in
-        mask.relevant_leaves order: one top-down pass over the relevant tree
-        accumulates x + sum_u H_u . dS_u, then the option term is added."""
-        tree, mask = self.tree, self.mask
-        at = {tree.root: strategy.initial}
-        for level in mask.relevant_nodes[:-1]:
-            for node_id in level:
-                here = at[node_id]
-                position = strategy.dynamic.get(node_id)
-                for child in mask.node_support[node_id]:
-                    total = here
-                    if position is not None:
-                        # the same additions in the same order as `wealth`
-                        for h, s in zip(position, tree.increment(node_id, child)):
-                            total += h * s
-                    at[child] = total
-        out = {}
-        for leaf in mask.relevant_leaves:
-            total = at[leaf]
-            for h, opt in zip(strategy.static, self.options):
-                total += h * opt.normalized(leaf)
-            out[leaf] = total
-        return out
-
-    def arbitrage(self, strategy: Strategy) -> ArbitrageFound:
-        """The arbitrage certificate of a strategy: its witnesses are exactly
-        the relevant leaves where its wealth is positive, and its wealth
-        must be nonnegative on every relevant leaf."""
-        wealths = self.wealths(strategy)
-        if any(w < 0 for w in wealths.values()):
-            raise RuntimeError("arbitrage strategy lost money (bug)")
-        return ArbitrageFound(strategy, tuple(leaf for leaf, w in wealths.items() if w > 0))
-
-    def search_arbitrage(self) -> ArbitrageFound | None:
-        """NA of the full semistatic market (stocks plus quoted options),
-        exact; None means Pass. Searches for (H, h) with quasi-surely
-        nonnegative terminal wealth and positive wealth on some relevant
-        leaf, by maximizing clipped gains: max sum(w) s.t. wealth(leaf) >=
-        w_leaf, 0 <= w_leaf <= 1. NA holds iff the optimum is 0. With no
-        options this agrees with global_na."""
-        columns = self.columns
-        nw = len(columns)
-        width = len(columns[0]) - 1  # h and the node blocks; no initial capital
-        objective = [F(0)] * width + [F(1)] * nw
-        constraints = []
-        for li, column in enumerate(columns):
-            gains = [F(0)] * nw
-            gains[li] = F(-1)
-            constraints.append((column[1:] + gains, ">=", F(0)))
-        lower: list[Fraction | None] = [None] * width + [F(0)] * nw
-        upper: list[Fraction | None] = [None] * width + [F(1)] * nw
-        prog = lp.linear_program(
-            objective, maximize=True, constraints=constraints, lower=lower, upper=upper
-        )
-        out = lp.solve(prog, lp.EXACT)
-        assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
-        if out.value > 0:
-            found = self.arbitrage(self.strategy((F(0),) + out.primal))
-            if not found.witness_leaves:
-                raise RuntimeError("arbitrage search found no witness leaf (bug)")
-            return found
-        # Pass (Stiemke): each gain w_leaf sits at 0 with reduced cost
-        # 1 + y_leaf <= 0, so every row dual is negative, and the free hedge
-        # columns make y, normalized, a consistent martingale measure
-        total = sum(out.dual)
-        q = self.measure([y / total for y in out.dual]) if total else Measure({})
-        problems = verify_measure(self.tree, self.mask, self.options, q)
-        if len(q.weights) < nw:
-            problems.append("does not charge every relevant leaf")
-        if problems:
-            raise RuntimeError(f"no-arbitrage measure failed re-verification (bug): {problems}")
-        return None
-
-    def check_measure(self, q: Measure, claim: Claim, value: Fraction) -> None:
-        """Fail unless q passes `verify_measure` and E_q[claim] is value."""
-        problems = verify_measure(self.tree, self.mask, self.options, q)
-        expectation = sum((w * claim(leaf) for leaf, w in q.weights.items()), F(0))
-        if expectation != value:
-            problems.append(f"expectation differs from {value}: {expectation}")
-        if problems:
-            raise RuntimeError(
-                f"martingale measure failed re-verification (bug): {problems}"
-            )
+def search_arbitrage(market: Market) -> ArbitrageFound | None:
+    """NA of the full semistatic market (stocks plus quoted options),
+    exact; None means Pass. Searches for (H, h) with quasi-surely
+    nonnegative terminal wealth and positive wealth on some relevant
+    leaf, by maximizing clipped gains: max sum(w) s.t. wealth(leaf) >=
+    w_leaf, 0 <= w_leaf <= 1. NA holds iff the optimum is 0. With no
+    options this agrees with global_na."""
+    columns = market.columns
+    nw = len(columns)
+    width = len(columns[0]) - 1  # h and the node blocks; no initial capital
+    objective = [F(0)] * width + [F(1)] * nw
+    constraints = []
+    for li, column in enumerate(columns):
+        gains = [F(0)] * nw
+        gains[li] = F(-1)
+        constraints.append((column[1:] + gains, ">=", F(0)))
+    lower: list[Fraction | None] = [None] * width + [F(0)] * nw
+    upper: list[Fraction | None] = [None] * width + [F(1)] * nw
+    prog = lp.linear_program(
+        objective, maximize=True, constraints=constraints, lower=lower, upper=upper
+    )
+    out = lp.solve(prog, lp.EXACT)
+    assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
+    if out.value > 0:
+        found = market.arbitrage(market.strategy((F(0),) + out.primal))
+        if not found.witness_leaves:
+            raise RuntimeError("arbitrage search found no witness leaf (bug)")
+        return found
+    # Pass (Stiemke): each gain w_leaf sits at 0 with reduced cost
+    # 1 + y_leaf <= 0, so every row dual is negative, and the free hedge
+    # columns make y, normalized, a consistent martingale measure
+    total = sum(out.dual)
+    q = market.measure([y / total for y in out.dual]) if total else Measure({})
+    problems = verify_measure(market.tree, market.mask, market.options, q)
+    if len(q.weights) < nw:
+        problems.append("does not charge every relevant leaf")
+    if problems:
+        raise RuntimeError(f"no-arbitrage measure failed re-verification (bug): {problems}")
+    return None
 
 
 def find_dominating_mm(
@@ -402,83 +256,40 @@ def find_dominating_mm(
     p (q >= t p with t > 0, so q charges every leaf p charges), exact and
     re-verified; None when no such measure exists.
 
-    When the stocks fail NA and p charges a witness leaf of `global_na`'s
-    arbitrage H, None is returned without the LP: under any consistent
-    martingale measure q, E_q[H.dS] = 0 while the wealth is >= 0 on every
-    relevant leaf, so q misses each witness leaf and no t > 0 exists. That
-    arbitrage, re-verified by `Market.arbitrage`, certifies the None.
-    Otherwise the max-min-weight LP over the martingale system decides.
+    A None is certified by a semistatic arbitrage H with capital 0 whose
+    gain p charges: under any consistent martingale measure q, E_q[H.dS] =
+    0 while the wealth is >= 0 on every relevant leaf, so q misses each
+    witness leaf and no t > 0 exists. With one or two stocks the NA scan
+    solves no LP, so it runs first: when the stocks fail and p charges a
+    witness leaf of `global_na`'s arbitrage, None is returned without the
+    LP. Otherwise the max-min-weight LP over the martingale system decides,
+    and a None reads the arbitrage off its row duals (at an optimum with
+    t <= 0) or off its negated Farkas rows (when no consistent martingale
+    measure exists); either must pass `Market.arbitrage` and gain on a leaf
+    p charges.
     """
     leaves = mask.relevant_leaves
     relevant = set(leaves)
     for leaf, w in p.weights.items():
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
-    found = global_na(tree, mask)
-    if found is not None and any(p(leaf) > 0 for leaf in found.witness_leaves):
-        return None
+    if tree.dimension <= 2:
+        found = global_na(tree, mask)
+        if found is not None and any(p(leaf) > 0 for leaf in found.witness_leaves):
+            return None
     market = Market(tree, mask, tuple(options))
     rows, rhs = zip(*market.rows)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])
-    if isinstance(out, lp.Infeasible):
-        return None
-    assert isinstance(out, lp.Optimal)
-    if out.value <= 0:
-        return None
-    witness = FtapWitness(market.measure(out.primal), p)
-    problems = verify_witness(tree, mask, options, witness)
-    if problems:
-        raise RuntimeError(f"witness failed re-verification (bug): {problems}")
-    return witness
-
-
-def verify_measure(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    options: tuple[StaticOption, ...] | list[StaticOption],
-    q: Measure,
-) -> list[str]:
-    """Exact recheck that q lies in the option-constrained martingale
-    polytope, read off the tree: nonnegative mass 1 on relevant leaves only,
-    E_q[payoff - quote] = 0 per option, and sum_c mass(c) dS(n, c) = 0 over
-    the supported children c of each relevant non-leaf node n, where mass(n)
-    = sum_c mass(c), bottom-up from q on the leaves; empty list = sound."""
-    bad: list[str] = []
-    relevant = set(mask.relevant_leaves)
-    total = F(0)
-    for leaf, w in q.weights.items():
-        if leaf not in relevant:
-            bad.append(f"mass on polar leaf {leaf!r}")
-        if w < 0:
-            bad.append(f"negative mass on {leaf!r}")
-        total += w
-    if total != 1:
-        bad.append(f"total mass {total} != 1")
-    mass = {leaf: w for leaf, w in q.weights.items() if leaf in relevant}
-    for opt in options:
-        if acc := sum((w * opt.normalized(leaf) for leaf, w in mass.items()), F(0)):
-            bad.append(f"option {opt.name!r} violated by {acc}")
-    for node in reversed(mask.relevant_nonleaf(tree)):
-        support = mask.node_support[node]
-        moved = [(mass[c], tree.increment(node, c)) for c in support if mass.get(c)]
-        mass[node] = sum(w for w, _ in moved)
-        for i in range(tree.dimension):
-            if drift := sum(w * step[i] for w, step in moved):
-                bad.append(f"martingale condition at {node!r}:{i} violated by {drift}")
-    return bad
-
-
-def verify_witness(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    options: tuple[StaticOption, ...] | list[StaticOption],
-    witness: FtapWitness,
-) -> list[str]:
-    """Exact recheck of every FtapWitness invariant: `verify_measure` of q,
-    and q charging every leaf the reference charges; empty list = sound."""
-    q = witness.q
-    bad = verify_measure(tree, mask, options, q)
-    for leaf, w in witness.dominated.weights.items():
-        if w > 0 and q(leaf) <= 0:
-            bad.append(f"does not dominate the reference at {leaf!r}")
-    return bad
+    if isinstance(out, lp.Optimal) and out.value > 0:
+        witness = FtapWitness(market.measure(out.primal), p)
+        problems = verify_witness(tree, mask, options, witness)
+        if problems:
+            raise RuntimeError(f"witness failed re-verification (bug): {problems}")
+        return witness
+    # rows: the mass row, the node blocks, then the options
+    y = out.dual if isinstance(out, lp.Optimal) else [-v for v in out.certificate.rows]
+    cut = len(rows) - len(market.options)
+    found = market.arbitrage(market.strategy((F(0), *y[cut:len(rows)], *y[1:cut])))
+    if not any(p(leaf) > 0 for leaf in found.witness_leaves):
+        raise RuntimeError("no-dominating-measure arbitrage gains on no leaf p charges (bug)")
+    return None

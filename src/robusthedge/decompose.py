@@ -7,7 +7,8 @@ iff its one-step superhedging value never exceeds it at any relevant node;
 process splits exactly into initial value plus a martingale transform
 minus a nondecreasing consumption: the hedge comes from the one-step dual,
 the consumption from the per-edge slack, and the identity
-V_t = V_0 + H.S_t - K_t holds by construction at every relevant node.
+V_t = V_0 + H.S_t - K_t holds by construction at every relevant node;
+`market.verify_decomposition` checks it again.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arbitrage import require_stock_na
+from .market import Decomposition, verify_decomposition
 from .model import ScenarioTree, Strategy, dot
 from .polar import SupportMask
 from .superhedge import node_price
@@ -55,12 +57,6 @@ class AdaptedProcess:
             raise ValueError(f"{label} undefined on relevant nodes {missing}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    strategy: Strategy  # initial = V_0, static empty
-    consumption: dict[str, Fraction]  # accumulated K per relevant node, K_0 = 0
-
-
 def optional_decomposition(
     tree: ScenarioTree,
     mask: SupportMask,
@@ -93,34 +89,3 @@ def optional_decomposition(
     if problems:
         raise RuntimeError(f"decomposition failed re-verification (bug): {problems}")
     return decomposition
-
-
-def verify_decomposition(
-    tree: ScenarioTree,
-    mask: SupportMask,
-    process: AdaptedProcess,
-    decomposition: Decomposition,
-) -> list[str]:
-    """Exact recheck: K_0 = 0, K nondecreasing along supported edges, and
-    V_t = V_0 + H.S_t - K_t at every relevant node."""
-    bad: list[str] = []
-    k = decomposition.consumption
-    if k.get(tree.root) != 0:
-        bad.append("K_0 != 0")
-    strategy = decomposition.strategy
-    gains: dict[str, Fraction] = {tree.root: F(0)}
-    for level in range(tree.horizon):
-        for node_id in mask.relevant_nodes[level]:
-            hedge = strategy.position(node_id, tree.dimension)
-            for child in mask.node_support[node_id]:
-                step = tree.increment(node_id, child)
-                gains[child] = gains[node_id] + dot(hedge, step)
-                if k[child] < k[node_id]:
-                    bad.append(f"K decreases on edge {node_id!r}->{child!r}")
-    for level in mask.relevant_nodes:
-        for node_id in level:
-            lhs = process(node_id)
-            rhs = strategy.initial + gains[node_id] - k[node_id]
-            if lhs != rhs:
-                bad.append(f"identity fails at {node_id!r}: {lhs} != {rhs}")
-    return bad

@@ -11,7 +11,7 @@ and checks each distinct generator row once per document. A tree keeps each
 price increment it computes (`ScenarioTree.increment`); two threads
 computing the same one store equal values. `wealth` is the terminal wealth
 of a strategy at one leaf; the wealth at every relevant leaf, which needs
-the support mask, is `arbitrage.Market.wealths`. This module imports
+the support mask, is `market.Market.wealths`. This module imports
 nothing else from the package but `rational`.
 """
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arbitrage import martingale_rows
+from .market import martingale_rows
 from .model import Claim, Measure, ScenarioTree, StaticOption
 from .polar import SupportMask
 

@@ -14,7 +14,8 @@ completeness tests, and the pathwise martingale-inequality prover.
 
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
-system, its wealth columns, strategies and measures through it.
+system, its wealth columns, strategies and measures through it, and check
+every strategy and measure they return with its methods (`market`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .arbitrage import ArbitrageDetected, Market, require_stock_na
+from .arbitrage import ArbitrageDetected, require_stock_na, search_arbitrage
+from .market import Market
 from .model import Claim, Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 from .rational import integer_row
@@ -283,7 +285,7 @@ def _no_consistent_measure(market, mode, kind):
         if hints
         else "option quotes jointly admit arbitrage (no consistent martingale measure)"
     )
-    found = market.search_arbitrage()
+    found = search_arbitrage(market)
     if found is None:
         if mode.exact:
             raise RuntimeError(
@@ -318,15 +320,8 @@ def superhedge_dynamic(
                 dynamic[node_id] = hedge
     price = values[tree.root]
     strategy = Strategy(price, (), dynamic)
-    _check_superhedge(market, strategy, claim)
+    market.check_superhedge(strategy, claim)
     return price, values, strategy
-
-
-def _check_superhedge(market, strategy, claim) -> None:
-    """Fail unless the strategy's terminal wealth covers the claim on every
-    relevant leaf."""
-    if any(w < claim(leaf) for leaf, w in market.wealths(strategy).items()):
-        raise RuntimeError("superhedging strategy failed re-verification (bug)")
 
 
 def superhedge_semistatic(
@@ -396,7 +391,7 @@ def _primal_superhedge(market, claim, mode, value_only=False):
     if not mode.exact:
         return x, None, None
     strategy = market.strategy(out.primal)
-    _check_superhedge(market, strategy, claim)
+    market.check_superhedge(strategy, claim)
     return x, strategy, market.measure(out.dual)
 
 
@@ -491,7 +486,7 @@ def _replicable(market, claim):
             # Both bounds are attained at one price, so the superhedge minus
             # the subhedge is a semistatic arbitrage: the consistent
             # martingale measures miss some relevant leaf.
-            found = market.search_arbitrage()
+            found = search_arbitrage(market)
             if found is None:
                 raise RuntimeError("replication is not exact (bug)")
             raise ArbitrageDetected(

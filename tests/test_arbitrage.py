@@ -9,18 +9,15 @@ import pytest
 from robusthedge import arbitrage, lp, superhedge
 from robusthedge.arbitrage import (
     ArbitrageDetected,
-    ArbitrageFound,
-    Market,
     find_dominating_mm,
     global_na,
     lift_first_failure,
-    martingale_rows,
     node_na,
     require_stock_na,
     scan_nodes,
     semistatic_na,
-    verify_witness,
 )
+from robusthedge.market import ArbitrageFound, Market, martingale_rows, verify_witness
 from robusthedge.model import Claim, PathMeasure, Strategy, load_model, wealth
 from robusthedge.polar import compute_support, reference_measure
 from robusthedge.superhedge import dual_price, superhedge_semistatic
@@ -361,6 +358,86 @@ def test_mm_reference_off_the_witness_leaves_still_solves_the_lp(monkeypatch):
     assert witness.q.weights == {"u": F(1, 2), "d": F(1, 2)}
     assert find_dominating_mm(tree, mask, (), reference_measure(tree)) is None
     assert len(solves) == 1
+
+
+def _three_stocks(*children) -> str:
+    """One period, three stocks, the root at the origin, and a uniform
+    generator over children at the given prices."""
+    nodes = [{"id": "r", "level": 0, "parent": None, "price": ["0", "0", "0"],
+              "generators": [{f"c{k}": f"1/{len(children)}" for k in range(len(children))}]}]
+    nodes += [
+        {"id": f"c{k}", "level": 1, "parent": "r", "price": list(price)}
+        for k, price in enumerate(children)
+    ]
+    return json.dumps({"horizon": 1, "dimension": 3, "nodes": nodes})
+
+
+def _outcomes(monkeypatch) -> list:
+    """The outcome of every `lp.solve`, in call order."""
+    outcomes: list = []
+    inner = lp.solve
+
+    def solve(prog, mode=lp.EXACT):
+        outcomes.append(inner(prog, mode))
+        return outcomes[-1]
+
+    monkeypatch.setattr(lp, "solve", solve)
+    return outcomes
+
+
+def _checked_denials(monkeypatch, model, p) -> list:
+    """find_dominating_mm's None on the model, with the arbitrage strategies
+    that `Market.arbitrage` checked on the way; each must gain on a leaf p
+    charges."""
+    tree, mask = model.tree, compute_support(model.tree)
+    checked = count_everywhere(monkeypatch, Market.arbitrage)
+    assert find_dominating_mm(tree, mask, model.options, p) is None
+    strategies = [strategy for _, strategy in checked]
+    market = Market(tree, mask, model.options)
+    for strategy in strategies:
+        assert any(p(leaf) > 0 for leaf in market.arbitrage(strategy).witness_leaves)
+    return strategies
+
+
+def test_three_stock_mm_solves_only_its_own_lp(monkeypatch):
+    """With three stocks the NA scan would solve a node LP, so `mm` goes
+    straight to the max-min-weight LP."""
+    model = load_model(_three_stocks("100", "010", "001", ("-1", "-1", "-1")))
+    mask = compute_support(model.tree)
+    outcomes = _outcomes(monkeypatch)
+    witness = find_dominating_mm(model.tree, mask, (), reference_measure(model.tree))
+    assert len(outcomes) == 1
+    assert witness.q.weights == {f"c{k}": F(1, 4) for k in range(4)}
+
+
+def test_three_stock_arbitrage_none_is_the_lps_certificate(monkeypatch):
+    """Every increment is >= 0, so no martingale measure exists: the LP is
+    infeasible, and its Farkas rows are the checked arbitrage."""
+    model = load_model(_three_stocks("100", "010", "001"))
+    outcomes = _outcomes(monkeypatch)
+    [strategy] = _checked_denials(monkeypatch, model, reference_measure(model.tree))
+    assert [type(out) for out in outcomes] == [lp.Infeasible]
+    assert strategy.initial == 0 and list(strategy.dynamic) == ["r"]
+
+
+@pytest.mark.parametrize(
+    "document, measure",
+    [
+        ("example_b", "uniform"),
+        ("example_b", "middle"),
+        ("no_full_support", "uniform"),
+        ("past_float_range", "uniform"),
+    ],
+)
+def test_mm_none_at_a_zero_optimum_is_read_off_the_duals(monkeypatch, document, measure):
+    """The stocks pass NA, so the LP decides; its optimum is t = 0, and its
+    row duals are the checked arbitrage."""
+    model = load_model((DATA / f"{document}.json").read_text())
+    p = model.measures.get(measure) or reference_measure(model.tree)
+    outcomes = _outcomes(monkeypatch)
+    assert len(_checked_denials(monkeypatch, model, p)) == 1
+    [out] = outcomes
+    assert isinstance(out, lp.Optimal) and out.value == 0
 
 
 def test_reference_charging_polar_leaf_rejected():

@@ -9,6 +9,7 @@ import pytest
 
 import robusthedge.arbitrage as arb
 import robusthedge.decompose as dec
+import robusthedge.market as mk
 import robusthedge.superhedge as sh
 from robusthedge import lp
 from robusthedge.cli import main
@@ -48,19 +49,19 @@ def stocks_only(example_b_text):
 @pytest.mark.parametrize(
     "document, argv, function, times",
     [
-        ("example_b", ["price", "--claim", "call"], arb.Market.wealths, 1),
-        ("example_b", ["hedge", "--claim", "call"], arb.Market.wealths, 1),
-        ("example_b", ["na"], arb.Market.wealths, 1),
-        ("stocks_only", ["price", "--claim", "call"], arb.Market.wealths, 1),
-        ("stocks_only", ["hedge", "--claim", "call"], arb.Market.wealths, 1),
-        ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], arb.Market.wealths, 1),
-        ("stocks_only", ["mm"], arb.verify_witness, 1),
-        ("stocks_only", ["decompose", "--process", "surface"], dec.verify_decomposition, 1),
-        ("example_b", ["price", "--claim", "call"], arb.verify_measure, 1),
-        ("stocks_only", ["prove", "--claim", "call", "--bound", "1"], arb.verify_measure, 1),
-        ("stocks_only", ["interval", "--claim", "call"], arb.verify_measure, 2),
-        ("stocks_only", ["replicate", "--claim", "call"], arb.verify_measure, 2),
-        ("stocks_only", ["complete"], arb.verify_measure, 2),
+        ("example_b", ["price", "--claim", "call"], mk.Market.wealths, 1),
+        ("example_b", ["hedge", "--claim", "call"], mk.Market.wealths, 1),
+        ("example_b", ["na"], mk.Market.wealths, 1),
+        ("stocks_only", ["price", "--claim", "call"], mk.Market.wealths, 1),
+        ("stocks_only", ["hedge", "--claim", "call"], mk.Market.wealths, 1),
+        ("stocks_only", ["prove", "--claim", "call", "--bound", "2"], mk.Market.wealths, 1),
+        ("stocks_only", ["mm"], mk.verify_witness, 1),
+        ("stocks_only", ["decompose", "--process", "surface"], mk.verify_decomposition, 1),
+        ("example_b", ["price", "--claim", "call"], mk.verify_measure, 1),
+        ("stocks_only", ["prove", "--claim", "call", "--bound", "1"], mk.verify_measure, 1),
+        ("stocks_only", ["interval", "--claim", "call"], mk.verify_measure, 2),
+        ("stocks_only", ["replicate", "--claim", "call"], mk.verify_measure, 2),
+        ("stocks_only", ["complete"], mk.verify_measure, 2),
     ],
 )
 def test_each_exact_op_checks_its_certificate_once(
@@ -232,7 +233,7 @@ def test_semistatic_measure_attains_the_price(stocks_only, monkeypatch):
     # all mass on leaf 10, where the stock stays at 10: a martingale measure,
     # but the call's expectation under it is 0, not the price 6/5
     assert mask.relevant_leaves == ("8", "10", "13")
-    assert arb.verify_measure(tree, mask, (), Measure({"10": F(1)})) == []
+    assert mk.verify_measure(tree, mask, (), Measure({"10": F(1)})) == []
     _patch_solve(monkeypatch, lambda out: lp.Optimal(out.value, out.primal, (F(0), F(1), F(0))))
     with pytest.raises(RuntimeError, match="expectation differs"):
         sh.superhedge_semistatic(tree, mask, claim, ())
@@ -245,8 +246,8 @@ def test_measure_checks_read_the_tree_not_the_rows(example_b, monkeypatch):
     refused."""
     tree, claim = example_b.tree, example_b.claims["call"]
     mask = compute_support(tree)
-    inner = arb.martingale_rows
-    monkeypatch.setattr(arb, "martingale_rows", lambda *args: [
+    inner = mk.martingale_rows
+    monkeypatch.setattr(mk, "martingale_rows", lambda *args: [
         row for k, row in enumerate(inner(*args)) if k != 1
     ])
     for price in (sh.superhedge_semistatic, sh.dual_price, sh.price_interval):
@@ -390,7 +391,7 @@ def test_verify_measure_names_each_failure(example_b_text, weights, problem):
     model = load_model(json.dumps(doc))
     mask = compute_support(model.tree)
     assert mask.relevant_leaves == ("8", "10")
-    assert problem in arb.verify_measure(model.tree, mask, model.options, Measure(weights))
+    assert problem in mk.verify_measure(model.tree, mask, model.options, Measure(weights))
 
 
 @pytest.mark.parametrize(
@@ -409,5 +410,46 @@ def test_verify_decomposition_names_each_failure(stocks_only, change, problem):
     mask = compute_support(tree)
     process = AdaptedProcess(stocks_only.processes["surface"])
     decomposition = optional_decomposition(tree, mask, process)
-    assert dec.verify_decomposition(tree, mask, process, decomposition) == []
-    assert problem in dec.verify_decomposition(tree, mask, process, change(decomposition))
+    assert mk.verify_decomposition(tree, mask, process, decomposition) == []
+    assert problem in mk.verify_decomposition(tree, mask, process, change(decomposition))
+
+
+def _corrupt_max_min_weight(monkeypatch, corrupt) -> None:
+    """Make lp.max_min_weight pass its outcome through `corrupt`."""
+    inner = lp.max_min_weight
+    monkeypatch.setattr(lp, "max_min_weight", lambda *args: corrupt(inner(*args)))
+
+
+def _zero_farkas(out):
+    assert isinstance(out, lp.Infeasible)
+    certificate = out.certificate
+    return lp.Infeasible(replace(certificate, rows=(F(0),) * len(certificate.rows)))
+
+
+def _shifted_dual(out):
+    assert isinstance(out, lp.Optimal) and out.value == 0
+    return lp.Optimal(out.value, out.primal, tuple(y + 1 for y in out.dual))
+
+
+@pytest.mark.parametrize(
+    "quote, corrupt",
+    [("6/5", _shifted_dual), ("2", _zero_farkas)],
+    ids=["dual", "farkas"],
+)
+def test_no_dominating_measure_check(example_b_text, tmp_path, capsys, monkeypatch,
+                                     quote, corrupt):
+    """`mm`'s none exists is certified by a semistatic arbitrage read off
+    the max-min-weight LP: its row duals at the optimum t = 0 (the call
+    quoted at 6/5, uniform reference), or its negated Farkas rows when no
+    consistent martingale measure exists (the call quoted at 2)."""
+    doc = json.loads(example_b_text)
+    doc["options"][0]["quote"] = quote
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["mm", "--model", str(path)]) == 2
+    assert capsys.readouterr().out == "none exists\n"
+    _corrupt_max_min_weight(monkeypatch, corrupt)
+    assert main(["mm", "--model", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(" (bug)\n")

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robusthedge import cli
-from robusthedge.arbitrage import Market
+from robusthedge.market import Market
 from robusthedge.model import (
     MAX_NODES,
     MalformedDocument,

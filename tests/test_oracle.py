@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from robusthedge.arbitrage import martingale_rows, node_na, verify_measure
+from robusthedge.arbitrage import node_na
+from robusthedge.market import martingale_rows, verify_measure
 from robusthedge.model import Claim, load_model
 from robusthedge.oracle import (
     EmptyPolytope,

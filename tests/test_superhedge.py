@@ -556,6 +556,7 @@ def test_stock_na_is_checked_once_per_call(example_b, monkeypatch, entry):
 )
 def test_martingale_system_is_built_once_per_call(example_b, monkeypatch, entry):
     import robusthedge.arbitrage as arb
+    import robusthedge.market as market
     import robusthedge.superhedge as sh
 
     entry, _, denial = entry.partition("-")
@@ -567,7 +568,7 @@ def test_martingale_system_is_built_once_per_call(example_b, monkeypatch, entry)
         options = (type(options[0])("call", F(2), options[0].payoff),)
     mask = compute_support(tree)
     claim = model.claims["f" if denial == "no_full_support" else "digital"]
-    builds = count_everywhere(monkeypatch, arb.martingale_rows)
+    builds = count_everywhere(monkeypatch, market.martingale_rows)
     with pytest.raises(ArbitrageDetected) if denial else contextlib.nullcontext():
         if entry == "check_complete":
             sh.check_complete(tree, mask, options)
