@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from . import lp
 from .market import ArbitrageFound, FtapWitness, Market, verify_measure, verify_witness
-from .market import martingale_rows  # noqa: F401  only bench/checks.py reads it here
+# bench/ reads it here: checks.py, the spans.py TRACED pair, the layers.py metric
+from .market import martingale_rows  # noqa: F401
 from .model import Measure, ScenarioTree, StaticOption, Strategy, dot
 from .polar import SupportMask
 from .rational import integer_row
@@ -259,8 +260,7 @@ def find_dominating_mm(
     A None is certified by a semistatic arbitrage H with capital 0 whose
     gain p charges: under any consistent martingale measure q, E_q[H.dS] =
     0 while the wealth is >= 0 on every relevant leaf, so q misses each
-    witness leaf and no t > 0 exists. With one or two stocks the NA scan
-    solves no LP, so it runs first: when the stocks fail and p charges a
+    witness leaf and no t > 0 exists. When the stocks fail and p charges a
     witness leaf of `global_na`'s arbitrage, None is returned without the
     LP. Otherwise the max-min-weight LP over the martingale system decides,
     and a None reads the arbitrage off its row duals (at an optimum with
@@ -273,10 +273,9 @@ def find_dominating_mm(
     for leaf, w in p.weights.items():
         if w > 0 and leaf not in relevant:
             raise ValueError(f"reference measure charges polar leaf {leaf!r}")
-    if tree.dimension <= 2:
-        found = global_na(tree, mask)
-        if found is not None and any(p(leaf) > 0 for leaf in found.witness_leaves):
-            return None
+    found = global_na(tree, mask)
+    if found is not None and any(p(leaf) > 0 for leaf in found.witness_leaves):
+        return None
     market = Market(tree, mask, tuple(options))
     rows, rhs = zip(*market.rows)
     out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])

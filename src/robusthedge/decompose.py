@@ -7,8 +7,7 @@ iff its one-step superhedging value never exceeds it at any relevant node;
 process splits exactly into initial value plus a martingale transform
 minus a nondecreasing consumption: the hedge comes from the one-step dual,
 the consumption from the per-edge slack, and the identity
-V_t = V_0 + H.S_t - K_t holds by construction at every relevant node;
-`market.verify_decomposition` checks it again.
+V_t = V_0 + H.S_t - K_t holds by construction at every relevant node.
 """
 
 from __future__ import annotations

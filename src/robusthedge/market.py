@@ -1,18 +1,8 @@
 """The option-constrained martingale system of one market, and every check
-that certifies a verdict; this module imports no solver.
-
-The system's rows constrain the martingale measures, and its columns are
-the terminal-wealth map of a semistatic strategy. The internal `Market`
-(tree, mask, options) builds it once, on first use, is the one reader of
-its layout, and checks arbitrages, superhedges and measures. A measure is
-checked off the tree (`verify_measure`), never off these rows; that
-includes the measure that certifies a semistatic Pass, read off the
-arbitrage search's row duals.
-"""
+that certifies a verdict; this module imports no solver."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -127,17 +117,16 @@ class Market:
         every relevant node, in one top-down pass over the relevant tree."""
         tree, mask = self.tree, self.mask
         at = {tree.root: strategy.initial}
-        for level in mask.relevant_nodes[:-1]:
-            for node_id in level:
-                here = at[node_id]
-                position = strategy.dynamic.get(node_id)
-                for child in mask.node_support[node_id]:
-                    total = here
-                    if position is not None:
-                        # the same additions in the same order as `wealth`
-                        for h, s in zip(position, tree.increment(node_id, child)):
-                            total += h * s
-                    at[child] = total
+        for node_id in mask.relevant_nonleaf(tree):
+            here = at[node_id]
+            position = strategy.dynamic.get(node_id)
+            for child in mask.node_support[node_id]:
+                total = here
+                if position is not None:
+                    # the same additions in the same order as `wealth`
+                    for h, s in zip(position, tree.increment(node_id, child)):
+                        total += h * s
+                at[child] = total
         return at
 
     def wealths(self, strategy: Strategy) -> dict[str, Fraction]:
@@ -146,13 +135,11 @@ class Market:
         mask.relevant_leaves order: `node_wealths`, then the option term is
         added."""
         at = self.node_wealths(strategy)
-        out = {}
-        for leaf in self.mask.relevant_leaves:
-            total = at[leaf]
-            for h, opt in zip(strategy.static, self.options):
-                total += h * opt.normalized(leaf)
-            out[leaf] = total
-        return out
+        static = list(zip(strategy.static, self.options))
+        return {
+            leaf: sum((h * opt.normalized(leaf) for h, opt in static), at[leaf])
+            for leaf in self.mask.relevant_leaves
+        }
 
     def arbitrage(self, strategy: Strategy) -> ArbitrageFound:
         """The arbitrage certificate of a strategy: its witnesses are exactly
@@ -236,7 +223,7 @@ def verify_witness(
 def verify_decomposition(
     tree: ScenarioTree,
     mask: SupportMask,
-    process: Callable[[str], Fraction],
+    process,
     decomposition: Decomposition,
 ) -> list[str]:
     """Exact recheck: K_0 = 0, K nondecreasing along supported edges, and
@@ -246,11 +233,10 @@ def verify_decomposition(
     k = decomposition.consumption
     if k.get(tree.root) != 0:
         bad.append("K_0 != 0")
-    for level in range(tree.horizon):
-        for node_id in mask.relevant_nodes[level]:
-            for child in mask.node_support[node_id]:
-                if k[child] < k[node_id]:
-                    bad.append(f"K decreases on edge {node_id!r}->{child!r}")
+    for node_id in mask.relevant_nonleaf(tree):
+        for child in mask.node_support[node_id]:
+            if k[child] < k[node_id]:
+                bad.append(f"K decreases on edge {node_id!r}->{child!r}")
     wealth = Market(tree, mask, ()).node_wealths(decomposition.strategy)
     for level in mask.relevant_nodes:
         for node_id in level:

@@ -14,8 +14,7 @@ completeness tests, and the pathwise martingale-inequality prover.
 
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
-system, its wealth columns, strategies and measures through it, and check
-every strategy and measure they return with its methods (`market`).
+system, its wealth columns, strategies, measures and checks through it.
 """
 
 from __future__ import annotations
