@@ -263,10 +263,12 @@ def find_dominating_mm(
     witness leaf and no t > 0 exists. When the stocks fail and p charges a
     witness leaf of `global_na`'s arbitrage, None is returned without the
     LP. Otherwise the max-min-weight LP over the martingale system decides,
-    and a None reads the arbitrage off its row duals (at an optimum with
-    t <= 0) or off its negated Farkas rows (when no consistent martingale
-    measure exists); either must pass `Market.arbitrage` and gain on a leaf
-    p charges.
+    solved by Dantzig's rule (`lp.solve_dantzig`). A witness keeps its q
+    only where the final basis proves the LP's optimum unique, and is
+    otherwise read off `lp.solve`'s optimum (`lp.settle`). A None reads
+    the arbitrage off the row duals of any optimum with t <= 0, or off the
+    negated Farkas rows when no consistent martingale measure exists;
+    either must pass `Market.arbitrage` and gain on a leaf p charges.
     """
     leaves = mask.relevant_leaves
     relevant = set(leaves)
@@ -278,8 +280,10 @@ def find_dominating_mm(
         return None
     market = Market(tree, mask, tuple(options))
     rows, rhs = zip(*market.rows)
-    out = lp.max_min_weight(rows, rhs, [p(leaf) for leaf in leaves])
+    prog = lp.max_min_weight_lp(rows, rhs, [p(leaf) for leaf in leaves])
+    out = lp.solve_dantzig(prog)
     if isinstance(out, lp.Optimal) and out.value > 0:
+        out = lp.settle(prog, out, "primal")
         witness = FtapWitness(market.measure(out.primal), p)
         problems = verify_witness(tree, mask, options, witness)
         if problems:

@@ -19,7 +19,7 @@ from .arbitrage import require_stock_na
 from .market import Decomposition, verify_decomposition
 from .model import ScenarioTree, Strategy, dot
 from .polar import SupportMask
-from .superhedge import node_price
+from .superhedge import node_price, one_step_bug
 
 F = Fraction
 
@@ -73,7 +73,10 @@ def optional_decomposition(
     consumption: dict[str, Fraction] = {tree.root: F(0)}
     for level in range(tree.horizon):
         for node_id in mask.relevant_nodes[level]:
-            value, hedge = node_price(tree, mask, node_id, process.values)
+            try:
+                value, hedge = node_price(tree, mask, node_id, process.values)
+            except ValueError as exc:
+                raise one_step_bug(node_id) from exc
             gap = value - process(node_id)
             if gap > 0:
                 raise NotSupermartingale(node_id, gap)

@@ -1,10 +1,15 @@
 """LP kernel: two-phase simplex, by Bland's rule or Dantzig's.
 
 Every optimization in the engine goes through `solve`, which takes Bland's
-rule, except the exact superhedge LPs of callers that print the value
-alone: those go through `solve_superhedge`, which starts the exact kernel
-at the trivial superhedge and takes Dantzig's rule, with Bland's rule
-taking over during long degenerate runs. Both kernels load one standard
+rule, except some exact LPs that take Dantzig's rule, with Bland's rule
+taking over during long degenerate runs: `solve_superhedge` starts a
+superhedge LP at the trivial superhedge, and `solve_dantzig` takes any LP.
+Every rule ends at the same value, so callers that print the value alone
+take them as they are. A Dantzig optimum carries what its final basis
+proves unique (`Optimal.unique`), and a caller that reads its primal or
+its dual passes it through `settle`, which keeps each part so proven, as
+every rule ends there, and otherwise solves the LP again by `solve`: the
+parts read are always `solve`'s. Both kernels load one standard
 form, built in one pass: integer rows over one denominator each. Exact
 mode pivots on them fraction-free (Bareiss), and every value it returns
 is an exact `Fraction`. Float mode divides each integer by its row
@@ -40,7 +45,7 @@ The kernel tests check every exact outcome's certificate against them
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isfinite
@@ -49,8 +54,10 @@ from .rational import integer_row
 
 _MAX_PIVOTS = 200_000
 # degenerate pivots in a row after which Dantzig's rule hands over to
-# Bland's; the longest run on the value-only superhedge LPs of the
-# global-lp and envelope-mix benchmark cycles, seeds 0 and 1, is 6
+# Bland's. The longest runs on the global-lp and envelope-mix benchmark
+# cycles, seeds 0 and 1: 6 on the superhedge LPs of `price`, `interval` and
+# `replicate`, 25 on those of `complete`, and on the max-min-weight LPs of
+# `mm` 37 and 49 (global-lp seeds 0 and 1) and 21 (envelope-mix)
 _DEGENERATE_RUN = 50
 
 
@@ -139,6 +146,10 @@ class Optimal:
     value: Fraction | float
     primal: tuple
     dual: tuple
+    # set by the Dantzig solves alone: the parts, "primal" and "dual", that
+    # the final basis proves to be the LP's only optimum (`settle`); None
+    # on `solve`'s outcomes
+    unique: frozenset[str] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -195,12 +206,16 @@ def lp_to_text(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
-    """Solve the LP; outcome certificates satisfy the module conventions."""
+def _dump(lp: LinearProgram) -> None:
     if _dump_path is not None:
         with open(_dump_path, "a", encoding="utf-8") as handle:
             handle.write(lp_to_text(lp))
             handle.write("\n")
+
+
+def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
+    """Solve the LP; outcome certificates satisfy the module conventions."""
+    _dump(lp)
     if mode.exact:
         return _ExactSimplex(lp).run()
     try:
@@ -221,8 +236,10 @@ def solve_superhedge(lp: LinearProgram) -> LpOutcome:
     taking over during long degenerate runs (see `_ExactSimplex`). The
     outcome is mapped back (value, primal[0] and an Unbounded base point
     plus M), so it satisfies the module conventions for the caller's LP;
-    it may be another optimum than `solve` returns, with the same value.
-    `--dump-lp` receives the caller's LP."""
+    it may be another optimum than `solve` returns, with the same value,
+    and `unique` holds for the caller's LP too (the shift moves x_0 alone,
+    and every dual has y.1 = 1, so y.f - M is its value). `--dump-lp`
+    receives the caller's LP."""
     objective = lp.objective
     if (
         lp.maximize
@@ -234,10 +251,7 @@ def solve_superhedge(lp: LinearProgram) -> LpOutcome:
         or any(con.relation != ">=" or con.coeffs[0] != 1 for con in lp.constraints)
     ):
         raise ValueError("not a superhedge LP: min x_0 over free x_0, rows x_0 + a.x >= f")
-    if _dump_path is not None:
-        with open(_dump_path, "a", encoding="utf-8") as handle:
-            handle.write(lp_to_text(lp))
-            handle.write("\n")
+    _dump(lp)
     top = max((con.rhs for con in lp.constraints), default=Fraction(0))
     shifted = LinearProgram(
         objective,
@@ -246,14 +260,41 @@ def solve_superhedge(lp: LinearProgram) -> LpOutcome:
         lp.lower,
         lp.upper,
     )
-    simplex = _ExactSimplex(shifted)
-    simplex.dantzig = True
-    out = simplex.run()
+    out = _dantzig(shifted)
     if isinstance(out, Optimal):
-        return Optimal(out.value + top, (out.primal[0] + top,) + out.primal[1:], out.dual)
+        primal = (out.primal[0] + top,) + out.primal[1:]
+        return Optimal(out.value + top, primal, out.dual, out.unique)
     if isinstance(out, Unbounded):
         return Unbounded(out.ray, (out.base[0] + top,) + out.base[1:])
     return out  # a Farkas certificate of the shifted rows holds for these
+
+
+def solve_dantzig(lp: LinearProgram) -> LpOutcome:
+    """Solve the LP exactly as `solve` does, but by Dantzig's entering rule,
+    with Bland's rule taking over during long degenerate runs (see
+    `_ExactSimplex`). The outcome satisfies the module conventions, with
+    `solve`'s kind and value, but it may be another optimum: `settle`
+    makes the parts a caller reads `solve`'s."""
+    _dump(lp)
+    return _dantzig(lp)
+
+
+def _dantzig(lp: LinearProgram) -> LpOutcome:
+    simplex = _ExactSimplex(lp)
+    simplex.dantzig = True
+    return simplex.run()
+
+
+def settle(lp: LinearProgram, out: LpOutcome, *reads: str) -> LpOutcome:
+    """`out`, an exact outcome of `lp`, with each part the caller reads
+    ("primal", "dual") the one `solve` returns. A Dantzig optimum whose
+    final basis proves those parts unique (`Optimal.unique`) is kept, since
+    every pivot rule ends at them; otherwise `solve`'s outcome replaces it,
+    solved without a second dump. Any other outcome is returned as is."""
+    unique = getattr(out, "unique", None)
+    if unique is None or unique.issuperset(reads):
+        return out
+    return _ExactSimplex(lp).run()
 
 
 # --------------------------------------------------------------------------
@@ -457,10 +498,14 @@ class _Simplex:
             for r in range(len(self.lp.constraints))
         ]
         self._check_primal(primal)
-        return Optimal(value, tuple(primal), tuple(dual))
+        return Optimal(value, tuple(primal), tuple(dual), self._unique(z2))
 
     def _check_primal(self, primal: list) -> None:
         """Hook for arithmetic that can lose feasibility; exact cannot."""
+
+    def _unique(self, z) -> frozenset[str] | None:
+        """Hook for the uniqueness certificate of a Dantzig optimum."""
+        return None
 
     def _extract_infeasible(self, y: list) -> Infeasible:
         n = self.lp.n
@@ -717,6 +762,43 @@ class _ExactSimplex(_Simplex):
             for j in self.identity
         ]
 
+    def _unique(self, z: list) -> frozenset[str] | None:
+        """What the final optimal basis of a Dantzig solve proves unique
+        (Mangasarian, "Uniqueness of solution in linear programming", Linear
+        Algebra Appl. 1979); None after Bland's rule, whose outcome is
+        `solve`'s own.
+
+        "primal": every nonbasic column has a nonzero reduced cost, except
+        the artificials (0 in every point of the LP) and the twin of a basic
+        half of a split free variable. An optimal point puts no weight on a
+        column of nonzero reduced cost, and the basis then fixes every basic
+        value, a twin moving its half with it, so x+ - x- stays put.
+        "dual": no artificial is basic, and every basic column that is not a
+        free half is positive. Complementary slackness then makes y.A_j = c_j
+        on every basic column (a free half's dual row is an equation), and
+        the basis fixes y."""
+        if not self.dantzig:
+            return None
+        halves = {}
+        for entry in self.var_map:
+            if entry[0] == "free":
+                halves[entry[1]], halves[entry[2]] = entry[2], entry[1]
+        basic = set(self.basis)
+        exempt = self.artificials.union(halves[b] for b in basic if b in halves)
+        zrow = z[0]  # phase 2 lifts no column: a mirrored reduced cost is -z_k
+        unique = set()
+        if all(
+            zrow.get(self.mirror.get(j, j))
+            for j in range(self.ncols)
+            if j not in basic and j not in exempt
+        ):
+            unique.add("primal")
+        if basic.isdisjoint(self.artificials) and all(
+            b in halves or self.rhs[r] > 0 for r, b in enumerate(self.basis)
+        ):
+            unique.add("dual")
+        return frozenset(unique)
+
     def _pivot_limit(self) -> Exception:
         return RuntimeError("pivot limit exceeded in exact mode (bug)")
 
@@ -927,9 +1009,14 @@ class _FloatSimplex(_Simplex):
 
 
 def max_min_weight(rows, rhs, weights) -> LpOutcome:
-    """Solve max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k],
-    exactly: the largest uniform domination factor of the given weights that
-    the equality system admits. The variables are q, then t (free)."""
+    """Solve `max_min_weight_lp` exactly with `solve`."""
+    return solve(max_min_weight_lp(rows, rhs, weights), EXACT)
+
+
+def max_min_weight_lp(rows, rhs, weights) -> LinearProgram:
+    """The LP max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k]:
+    the largest uniform domination factor of the given weights that the
+    equality system admits. The variables are q, then t (free)."""
     k = len(weights)
     constraints = [(list(row) + [Fraction(0)], "=", b) for row, b in zip(rows, rhs)]
     for v in range(k):
@@ -939,10 +1026,7 @@ def max_min_weight(rows, rhs, weights) -> LpOutcome:
         constraints.append((coeffs, ">=", Fraction(0)))
     lower: list[Fraction | None] = [Fraction(0)] * k + [None]
     objective = [Fraction(0)] * k + [Fraction(1)]
-    return solve(
-        linear_program(objective, maximize=True, constraints=constraints, lower=lower),
-        EXACT,
-    )
+    return linear_program(objective, maximize=True, constraints=constraints, lower=lower)
 
 
 def zero_in_relative_interior(

@@ -258,6 +258,17 @@ def _one_step_lp(node_id, increments, values):
     return out.value, tuple(out.dual[i] for i in range(d))
 
 
+def one_step_bug(node_id):
+    """The error for a one-step LP without martingale weights at a node of
+    stocks that passed NA: that contradicts the certified verdict, so it is
+    a bug, not the user's local arbitrage (`node_price` called directly
+    raises ValueError)."""
+    return RuntimeError(
+        f"the one-step LP at node {node_id!r} found no martingale weights, "
+        "but the stocks pass NA (bug)"
+    )
+
+
 def _no_consistent_measure(market, mode, kind):
     """Build the ArbitrageDetected for an empty option-constrained polytope,
     which the `kind` LP ("superhedge" or "dual") reported, hinting at each
@@ -271,7 +282,7 @@ def _no_consistent_measure(market, mode, kind):
     stocks = Market(market.tree, market.mask, ())
     for opt in market.options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in market.tree.leaves})
-        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT, value_only=True)
+        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT)
         stocks.check_measure(q_high, raw, interval.upper)
         stocks.check_measure(q_low, raw, interval.lower)
         if not interval.lower <= opt.quote <= interval.upper:
@@ -314,7 +325,10 @@ def superhedge_dynamic(
     dynamic: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon - 1, -1, -1):
         for node_id in mask.relevant_nodes[level]:
-            values[node_id], hedge = node_price(tree, mask, node_id, values)
+            try:
+                values[node_id], hedge = node_price(tree, mask, node_id, values)
+            except ValueError as exc:
+                raise one_step_bug(node_id) from exc
             if any(v != 0 for v in hedge):
                 dynamic[node_id] = hedge
     price = values[tree.root]
@@ -368,6 +382,14 @@ def _primal_superhedge(market, claim, mode, value_only=False):
     """superhedge_semistatic once the stocks are known to pass NA; the
     measure is not yet checked. With `value_only`, for callers that print
     the price alone, an exact LP goes to `lp.solve_superhedge`."""
+    _, out = _superhedge_lp(market, claim, mode, value_only)
+    return _read_superhedge(market, claim, mode, out)
+
+
+def _superhedge_lp(market, claim, mode, trivial_start):
+    """The global superhedge LP of the claim and its optimum, solved by
+    `lp.solve_superhedge` if exact with `trivial_start`, else by `lp.solve`;
+    ArbitrageDetected when it is unbounded."""
     columns = market.columns
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
@@ -378,7 +400,7 @@ def _primal_superhedge(market, claim, mode, value_only=False):
     prog = lp.linear_program(
         objective, maximize=False, constraints=constraints, lower=lower
     )
-    if value_only and mode.exact:
+    if trivial_start and mode.exact:
         out = lp.solve_superhedge(prog)
     else:
         out = lp.solve(prog, mode)
@@ -386,6 +408,13 @@ def _primal_superhedge(market, claim, mode, value_only=False):
         # dual infeasible: no martingale measure matches the quotes
         raise _no_consistent_measure(market, mode, "superhedge")
     assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
+    return prog, out
+
+
+def _read_superhedge(market, claim, mode, out):
+    """The price of a superhedge LP's optimum, and in exact mode its
+    strategy, checked, and its measure, not yet checked; in float mode None
+    for both."""
     x = out.primal[0]
     if not mode.exact:
         return x, None, None
@@ -394,16 +423,27 @@ def _primal_superhedge(market, claim, mode, value_only=False):
     return x, strategy, market.measure(out.dual)
 
 
-def _both_sides(market, claim, mode, value_only=False):
+def _both_sides(market, claim, mode, reads=None):
     """The price interval [-pi(-f), pi(f)] of the claim, with the
     superhedging strategy and measure of the upper side and the measure of
-    the lower side; the stocks must already pass NA. `value_only` as in
-    `_primal_superhedge`."""
+    the lower side; the stocks must already pass NA. Each exact LP starts at
+    the trivial superhedge (`lp.solve_superhedge`), so the strategy and the
+    measures may be any optimum's; `reads`, given the interval, names the
+    parts read on the upper and the lower side, which are then `lp.solve`'s
+    (`lp.settle`)."""
     negated = Claim({leaf: -v for leaf, v in claim.values.items()})
-    upper, strategy, q_high = _primal_superhedge(market, claim, mode, value_only)
-    lower_neg, _, q_low = _primal_superhedge(market, negated, mode, value_only)
+    (upper_lp, upper), (lower_lp, lower) = (
+        _superhedge_lp(market, side, mode, True) for side in (claim, negated)
+    )
     # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
-    return PriceInterval(0 - lower_neg, upper), strategy, q_high, q_low
+    interval = PriceInterval(0 - lower.primal[0], upper.primal[0])
+    if reads is not None:
+        upper_reads, lower_reads = reads(interval)
+        upper = lp.settle(upper_lp, upper, *upper_reads)
+        lower = lp.settle(lower_lp, lower, *lower_reads)
+    _, strategy, q_high = _read_superhedge(market, claim, mode, upper)
+    _, _, q_low = _read_superhedge(market, negated, mode, lower)
+    return interval, strategy, q_high, q_low
 
 
 def dual_price(
@@ -455,10 +495,10 @@ def price_interval(
     interval and give the bounds: floats guide, exact decides. Each exact
     LP starts at the trivial superhedge, as in `semistatic_price`."""
     market = require_stock_na(tree, mask, options)
-    interval, _, q_high, q_low = _both_sides(market, claim, mode, value_only=True)
+    interval, _, q_high, q_low = _both_sides(market, claim, mode)
     lower, upper = interval.lower, interval.upper
     if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
-        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT, value_only=True)
+        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT)
     if q_high is not None:
         market.check_measure(q_high, claim, interval.upper)
         market.check_measure(q_low, claim, interval.lower)
@@ -477,9 +517,18 @@ def check_replicable(
     return _replicable(require_stock_na(tree, mask, options), claim)
 
 
-def _replicable(market, claim):
-    """check_replicable once the stocks pass NA, separating measures checked."""
-    interval, strategy, q_high, q_low = _both_sides(market, claim, lp.EXACT)
+def _replicable(market, claim, measures=True):
+    """check_replicable once the stocks pass NA, separating measures
+    checked. The parts it reads are `lp.solve`'s: the upper strategy of a
+    point, and the two measures of an interval where they are printed
+    (`measures`; `check_complete` prints a bool)."""
+
+    def reads(interval):
+        if interval.kind == POINT:
+            return ("primal",), ()
+        return (("dual",), ("dual",)) if measures else ((), ())
+
+    interval, strategy, q_high, q_low = _both_sides(market, claim, lp.EXACT, reads)
     if interval.kind == POINT:
         if any(w != claim(leaf) for leaf, w in market.wealths(strategy).items()):
             # Both bounds are attained at one price, so the superhedge minus
@@ -511,7 +560,7 @@ def check_complete(
         indicator = Claim(
             {l: (F(1) if l == leaf else F(0)) for l in tree.leaves}
         )
-        result = _replicable(market, indicator)
+        result = _replicable(market, indicator, measures=False)
         if isinstance(result, NotReplicable):
             return False
     return True

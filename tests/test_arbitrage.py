@@ -337,8 +337,9 @@ def test_mm_none_from_the_stock_arbitrage_is_the_lps_verdict(monkeypatch):
         assert any(p(leaf) > 0 for leaf in found.witness_leaves)
         with monkeypatch.context() as patched:
             solves = count_everywhere(patched, lp.solve)
+            dantzig = count_everywhere(patched, lp.solve_dantzig)
             assert find_dominating_mm(tree, mask, model.options, p) is None
-            assert solves == []
+            assert solves == dantzig == []
         out = _mm_lp(tree, mask, model.options, p)
         assert isinstance(out, lp.Infeasible) or out.value <= 0
     assert failing == 75
@@ -351,7 +352,7 @@ def test_mm_reference_off_the_witness_leaves_still_solves_the_lp(monkeypatch):
     model = load_model(json.dumps(FAILS_AT_BAD))
     tree, mask = model.tree, compute_support(model.tree)
     assert global_na(tree, mask).witness_leaves == ("up",)
-    solves = count_everywhere(monkeypatch, lp.solve)
+    solves = count_everywhere(monkeypatch, lp.solve_dantzig)
     p = PathMeasure({"u": F(1, 2), "d": F(1, 2)})
     witness = find_dominating_mm(tree, mask, (), p)
     assert len(solves) == 1
@@ -373,15 +374,15 @@ def _three_stocks(*children) -> str:
 
 
 def _outcomes(monkeypatch) -> list:
-    """The outcome of every `lp.solve`, in call order."""
+    """The outcome of every `lp.solve_dantzig`, in call order."""
     outcomes: list = []
-    inner = lp.solve
+    inner = lp.solve_dantzig
 
-    def solve(prog, mode=lp.EXACT):
-        outcomes.append(inner(prog, mode))
+    def solve_dantzig(prog):
+        outcomes.append(inner(prog))
         return outcomes[-1]
 
-    monkeypatch.setattr(lp, "solve", solve)
+    monkeypatch.setattr(lp, "solve_dantzig", solve_dantzig)
     return outcomes
 
 

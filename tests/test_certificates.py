@@ -167,14 +167,16 @@ def _all_on_first(values) -> tuple:
 def test_dominating_measure_check(stocks_only, monkeypatch):
     tree = stocks_only.tree
     mask = compute_support(tree)
-    inner = lp.max_min_weight
+    inner = lp.solve_dantzig
 
-    def lumped(rows, rhs, weights):
-        out = inner(rows, rhs, weights)
+    def lumped(prog):
+        out = inner(prog)
         q = _all_on_first(out.primal[:-1])
-        return lp.Optimal(out.value, q + out.primal[-1:], out.dual)
+        # `replace` keeps the certificate of the unique q, so `mm` reads this one
+        assert "primal" in out.unique
+        return replace(out, primal=q + out.primal[-1:])
 
-    monkeypatch.setattr(lp, "max_min_weight", lumped)
+    monkeypatch.setattr(lp, "solve_dantzig", lumped)
     with pytest.raises(RuntimeError, match="witness failed re-verification"):
         arb.find_dominating_mm(tree, mask, (), reference_measure(tree))
 
@@ -414,10 +416,10 @@ def test_verify_decomposition_names_each_failure(stocks_only, change, problem):
     assert problem in mk.verify_decomposition(tree, mask, process, change(decomposition))
 
 
-def _corrupt_max_min_weight(monkeypatch, corrupt) -> None:
-    """Make lp.max_min_weight pass its outcome through `corrupt`."""
-    inner = lp.max_min_weight
-    monkeypatch.setattr(lp, "max_min_weight", lambda *args: corrupt(inner(*args)))
+def _corrupt_solve_dantzig(monkeypatch, corrupt) -> None:
+    """Make lp.solve_dantzig pass its outcome through `corrupt`."""
+    inner = lp.solve_dantzig
+    monkeypatch.setattr(lp, "solve_dantzig", lambda *args: corrupt(inner(*args)))
 
 
 def _zero_farkas(out):
@@ -448,7 +450,7 @@ def test_no_dominating_measure_check(example_b_text, tmp_path, capsys, monkeypat
     path.write_text(json.dumps(doc))
     assert main(["mm", "--model", str(path)]) == 2
     assert capsys.readouterr().out == "none exists\n"
-    _corrupt_max_min_weight(monkeypatch, corrupt)
+    _corrupt_solve_dantzig(monkeypatch, corrupt)
     assert main(["mm", "--model", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1

@@ -188,6 +188,46 @@ def test_exact_dual_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b
         superhedge.dual_price(model.tree, mask, model.claims["call"], model.options)
 
 
+# two stocks on one line: the root's three increments are collinear, so
+# its one-step problem goes to the LP
+COLLINEAR = """{
+  "horizon": 1,
+  "dimension": 2,
+  "nodes": [
+    {"id": "r", "level": 0, "parent": null, "price": ["1", "1"],
+     "generators": [{"a": "1/3", "b": "1/3", "c": "1/3"}]},
+    {"id": "a", "level": 1, "parent": "r", "price": ["0", "0"]},
+    {"id": "b", "level": 1, "parent": "r", "price": ["1", "1"]},
+    {"id": "c", "level": 1, "parent": "r", "price": ["2", "2"]}
+  ],
+  "claims": {"f": {"a": "0", "b": "1", "c": "0"}},
+  "processes": {"v": {"r": "1", "a": "0", "b": "1", "c": "0"}}
+}"""
+
+
+@pytest.mark.parametrize(
+    "argv", [["price", "--claim", "f"], ["decompose", "--process", "v"]], ids=["price", "decompose"]
+)
+def test_infeasible_one_step_lp_is_a_bug(tmp_path, capsys, monkeypatch, argv):
+    # the stocks pass NA, so no one-step LP can lack martingale weights: an
+    # infeasible one contradicts the certified verdict and is named as a bug
+    # of that LP at that node, not as the user's local arbitrage
+    path = tmp_path / "m.json"
+    path.write_text(COLLINEAR)
+    command = [argv[0], "--model", str(path), *argv[1:]]
+    assert main(command) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(
+        lp, "solve", lambda prog, mode=lp.EXACT: lp.Infeasible(lp.FarkasCertificate((), (), ()))
+    )
+    assert main(command) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: the one-step LP at node 'r' found no martingale weights, "
+        "but the stocks pass NA (bug)\n",
+    )
+
+
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])
 def test_answer_too_long_to_print_exits_1(tmp_path, capsys, mode):
     # one period, prices and claim values of about 3000 digits: the exact

@@ -72,7 +72,9 @@ from robusthedge.lp import (
     linear_program,
     lp_to_text,
     set_dump_file,
+    settle,
     solve,
+    solve_dantzig,
     solve_superhedge,
 )
 
@@ -351,6 +353,68 @@ def test_float_golden_reads_mirrored_columns():
     assert (minus, artificial, basic) == (38, 133, 69)
 
 
+def certified_as_solve(prog, settled=False):
+    """Each Dantzig route of `prog` (`solve_dantzig`, and `solve_superhedge`
+    on a superhedge LP) against `solve`: the same kind and value, a
+    certificate for `prog`, and each part its final basis certifies unique
+    equal to `solve`'s; with `settled`, `settle` returns `solve`'s primal
+    and dual. Returns the number of routes that reached another primal
+    point, each refused."""
+    bland = solve(prog)
+    routes = [solve_dantzig(prog)]
+    with contextlib.suppress(ValueError):  # not a superhedge LP
+        routes.append(solve_superhedge(prog))
+    moved = 0
+    for out in routes:
+        assert type(out) is type(bland)
+        assert verify(prog, out) == []
+        if not isinstance(out, Optimal):
+            continue
+        assert out.value == bland.value
+        if "primal" in out.unique:
+            assert out.primal == bland.primal
+        if "dual" in out.unique:
+            assert out.dual == bland.dual
+        moved += out.primal != bland.primal
+        if settled:
+            read = settle(prog, out, "primal", "dual")
+            assert (read.primal, read.dual) == (bland.primal, bland.dual)
+    return moved
+
+
+def test_dantzig_certificates_hold_on_the_goldens():
+    """`certified_as_solve` on every LP of the three golden corpora; some
+    Dantzig optimum lands on another vertex than `solve`'s, and its
+    certificate refuses it."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    market = json.loads(GOLDEN_MARKET.read_text(encoding="utf-8"))
+    sweep = json.loads(GOLDEN_FLOAT.read_text(encoding="utf-8"))["sweep"]
+    moved = sum(
+        certified_as_solve(lp_from_json(entry["lp"])) for entry in golden + market + sweep
+    )
+    assert moved > 0
+
+
+def build_superhedge_lp(rng):
+    """min x_0 over free (x_0, a) with rows x_0 + a.g_k >= f_k: the shape
+    `solve_superhedge` takes."""
+    n = rng.randint(1, 4)
+    rows = [
+        ([F(1)] + [_coef(rng) for _ in range(n)], ">=", _coef(rng))
+        for _ in range(rng.randint(1, 8))
+    ]
+    return linear_program(
+        [F(1)] + [F(0)] * n, maximize=False, constraints=rows, lower=[None] * (n + 1)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(KINDS + ("superhedge",)))
+def test_generated_dantzig_certificates_hold(rng, kind):
+    prog = build_superhedge_lp(rng) if kind == "superhedge" else build_lp(rng, kind)
+    certified_as_solve(prog, settled=True)
+
+
 @settings(max_examples=150, deadline=None)
 @given(rng=st.randoms(use_true_random=False), kind=st.sampled_from(KINDS))
 def test_generated_certificates_verify(rng, kind):
@@ -560,6 +624,24 @@ def test_value_only_pivot_count(monkeypatch):
     monkeypatch.setattr(_ExactSimplex, "_pivot", counted)
     run_cycle("global-lp", 0, docs=8, commands=("price", "interval"))
     assert len(pivots) == 375
+
+
+@pytest.mark.parametrize("command, count", [("mm", 297), ("replicate", 254)])
+def test_settled_dantzig_pivot_count(monkeypatch, command, count):
+    """A work counter that does not flake: the exact pivots of `mm` and
+    `replicate` on the first 8 global-lp seed-0 documents, re-solves
+    included. With Bland's rule (`solve`) they took 545 and 371; Dantzig's
+    rule, kept where the optimum read is certified unique, takes fewer."""
+    pivots = []
+    inner = _ExactSimplex._pivot
+
+    def counted(self, r, col, z):
+        pivots.append(col)
+        return inner(self, r, col, z)
+
+    monkeypatch.setattr(_ExactSimplex, "_pivot", counted)
+    run_cycle("global-lp", 0, docs=8, commands=(command,))
+    assert len(pivots) == count
 
 
 
