@@ -14,9 +14,10 @@ witness exists exactly when t* > 0. Its contrapositive certifies a None:
 a semistatic arbitrage whose gain p charges leaves no dominating measure.
 
 The martingale system, its `Market` and every certificate check are in
-`market`. `require_stock_na` is the pricing precondition: `ArbitrageDetected`
-unless the stocks alone pass NA, otherwise the call's `Market`, which its
-denial paths search too (`search_arbitrage`).
+`market`; the max-min-weight LP is built and read here alone, and `lp`
+only solves it. `require_stock_na` is the pricing precondition:
+`ArbitrageDetected` unless the stocks alone pass NA, otherwise the call's
+`Market`, which its denial paths search too (`search_arbitrage`).
 """
 
 from __future__ import annotations
@@ -101,13 +102,50 @@ def _local_na(
 def _lp_separator(
     increments: list[tuple[Fraction, ...]],
 ) -> tuple[Fraction, ...] | None:
-    """`lp.zero_in_relative_interior`, its separator scaled so the largest
-    absolute entry is 1."""
-    y = lp.zero_in_relative_interior(increments)
-    if y is None:
+    """Decide 0 in ri(conv(increments)) exactly by the max-min-weight LP:
+    None when 0 is inside, else a separator y scaled so the largest
+    absolute entry is 1.
+
+    0 lies in the relative interior of the hull of finitely many points iff
+    some convex combination with all weights strictly positive vanishes; the
+    LP maximizes the smallest weight, and a positive optimum's weights are
+    re-verified. Otherwise the dual (or the negated Farkas rows when 0 is
+    outside the hull) separates: y.v >= 0 for every increment with at least
+    one strict inequality.
+    """
+    d = len(increments[0])
+    rows = [[v[i] for v in increments] for i in range(d)] + [[F(1)] * len(increments)]
+    rhs = [F(0)] * d + [F(1)]
+    out = lp.solve(_max_min_weight_lp(rows, rhs, [F(1)] * len(increments)), lp.EXACT)
+    if isinstance(out, lp.Infeasible):
+        y = [-out.certificate.rows[i] for i in range(d)]
+    elif out.value > 0:
+        q = out.primal[:-1]
+        if min(q) <= 0 or sum(q) != 1 or any(
+            sum(w * v[i] for w, v in zip(q, increments)) for i in range(d)
+        ):
+            raise RuntimeError("relative-interior weights failed re-verification (bug)")
         return None
+    else:
+        y = out.dual[:d]
     peak = max(abs(v) for v in y)
     return tuple(v / peak for v in y)
+
+
+def _max_min_weight_lp(rows, rhs, weights) -> lp.LinearProgram:
+    """The LP max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k]:
+    the largest uniform domination factor of the given weights that the
+    equality system admits. The variables are q, then t (free)."""
+    k = len(weights)
+    constraints = [(list(row) + [F(0)], "=", b) for row, b in zip(rows, rhs)]
+    for v in range(k):
+        coeffs = [F(0)] * (k + 1)
+        coeffs[v] = F(1)
+        coeffs[k] = -weights[v]
+        constraints.append((coeffs, ">=", F(0)))
+    lower: list[Fraction | None] = [F(0)] * k + [None]
+    objective = [F(0)] * k + [F(1)]
+    return lp.linear_program(objective, maximize=True, constraints=constraints, lower=lower)
 
 
 def _one_stock_separator(
@@ -280,7 +318,7 @@ def find_dominating_mm(
         return None
     market = Market(tree, mask, tuple(options))
     rows, rhs = zip(*market.rows)
-    prog = lp.max_min_weight_lp(rows, rhs, [p(leaf) for leaf in leaves])
+    prog = _max_min_weight_lp(rows, rhs, [p(leaf) for leaf in leaves])
     out = lp.solve_dantzig(prog)
     if isinstance(out, lp.Optimal) and out.value > 0:
         out = lp.settle(prog, out, "primal")

@@ -1,9 +1,9 @@
-"""LP kernel: two-phase simplex, by Bland's rule or Dantzig's.
+"""LP solver: two-phase simplex, by Bland's rule or Dantzig's.
 
 Every optimization in the engine goes through `solve`, which takes Bland's
-rule, except some exact LPs that take Dantzig's rule, with Bland's rule
-taking over during long degenerate runs: `solve_superhedge` starts a
-superhedge LP at the trivial superhedge, and `solve_dantzig` takes any LP.
+rule, except some exact LPs that go through `solve_dantzig`: Dantzig's
+rule, with Bland's rule taking over during long degenerate runs, and a
+superhedge LP, read off its shape, started at the trivial superhedge.
 Every rule ends at the same value, so callers that print the value alone
 take them as they are. A Dantzig optimum carries what its final basis
 proves unique (`Optimal.unique`), and a caller that reads its primal or
@@ -224,22 +224,24 @@ def solve(lp: LinearProgram, mode: Mode = EXACT) -> LpOutcome:
         raise NumericalBreakdown("the LP holds a number past float range") from None
 
 
-def solve_superhedge(lp: LinearProgram) -> LpOutcome:
-    """Solve a superhedge LP exactly, started at the trivial superhedge.
+def solve_dantzig(lp: LinearProgram) -> LpOutcome:
+    """Solve the LP exactly as `solve` does, but by Dantzig's entering rule,
+    with Bland's rule taking over during long degenerate runs (see
+    `_Simplex._run_phase`). The outcome satisfies the module conventions,
+    with `solve`'s kind and value, but it may be another optimum: `settle`
+    makes the parts a caller reads `solve`'s.
 
-    The LP must have the superhedge shape: min x_0 with x_0 free, and every
-    row `x_0 + a.x >= f` (coefficient 1 on x_0); otherwise ValueError. With
-    M = max f, x_0 = M and the rest 0 is feasible, so the LP is solved for
-    x_0 = M + x': every rhs f - M is <= 0, a row with f < M starts with its
-    own slack basic, and only the rows where f attains M keep an artificial,
-    basic at 0. Dantzig's entering rule takes the pivots, with Bland's rule
-    taking over during long degenerate runs (see `_ExactSimplex`). The
-    outcome is mapped back (value, primal[0] and an Unbounded base point
-    plus M), so it satisfies the module conventions for the caller's LP;
-    it may be another optimum than `solve` returns, with the same value,
-    and `unique` holds for the caller's LP too (the shift moves x_0 alone,
-    and every dual has y.1 = 1, so y.f - M is its value). `--dump-lp`
-    receives the caller's LP."""
+    A superhedge LP, min x_0 over a free x_0 with every row `x_0 + a.x >=
+    f` (coefficient 1 on x_0, no other objective weight), starts at the
+    trivial superhedge: with M = max f, x_0 = M and the rest 0 is feasible,
+    so the LP is solved for x_0 = M + x'. Every rhs f - M is <= 0, a row
+    with f < M starts with its own slack basic, and only the rows where f
+    attains M keep an artificial, basic at 0. The outcome is mapped back
+    (value, primal[0] and an Unbounded base point plus M); `unique` holds
+    for the caller's LP too, since the shift moves x_0 alone and every dual
+    has y.1 = 1, so y.f - M is its value. Any other LP takes the ordinary
+    phase 1. `--dump-lp` receives the caller's LP."""
+    _dump(lp)
     objective = lp.objective
     if (
         lp.maximize
@@ -250,8 +252,7 @@ def solve_superhedge(lp: LinearProgram) -> LpOutcome:
         or lp.upper[0] is not None
         or any(con.relation != ">=" or con.coeffs[0] != 1 for con in lp.constraints)
     ):
-        raise ValueError("not a superhedge LP: min x_0 over free x_0, rows x_0 + a.x >= f")
-    _dump(lp)
+        return _ExactSimplex(lp, dantzig=True).run()
     top = max((con.rhs for con in lp.constraints), default=Fraction(0))
     shifted = LinearProgram(
         objective,
@@ -260,29 +261,13 @@ def solve_superhedge(lp: LinearProgram) -> LpOutcome:
         lp.lower,
         lp.upper,
     )
-    out = _dantzig(shifted)
+    out = _ExactSimplex(shifted, dantzig=True).run()
     if isinstance(out, Optimal):
         primal = (out.primal[0] + top,) + out.primal[1:]
         return Optimal(out.value + top, primal, out.dual, out.unique)
     if isinstance(out, Unbounded):
         return Unbounded(out.ray, (out.base[0] + top,) + out.base[1:])
     return out  # a Farkas certificate of the shifted rows holds for these
-
-
-def solve_dantzig(lp: LinearProgram) -> LpOutcome:
-    """Solve the LP exactly as `solve` does, but by Dantzig's entering rule,
-    with Bland's rule taking over during long degenerate runs (see
-    `_ExactSimplex`). The outcome satisfies the module conventions, with
-    `solve`'s kind and value, but it may be another optimum: `settle`
-    makes the parts a caller reads `solve`'s."""
-    _dump(lp)
-    return _dantzig(lp)
-
-
-def _dantzig(lp: LinearProgram) -> LpOutcome:
-    simplex = _ExactSimplex(lp)
-    simplex.dantzig = True
-    return simplex.run()
 
 
 def settle(lp: LinearProgram, out: LpOutcome, *reads: str) -> LpOutcome:
@@ -303,8 +288,9 @@ def settle(lp: LinearProgram, out: LpOutcome, *reads: str) -> LpOutcome:
 
 
 class _Simplex:
-    """Two-phase Bland simplex: standard form, the two phases and the
-    assembly of outcomes. Subclasses own the rows and the arithmetic.
+    """Two-phase simplex: standard form, the one pivot loop (Bland's rule,
+    or with `dantzig` Dantzig's, exact only) and the assembly of outcomes.
+    Subclasses own the rows and the arithmetic.
 
     Standard form: minimize over x~ >= 0 with equality rows; general bounds
     become shifts (finite lower), reflections (finite upper only) or split
@@ -327,8 +313,9 @@ class _Simplex:
     mirrored column; each kernel derives it from column k when it reads it.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, dantzig: bool = False):
         self.lp = lp
+        self.dantzig = dantzig  # entering rule: Bland's, or Dantzig's (exact only)
         self._standardize()
 
     def _standardize(self) -> None:
@@ -430,14 +417,26 @@ class _Simplex:
         self._load(rows, rhs, dens, cost)
 
     def _run_phase(self, z, barred: set[int]) -> int | None:
-        """Bland loop; returns the entering column on unboundedness."""
+        """Bland's loop, or with `dantzig` set, Dantzig's: the entering
+        column has the most negative reduced cost. Returns the entering
+        column on unboundedness. A run of _DEGENERATE_RUN pivots in a row
+        that leave every basic value as it is hands the choice to Bland's
+        rule until a pivot moves them. Bland's rule cannot cycle (Bland,
+        Math. Oper. Res. 1977), so each degenerate run ends, and a pivot
+        that moves strictly lowers the objective, so no basis repeats: the
+        loop terminates."""
+        stalled = 0
         for _ in range(_MAX_PIVOTS):
-            col = self._enter(z, barred)
+            if self.dantzig and stalled < _DEGENERATE_RUN:
+                col = self._most_negative(z, barred)
+            else:
+                col = self._enter(z, barred)
             if col is None:
                 return None
             r = self._leave(col)
             if r is None:
                 return col
+            stalled = stalled + 1 if self.rhs[r] == 0 else 0
             self._pivot(r, col, z)
         raise self._pivot_limit()
 
@@ -498,14 +497,11 @@ class _Simplex:
             for r in range(len(self.lp.constraints))
         ]
         self._check_primal(primal)
-        return Optimal(value, tuple(primal), tuple(dual), self._unique(z2))
+        unique = self._unique(z2) if self.dantzig else None
+        return Optimal(value, tuple(primal), tuple(dual), unique)
 
     def _check_primal(self, primal: list) -> None:
         """Hook for arithmetic that can lose feasibility; exact cannot."""
-
-    def _unique(self, z) -> frozenset[str] | None:
-        """Hook for the uniqueness certificate of a Dantzig optimum."""
-        return None
 
     def _extract_infeasible(self, y: list) -> Infeasible:
         n = self.lp.n
@@ -582,7 +578,6 @@ class _ExactSimplex(_Simplex):
 
     _zero = Fraction(0)
     _one = Fraction(1)
-    dantzig = False  # entering rule: Bland's, or Dantzig's (`_run_phase`)
 
     def _load(self, rows, rhs, dens, cost) -> None:
         reduced = list(map(_primitive, rows, rhs, dens))
@@ -641,31 +636,6 @@ class _ExactSimplex(_Simplex):
             if j not in barred and zrow.get(k, 0) > (zden if j in lift else 0):
                 return j
         return best
-
-    def _run_phase(self, z: list, barred: set[int]) -> int | None:
-        """Bland's loop, or with `dantzig` set, Dantzig's: the entering
-        column has the most negative reduced cost. A run of _DEGENERATE_RUN
-        pivots in a row that leave every basic value as it is hands the
-        choice to Bland's rule until a pivot moves them. Bland's rule cannot
-        cycle (Bland, Math. Oper. Res. 1977), so each degenerate run ends,
-        and a pivot that moves strictly lowers the objective, so no basis
-        repeats: the loop terminates."""
-        if not self.dantzig:
-            return super()._run_phase(z, barred)
-        stalled = 0
-        for _ in range(_MAX_PIVOTS):
-            if stalled < _DEGENERATE_RUN:
-                col = self._most_negative(z, barred)
-            else:
-                col = self._enter(z, barred)
-            if col is None:
-                return None
-            r = self._leave(col)
-            if r is None:
-                return col
-            stalled = stalled + 1 if self.rhs[r] == 0 else 0
-            self._pivot(r, col, z)
-        raise self._pivot_limit()
 
     def _most_negative(self, z: list, barred: set[int]) -> int | None:
         """Dantzig's entering column, the lowest of those whose reduced cost
@@ -765,8 +735,8 @@ class _ExactSimplex(_Simplex):
     def _unique(self, z: list) -> frozenset[str] | None:
         """What the final optimal basis of a Dantzig solve proves unique
         (Mangasarian, "Uniqueness of solution in linear programming", Linear
-        Algebra Appl. 1979); None after Bland's rule, whose outcome is
-        `solve`'s own.
+        Algebra Appl. 1979). Bland's outcome is `solve`'s own, so `run` asks
+        only after Dantzig's rule.
 
         "primal": every nonbasic column has a nonzero reduced cost, except
         the artificials (0 in every point of the LP) and the twin of a basic
@@ -777,8 +747,6 @@ class _ExactSimplex(_Simplex):
         free half is positive. Complementary slackness then makes y.A_j = c_j
         on every basic column (a free half's dual row is an equation), and
         the basis fixes y."""
-        if not self.dantzig:
-            return None
         halves = {}
         for entry in self.var_map:
             if entry[0] == "free":
@@ -1001,60 +969,3 @@ class _FloatSimplex(_Simplex):
     def _phase1_unbounded(self) -> Exception:
         # phase 1 is bounded below by 0, so only lost accuracy finds a ray
         return NumericalBreakdown("phase 1 ran unbounded")
-
-
-# --------------------------------------------------------------------------
-# relative interior of a finite convex hull
-# --------------------------------------------------------------------------
-
-
-def max_min_weight(rows, rhs, weights) -> LpOutcome:
-    """Solve `max_min_weight_lp` exactly with `solve`."""
-    return solve(max_min_weight_lp(rows, rhs, weights), EXACT)
-
-
-def max_min_weight_lp(rows, rhs, weights) -> LinearProgram:
-    """The LP max t over q >= 0 with rows . q = rhs and q_k >= t * weights[k]:
-    the largest uniform domination factor of the given weights that the
-    equality system admits. The variables are q, then t (free)."""
-    k = len(weights)
-    constraints = [(list(row) + [Fraction(0)], "=", b) for row, b in zip(rows, rhs)]
-    for v in range(k):
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[v] = Fraction(1)
-        coeffs[k] = -weights[v]
-        constraints.append((coeffs, ">=", Fraction(0)))
-    lower: list[Fraction | None] = [Fraction(0)] * k + [None]
-    objective = [Fraction(0)] * k + [Fraction(1)]
-    return linear_program(objective, maximize=True, constraints=constraints, lower=lower)
-
-
-def zero_in_relative_interior(
-    vectors: list[tuple[Fraction, ...]],
-) -> tuple[Fraction, ...] | None:
-    """Decide 0 in ri(conv(vectors)) exactly by the max-min-weight LP: None
-    when 0 is inside, else a separator y.
-
-    0 lies in the relative interior of the hull of finitely many points iff
-    some convex combination with all weights strictly positive vanishes; the
-    LP maximizes the smallest weight. On failure the dual (or the Farkas
-    vector when 0 is outside the hull) separates: y.v >= 0 for every vector
-    with at least one strict inequality.
-    """
-    if not vectors:
-        raise ValueError("need at least one vector")
-    d = len(vectors[0])
-    rows = [[v[i] for v in vectors] for i in range(d)] + [[Fraction(1)] * len(vectors)]
-    rhs = [Fraction(0)] * d + [Fraction(1)]
-    out = max_min_weight(rows, rhs, [Fraction(1)] * len(vectors))
-    if isinstance(out, Infeasible):
-        return tuple(-out.certificate.rows[i] for i in range(d))
-    assert isinstance(out, Optimal)
-    if out.value > 0:
-        q = out.primal[:-1]
-        if min(q) <= 0 or sum(q) != 1 or any(
-            sum(w * v[i] for w, v in zip(q, vectors)) for i in range(d)
-        ):
-            raise RuntimeError("relative-interior weights failed re-verification (bug)")
-        return None
-    return tuple(out.dual[i] for i in range(d))

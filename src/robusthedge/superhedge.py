@@ -274,7 +274,7 @@ def _no_consistent_measure(market, mode, kind):
     which the `kind` LP ("superhedge" or "dual") reported, hinting at each
     option whose quote leaves its stocks-only price range. Hints and
     arbitrage are exact. A hint prints the two bounds alone, so its LPs are
-    value-only (`lp.solve_superhedge`, as in `price_interval`), and each
+    value-only (`lp.solve_dantzig`, as in `price_interval`), and each
     hint's two measures are still checked. When the exact search finds no
     arbitrage, the LP's report was wrong: in float mode NumericalBreakdown,
     in exact mode a bug. The stocks must already pass NA."""
@@ -368,7 +368,7 @@ def semistatic_price(
     mode: lp.Mode = lp.EXACT,
 ) -> Fraction | float:
     """The price of `superhedge_semistatic`, alone. In exact mode the global
-    LP starts at the trivial superhedge (`lp.solve_superhedge`), so its
+    LP starts at the trivial superhedge (`lp.solve_dantzig`), so its
     optimal strategy and measure may differ from `superhedge_semistatic`'s;
     both are re-verified all the same, and the price is the same."""
     market = require_stock_na(tree, mask, options)
@@ -381,14 +381,14 @@ def semistatic_price(
 def _primal_superhedge(market, claim, mode, value_only=False):
     """superhedge_semistatic once the stocks are known to pass NA; the
     measure is not yet checked. With `value_only`, for callers that print
-    the price alone, an exact LP goes to `lp.solve_superhedge`."""
+    the price alone, an exact LP goes to `lp.solve_dantzig`."""
     _, out = _superhedge_lp(market, claim, mode, value_only)
     return _read_superhedge(market, claim, mode, out)
 
 
-def _superhedge_lp(market, claim, mode, trivial_start):
+def _superhedge_lp(market, claim, mode, dantzig):
     """The global superhedge LP of the claim and its optimum, solved by
-    `lp.solve_superhedge` if exact with `trivial_start`, else by `lp.solve`;
+    `lp.solve_dantzig` if exact with `dantzig`, else by `lp.solve`;
     ArbitrageDetected when it is unbounded."""
     columns = market.columns
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
@@ -400,8 +400,8 @@ def _superhedge_lp(market, claim, mode, trivial_start):
     prog = lp.linear_program(
         objective, maximize=False, constraints=constraints, lower=lower
     )
-    if trivial_start and mode.exact:
-        out = lp.solve_superhedge(prog)
+    if dantzig and mode.exact:
+        out = lp.solve_dantzig(prog)
     else:
         out = lp.solve(prog, mode)
     if isinstance(out, lp.Unbounded):
@@ -427,7 +427,7 @@ def _both_sides(market, claim, mode, reads=None):
     """The price interval [-pi(-f), pi(f)] of the claim, with the
     superhedging strategy and measure of the upper side and the measure of
     the lower side; the stocks must already pass NA. Each exact LP starts at
-    the trivial superhedge (`lp.solve_superhedge`), so the strategy and the
+    the trivial superhedge (`lp.solve_dantzig`), so the strategy and the
     measures may be any optimum's; `reads`, given the interval, names the
     parts read on the upper and the lower side, which are then `lp.solve`'s
     (`lp.settle`)."""

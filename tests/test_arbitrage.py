@@ -71,6 +71,26 @@ def test_node_na_single_constant_child():
     assert node_na(model.tree, mask, "r").passed
 
 
+def test_relative_interior_basic():
+    separator = arbitrage._lp_separator
+    assert separator([(F(-2),), (F(0),), (F(3),)]) is None
+    rows = [[F(-2), F(0), F(3)], [F(1)] * 3]
+    prog = arbitrage._max_min_weight_lp(rows, [F(0), F(1)], [F(1)] * 3)
+    assert lp.solve(prog).value == F(2, 7)
+
+    assert separator([(F(0), F(0))]) is None
+
+    outside = separator([(F(1),), (F(2),)])
+    assert outside is not None
+    assert all(outside[0] * v > 0 for v in (1, 2))
+
+    # 0 on the relative boundary: bottom edge of a triangle
+    y = separator([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
+    assert y is not None
+    prods = [y[0] * 1 + y[1] * 0, -y[0], y[1]]
+    assert all(p >= 0 for p in prods) and any(p > 0 for p in prods)
+
+
 def test_global_na_trinomial_passes(example_b):
     mask = compute_support(example_b.tree)
     assert global_na(example_b.tree, mask) is None
@@ -314,7 +334,8 @@ def _mm_lp(tree, mask, options, p):
     """The max-min-weight LP that find_dominating_mm solves, called
     directly: the verdict its route reaches without the shortcut."""
     rows, rhs = zip(*Market(tree, mask, tuple(options)).rows)
-    return lp.max_min_weight(rows, rhs, [p(leaf) for leaf in mask.relevant_leaves])
+    weights = [p(leaf) for leaf in mask.relevant_leaves]
+    return lp.solve(arbitrage._max_min_weight_lp(rows, rhs, weights))
 
 
 def test_mm_none_from_the_stock_arbitrage_is_the_lps_verdict(monkeypatch):
@@ -573,7 +594,7 @@ def test_martingale_rows_transpose_to_wealth(example_b):
     assert with_polar >= 10
 
 
-def test_float_phase1_ray_is_a_numerical_breakdown(monkeypatch):
+def test_float_phase1_ray_is_a_numerical_breakdown():
     # phase 1 minimizes a sum of artificials >= 0, so an improving ray there
     # means float pivoting lost accuracy; exact mode keeps calling it a bug
     model = load_model((DATA / "float_phase1_ray.json").read_text())
@@ -581,13 +602,10 @@ def test_float_phase1_ray_is_a_numerical_breakdown(monkeypatch):
     p = reference_measure(model.tree)
     rows, rhs = zip(*martingale_rows(model.tree, mask, model.options))
     weights = [p(leaf) for leaf in mask.relevant_leaves]
-    solved = []
-    inner = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda prog, mode: solved.append(prog) or inner(prog, mode))
-    assert isinstance(lp.max_min_weight(rows, rhs, weights), lp.Optimal)
-    (prog,) = solved
+    prog = arbitrage._max_min_weight_lp(rows, rhs, weights)
+    assert isinstance(lp.solve(prog), lp.Optimal)
     with pytest.raises(lp.NumericalBreakdown, match="phase 1 ran unbounded"):
-        inner(prog, lp.float_mode(1e-9))
+        lp.solve(prog, lp.float_mode(1e-9))
     prog = lp.linear_program([1], maximize=False, constraints=[([1], ">=", 1)])
     bug = lp._ExactSimplex(prog)._phase1_unbounded()
     assert isinstance(bug, RuntimeError) and "(bug)" in str(bug)

@@ -77,24 +77,24 @@ def test_each_exact_op_checks_its_certificate_once(
 
 
 def _patch_solve(monkeypatch, corrupt) -> list:
-    """Make lp.solve and lp.solve_superhedge pass each Optimal outcome
+    """Make lp.solve and lp.solve_dantzig pass each Optimal outcome
     through `corrupt`; returns the list of programs solved by either, in
     call order."""
     solved: list = []
-    inner, inner_superhedge = lp.solve, lp.solve_superhedge
+    inner, inner_dantzig = lp.solve, lp.solve_dantzig
 
     def solve(prog, mode=lp.EXACT):
         solved.append(prog)
         out = inner(prog, mode)
         return corrupt(out) if isinstance(out, lp.Optimal) else out
 
-    def solve_superhedge(prog):
+    def solve_dantzig(prog):
         solved.append(prog)
-        out = inner_superhedge(prog)
+        out = inner_dantzig(prog)
         return corrupt(out) if isinstance(out, lp.Optimal) else out
 
     monkeypatch.setattr(lp, "solve", solve)
-    monkeypatch.setattr(lp, "solve_superhedge", solve_superhedge)
+    monkeypatch.setattr(lp, "solve_dantzig", solve_dantzig)
     return solved
 
 
@@ -349,16 +349,16 @@ def test_semistatic_pass_measure_charges_every_leaf(stocks_only, monkeypatch):
 
 def test_relative_interior_weights_check(monkeypatch):
     vectors = [(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (F(-1),) * 3]
-    assert lp.zero_in_relative_interior(vectors) is None
-    inner = lp.max_min_weight
+    assert arb._lp_separator(vectors) is None
+    inner = lp.solve
 
-    def lumped(rows, rhs, weights):
-        out = inner(rows, rhs, weights)
+    def lumped(prog, mode):
+        out = inner(prog, mode)
         return lp.Optimal(out.value, _all_on_first(out.primal[:-1]) + out.primal[-1:], out.dual)
 
-    monkeypatch.setattr(lp, "max_min_weight", lumped)
+    monkeypatch.setattr(lp, "solve", lumped)
     with pytest.raises(RuntimeError, match="relative-interior weights failed"):
-        lp.zero_in_relative_interior(vectors)
+        arb._lp_separator(vectors)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["q_high", "q_low"])

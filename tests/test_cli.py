@@ -160,7 +160,7 @@ def test_exact_lp_without_measure_is_a_bug(tmp_path, capsys, monkeypatch, exampl
     # search finds free of arbitrage is a bug of that LP; no float LP ran.
     # The CLI prints it on one line and exits 1, with no traceback.
     path = _inside_quote(tmp_path, example_b_text)
-    monkeypatch.setattr(lp, "solve_superhedge", lambda prog: lp.Unbounded((), ()))
+    monkeypatch.setattr(lp, "solve_dantzig", lambda prog: lp.Unbounded((), ()))
     assert main(["price", "--model", str(path), "--claim", "call"]) == 1
     assert capsys.readouterr() == (
         "",

@@ -16,7 +16,6 @@ from robusthedge.lp import (
     float_mode,
     linear_program,
     solve,
-    zero_in_relative_interior,
 )
 from robusthedge.model import load_model
 from robusthedge.polar import compute_support
@@ -200,24 +199,6 @@ def test_float_mode_matches_exact_value():
             checked += 1
             assert abs(float(exact_out.value) - float_out.value) < 1e-6
     assert checked > 30
-
-
-def test_relative_interior_basic():
-    assert zero_in_relative_interior([(F(-2),), (F(0),), (F(3),)]) is None
-    rows = [[F(-2), F(0), F(3)], [F(1)] * 3]
-    assert lp.max_min_weight(rows, [F(0), F(1)], [F(1)] * 3).value == F(2, 7)
-
-    assert zero_in_relative_interior([(F(0), F(0))]) is None
-
-    outside = zero_in_relative_interior([(F(1),), (F(2),)])
-    assert outside is not None
-    assert all(outside[0] * v > 0 for v in (1, 2))
-
-    # 0 on the relative boundary: bottom edge of a triangle
-    y = zero_in_relative_interior([(F(1), F(0)), (F(-1), F(0)), (F(0), F(1))])
-    assert y is not None
-    prods = [y[0] * 1 + y[1] * 0, -y[0], y[1]]
-    assert all(p >= 0 for p in prods) and any(p > 0 for p in prods)
 
 
 def test_dump_lp(tmp_path):

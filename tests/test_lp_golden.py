@@ -75,7 +75,6 @@ from robusthedge.lp import (
     settle,
     solve,
     solve_dantzig,
-    solve_superhedge,
 )
 
 from conftest import verify
@@ -354,16 +353,17 @@ def test_float_golden_reads_mirrored_columns():
 
 
 def certified_as_solve(prog, settled=False):
-    """Each Dantzig route of `prog` (`solve_dantzig`, and `solve_superhedge`
-    on a superhedge LP) against `solve`: the same kind and value, a
+    """Each Dantzig route of `prog` (`solve_dantzig`, which starts a
+    superhedge LP at the trivial superhedge, and Dantzig's rule after the
+    ordinary phase 1) against `solve`: the same kind and value, a
     certificate for `prog`, and each part its final basis certifies unique
     equal to `solve`'s; with `settled`, `settle` returns `solve`'s primal
     and dual. Returns the number of routes that reached another primal
     point, each refused."""
     bland = solve(prog)
     routes = [solve_dantzig(prog)]
-    with contextlib.suppress(ValueError):  # not a superhedge LP
-        routes.append(solve_superhedge(prog))
+    if not prog.maximize:  # `solve_dantzig` never shifts a max
+        routes.append(_ExactSimplex(prog, dantzig=True).run())
     moved = 0
     for out in routes:
         assert type(out) is type(bland)
@@ -397,7 +397,7 @@ def test_dantzig_certificates_hold_on_the_goldens():
 
 def build_superhedge_lp(rng):
     """min x_0 over free (x_0, a) with rows x_0 + a.g_k >= f_k: the shape
-    `solve_superhedge` takes."""
+    that `solve_dantzig` starts at the trivial superhedge."""
     n = rng.randint(1, 4)
     rows = [
         ([F(1)] + [_coef(rng) for _ in range(n)], ">=", _coef(rng))
@@ -568,7 +568,7 @@ def check_superhedge_golden(entries, outcomes):
         assert verify(lp_from_json(entry["lp"]), out) == [], k
 
 
-def test_solve_superhedge_matches_the_market_golden(tmp_path):
+def test_trivial_start_matches_the_market_golden(tmp_path):
     """The trivial start reaches the golden's outcome kind and value, with
     a certificate for the caller's LP, and dumps the caller's LP."""
     entries = market_entries("superhedge")
@@ -576,16 +576,69 @@ def test_solve_superhedge_matches_the_market_golden(tmp_path):
     dump = tmp_path / "dump.lp"
     set_dump_file(str(dump))
     try:
-        outcomes = [solve_superhedge(lp_from_json(e["lp"])) for e in entries]
+        outcomes = [solve_dantzig(lp_from_json(e["lp"])) for e in entries]
     finally:
         set_dump_file(None)
     check_superhedge_golden(entries, outcomes)
     assert dump.read_text(encoding="utf-8") == "".join(
         lp_to_text(lp_from_json(e["lp"])) + "\n" for e in entries
     )
-    for entry in market_entries("max-min-weight")[:1]:
-        with pytest.raises(ValueError, match="not a superhedge LP"):
-            solve_superhedge(lp_from_json(entry["lp"]))
+
+
+def _near_superhedge(case):
+    """min x_0 over free (x_0, h) with rows x_0 - h >= 0, x_0 >= 1 and
+    x_0 + h >= 3 (optimum x_0 = h = 3/2, below max f = 3), one condition
+    short of the superhedge shape, or, for "shape", not short."""
+    rows = [([1, -1], ">=", 0), ([1, 0], ">=", 1), ([1, 1], ">=", 3)]
+    objective, maximize, lower, upper = [1, 0], False, [None, None], None
+    if case == "max":
+        maximize = True
+    elif case == "x0 >= 0":
+        lower = [0, None]
+    elif case == "x0 <= 5":
+        upper = [5, None]
+    elif case == "<= row":
+        rows[1] = ([1, 0], "<=", 1)
+    elif case == "2 x0":
+        rows[2] = ([2, 1], ">=", 3)
+    elif case == "weight on h":
+        objective = [1, 1]
+    return linear_program(objective, maximize=maximize, constraints=rows,
+                          lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize(
+    "case, kind, value",
+    [
+        ("shape", Optimal, F(3, 2)),
+        ("max", Unbounded, None),
+        ("x0 >= 0", Optimal, F(3, 2)),
+        ("x0 <= 5", Optimal, F(3, 2)),
+        ("<= row", Infeasible, None),
+        ("2 x0", Optimal, F(1)),
+        ("weight on h", Optimal, F(3)),
+    ],
+)
+def test_near_superhedge_lps_take_the_ordinary_start(monkeypatch, case, kind, value):
+    """`solve_dantzig` shifts an LP of the superhedge shape alone: an LP one
+    condition short of it is solved as given, from the ordinary phase 1,
+    with `solve`'s kind and value and a certificate for it. Shifted, the
+    x_0 >= 0 case would end at x_0 >= max f = 3, not at 3/2."""
+    prog = _near_superhedge(case)
+    bland = solve(prog)
+    solved = []
+    inner = _ExactSimplex.__init__
+
+    def init(self, prog, *args, **kwargs):
+        solved.append(prog)
+        inner(self, prog, *args, **kwargs)
+
+    monkeypatch.setattr(_ExactSimplex, "__init__", init)
+    out = solve_dantzig(prog)
+    assert type(out) is type(bland) is kind
+    assert getattr(out, "value", None) == getattr(bland, "value", None) == value
+    assert verify(prog, out) == []
+    assert (solved == [prog]) == (case != "shape")
 
 
 @pytest.mark.parametrize("run", [0, 1])
@@ -604,7 +657,7 @@ def test_bland_fallback_keeps_the_value(monkeypatch, run):
 
         monkeypatch.setattr(_ExactSimplex, rule, counted)
     entries = market_entries("superhedge")
-    check_superhedge_golden(entries, [solve_superhedge(lp_from_json(e["lp"])) for e in entries])
+    check_superhedge_golden(entries, [solve_dantzig(lp_from_json(e["lp"])) for e in entries])
     assert calls["bland"] > 0
     assert (calls["dantzig"] > 0) == (run > 0)
 

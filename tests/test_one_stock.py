@@ -24,6 +24,7 @@ import robusthedge.lp as lp
 import robusthedge.superhedge as sh
 from robusthedge import oracle
 from robusthedge.arbitrage import (
+    _lp_separator,
     _one_stock_separator,
     _two_stock_separator,
     global_na,
@@ -73,15 +74,7 @@ def vector_step_model(moves):
 def lp_separator(increments):
     """The scaled separator of the max-min-weight LP, None when 0 is in the
     relative interior of the hull."""
-    return lp_vector_separator([(F(v),) for v in increments])
-
-
-def lp_vector_separator(vectors):
-    y = lp.zero_in_relative_interior(vectors)
-    if y is None:
-        return None
-    peak = max(abs(v) for v in y)
-    return tuple(v / peak for v in y)
+    return _lp_separator([(F(v),) for v in increments])
 
 
 LOCAL_ARBITRAGE = "no one-step martingale weights at node 'root'"
@@ -233,7 +226,7 @@ def assert_two_stock_matches_lp(moves):
     passes the products check, and global_na lifts it; node_na gives the
     LP's verdict and separator."""
     vectors = [(F(x), F(y)) for x, y in moves]
-    expected = lp_vector_separator(vectors)
+    expected = _lp_separator(vectors)
     separator = _two_stock_separator(vectors)
     assert (separator is None) == (expected is None)
     tree, _ = vector_step_model(moves)
