@@ -109,26 +109,25 @@ def _lp_separator(
     0 lies in the relative interior of the hull of finitely many points iff
     some convex combination with all weights strictly positive vanishes; the
     LP maximizes the smallest weight, and a positive optimum's weights are
-    re-verified. Otherwise the dual (or the negated Farkas rows when 0 is
-    outside the hull) separates: y.v >= 0 for every increment with at least
-    one strict inequality.
+    re-verified. Otherwise the increment rows' `_separating_multipliers`
+    separate: y.v >= 0 for every increment with at least one strict
+    inequality. A zero y fails re-verification here, before it is scaled.
     """
     d = len(increments[0])
     rows = [[v[i] for v in increments] for i in range(d)] + [[F(1)] * len(increments)]
     rhs = [F(0)] * d + [F(1)]
     out = lp.solve(_max_min_weight_lp(rows, rhs, [F(1)] * len(increments)), lp.EXACT)
-    if isinstance(out, lp.Infeasible):
-        y = [-out.certificate.rows[i] for i in range(d)]
-    elif out.value > 0:
+    if isinstance(out, lp.Optimal) and out.value > 0:
         q = out.primal[:-1]
         if min(q) <= 0 or sum(q) != 1 or any(
             sum(w * v[i] for w, v in zip(q, increments)) for i in range(d)
         ):
             raise RuntimeError("relative-interior weights failed re-verification (bug)")
         return None
-    else:
-        y = out.dual[:d]
+    y = _separating_multipliers(out)[:d]
     peak = max(abs(v) for v in y)
+    if not peak:
+        raise RuntimeError("separator failed re-verification (bug)")
     return tuple(v / peak for v in y)
 
 
@@ -146,6 +145,14 @@ def _max_min_weight_lp(rows, rhs, weights) -> lp.LinearProgram:
     lower: list[Fraction | None] = [F(0)] * k + [None]
     objective = [F(0)] * k + [F(1)]
     return lp.linear_program(objective, maximize=True, constraints=constraints, lower=lower)
+
+
+def _separating_multipliers(out: lp.LpOutcome) -> list[Fraction]:
+    """The row multipliers of a max-min-weight LP outcome other than a
+    positive optimum: an optimum's row duals, or the negated Farkas rows."""
+    if isinstance(out, lp.Unbounded):
+        raise RuntimeError("the max-min-weight LP is Unbounded (bug)")
+    return list(out.dual) if isinstance(out, lp.Optimal) else [-v for v in out.certificate.rows]
 
 
 def _one_stock_separator(
@@ -231,7 +238,8 @@ def lift_first_failure(
         return None
     strategy = Strategy(F(0), (), {failed.node: failed.certificate})
     found = Market(tree, mask, ()).arbitrage(strategy)
-    assert found.witness_leaves, "failing node must produce a nonpolar witness set"
+    if not found.witness_leaves:
+        raise RuntimeError(f"the separator at node {failed.node!r} gains on no leaf (bug)")
     return found
 
 
@@ -266,7 +274,8 @@ def search_arbitrage(market: Market) -> ArbitrageFound | None:
         objective, maximize=True, constraints=constraints, lower=lower, upper=upper
     )
     out = lp.solve(prog, lp.EXACT)
-    assert isinstance(out, lp.Optimal), "arbitrage-search LP is feasible and bounded"
+    if not isinstance(out, lp.Optimal):
+        raise RuntimeError(f"the arbitrage-search LP is {type(out).__name__} (bug)")
     if out.value > 0:
         found = market.arbitrage(market.strategy((F(0),) + out.primal))
         if not found.witness_leaves:
@@ -327,10 +336,8 @@ def find_dominating_mm(
         if problems:
             raise RuntimeError(f"witness failed re-verification (bug): {problems}")
         return witness
-    # rows: the mass row, the node blocks, then the options
-    y = out.dual if isinstance(out, lp.Optimal) else [-v for v in out.certificate.rows]
-    cut = len(rows) - len(market.options)
-    found = market.arbitrage(market.strategy((F(0), *y[cut:len(rows)], *y[1:cut])))
+    y = market.column_order(_separating_multipliers(out))
+    found = market.arbitrage(market.strategy((F(0), *y[1:])))
     if not any(p(leaf) > 0 for leaf in found.witness_leaves):
         raise RuntimeError("no-dominating-measure arbitrage gains on no leaf p charges (bug)")
     return None

@@ -87,10 +87,12 @@ class Market:
 
     @cached_property
     def columns(self) -> list[list[Fraction]]:
-        rows = [row for row, _ in self.rows]
-        cut = len(rows) - len(self.options)
-        rows = rows[:1] + rows[cut:] + rows[1:cut]
-        return [list(column) for column in zip(*rows)]
+        return [list(column) for column in zip(*self.column_order([r for r, _ in self.rows]))]
+
+    def column_order(self, per_row) -> list:
+        """Entries per row of `rows` in column order (mass, options, nodes); extras dropped."""
+        cut = len(self.rows) - len(self.options)
+        return [*per_row[:1], *per_row[cut:len(self.rows)], *per_row[1:cut]]
 
     def strategy(self, point) -> Strategy:
         """The Strategy of a point laid out like a column; entries past the

@@ -136,6 +136,9 @@ class Claim:
     def __call__(self, leaf: str) -> Fraction:
         return self.values[leaf]
 
+    def __neg__(self) -> Claim:
+        return Claim({leaf: -v for leaf, v in self.values.items()})
+
 
 @dataclass(frozen=True)
 class Strategy:

@@ -15,6 +15,8 @@ completeness tests, and the pathwise martingale-inequality prover.
 Each public function checks the stocks once (`require_stock_na`) and hands
 the returned `Market` to the private helpers, which read the martingale
 system, its wealth columns, strategies, measures and checks through it.
+The float-capable entries read a float LP's value themselves; the helpers
+read exact optima only.
 """
 
 from __future__ import annotations
@@ -252,21 +254,21 @@ def _one_step_lp(node_id, increments, values):
     constraints.append(([F(1)] * len(increments), "=", F(1)))
     prog = lp.linear_program(values, maximize=True, constraints=constraints)
     out = lp.solve(prog, lp.EXACT)
-    if isinstance(out, lp.Infeasible):
+    if not isinstance(out, lp.Optimal):
         raise ValueError(f"no one-step martingale weights at node {node_id!r}")
-    assert isinstance(out, lp.Optimal)
     return out.value, tuple(out.dual[i] for i in range(d))
 
 
-def one_step_bug(node_id):
-    """The error for a one-step LP without martingale weights at a node of
-    stocks that passed NA: that contradicts the certified verdict, so it is
-    a bug, not the user's local arbitrage (`node_price` called directly
-    raises ValueError)."""
-    return RuntimeError(
-        f"the one-step LP at node {node_id!r} found no martingale weights, "
-        "but the stocks pass NA (bug)"
-    )
+def gated_node_price(tree, mask, node_id, child_values):
+    """node_price where the stocks pass NA: a one-step LP without weights is
+    then a bug, not the user's local arbitrage (`node_price`'s ValueError)."""
+    try:
+        return node_price(tree, mask, node_id, child_values)
+    except ValueError as exc:
+        raise RuntimeError(
+            f"the one-step LP at node {node_id!r} found no martingale weights, "
+            "but the stocks pass NA (bug)"
+        ) from exc
 
 
 def _no_consistent_measure(market, mode, kind):
@@ -282,7 +284,7 @@ def _no_consistent_measure(market, mode, kind):
     stocks = Market(market.tree, market.mask, ())
     for opt in market.options:
         raw = Claim({leaf: opt.payoff[leaf] for leaf in market.tree.leaves})
-        interval, _, q_high, q_low = _both_sides(stocks, raw, lp.EXACT)
+        interval, _, q_high, q_low = _both_sides(stocks, raw)
         stocks.check_measure(q_high, raw, interval.upper)
         stocks.check_measure(q_low, raw, interval.lower)
         if not interval.lower <= opt.quote <= interval.upper:
@@ -325,10 +327,7 @@ def superhedge_dynamic(
     dynamic: dict[str, tuple[Fraction, ...]] = {}
     for level in range(tree.horizon - 1, -1, -1):
         for node_id in mask.relevant_nodes[level]:
-            try:
-                values[node_id], hedge = node_price(tree, mask, node_id, values)
-            except ValueError as exc:
-                raise one_step_bug(node_id) from exc
+            values[node_id], hedge = gated_node_price(tree, mask, node_id, values)
             if any(v != 0 for v in hedge):
                 dynamic[node_id] = hedge
     price = values[tree.root]
@@ -354,9 +353,11 @@ def superhedge_semistatic(
     one consistent martingale measure; otherwise ArbitrageDetected.
     """
     market = require_stock_na(tree, mask, options)
-    x, strategy, q = _primal_superhedge(market, claim, mode)
-    if mode.exact:
-        market.check_measure(q, claim, x)
+    _, out = _superhedge_lp(market, claim, mode, False)
+    if not mode.exact:
+        return out.primal[0], None, None
+    x, strategy, q = _read_superhedge(market, claim, out)
+    market.check_measure(q, claim, x)
     return x, strategy, q
 
 
@@ -372,24 +373,18 @@ def semistatic_price(
     optimal strategy and measure may differ from `superhedge_semistatic`'s;
     both are re-verified all the same, and the price is the same."""
     market = require_stock_na(tree, mask, options)
-    x, _, q = _primal_superhedge(market, claim, mode, value_only=True)
-    if mode.exact:
-        market.check_measure(q, claim, x)
+    _, out = _superhedge_lp(market, claim, mode, True)
+    if not mode.exact:
+        return out.primal[0]
+    x, _, q = _read_superhedge(market, claim, out)
+    market.check_measure(q, claim, x)
     return x
-
-
-def _primal_superhedge(market, claim, mode, value_only=False):
-    """superhedge_semistatic once the stocks are known to pass NA; the
-    measure is not yet checked. With `value_only`, for callers that print
-    the price alone, an exact LP goes to `lp.solve_dantzig`."""
-    _, out = _superhedge_lp(market, claim, mode, value_only)
-    return _read_superhedge(market, claim, mode, out)
 
 
 def _superhedge_lp(market, claim, mode, dantzig):
     """The global superhedge LP of the claim and its optimum, solved by
-    `lp.solve_dantzig` if exact with `dantzig`, else by `lp.solve`;
-    ArbitrageDetected when it is unbounded."""
+    `lp.solve_dantzig` if exact with `dantzig`, else by `lp.solve`; any
+    other outcome goes to `_no_consistent_measure`."""
     columns = market.columns
     objective = [F(1)] + [F(0)] * (len(columns[0]) - 1)  # min x
     constraints = [
@@ -400,49 +395,39 @@ def _superhedge_lp(market, claim, mode, dantzig):
     prog = lp.linear_program(
         objective, maximize=False, constraints=constraints, lower=lower
     )
-    if dantzig and mode.exact:
-        out = lp.solve_dantzig(prog)
-    else:
-        out = lp.solve(prog, mode)
-    if isinstance(out, lp.Unbounded):
-        # dual infeasible: no martingale measure matches the quotes
+    out = lp.solve_dantzig(prog) if dantzig and mode.exact else lp.solve(prog, mode)
+    if not isinstance(out, lp.Optimal):
         raise _no_consistent_measure(market, mode, "superhedge")
-    assert isinstance(out, lp.Optimal), "superhedge LP is always feasible"
     return prog, out
 
 
-def _read_superhedge(market, claim, mode, out):
-    """The price of a superhedge LP's optimum, and in exact mode its
-    strategy, checked, and its measure, not yet checked; in float mode None
-    for both."""
-    x = out.primal[0]
-    if not mode.exact:
-        return x, None, None
+def _read_superhedge(market, claim, out):
+    """The price of an exact superhedge LP's optimum, its strategy,
+    checked, and its measure, not yet checked."""
     strategy = market.strategy(out.primal)
     market.check_superhedge(strategy, claim)
-    return x, strategy, market.measure(out.dual)
+    return out.primal[0], strategy, market.measure(out.dual)
 
 
-def _both_sides(market, claim, mode, reads=None):
-    """The price interval [-pi(-f), pi(f)] of the claim, with the
+def _both_sides(market, claim, reads=None):
+    """The exact price interval [-pi(-f), pi(f)] of the claim, with the
     superhedging strategy and measure of the upper side and the measure of
-    the lower side; the stocks must already pass NA. Each exact LP starts at
-    the trivial superhedge (`lp.solve_dantzig`), so the strategy and the
+    the lower side; the stocks must already pass NA. Each LP starts at the
+    trivial superhedge (`lp.solve_dantzig`), so the strategy and the
     measures may be any optimum's; `reads`, given the interval, names the
     parts read on the upper and the lower side, which are then `lp.solve`'s
     (`lp.settle`)."""
-    negated = Claim({leaf: -v for leaf, v in claim.values.items()})
+    negated = -claim
     (upper_lp, upper), (lower_lp, lower) = (
-        _superhedge_lp(market, side, mode, True) for side in (claim, negated)
+        _superhedge_lp(market, side, lp.EXACT, True) for side in (claim, negated)
     )
-    # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
-    interval = PriceInterval(0 - lower.primal[0], upper.primal[0])
+    interval = PriceInterval(-lower.primal[0], upper.primal[0])
     if reads is not None:
         upper_reads, lower_reads = reads(interval)
         upper = lp.settle(upper_lp, upper, *upper_reads)
         lower = lp.settle(lower_lp, lower, *lower_reads)
-    _, strategy, q_high = _read_superhedge(market, claim, mode, upper)
-    _, _, q_low = _read_superhedge(market, negated, mode, lower)
+    _, strategy, q_high = _read_superhedge(market, claim, upper)
+    _, _, q_low = _read_superhedge(market, negated, lower)
     return interval, strategy, q_high, q_low
 
 
@@ -462,23 +447,24 @@ def dual_price(
     option quotes to admit a consistent martingale measure; otherwise
     ArbitrageDetected.
     """
-    return _dual_lp(require_stock_na(tree, mask, options), claim, mode)
-
-
-def _dual_lp(market, claim, mode):
-    """dual_price once the stocks are known to pass NA."""
-    objective = [claim(leaf) for leaf in market.mask.relevant_leaves]
-    constraints = [(row, "=", rhs) for row, rhs in market.rows]
-    prog = lp.linear_program(objective, maximize=True, constraints=constraints)
-    out = lp.solve(prog, mode)
-    if isinstance(out, lp.Infeasible):
-        raise _no_consistent_measure(market, mode, "dual")
-    assert isinstance(out, lp.Optimal)
+    market = require_stock_na(tree, mask, options)
+    out = _dual_lp(market, claim, mode)
     if not mode.exact:
         return out.value, None
     q = market.measure(out.primal)
     market.check_measure(q, claim, out.value)
     return out.value, q
+
+
+def _dual_lp(market, claim, mode):
+    """dual_price's LP optimum once the stocks pass NA; else `_no_consistent_measure`."""
+    objective = [claim(leaf) for leaf in market.mask.relevant_leaves]
+    constraints = [(row, "=", rhs) for row, rhs in market.rows]
+    prog = lp.linear_program(objective, maximize=True, constraints=constraints)
+    out = lp.solve(prog, mode)
+    if not isinstance(out, lp.Optimal):
+        raise _no_consistent_measure(market, mode, "dual")
+    return out
 
 
 def price_interval(
@@ -495,13 +481,15 @@ def price_interval(
     interval and give the bounds: floats guide, exact decides. Each exact
     LP starts at the trivial superhedge, as in `semistatic_price`."""
     market = require_stock_na(tree, mask, options)
-    interval, _, q_high, q_low = _both_sides(market, claim, mode)
-    lower, upper = interval.lower, interval.upper
-    if not mode.exact and upper - lower <= mode.tolerance * max(1, abs(lower), abs(upper)):
-        interval, _, q_high, q_low = _both_sides(market, claim, lp.EXACT)
-    if q_high is not None:
-        market.check_measure(q_high, claim, interval.upper)
-        market.check_measure(q_low, claim, interval.lower)
+    if not mode.exact:
+        (_, high), (_, low) = (_superhedge_lp(market, s, mode, True) for s in (claim, -claim))
+        # 0 - x, not -x: a float 0.0 stays 0.0 rather than becoming -0.0
+        lower, upper = 0 - low.primal[0], high.primal[0]
+        if upper - lower > mode.tolerance * max(1, abs(lower), abs(upper)):
+            return PriceInterval(lower, upper)
+    interval, _, q_high, q_low = _both_sides(market, claim)
+    market.check_measure(q_high, claim, interval.upper)
+    market.check_measure(q_low, claim, interval.lower)
     return interval
 
 
@@ -528,7 +516,7 @@ def _replicable(market, claim, measures=True):
             return ("primal",), ()
         return (("dual",), ("dual",)) if measures else ((), ())
 
-    interval, strategy, q_high, q_low = _both_sides(market, claim, lp.EXACT, reads)
+    interval, strategy, q_high, q_low = _both_sides(market, claim, reads)
     if interval.kind == POINT:
         if any(w != claim(leaf) for leaf, w in market.wealths(strategy).items()):
             # Both bounds are attained at one price, so the superhedge minus
@@ -581,7 +569,10 @@ def prove_inequality(
         # superhedge_dynamic has checked the hedge from price <= bound, so
         # the same hedge from the bound superhedges too
         return Proved(Strategy(bound, (), strategy.dynamic))
-    expectation, q = _dual_lp(Market(tree, mask, ()), claim, lp.EXACT)
-    if expectation <= bound:
+    market = Market(tree, mask, ())
+    out = _dual_lp(market, claim, lp.EXACT)
+    q = market.measure(out.primal)
+    market.check_measure(q, claim, out.value)
+    if out.value <= bound:
         raise RuntimeError("refutation measure does not beat the bound (bug)")
-    return Refuted(q, expectation)
+    return Refuted(q, out.value)

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 import robusthedge.arbitrage as arb
-import robusthedge.decompose as dec
 import robusthedge.market as mk
 import robusthedge.superhedge as sh
 from robusthedge import lp
@@ -300,7 +299,7 @@ def test_decomposition_check(stocks_only, monkeypatch):
     mask = compute_support(tree)
     process = AdaptedProcess(stocks_only.processes["surface"])
     _patch_node_price(
-        monkeypatch, dec, lambda value, hedge: (value, tuple(v + 1 for v in hedge))
+        monkeypatch, sh, lambda value, hedge: (value, tuple(v + 1 for v in hedge))
     )
     with pytest.raises(RuntimeError, match="decomposition failed re-verification"):
         optional_decomposition(tree, mask, process)

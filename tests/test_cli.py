@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import robusthedge
 from robusthedge import lp, superhedge
 from robusthedge.cli import _build_parser, main
+from robusthedge.market import ArbitrageFound, Market
 from robusthedge.model import load_model
 from robusthedge.polar import compute_support
 from robusthedge.rational import format_with_decimal
@@ -155,37 +156,61 @@ def _inside_quote(tmp_path, example_b_text):
     return path
 
 
+INFEASIBLE = lp.Infeasible(lp.FarkasCertificate((), (), ()))
+UNBOUNDED = lp.Unbounded((), ())
+NO_MEASURE_BUG = (
+    "error: the exact superhedge LP found no consistent martingale measure, "
+    "but the exact arbitrage search finds no arbitrage (bug)\n"
+)
+
+
+def _fail_first(monkeypatch, entry, outcome, every=False):
+    """Make lp.<entry> return `outcome` for the first LP it is handed, and
+    with `every` for each later one too; the others are solved."""
+    inner, solved = getattr(lp, entry), []
+
+    def solve(prog, *mode):
+        solved.append(prog)
+        return outcome if every or len(solved) == 1 else inner(prog, *mode)
+
+    monkeypatch.setattr(lp, entry, solve)
+
+
 def test_exact_lp_without_measure_is_a_bug(tmp_path, capsys, monkeypatch, example_b_text):
     # an exact LP that finds no consistent measure on a market the exact
-    # search finds free of arbitrage is a bug of that LP; no float LP ran.
-    # The CLI prints it on one line and exits 1, with no traceback.
+    # search finds free of arbitrage is a bug of that LP, and a float one a
+    # breakdown, whatever the outcome kind. The first LP each entry solves
+    # is the superhedge LP; the hints' and the search's LPs after it are
+    # solved for real, unless `every`. The CLI prints one line and exits 1,
+    # with no traceback.
     path = _inside_quote(tmp_path, example_b_text)
-    monkeypatch.setattr(lp, "solve_dantzig", lambda prog: lp.Unbounded((), ()))
-    assert main(["price", "--model", str(path), "--claim", "call"]) == 1
-    assert capsys.readouterr() == (
-        "",
-        "error: the exact superhedge LP found no consistent martingale measure, "
-        "but the exact arbitrage search finds no arbitrage (bug)\n",
+    float_breakdown = (
+        "error: a float LP found no consistent martingale measure, but the exact "
+        "arbitrage search finds no arbitrage; retry without --float\n"
     )
+    for argv, entry, outcome, every, error in (
+        (["price"], "solve_dantzig", UNBOUNDED, True, NO_MEASURE_BUG),
+        (["hedge"], "solve", INFEASIBLE, False, NO_MEASURE_BUG),
+        (["price", "--float"], "solve", INFEASIBLE, False, float_breakdown),
+    ):
+        with monkeypatch.context() as patch:
+            _fail_first(patch, entry, outcome, every)
+            assert main([argv[0], "--model", str(path), "--claim", "call", *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", error)
 
 
 def test_exact_dual_lp_without_measure_is_a_bug(tmp_path, monkeypatch, example_b_text):
-    # the dual LP's Farkas verdict, the first LP solved, reads the same way;
-    # the hints' value-only LPs after it are solved for real
+    # the dual LP's verdict, the first LP solved, reads the same way for
+    # either outcome kind; the hints' value-only LPs after it are solved
+    # for real
     path = _inside_quote(tmp_path, example_b_text)
-    inner, solved = lp.solve, []
-
-    def infeasible_first(prog, mode=lp.EXACT):
-        solved.append(prog)
-        if len(solved) == 1:
-            return lp.Infeasible(lp.FarkasCertificate((), (), ()))
-        return inner(prog, mode)
-
-    monkeypatch.setattr(lp, "solve", infeasible_first)
     model = load_model(path.read_text())
     mask = compute_support(model.tree)
-    with pytest.raises(RuntimeError, match=r"exact dual LP found no .*\(bug\)"):
-        superhedge.dual_price(model.tree, mask, model.claims["call"], model.options)
+    for outcome in (INFEASIBLE, UNBOUNDED):
+        with monkeypatch.context() as patch:
+            _fail_first(patch, "solve", outcome)
+            with pytest.raises(RuntimeError, match=r"exact dual LP found no .*\(bug\)"):
+                superhedge.dual_price(model.tree, mask, model.claims["call"], model.options)
 
 
 # two stocks on one line: the root's three increments are collinear, so
@@ -206,26 +231,78 @@ COLLINEAR = """{
 
 
 @pytest.mark.parametrize(
-    "argv", [["price", "--claim", "f"], ["decompose", "--process", "v"]], ids=["price", "decompose"]
+    "argv, outcome",
+    [
+        (["price", "--claim", "f"], INFEASIBLE),
+        (["decompose", "--process", "v"], INFEASIBLE),
+        (["price", "--claim", "f"], UNBOUNDED),
+        (["decompose", "--process", "v"], UNBOUNDED),
+    ],
+    ids=["price", "decompose", "price-unbounded", "decompose-unbounded"],
 )
-def test_infeasible_one_step_lp_is_a_bug(tmp_path, capsys, monkeypatch, argv):
+def test_infeasible_one_step_lp_is_a_bug(tmp_path, capsys, monkeypatch, argv, outcome):
     # the stocks pass NA, so no one-step LP can lack martingale weights: an
-    # infeasible one contradicts the certified verdict and is named as a bug
-    # of that LP at that node, not as the user's local arbitrage
+    # infeasible (or unbounded) one contradicts the certified verdict and is
+    # named as a bug of that LP at that node, not as the user's local
+    # arbitrage
     path = tmp_path / "m.json"
     path.write_text(COLLINEAR)
     command = [argv[0], "--model", str(path), *argv[1:]]
     assert main(command) == 0
     capsys.readouterr()
-    monkeypatch.setattr(
-        lp, "solve", lambda prog, mode=lp.EXACT: lp.Infeasible(lp.FarkasCertificate((), (), ()))
-    )
+    monkeypatch.setattr(lp, "solve", lambda prog, mode=lp.EXACT: outcome)
     assert main(command) == 1
     assert capsys.readouterr() == (
         "",
         "error: the one-step LP at node 'r' found no martingale weights, "
         "but the stocks pass NA (bug)\n",
     )
+
+
+# two stocks whose root increments (1, 0) and (0, 1) both gain on (1, 1):
+# the root fails NA, and `na` solves the max-min-weight LP for its separator
+TWO_STOCK_FAIL = """{
+  "horizon": 1,
+  "dimension": 2,
+  "nodes": [
+    {"id": "r", "level": 0, "parent": null, "price": ["1", "1"],
+     "generators": [{"a": "1/2", "b": "1/2"}]},
+    {"id": "a", "level": 1, "parent": "r", "price": ["2", "1"]},
+    {"id": "b", "level": 1, "parent": "r", "price": ["1", "2"]}
+  ]
+}"""
+
+
+@pytest.mark.parametrize(
+    "command, document, entry, outcome, error",
+    [
+        ("na", "inside", "solve", INFEASIBLE, "the arbitrage-search LP is Infeasible (bug)"),
+        ("na", "two-stock", "solve", UNBOUNDED, "the max-min-weight LP is Unbounded (bug)"),
+        ("na", "two-stock", "solve", lp.Infeasible(lp.FarkasCertificate((0, 0, 0), (), ())),
+         "separator failed re-verification (bug)"),
+        ("na", "two-stock", None, None, "the separator at node 'r' gains on no leaf (bug)"),
+        ("mm", "example_b", "solve_dantzig", UNBOUNDED, "the max-min-weight LP is Unbounded (bug)"),
+    ],
+    ids=["search", "separator-unbounded", "separator-zero", "lift-no-witness", "mm-unbounded"],
+)
+def test_arbitrage_lp_outcome_is_a_bug(
+    tmp_path, capsys, monkeypatch, example_b_text, command, document, entry, outcome, error
+):
+    # the arbitrage side's LPs are feasible and bounded, and a failing node's
+    # separator gains somewhere; any other outcome is a bug, printed on one
+    # line with exit code 1 rather than a traceback. Without an entry, the
+    # lift of the failing node is stripped of its witnesses instead.
+    if document == "inside":
+        path = _inside_quote(tmp_path, example_b_text)
+    else:
+        path = tmp_path / "m.json"
+        path.write_text(TWO_STOCK_FAIL if document == "two-stock" else example_b_text)
+    if entry is None:
+        monkeypatch.setattr(Market, "arbitrage", lambda self, strategy: ArbitrageFound(strategy, ()))
+    else:
+        _fail_first(monkeypatch, entry, outcome, every=True)
+    assert main([command, "--model", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--float"]], ids=["exact", "float"])

@@ -241,14 +241,14 @@ def test_equivalence_decomposition_exists_iff_supermartingale():
 
 
 def test_decomposition_solves_each_one_step_lp_once(monkeypatch):
-    import robusthedge.decompose as dec
+    import robusthedge.superhedge as sh
 
     model = grid_market_model()
     tree = model.tree
     mask = compute_support(tree)
     claim = random_claim(random.Random(7), model)
     process, _, _ = _surface_process(tree, mask, claim)
-    calls = count_calls(monkeypatch, dec, "node_price")
+    calls = count_calls(monkeypatch, sh, "node_price")
     decomposition = optional_decomposition(tree, mask, process)
     assert [args[2] for args in calls] == mask.relevant_nonleaf(tree)
     assert verify_decomposition(tree, mask, process, decomposition) == []

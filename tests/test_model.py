@@ -355,7 +355,7 @@ def test_wealth_dynamic_example_b(example_b):
     assert values == [F(0), F(6, 5), F(3)]
 
 
-def test_leaf_wealths_match_wealth_on_random_strategies():
+def test_market_wealths_match_wealth_on_random_strategies():
     """`Market.wealths` equals `wealth` at every relevant leaf, in
     relevant-leaf order, for exact and float positions alike (the float
     additions are done in the same order)."""
